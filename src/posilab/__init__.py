@@ -9,6 +9,9 @@ criteria.  The ``paper-verify`` harness recomputes every concrete claim
 of the source article and reports match/mismatch per claim.
 """
 
+# The one version string; pyproject.toml and paper-verify read it.
+__version__ = "0.1.0"
+
 from .errors import FileFormatError, NumericalFailure, ValidationError
 from .linalg import (
     DEFAULT_TOL,
@@ -72,5 +75,3 @@ from .condexp import (
     trivial_partition,
 )
 from .verify import ClaimRecord, RunReport, run_claim_suite
-
-__version__ = "0.1.0"

@@ -192,6 +192,13 @@ def _masked_ratio(num, den, mask) -> np.ndarray:
     return out
 
 
+def _masked_pow(base, expo, mask) -> np.ndarray:
+    """base ** expo where mask holds, 0 elsewhere (the chi convention)."""
+    out = np.zeros_like(np.asarray(base, dtype=float))
+    np.power(base, expo, out=out, where=mask)
+    return out
+
+
 @dataclass(frozen=True)
 class PropertyResult:
     name: str
@@ -312,26 +319,15 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
-    p = conditional_projector(space, partition)
-    matrix = (w[:, None] * p) * u[None, :]
     return WeightedConditionalOperator(
-        space=space, partition=partition, w=w, u=u, matrix=matrix,
+        space=space, partition=partition, w=w, u=u,
+        matrix=_weighted_conditional_matrix(space, partition, w, u),
         e_w2=block_expectations(space, partition, np.abs(w) ** 2).real,
         e_u2=block_expectations(space, partition, np.abs(u) ** 2).real,
         e_w=block_expectations(space, partition, w),
         e_u=block_expectations(space, partition, u),
         e_uw=block_expectations(space, partition, u * w),
     )
-
-
-def apply_operator(op: WeightedConditionalOperator, f) -> np.ndarray:
-    """Atomwise action w * E(u f), bypassing the matrix."""
-    return op.w * conditional_expectation(op.space, op.partition, op.u * f)
-
-
-def to_coordinates(space: FiniteMeasureSpace, f) -> np.ndarray:
-    """Coordinates of f in the orthonormal basis: f_i sqrt(mass_i)."""
-    return as_function(f, space) * np.sqrt(space.masses)
 
 
 def _weighted_conditional_matrix(space, partition, left, right) -> np.ndarray:
@@ -401,18 +397,13 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     chi_s = support_mask(eu2)
     chi_g = support_mask(ew2)
 
-    def masked_pow(base, expo, mask):
-        out = np.zeros_like(base)
-        np.power(base, expo, out=out, where=mask)
-        return out
-
-    left1 = (np.conj(op.u) * masked_pow(eu2, float(m) - 1.0, chi_s)
+    left1 = (np.conj(op.u) * _masked_pow(eu2, float(m) - 1.0, chi_s)
              * ew2 ** float(m))
     rhs1 = _weighted_conditional_matrix(space, partition, left1, op.u)
     lhs1 = _hermitian_power(op.matrix.conj().T @ op.matrix, m)
     dev1 = linalg.operator_norm(lhs1 - rhs1) / max(1.0, linalg.operator_norm(lhs1))
 
-    left2 = (op.w * masked_pow(ew2, float(m) - 1.0, chi_g)
+    left2 = (op.w * _masked_pow(ew2, float(m) - 1.0, chi_g)
              * eu2 ** float(m))
     rhs2 = _weighted_conditional_matrix(space, partition, left2, np.conj(op.w))
     lhs2 = _hermitian_power(op.matrix @ op.matrix.conj().T, m)
@@ -615,16 +606,11 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
     chi_s = support_mask(op.e_u2)
     chi_g = support_mask(op.e_w2)
 
-    def masked_pow(base, expo, mask):
-        out = np.zeros_like(np.asarray(base, dtype=float))
-        np.power(base, expo, out=out, where=mask)
-        return out
-
     # Stated criterion; the 2kn-1 exponent goes negative for k = 0, where
     # the chi convention zeroes vanishing blocks instead of dividing.
     lhs_a = np.abs(op.e_uw) ** (2 * k + 2)
     rhs_a = (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
-             * masked_pow(op.e_w2, 2 * k * n - 1, chi_g))
+             * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g))
     margins_a = rhs_a - lhs_a
     scale_a = float(max(np.max(np.abs(lhs_a), initial=0.0),
                         np.max(np.abs(rhs_a), initial=0.0)))
@@ -633,7 +619,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
     # Inner display of the derivation, as printed.
     lhs_b = query.lam ** 2 * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2
     rhs_b = (np.abs(op.e_uw) ** (2 * k + n - 1)
-             * np.sqrt(masked_pow(op.e_u2, 1.0, chi_s)
+             * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
                        * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
              * chi_g * np.abs(op.e_w) ** 2)
     margins_b = lhs_b - rhs_b

@@ -151,10 +151,6 @@ def load_matrix(path) -> np.ndarray:
     return loads_matrix(Path(path).read_text())
 
 
-def save_matrix(m, path) -> None:
-    Path(path).write_text(dumps_matrix(m))
-
-
 def loads_space(text: str):
     return space_from_document(_loads(text))
 
@@ -166,7 +162,3 @@ def dumps_space(space, partition, w, u) -> str:
 
 def load_space(path):
     return loads_space(Path(path).read_text())
-
-
-def save_space(space, partition, w, u, path) -> None:
-    Path(path).write_text(dumps_space(space, partition, w, u))

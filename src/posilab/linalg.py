@@ -76,11 +76,28 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def frobenius(m) -> float:
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m))
+def norm_bounds(m) -> tuple[float, float]:
+    """lo <= ||m||_2 <= hi without an SVD: the largest column norm and the
+    Frobenius norm (Golub & Van Loan, 2.3), widened by rounding so a test
+    they settle agrees with operator_norm; (0, inf) on overflow."""
+    m = np.asarray(m, dtype=complex)
+    with np.errstate(over="ignore"):  # squares summed without temporaries
+        columns = (np.einsum("ij,ij->j", m.real, m.real)
+                   + np.einsum("ij,ij->j", m.imag, m.imag))
+    slack = 4.0 * m.size * np.finfo(float).eps
+    hi = float(np.sqrt(columns.sum()) * (1.0 + slack))
+    if not np.isfinite(hi):
+        return 0.0, float("inf")
+    return float(np.sqrt(columns.max()) * (1.0 - slack)), hi
+
+
+def deviation_beyond(x, y, tol: float) -> float | None:
+    """||x||_2 / max(1, ||y||_2) if it exceeds tol, else None; an SVD runs
+    only when norm_bounds cannot settle it."""
+    if norm_bounds(x)[1] <= tol * max(1.0, norm_bounds(y)[0]):
+        return None
+    dev = operator_norm(x) / max(1.0, operator_norm(y))
+    return dev if dev > tol else None
 
 
 @dataclass(frozen=True)
@@ -91,22 +108,16 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_asymmetry(h: np.ndarray) -> float:
-    """Relative deviation of h from its own adjoint."""
-    h = require_square(h)
-    return operator_norm(h - h.conj().T) / max(1.0, operator_norm(h))
-
-
 def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Rejects inputs whose asymmetry exceeds ``tol`` relative to
-    max(1, norm); the symmetrized (H + H*)/2 is what gets decomposed, so
+    Rejects inputs whose asymmetry exceeds ``tol`` relative to max(1, norm),
+    by bounds first; the symmetrized (H + H*)/2 is what gets decomposed, so
     rounding-level asymmetry never leaks into the eigendata.
     """
     h = require_square(h)
-    asym = hermitian_asymmetry(h)
-    if asym > tol:
+    asym = deviation_beyond(h - h.conj().T, h, tol)
+    if asym is not None:
         raise ValidationError(
             f"matrix is not Hermitian: relative asymmetry {asym:.3e} > {tol:.3e}"
         )
@@ -126,17 +137,16 @@ class PsdVerdict:
         return self.is_psd
 
 
-def is_psd(h, tol: float = DEFAULT_TOL, scale: float | None = None) -> PsdVerdict:
+def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Test H >= 0 up to a relative eigenvalue tolerance.
 
-    Passes iff the smallest eigenvalue is >= -tol * max(1, scale), where
-    ``scale`` defaults to the operator norm of H.  On failure the witness
-    is the unit eigenvector of the most negative eigenvalue.
+    Passes iff the smallest eigenvalue is >= -tol * max(1, ||H||_2), the
+    norm taken from the eigenvalues.  On failure the witness is the unit
+    eigenvector of the most negative eigenvalue.
     """
     eig = hermitian_eigen(h, tol=max(tol, 1e-12))
     lo = float(eig.eigenvalues[0])
-    if scale is None:
-        scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
+    scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
     ok = lo >= -tol * max(1.0, scale)
     witness = None if ok else eig.eigenvectors[:, 0].copy()
     return PsdVerdict(is_psd=ok, min_eigenvalue=lo, witness=witness)

@@ -9,23 +9,22 @@ is positive semidefinite.  The k = 0, n = 1 case is posinormality in the
 Rhaly sense (lambda^2 T*T >= TT*); k = 0 with general n is n-power
 posinormality (T^n T*^n <= lambda^2 T*T).
 
-The gap matrix has a second, numerically friendlier form as a difference
-of Gram matrices,
-
-    lambda^2 (T^{k+1})*(T^{k+1}) - (T*^n T^k)*(T*^n T^k),
-
-and both forms are computed and required to agree.  The existential
-question "is there any lambda > 0 that works" is answered exactly by
-``min_lambda`` through a kernel-inclusion test plus one compressed
-eigenproblem, no search involved.
+Every query runs on one pencil: with C = T^{k+1} and D = T*^n T^k the
+gap is also lambda^2 C*C - D*D, and the minimal lambda is the root of the
+top eigenvalue of the pencil (D*D, C*C), found by ``min_lambda`` without
+search.  Each call forms T^k and T^n once; the grid forms each power once
+for all its cells.  Every norm check is settled with bounds first (the
+largest column norm and the Frobenius norm bracket the spectral norm); an
+SVD runs only when they cannot decide, so every verdict is the SVD's.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_TOL
 
 # Fixed seed for the sampled-vector trials of check_norm_inequality;
@@ -81,52 +80,77 @@ class LambdaResult:
     kernel_obstruction: np.ndarray | None
 
 
-def _gram_factors(t: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T^{k+1}, T*^n T^k): the two maps whose Gram matrices form the gap."""
-    tk = linalg.matpow(t, k)
-    c = t @ tk
-    d = linalg.adjoint(linalg.matpow(t, n)) @ tk
-    return c, d
+# T, T^k, T^n and the pencil pair C = T^{k+1}, D = T*^n T^k.
+_Pencil = namedtuple("_Pencil", "t tk tn c d")
+
+
+def _pencil(t, k: int, n: int, tk=None, tn=None) -> _Pencil:
+    """Validate T, k, n; build C and D from one T^k and one T^n (or the
+    powers ``tk``, ``tn`` the caller already has)."""
+    t = linalg.require_square(t)
+    ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
+    tk = linalg.matpow(t, k) if tk is None else tk
+    tn = linalg.matpow(t, n) if tn is None else tn
+    return _Pencil(t, tk, tn, t @ tk, linalg.adjoint(tn) @ tk)
+
+
+def _check_forms_agree(gap, gram) -> None:
+    """Raise NumericalFailure if the gap forms differ beyond 1e-10 relative."""
+    dev = linalg.deviation_beyond(gap - gram, gap, _FORM_AGREEMENT_TOL)
+    if dev is not None:
+        raise NumericalFailure(f"gap-matrix forms disagree: relative deviation {dev:.3e}")
+
+
+def _checked_gap(p: _Pencil, lam: float):
+    """The symmetrized gap at lam, from the definition form checked against
+    the Gram form, and the norm_bounds of s = ||D*D||_2 = membership_scale."""
+    lam2 = float(lam) ** 2
+    gap = (linalg.adjoint(p.tk)
+           @ (lam2 * (linalg.adjoint(p.t) @ p.t) - p.tn @ linalg.adjoint(p.tn))
+           @ p.tk)
+    b = linalg.adjoint(p.d) @ p.d
+    _check_forms_agree(gap, lam2 * (linalg.adjoint(p.c) @ p.c) - b)
+    # Symmetrize away rounding-level asymmetry; both forms are Hermitian
+    # in exact arithmetic.
+    return (gap + gap.conj().T) / 2.0, linalg.norm_bounds(b)
 
 
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
-    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k.
+    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized.
 
-    Computed in definition form and cross-checked against the Gram form
-    lam^2 (T^{k+1})*(T^{k+1}) - (T*^n T^k)*(T*^n T^k); the two must agree
-    to 1e-10 relative or NumericalFailure-grade disagreement is raised as
-    a validation problem with the measured deviation.
+    Cross-checked against the Gram form lam^2 C*C - D*D, bounds first;
+    forms differing beyond 1e-10 relative raise NumericalFailure.
     """
-    t = linalg.require_square(t)
-    query = ClassQuery(k=k, n=n, lam=float(lam))
-    lam2 = query.lam ** 2
-    tk = linalg.matpow(t, k)
-    tn = linalg.matpow(t, n)
-    core = lam2 * (linalg.adjoint(t) @ t) - tn @ linalg.adjoint(tn)
-    gap = linalg.adjoint(tk) @ core @ tk
-
-    c, d = _gram_factors(t, k, n)
-    gram = lam2 * (linalg.adjoint(c) @ c) - linalg.adjoint(d) @ d
-    dev = linalg.operator_norm(gap - gram) / max(1.0, linalg.operator_norm(gap))
-    if dev > _FORM_AGREEMENT_TOL:
-        raise ValidationError(
-            f"gap-matrix forms disagree: relative deviation {dev:.3e}"
-        )
-    # Symmetrize away rounding-level asymmetry; both forms are Hermitian
-    # in exact arithmetic.
-    return (gap + gap.conj().T) / 2.0
+    return _checked_gap(_pencil(t, k, n), ClassQuery(k=k, n=n, lam=float(lam)).lam)[0]
 
 
 def membership_scale(t, k: int, n: int) -> float:
-    """Tolerance scale for membership verdicts: norm of the subtracted
-    Gram term (T*^n T^k)*(T*^n T^k).
+    """Tolerance scale for membership verdicts: ||D||^2, the norm of the
+    subtracted Gram term (T*^n T^k)*(T*^n T^k).
 
     Unlike the full gap norm this does not grow with lambda, so a fixed
     negative direction stays detected for arbitrarily large lambda, and
     verdicts remain monotone in lambda and covariant under scaling of T.
     """
-    _, d = _gram_factors(linalg.require_square(t), k, n)
-    return linalg.operator_norm(d) ** 2
+    return linalg.operator_norm(_pencil(t, k, n).d) ** 2
+
+
+def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
+    """Membership of the pencil's gap at lam: PSD when the smallest
+    eigenvalue lo >= -tol * max(1, s), s = ||D||^2.  The exact s, an SVD of
+    D, runs only when lo falls between the thresholds that the bounds on s
+    give."""
+    gap, s_bounds = _checked_gap(p, lam)
+    # Equal to its adjoint bit for bit: no asymmetry check or copy needed.
+    w, v = np.linalg.eigh(gap)
+    lo = float(w[0])
+    strict, loose = (-tol * max(1.0, s) for s in s_bounds)
+    if loose <= lo < strict:  # the bounds cannot decide
+        holds = lo >= -tol * max(1.0, linalg.operator_norm(p.d) ** 2)
+    else:
+        holds = lo >= strict
+    witness = None if holds else v[:, 0].copy()
+    return ClassReport(holds, lo, float(np.max(np.abs(w))), witness)
 
 
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -135,16 +159,7 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     The PSD threshold is -tol * max(1, s) with s = membership_scale, the
     lambda-independent part of the gap.
     """
-    t = linalg.require_square(t)
-    gap = gap_matrix(t, query.k, query.n, query.lam)
-    scale = membership_scale(t, query.k, query.n)
-    verdict = linalg.is_psd(gap, tol=tol, scale=scale)
-    return ClassReport(
-        holds=verdict.is_psd,
-        gap_min_eigenvalue=verdict.min_eigenvalue,
-        gap_norm=linalg.operator_norm(gap),
-        witness=verdict.witness,
-    )
+    return _verdict(_pencil(t, query.k, query.n), query.lam, tol)
 
 
 def is_posinormal(t, lam: float, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -169,20 +184,20 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
 
     where R maps onto A's positive eigenspace and scales it to identity.
     """
-    t = linalg.require_square(t)
-    ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    c, d = _gram_factors(t, k, n)
-    a = linalg.adjoint(c) @ c
-    b = linalg.adjoint(d) @ d
-    b_scale = linalg.operator_norm(b)
+    return _min_lambda(_pencil(t, k, n), tol)
 
+
+def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
+    a = linalg.adjoint(p.c) @ p.c
+    b = linalg.adjoint(p.d) @ p.d
     hermitian = linalg.hermitian_eigen(a, tol=1e-8)
     w, v = hermitian.eigenvalues, hermitian.eigenvectors
     a_max = float(w[-1]) if w.size else 0.0
     positive = w > tol * a_max if a_max > 0 else np.zeros_like(w, dtype=bool)
 
     v_ker = v[:, ~positive]
-    if v_ker.shape[1] > 0 and b_scale > 0:
+    b_scale = linalg.operator_norm(b) if v_ker.shape[1] > 0 else 0.0
+    if b_scale > 0:
         compressed = v_ker.conj().T @ b @ v_ker
         kw, kv = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
         worst = float(kw[-1])
@@ -218,24 +233,21 @@ def check_norm_inequality(t, k: int, n: int, lam: float, m: int,
     (b) is sampled on ``trials`` unit vectors drawn from a seeded complex
     Gaussian; a fixed seed makes the check deterministic.
     """
-    t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=float(lam))
     if not isinstance(m, (int, np.integer)) or m < k:
         raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials!r}")
 
-    if not is_member(t, ClassQuery(k=int(m), n=n, lam=query.lam), tol=tol).holds:
+    p = _pencil(t, int(m), n)  # D = T*^n T^m, C = T^{m+1}
+    if not _verdict(p, query.lam, tol).holds:
         return False
 
-    dim = t.shape[0]
-    lhs_op = linalg.adjoint(linalg.matpow(t, n)) @ linalg.matpow(t, int(m))
-    rhs_op = linalg.matpow(t, int(m) + 1)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x = rng.standard_normal(len(p.t)) + 1j * rng.standard_normal(len(p.t))
         x = x / np.linalg.norm(x)
-        if np.linalg.norm(lhs_op @ x) > query.lam * np.linalg.norm(rhs_op @ x) + tol:
+        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(p.c @ x) + tol:
             return False
     return True
 
@@ -259,7 +271,6 @@ class NormCorollaryReport:
 def operator_norm_corollary_check(t, k: int, n: int, lam: float, m: int,
                                   tol: float = 1e-9) -> NormCorollaryReport:
     """Check the operator-norm inequality for a member at (k, n, lam)."""
-    t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=float(lam))
     if not isinstance(m, (int, np.integer)) or m < k:
         raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
@@ -269,10 +280,9 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float, m: int,
             "operator is not a member at the given (k, n, lambda); "
             f"gap min eigenvalue {member.gap_min_eigenvalue:.3e}"
         )
-    lhs = linalg.operator_norm(
-        linalg.adjoint(linalg.matpow(t, n)) @ linalg.matpow(t, int(m))
-    )
-    base = linalg.operator_norm(linalg.matpow(t, int(m) + 1))
+    p = _pencil(t, int(m), n)
+    lhs = linalg.operator_norm(p.d)
+    base = linalg.operator_norm(p.c)
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
@@ -303,18 +313,17 @@ class NilpotencyReport:
 def nilpotency_collapse_check(t, k: int, n: int,
                               tol: float = DEFAULT_TOL) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n)."""
-    t = linalg.require_square(t)
-    ClassQuery(k=k, n=n, lam=1.0)
-    t_norm = linalg.operator_norm(t)
+    p = _pencil(t, k, n)
+    t_norm = linalg.operator_norm(p.t)
     power_bound = tol * max(1.0, t_norm) ** (k + 1)
-    if linalg.operator_norm(linalg.matpow(t, k + 1)) > power_bound:
+    if linalg.operator_norm(p.c) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
-    feasibility = min_lambda(t, k, n, tol=tol)
+    feasibility = _min_lambda(p, tol)
     if not feasibility.feasible:
         raise ValidationError(
             "operator is not a member at (k, n) for any lambda"
         )
-    measured = linalg.operator_norm(linalg.matpow(t, k))
+    measured = linalg.operator_norm(p.tk)
     bound = tol * max(1.0, t_norm) ** k
     return NilpotencyReport(
         asserted=k >= n,
@@ -330,8 +339,9 @@ def classify_grid(t, k_max: int, n_max: int,
     t = linalg.require_square(t)
     if k_max < 0 or n_max < 1:
         raise ValidationError("grid requires k_max >= 0 and n_max >= 1")
+    powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
     return {
-        (k, n): min_lambda(t, k, n, tol=tol)
+        (k, n): _min_lambda(_pencil(t, k, n, powers[k], powers[n]), tol)
         for k in range(k_max + 1)
         for n in range(1, n_max + 1)
     }

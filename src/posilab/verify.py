@@ -21,10 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import condexp, fileio, fixtures, linalg, posinormal, structure
+from . import __version__, condexp, fileio, fixtures, linalg, posinormal, structure
 from .posinormal import ClassQuery
 
-TOOL_VERSION = "0.1.0"
 DEFAULT_SEED = 20250810
 
 MATCH = "match"
@@ -706,7 +705,7 @@ def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
         raise RuntimeError("duplicate claim ids in the suite")
     claims.sort(key=lambda c: c.claim_id)
     return RunReport(
-        tool_version=TOOL_VERSION,
+        tool_version=__version__,
         seed=seed,
         input_digests=_input_digests(),
         claims=tuple(claims),

@@ -135,6 +135,21 @@ def test_hermitian_eigen_rejects_asymmetric():
         linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigen_checks_symmetry_without_svd(rng, monkeypatch):
+    calls = []
+    exact = linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm",
+                        lambda m: calls.append(1) or exact(m))
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = (g + g.conj().T) / 2
+    assert np.array_equal(h, h.conj().T)  # equal to its adjoint bit for bit
+    linalg.hermitian_eigen(h)
+    linalg.hermitian_eigen(g.conj().T @ g)  # rounding-level asymmetry
+    assert calls == []
+    with pytest.raises(ValidationError, match="asymmetry"):
+        linalg.hermitian_eigen(h + 1e-6 * g)
+
+
 # --- PSD test ----------------------------------------------------------------
 
 def test_is_psd_with_kernel():
@@ -317,6 +332,44 @@ def test_operator_norm_unitary(rng):
 def test_operator_norm_shift():
     # sigma_max = sqrt(lambda_max(M* M)) = sqrt(4) = 2
     assert linalg.operator_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
+
+
+def test_norm_bounds_bracket_operator_norm(rng):
+    cases = [np.eye(3), np.ones((4, 4)), np.array([[0.0, 2.0], [0.0, 0.0]]),
+             np.outer([1.0, 2.0, 3.0], [1j, -1.0])]
+    for _ in range(20):
+        rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+        cases.append(rng.standard_normal((rows, cols))
+                     + 1j * rng.standard_normal((rows, cols)))
+    for m in cases:
+        lo, hi = linalg.norm_bounds(m)
+        exact = linalg.operator_norm(m)
+        assert lo <= exact <= hi
+        # column and Frobenius norms, widened by a few hundred ulps at most
+        assert lo == pytest.approx(np.max(np.linalg.norm(m, axis=0)), rel=1e-13)
+        assert hi == pytest.approx(np.linalg.norm(m), rel=1e-13)
+    assert linalg.norm_bounds(np.full((2, 2), 1e300)) == (0.0, float("inf"))
+
+
+def test_deviation_beyond_agrees_with_exact(rng, monkeypatch):
+    calls = []
+    exact = linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm",
+                        lambda m: calls.append(1) or exact(m))
+    y = np.diag([100.0, 1.0, 1.0])
+    assert linalg.deviation_beyond(1e-9 * np.eye(3), y, 1e-10) is None
+    assert calls == []  # Frobenius 1.7e-9 <= 1e-10 * 100 settles it
+    # Frobenius 1.4e-8 > 1e-8, spectral 0.8e-8 <= 1e-8: the SVD decides
+    assert linalg.deviation_beyond(0.8e-8 * np.eye(3), y, 1e-10) is None
+    assert calls == [1, 1]
+    dev = linalg.deviation_beyond(3e-8 * np.eye(3), y, 1e-10)
+    assert dev == pytest.approx(3e-10)
+    for _ in range(20):
+        x = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-12, 0)
+        tol = 10.0 ** rng.uniform(-10, -1)
+        dev = exact(x) / max(1.0, exact(y))
+        got = linalg.deviation_beyond(x, y, tol)
+        assert got == (dev if dev > tol else None)
 
 
 # --- distinct values / hausdorff ---------------------------------------------
