@@ -24,10 +24,8 @@ from .linalg import (
     hermitian_eigen,
     is_psd,
     kron,
-    matmul,
     matpow,
     operator_norm,
-    pinv,
     spectrum,
     svd_rank_spaces,
 )
@@ -68,10 +66,8 @@ from .condexp import (
     lemma31_check,
     norm_formula_check,
     polar_decomposition_check,
-    singleton_partition,
     thm33_check,
     thm34_check,
     thm35_check,
-    trivial_partition,
 )
 from .verify import ClaimRecord, RunReport, run_claim_suite

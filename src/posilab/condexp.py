@@ -30,6 +30,11 @@ from .posinormal import ClassQuery
 # below SUPPORT_RTOL * max modulus count as zero.
 SUPPORT_RTOL = 1e-12
 
+# check_E_properties: the exponent p of the modulus and Hoelder properties
+# (with q = p / (p - 1)) and the absolute slack of every property.
+_E_EXPONENT = 2.0
+_E_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
@@ -57,10 +62,6 @@ class FiniteMeasureSpace:
     @property
     def atom_count(self) -> int:
         return int(self.masses.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,6 @@ class BlockPartition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-
-def trivial_partition(atom_count: int) -> BlockPartition:
-    return BlockPartition([tuple(range(atom_count))], atom_count)
-
-
-def singleton_partition(atom_count: int) -> BlockPartition:
-    return BlockPartition([(i,) for i in range(atom_count)], atom_count)
 
 
 def as_function(values, space: FiniteMeasureSpace) -> np.ndarray:
@@ -175,13 +168,13 @@ def conditional_projector(space: FiniteMeasureSpace,
     return p
 
 
-def support_mask(values, rtol: float = SUPPORT_RTOL) -> np.ndarray:
-    """Entries counted as nonzero: |v| > rtol * max|v|."""
+def support_mask(values) -> np.ndarray:
+    """Entries counted as nonzero: |v| > SUPPORT_RTOL * max|v|."""
     v = np.abs(np.asarray(values, dtype=complex))
     top = v.max() if v.size else 0.0
     if top == 0.0:
         return np.zeros(v.shape, dtype=bool)
-    return v > rtol * top
+    return v > SUPPORT_RTOL * top
 
 
 def _masked_ratio(num, den, mask) -> np.ndarray:
@@ -215,16 +208,9 @@ class PropertyReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results if r.applicable)
 
-    def __getitem__(self, name: str) -> PropertyResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
-                       f, g, p: float = 2.0,
-                       tol: float = 1e-12) -> PropertyReport:
+                       f, g) -> PropertyReport:
     """Evaluate the textbook properties of E on concrete data.
 
     (module)   E(g f) = g E(f) for blockwise-constant g
@@ -233,59 +219,53 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     (hoelder)  |E(f g)| <= E(|f|^p)^{1/p} E(|g|^q)^{1/q}, 1/p + 1/q = 1
     (jensen)   E(Re f)^2 <= E((Re f)^2)
 
+    with p = q = 2.
+
     ``g`` must be blockwise constant (it stands in for the coarser
-    algebra's functions).  Violations are measured atomwise; ``tol`` is
-    absolute slack.
+    algebra's functions).  Violations are measured atomwise, with
+    absolute slack 1e-10.
     """
     _check_compatible(space, partition)
     f = as_function(f, space)
     g = as_function(g, space)
-    if not isinstance(p, numbers.Real) or p < 1:
-        raise ValidationError(f"p must be a real >= 1, got {p!r}")
-    p = float(p)
+    p, q = _E_EXPONENT, _E_EXPONENT / (_E_EXPONENT - 1.0)
     g_proj = conditional_expectation(space, partition, g)
-    if np.max(np.abs(g - g_proj)) > tol * max(1.0, float(np.max(np.abs(g)))):
+    if np.max(np.abs(g - g_proj)) > _E_TOL * max(1.0, float(np.max(np.abs(g)))):
         raise ValidationError("g must be blockwise constant for the module property")
 
     results = []
 
+    def measured(name: str, violation) -> None:
+        violation = float(violation)
+        results.append(PropertyResult(name, True, violation <= _E_TOL, violation))
+
     e_f = conditional_expectation(space, partition, f)
-    module_dev = float(np.max(np.abs(
+    measured("module", np.max(np.abs(
         conditional_expectation(space, partition, g * f) - g * e_f
     )))
-    results.append(PropertyResult("module", True, module_dev <= tol, module_dev))
 
-    is_nonneg = bool(np.max(np.abs(f.imag)) <= tol and np.min(f.real) >= -tol)
-    if is_nonneg:
-        viol = float(max(0.0, -np.min(e_f.real)))
-        results.append(PropertyResult("positive", True, viol <= tol, viol))
+    if np.max(np.abs(f.imag)) <= _E_TOL and np.min(f.real) >= -_E_TOL:
+        measured("positive", max(0.0, -np.min(e_f.real)))
     else:
         results.append(PropertyResult("positive", False, True, 0.0))
 
-    mod_dev = float(np.max(
+    measured("modulus", np.max(
         np.abs(e_f) ** p - conditional_expectation(space, partition,
                                                    np.abs(f) ** p).real
     ))
-    results.append(PropertyResult("modulus", True, mod_dev <= tol, mod_dev))
 
-    if p > 1:
-        q = p / (p - 1.0)
-        lhs = np.abs(conditional_expectation(space, partition, f * g))
-        rhs = (
-            conditional_expectation(space, partition, np.abs(f) ** p).real ** (1 / p)
-            * conditional_expectation(space, partition, np.abs(g) ** q).real ** (1 / q)
-        )
-        hoelder_dev = float(np.max(lhs - rhs))
-        results.append(PropertyResult("hoelder", True, hoelder_dev <= tol, hoelder_dev))
-    else:
-        results.append(PropertyResult("hoelder", False, True, 0.0))
+    lhs = np.abs(conditional_expectation(space, partition, f * g))
+    rhs = (
+        conditional_expectation(space, partition, np.abs(f) ** p).real ** (1 / p)
+        * conditional_expectation(space, partition, np.abs(g) ** q).real ** (1 / q)
+    )
+    measured("hoelder", np.max(lhs - rhs))
 
     re_f = f.real.astype(complex)
-    jensen_dev = float(np.max(
+    measured("jensen", np.max(
         conditional_expectation(space, partition, re_f).real ** 2
         - conditional_expectation(space, partition, re_f ** 2).real
     ))
-    results.append(PropertyResult("jensen", True, jensen_dev <= tol, jensen_dev))
 
     return PropertyReport(results=tuple(results))
 
@@ -370,6 +350,13 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     return (v * powered) @ v.conj().T
 
 
+def _atomwise_moments(op: WeightedConditionalOperator):
+    """E|u|^2 and E|w|^2 atomwise, and their supports chi_S and chi_G."""
+    eu2 = expand_blockwise(op.partition, op.e_u2).real
+    ew2 = expand_blockwise(op.partition, op.e_w2).real
+    return eu2, ew2, support_mask(eu2), support_mask(ew2)
+
+
 @dataclass(frozen=True)
 class PowerIdentityReport:
     power: float
@@ -391,24 +378,18 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     """
     if not isinstance(m, numbers.Real) or m <= 0:
         raise ValidationError(f"power m must be a real > 0, got {m!r}")
-    space, partition = op.space, op.partition
-    eu2 = expand_blockwise(partition, op.e_u2).real
-    ew2 = expand_blockwise(partition, op.e_w2).real
-    chi_s = support_mask(eu2)
-    chi_g = support_mask(ew2)
+    eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
 
-    left1 = (np.conj(op.u) * _masked_pow(eu2, float(m) - 1.0, chi_s)
-             * ew2 ** float(m))
-    rhs1 = _weighted_conditional_matrix(space, partition, left1, op.u)
-    lhs1 = _hermitian_power(op.matrix.conj().T @ op.matrix, m)
-    dev1 = linalg.operator_norm(lhs1 - rhs1) / max(1.0, linalg.operator_norm(lhs1))
+    def deviation(x, ex, chi_x, ey, gram) -> float:
+        """(gram)^m against M_{x (ex)^{m-1} chi_x (ey)^m} E M_conj(x)."""
+        left = x * _masked_pow(ex, float(m) - 1.0, chi_x) * ey ** float(m)
+        rhs = _weighted_conditional_matrix(op.space, op.partition, left, np.conj(x))
+        lhs = _hermitian_power(gram, m)
+        return linalg.operator_norm(lhs - rhs) / max(1.0, linalg.operator_norm(lhs))
 
-    left2 = (op.w * _masked_pow(ew2, float(m) - 1.0, chi_g)
-             * eu2 ** float(m))
-    rhs2 = _weighted_conditional_matrix(space, partition, left2, np.conj(op.w))
-    lhs2 = _hermitian_power(op.matrix @ op.matrix.conj().T, m)
-    dev2 = linalg.operator_norm(lhs2 - rhs2) / max(1.0, linalg.operator_norm(lhs2))
-
+    t = op.matrix
+    dev1 = deviation(np.conj(op.u), eu2, chi_s, ew2, t.conj().T @ t)
+    dev2 = deviation(op.w, ew2, chi_g, eu2, t @ t.conj().T)
     return PowerIdentityReport(
         power=float(m),
         deviation_t_star_t=dev1,
@@ -437,10 +418,7 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     orthogonal projector onto the range of |T| (U is a partial isometry).
     """
     space, partition = op.space, op.partition
-    eu2 = expand_blockwise(partition, op.e_u2).real
-    ew2 = expand_blockwise(partition, op.e_w2).real
-    chi_s = support_mask(eu2)
-    chi_g = support_mask(ew2)
+    eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
 
     modulus_weight = np.sqrt(_masked_ratio(ew2, eu2, chi_s).real)
     modulus = _weighted_conditional_matrix(
@@ -476,12 +454,15 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     )
 
 
-def _blockwise_holds(margins: np.ndarray, mask: np.ndarray, scale: float,
-                     tol: float) -> bool:
-    """All masked blocks satisfy margin >= -tol * max(1, scale)."""
-    if not mask.any():
-        return True
-    return bool(np.min(margins[mask]) >= -tol * max(1.0, scale))
+def _blockwise(big, small, mask: np.ndarray, tol: float) -> tuple[bool, np.ndarray]:
+    """Blockwise big >= small: the margins big - small, and whether every
+    masked block has margin >= -tol * max(1, scale), scale the largest
+    |big| or |small| over all blocks."""
+    margins = big - small
+    scale = float(max(np.max(np.abs(big), initial=0.0),
+                      np.max(np.abs(small), initial=0.0)))
+    holds = not mask.any() or bool(np.min(margins[mask]) >= -tol * max(1.0, scale))
+    return holds, margins
 
 
 @dataclass(frozen=True)
@@ -505,21 +486,14 @@ class PosinormalCriterionReport:
 def thm33_check(op: WeightedConditionalOperator, lam: float,
                 tol: float = DEFAULT_TOL) -> PosinormalCriterionReport:
     """Blockwise lam^2 E|w|^2 |E u|^2 >= E|u|^2 |E w|^2 vs posinormality."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValidationError(f"lambda must be a positive real, got {lam!r}")
-    s_mask = support_mask(op.e_u2)
+    query = ClassQuery(k=0, n=1, lam=float(lam))
     s_prime = support_mask(op.e_u)
-    supports_match = bool(np.array_equal(s_mask, s_prime))
-    lhs = lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2
-    rhs = op.e_u2 * np.abs(op.e_w) ** 2
-    margins = lhs - rhs
-    scale = float(max(np.max(np.abs(lhs), initial=0.0),
-                      np.max(np.abs(rhs), initial=0.0)))
-    blockwise = _blockwise_holds(margins, s_prime, scale, tol)
-    matrix_holds = posinormal.is_posinormal(op.matrix, lam, tol=tol).holds
+    supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
+    blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
+                                    op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol)
+    matrix_holds = posinormal.is_posinormal(op.matrix, query.lam, tol=tol).holds
     return PosinormalCriterionReport(
-        lam=lam,
+        lam=query.lam,
         supports_match=supports_match,
         applicable=supports_match,
         blockwise_holds=blockwise,
@@ -551,14 +525,12 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
     """lam^2 E|w|^2 |E u|^2 >= |E(uw)|^{2n} (E|u|^2 / (E|w|^2)^n) |E w|^2."""
     query = ClassQuery(k=0, n=n, lam=float(lam))
     chi_g = support_mask(op.e_w2)
-    lhs = query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2
-    rhs = (np.abs(op.e_uw) ** (2 * n)
-           * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
-           * np.abs(op.e_w) ** 2)
-    margins = lhs - rhs
-    scale = float(max(np.max(np.abs(lhs), initial=0.0),
-                      np.max(np.abs(rhs), initial=0.0)))
-    blockwise = _blockwise_holds(margins, np.ones_like(chi_g), scale, tol)
+    blockwise, margins = _blockwise(
+        query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
+        (np.abs(op.e_uw) ** (2 * n)
+         * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
+         * np.abs(op.e_w) ** 2),
+        np.ones_like(chi_g), tol)
     matrix_holds = posinormal.is_n_power_posinormal(
         op.matrix, n, query.lam, tol=tol
     ).holds
@@ -605,27 +577,23 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
     query = ClassQuery(k=k, n=n, lam=float(lam))
     chi_s = support_mask(op.e_u2)
     chi_g = support_mask(op.e_w2)
+    every = np.ones_like(chi_g)
 
     # Stated criterion; the 2kn-1 exponent goes negative for k = 0, where
     # the chi convention zeroes vanishing blocks instead of dividing.
-    lhs_a = np.abs(op.e_uw) ** (2 * k + 2)
-    rhs_a = (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
-             * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g))
-    margins_a = rhs_a - lhs_a
-    scale_a = float(max(np.max(np.abs(lhs_a), initial=0.0),
-                        np.max(np.abs(rhs_a), initial=0.0)))
-    stated = _blockwise_holds(margins_a, np.ones_like(chi_g), scale_a, tol)
+    stated, margins_a = _blockwise(
+        (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
+         * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g)),
+        np.abs(op.e_uw) ** (2 * k + 2), every, tol)
 
     # Inner display of the derivation, as printed.
-    lhs_b = query.lam ** 2 * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2
-    rhs_b = (np.abs(op.e_uw) ** (2 * k + n - 1)
-             * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
-                       * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
-             * chi_g * np.abs(op.e_w) ** 2)
-    margins_b = lhs_b - rhs_b
-    scale_b = float(max(np.max(np.abs(lhs_b), initial=0.0),
-                        np.max(np.abs(rhs_b), initial=0.0)))
-    proof_form = _blockwise_holds(margins_b, np.ones_like(chi_g), scale_b, tol)
+    proof_form, margins_b = _blockwise(
+        query.lam ** 2 * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2,
+        (np.abs(op.e_uw) ** (2 * k + n - 1)
+         * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
+                   * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
+         * chi_g * np.abs(op.e_w) ** 2),
+        every, tol)
 
     matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return QuasiCriterionReport(

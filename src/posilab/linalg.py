@@ -2,9 +2,9 @@
 
 Every operator in the package is a dense complex matrix (``numpy.ndarray``
 of dtype complex128).  The functions here wrap the numpy/LAPACK routines
-behind validated, tolerance-explicit interfaces; all tolerances are
-parameters with the defaults documented below, nothing is hard-coded
-inside the algorithms.
+behind validated interfaces.  A tolerance that callers set is a
+parameter; a fixed one is a named module constant, never a literal
+inside an algorithm.
 
 Target dimensions are small (tens, at most ~256), so robustness is
 preferred over speed throughout.
@@ -21,7 +21,7 @@ from .errors import NumericalFailure, ValidationError
 DEFAULT_TOL = 1e-10
 
 # Dimension up to which spectrum() cross-checks the eigenvalue product
-# against the determinant.
+# against the determinant, and the relative agreement it requires.
 _DET_CHECK_MAX_DIM = 12
 _DET_CHECK_TOL = 1e-8
 
@@ -50,22 +50,25 @@ def adjoint(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"dimension mismatch in product: {a.shape} x {b.shape}"
-        )
-    return a @ b
+# Arithmetic on validated data runs under quiet_overflow; require_finite
+# then reports an overflow as a NumericalFailure, not as a warning.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+def require_finite(m: np.ndarray, what: str) -> np.ndarray:
+    """m itself; NumericalFailure when an entry overflowed to inf or nan."""
+    if not np.isfinite(m).all():
+        raise NumericalFailure(f"{what} overflows")
+    return m
+
+
+@quiet_overflow
 def matpow(m, p: int) -> np.ndarray:
     """p-th power of a square matrix; p = 0 gives the identity."""
     m = require_square(m)
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise ValidationError(f"power must be a non-negative integer, got {p!r}")
-    return np.linalg.matrix_power(m, int(p))
+    return require_finite(np.linalg.matrix_power(m, int(p)), f"matrix power {p}")
 
 
 def operator_norm(m) -> float:
@@ -204,23 +207,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def pinv(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with an explicit rank threshold."""
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m)
-    smax = float(s[0]) if s.size else 0.0
-    inv = np.zeros_like(s)
-    keep = s > tol * smax
-    inv[keep] = 1.0 / s[keep]
-    k = s.shape[0]
-    return vh.conj().T[:, :k] @ (inv[:, None] * u.conj().T[:k, :])
-
-
-def spectrum(m, tol: float = _DET_CHECK_TOL) -> np.ndarray:
+def spectrum(m) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (real, imag).
 
     For dimensions <= 12 the product of the eigenvalues is cross-checked
-    against the determinant; disagreement beyond ``tol`` (relative) raises
+    against the determinant; disagreement beyond 1e-8 relative raises
     NumericalFailure.
     """
     m = require_square(m)
@@ -234,10 +225,10 @@ def spectrum(m, tol: float = _DET_CHECK_TOL) -> np.ndarray:
         det = complex(np.linalg.det(m))
         prod = complex(np.prod(vals))
         scale = max(1.0, abs(det), abs(prod))
-        if abs(det - prod) > tol * scale:
+        if abs(det - prod) > _DET_CHECK_TOL * scale:
             raise NumericalFailure(
                 f"eigenvalue product {prod:.6e} disagrees with determinant "
-                f"{det:.6e} beyond relative {tol:.1e}"
+                f"{det:.6e} beyond relative {_DET_CHECK_TOL:.1e}"
             )
     return vals
 

@@ -27,10 +27,14 @@ from . import linalg
 from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_TOL
 
-# Fixed seed for the sampled-vector trials of check_norm_inequality;
-# callers override per run for independent draws.
+# Sampled-vector trials of check_norm_inequality: a fixed seed (callers
+# override it per run for independent draws) and the number of vectors.
 DEFAULT_TRIAL_SEED = 1729
-DEFAULT_TRIALS = 64
+_TRIALS = 64
+
+# Tolerance of the shifted-order checks: the PSD tolerance of the m-gap and
+# the absolute slack of the vector and operator-norm inequalities.
+_SHIFTED_TOL = 1e-9
 
 # Agreement required between the two algebraic forms of the gap matrix.
 _FORM_AGREEMENT_TOL = 1e-10
@@ -52,6 +56,8 @@ class ClassQuery:
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 0.0:
             raise ValidationError(f"lambda must be a positive real, got {self.lam!r}")
+        if not np.isfinite(lam * lam):
+            raise NumericalFailure(f"lambda^2 overflows at lambda={self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -84,32 +90,38 @@ class LambdaResult:
 _Pencil = namedtuple("_Pencil", "t tk tn c d")
 
 
-def _pencil(t, k: int, n: int, tk=None, tn=None) -> _Pencil:
-    """Validate T, k, n; build C and D from one T^k and one T^n (or the
-    powers ``tk``, ``tn`` the caller already has)."""
+def _pencil(t, k: int, n: int) -> _Pencil:
+    """Validate T, k, n; build C and D from one T^k and one T^n."""
     t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    tk = linalg.matpow(t, k) if tk is None else tk
-    tn = linalg.matpow(t, n) if tn is None else tn
-    return _Pencil(t, tk, tn, t @ tk, linalg.adjoint(tn) @ tk)
+    return _pencil_of_powers(t, linalg.matpow(t, k), linalg.matpow(t, n))
+
+
+@linalg.quiet_overflow
+def _pencil_of_powers(t, tk, tn) -> _Pencil:
+    """The pencil of T from its powers T^k and T^n."""
+    return _Pencil(t, tk, tn, linalg.require_finite(t @ tk, "T^{k+1}"),
+                   linalg.require_finite(tn.conj().T @ tk, "T*^n T^k"))
 
 
 def _check_forms_agree(gap, gram) -> None:
-    """Raise NumericalFailure if the gap forms differ beyond 1e-10 relative."""
-    dev = linalg.deviation_beyond(gap - gram, gap, _FORM_AGREEMENT_TOL)
+    """Raise NumericalFailure if the gap forms overflow or differ beyond
+    1e-10 relative."""
+    diff = linalg.require_finite(gap - gram, "gap matrix")
+    dev = linalg.deviation_beyond(diff, gap, _FORM_AGREEMENT_TOL)
     if dev is not None:
         raise NumericalFailure(f"gap-matrix forms disagree: relative deviation {dev:.3e}")
 
 
+@linalg.quiet_overflow
 def _checked_gap(p: _Pencil, lam: float):
     """The symmetrized gap at lam, from the definition form checked against
-    the Gram form, and the norm_bounds of s = ||D*D||_2 = membership_scale."""
+    the Gram form, and the norm_bounds of s = ||D*D||_2 = ||D||^2."""
     lam2 = float(lam) ** 2
-    gap = (linalg.adjoint(p.tk)
-           @ (lam2 * (linalg.adjoint(p.t) @ p.t) - p.tn @ linalg.adjoint(p.tn))
+    gap = (p.tk.conj().T @ (lam2 * (p.t.conj().T @ p.t) - p.tn @ p.tn.conj().T)
            @ p.tk)
-    b = linalg.adjoint(p.d) @ p.d
-    _check_forms_agree(gap, lam2 * (linalg.adjoint(p.c) @ p.c) - b)
+    b = p.d.conj().T @ p.d
+    _check_forms_agree(gap, lam2 * (p.c.conj().T @ p.c) - b)
     # Symmetrize away rounding-level asymmetry; both forms are Hermitian
     # in exact arithmetic.
     return (gap + gap.conj().T) / 2.0, linalg.norm_bounds(b)
@@ -122,17 +134,6 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     forms differing beyond 1e-10 relative raise NumericalFailure.
     """
     return _checked_gap(_pencil(t, k, n), ClassQuery(k=k, n=n, lam=float(lam)).lam)[0]
-
-
-def membership_scale(t, k: int, n: int) -> float:
-    """Tolerance scale for membership verdicts: ||D||^2, the norm of the
-    subtracted Gram term (T*^n T^k)*(T*^n T^k).
-
-    Unlike the full gap norm this does not grow with lambda, so a fixed
-    negative direction stays detected for arbitrarily large lambda, and
-    verdicts remain monotone in lambda and covariant under scaling of T.
-    """
-    return linalg.operator_norm(_pencil(t, k, n).d) ** 2
 
 
 def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
@@ -156,10 +157,21 @@ def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     """Decide membership at ``query``; carries eigendata and a witness.
 
-    The PSD threshold is -tol * max(1, s) with s = membership_scale, the
-    lambda-independent part of the gap.
+    The PSD threshold is -tol * max(1, s) with s = ||D||^2, the norm of
+    the subtracted Gram term (T*^n T^k)*(T*^n T^k).  Unlike the full gap
+    norm s does not grow with lambda, so a fixed negative direction stays
+    detected for arbitrarily large lambda, and verdicts stay monotone in
+    lambda and covariant under scaling of T.
     """
     return _verdict(_pencil(t, query.k, query.n), query.lam, tol)
+
+
+def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
+    """ValidationError unless ``name`` (the operator t) is a member at query."""
+    report = is_member(t, query, tol)
+    if not report.holds:
+        raise ValidationError(f"{name} is not a member at its query; "
+                              f"gap min eigenvalue {report.gap_min_eigenvalue:.3e}")
 
 
 def is_posinormal(t, lam: float, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -187,9 +199,10 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     return _min_lambda(_pencil(t, k, n), tol)
 
 
+@linalg.quiet_overflow
 def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
-    a = linalg.adjoint(p.c) @ p.c
-    b = linalg.adjoint(p.d) @ p.d
+    a = linalg.require_finite(p.c.conj().T @ p.c, "(T^{k+1})*T^{k+1}")
+    b = linalg.require_finite(p.d.conj().T @ p.d, "(T*^n T^k)*T*^n T^k")
     hermitian = linalg.hermitian_eigen(a, tol=1e-8)
     w, v = hermitian.eigenvalues, hermitian.eigenvectors
     a_max = float(w[-1]) if w.size else 0.0
@@ -220,34 +233,36 @@ def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
                         kernel_obstruction=None)
 
 
+def _order(m, k: int) -> int:
+    """The shifted order m, validated as an integer >= k."""
+    if not isinstance(m, (int, np.integer)) or m < k:
+        raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
+    return int(m)
+
+
 def check_norm_inequality(t, k: int, n: int, lam: float, m: int,
-                          trials: int = DEFAULT_TRIALS, tol: float = 1e-9,
                           seed: int = DEFAULT_TRIAL_SEED) -> bool:
     """Verify the shifted-order consequence of membership.
 
     For a member at (k, n, lam) and any m >= k, both of these hold:
 
-      (a) the m-gap T*^m (lam^2 T*T - T^n T*^n) T^m is PSD, and
-      (b) ||T*^n T^m x|| <= lam ||T^{m+1} x|| + tol for every x.
+      (a) the m-gap T*^m (lam^2 T*T - T^n T*^n) T^m is PSD (at tolerance
+          1e-9), and
+      (b) ||T*^n T^m x|| <= lam ||T^{m+1} x|| + 1e-9 for every x.
 
-    (b) is sampled on ``trials`` unit vectors drawn from a seeded complex
+    (b) is sampled on 64 unit vectors drawn from a seeded complex
     Gaussian; a fixed seed makes the check deterministic.
     """
     query = ClassQuery(k=k, n=n, lam=float(lam))
-    if not isinstance(m, (int, np.integer)) or m < k:
-        raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials!r}")
-
-    p = _pencil(t, int(m), n)  # D = T*^n T^m, C = T^{m+1}
-    if not _verdict(p, query.lam, tol).holds:
+    p = _pencil(t, _order(m, k), n)  # D = T*^n T^m, C = T^{m+1}
+    if not _verdict(p, query.lam, _SHIFTED_TOL).holds:
         return False
 
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         x = rng.standard_normal(len(p.t)) + 1j * rng.standard_normal(len(p.t))
         x = x / np.linalg.norm(x)
-        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(p.c @ x) + tol:
+        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(p.c @ x) + _SHIFTED_TOL:
             return False
     return True
 
@@ -268,29 +283,24 @@ class NormCorollaryReport:
     holds_squared: bool
 
 
-def operator_norm_corollary_check(t, k: int, n: int, lam: float, m: int,
-                                  tol: float = 1e-9) -> NormCorollaryReport:
-    """Check the operator-norm inequality for a member at (k, n, lam)."""
+def operator_norm_corollary_check(t, k: int, n: int, lam: float,
+                                  m: int) -> NormCorollaryReport:
+    """Check the operator-norm inequality, with absolute slack 1e-9, for a
+    member at (k, n, lam)."""
     query = ClassQuery(k=k, n=n, lam=float(lam))
-    if not isinstance(m, (int, np.integer)) or m < k:
-        raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
-    member = is_member(t, query)
-    if not member.holds:
-        raise ValidationError(
-            "operator is not a member at the given (k, n, lambda); "
-            f"gap min eigenvalue {member.gap_min_eigenvalue:.3e}"
-        )
-    p = _pencil(t, int(m), n)
+    m = _order(m, k)
+    require_member(t, query, DEFAULT_TOL, "operator")
+    p = _pencil(t, m, n)
     lhs = linalg.operator_norm(p.d)
     base = linalg.operator_norm(p.c)
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
-        holds=lhs <= rhs1 + tol,
+        holds=lhs <= rhs1 + _SHIFTED_TOL,
         lhs=lhs,
         rhs_first_power=rhs1,
         rhs_squared=rhs2,
-        holds_squared=lhs <= rhs2 + tol,
+        holds_squared=lhs <= rhs2 + _SHIFTED_TOL,
     )
 
 
@@ -310,21 +320,21 @@ class NilpotencyReport:
     passes: bool
 
 
-def nilpotency_collapse_check(t, k: int, n: int,
-                              tol: float = DEFAULT_TOL) -> NilpotencyReport:
-    """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n)."""
+def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
+    """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
+    "zero" means at most DEFAULT_TOL * max(1, ||T||)^power."""
     p = _pencil(t, k, n)
     t_norm = linalg.operator_norm(p.t)
-    power_bound = tol * max(1.0, t_norm) ** (k + 1)
+    power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
     if linalg.operator_norm(p.c) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
-    feasibility = _min_lambda(p, tol)
+    feasibility = _min_lambda(p, DEFAULT_TOL)
     if not feasibility.feasible:
         raise ValidationError(
             "operator is not a member at (k, n) for any lambda"
         )
     measured = linalg.operator_norm(p.tk)
-    bound = tol * max(1.0, t_norm) ** k
+    bound = DEFAULT_TOL * max(1.0, t_norm) ** k
     return NilpotencyReport(
         asserted=k >= n,
         norm_t_k=measured,
@@ -333,15 +343,16 @@ def nilpotency_collapse_check(t, k: int, n: int,
     )
 
 
-def classify_grid(t, k_max: int, n_max: int,
-                  tol: float = DEFAULT_TOL) -> dict[tuple[int, int], LambdaResult]:
-    """min_lambda over the parameter grid 0 <= k <= k_max, 1 <= n <= n_max."""
+def classify_grid(t, k_max: int,
+                  n_max: int) -> dict[tuple[int, int], LambdaResult]:
+    """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
+    1 <= n <= n_max."""
     t = linalg.require_square(t)
     if k_max < 0 or n_max < 1:
         raise ValidationError("grid requires k_max >= 0 and n_max >= 1")
     powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
     return {
-        (k, n): _min_lambda(_pencil(t, k, n, powers[k], powers[n]), tol)
+        (k, n): _min_lambda(_pencil_of_powers(t, powers[k], powers[n]), DEFAULT_TOL)
         for k in range(k_max + 1)
         for n in range(1, n_max + 1)
     }

@@ -25,6 +25,14 @@ from .errors import ValidationError
 from .linalg import DEFAULT_TOL, SubspaceBasis
 from .posinormal import ClassQuery, ClassReport
 
+# Distinct eigenvalues closer than this are one value in spectrum_union_gap.
+_CLUSTER_TOL = 1e-6
+
+# Largest residual accepted for orthonormality, invariance, isometry,
+# commutation and unitarity (relative to max(1, ||T||) for invariance and
+# to max(1, ||T|| ||S||) for commutation).
+_BASIS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -77,10 +85,8 @@ def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
     block_b = q_range.conj().T @ t @ q_kernel
     block_c = q_kernel.conj().T @ t @ q_kernel
     residual = linalg.operator_norm(q_kernel.conj().T @ t @ q_range)
-    if block_c.shape[0] > 0:
-        nilp = linalg.operator_norm(np.linalg.matrix_power(block_c, k))
-    else:
-        nilp = 0.0
+    # An empty kernel block has norm 0 (operator_norm of a 0x0 power).
+    nilp = linalg.operator_norm(np.linalg.matrix_power(block_c, k))
     return Decomposition(
         range_basis=spaces.range,
         kernel_basis=spaces.cokernel,
@@ -93,52 +99,47 @@ def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
     )
 
 
-def spectrum_union_gap(decomp: Decomposition, t, cluster_tol: float = 1e-6) -> float:
+def spectrum_union_gap(decomp: Decomposition, t) -> float:
     """Hausdorff distance between distinct(spec T) and distinct(spec A) + {0}.
 
-    Distinct values on both sides are formed with ``cluster_tol``; the
-    union side always contains 0 (the kernel block contributes it).
+    Distinct values on both sides are clustered within 1e-6; the union
+    side always contains 0 (the kernel block contributes it).
     """
     t = linalg.require_square(t)
-    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=cluster_tol)
+    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=_CLUSTER_TOL)
     if decomp.range_basis.dim == 0:
         spec_a = []  # fully nilpotent: only the kernel block remains
     else:
         spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a),
-                                        tol=cluster_tol)
+                                        tol=_CLUSTER_TOL)
     union = spec_a if decomp.full_range else linalg.distinct_values(
-        spec_a + [0.0], tol=cluster_tol
+        spec_a + [0.0], tol=_CLUSTER_TOL
     )
     return linalg.hausdorff_distance(spec_t, union)
 
 
-def _as_basis_matrix(m) -> np.ndarray:
-    if isinstance(m, SubspaceBasis):
-        return m.basis
-    return linalg.as_matrix(m)
-
-
-def restrict_to_invariant(t, subspace, k: int, n: int, lam: float,
-                          tol: float = 1e-9) -> tuple[np.ndarray, ClassReport]:
+def restrict_to_invariant(t, subspace, k: int, n: int,
+                          lam: float) -> tuple[np.ndarray, ClassReport]:
     """Compress T to an invariant subspace and test the compression.
 
     ``subspace`` is an orthonormal basis (matrix of columns or a
     SubspaceBasis).  Rejected unless the columns are orthonormal and the
-    invariance residual ||(I - MM*)TM|| is below tol * max(1, ||T||).
+    invariance residual ||(I - MM*)TM|| is below 1e-9 * max(1, ||T||).
     For a member T the compression is again a member at the same lambda.
     """
     t = linalg.require_square(t)
-    m = _as_basis_matrix(subspace)
+    m = (subspace.basis if isinstance(subspace, SubspaceBasis)
+         else linalg.as_matrix(subspace))
     if m.shape[0] != t.shape[0] or m.shape[1] < 1:
         raise ValidationError(
             f"subspace basis shape {m.shape} incompatible with operator {t.shape}"
         )
     ortho = linalg.operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
-    if ortho > tol:
+    if ortho > _BASIS_TOL:
         raise ValidationError(f"subspace basis not orthonormal: residual {ortho:.3e}")
     projector = m @ m.conj().T
     residual = linalg.operator_norm((np.eye(t.shape[0]) - projector) @ t @ m)
-    if residual > tol * max(1.0, linalg.operator_norm(t)):
+    if residual > _BASIS_TOL * max(1.0, linalg.operator_norm(t)):
         raise ValidationError(
             f"subspace is not invariant under T: residual {residual:.3e}"
         )
@@ -147,32 +148,25 @@ def restrict_to_invariant(t, subspace, k: int, n: int, lam: float,
     return compressed, report
 
 
-def isometry_product_check(t, s, k: int, n: int, lam: float,
-                           tol: float = 1e-9) -> ClassReport:
+def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
     """Membership of TS for a member T and a commuting isometry S."""
     t = linalg.require_square(t)
     s = linalg.require_square(s)
     if t.shape != s.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs S {s.shape}")
     iso = linalg.operator_norm(s.conj().T @ s - np.eye(s.shape[0]))
-    if iso > tol:
+    if iso > _BASIS_TOL:
         raise ValidationError(f"S is not an isometry: ||S*S - I|| = {iso:.3e}")
     comm = linalg.operator_norm(t @ s - s @ t)
     comm_scale = max(1.0, linalg.operator_norm(t) * linalg.operator_norm(s))
-    if comm > tol * comm_scale:
+    if comm > _BASIS_TOL * comm_scale:
         raise ValidationError(f"T and S do not commute: residual {comm:.3e}")
     query = ClassQuery(k=k, n=n, lam=lam)
-    base = posinormal.is_member(t, query)
-    if not base.holds:
-        raise ValidationError(
-            "T is not a member at the given parameters; "
-            f"gap min eigenvalue {base.gap_min_eigenvalue:.3e}"
-        )
+    posinormal.require_member(t, query, DEFAULT_TOL, "T")
     return posinormal.is_member(t @ s, query)
 
 
-def unitary_conjugate_check(t, u, k: int, n: int, lam: float,
-                            tol: float = 1e-9) -> ClassReport:
+def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
     """Membership of U*TU for unitary U; the verdict matches T's."""
     t = linalg.require_square(t)
     u = linalg.require_square(u)
@@ -181,35 +175,30 @@ def unitary_conjugate_check(t, u, k: int, n: int, lam: float,
     eye = np.eye(u.shape[0])
     left = linalg.operator_norm(u.conj().T @ u - eye)
     right = linalg.operator_norm(u @ u.conj().T - eye)
-    if max(left, right) > tol:
+    if max(left, right) > _BASIS_TOL:
         raise ValidationError(
             f"U is not unitary: ||U*U - I|| = {left:.3e}, ||UU* - I|| = {right:.3e}"
         )
     return posinormal.is_member(u.conj().T @ t @ u, ClassQuery(k=k, n=n, lam=lam))
 
 
-def dense_range_upgrade(t, k: int, n: int, lam: float,
-                        tol: float = DEFAULT_TOL) -> ClassReport:
+def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
     """Upgrade a member with full-rank T^k to the k = 0 class.
 
     When T^k has dense range the quasi layer carries no information and
-    the bare inequality T^n T*^n <= lam^2 T*T holds outright.
+    the bare inequality T^n T*^n <= lam^2 T*T holds outright.  Rank and
+    both verdicts use DEFAULT_TOL.
     """
     t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=lam)
-    spaces = linalg.svd_rank_spaces(linalg.matpow(t, k), tol=tol)
+    spaces = linalg.svd_rank_spaces(linalg.matpow(t, k), tol=DEFAULT_TOL)
     if spaces.rank < t.shape[0]:
         raise ValidationError(
             f"T^{k} is rank deficient (rank {spaces.rank} of {t.shape[0]}); "
             "dense-range upgrade does not apply"
         )
-    base = posinormal.is_member(t, query, tol=tol)
-    if not base.holds:
-        raise ValidationError(
-            "T is not a member at the given parameters; "
-            f"gap min eigenvalue {base.gap_min_eigenvalue:.3e}"
-        )
-    return posinormal.is_n_power_posinormal(t, n, lam, tol=tol)
+    posinormal.require_member(t, query, DEFAULT_TOL, "T")
+    return posinormal.is_n_power_posinormal(t, n, lam, tol=DEFAULT_TOL)
 
 
 def tensor_check(t, s, t_query: ClassQuery, s_query: ClassQuery,
@@ -224,15 +213,9 @@ def tensor_check(t, s, t_query: ClassQuery, s_query: ClassQuery,
             f"queries must share (k, n): got ({t_query.k}, {t_query.n}) "
             f"vs ({s_query.k}, {s_query.n})"
         )
-    t = linalg.require_square(t)
-    s = linalg.require_square(s)
-    for name, mat, query in (("T", t, t_query), ("S", s, s_query)):
-        rep = posinormal.is_member(mat, query, tol=tol)
-        if not rep.holds:
-            raise ValidationError(
-                f"{name} is not a member at its query; "
-                f"gap min eigenvalue {rep.gap_min_eigenvalue:.3e}"
-            )
+    # require_member validates each factor as a square matrix.
+    posinormal.require_member(t, t_query, tol, "T")
+    posinormal.require_member(s, s_query, tol, "S")
     product_query = ClassQuery(
         k=t_query.k, n=t_query.n, lam=t_query.lam * s_query.lam
     )

@@ -73,22 +73,48 @@ def _verdict(ok: bool) -> str:
     return MATCH if ok else MISMATCH
 
 
+def _lam_above(t: np.ndarray, k: int, n: int) -> float:
+    """lambda_min at (k, n), raised by 1e-6 relative so T is a member."""
+    return posinormal.min_lambda(t, k, n).lambda_min * (1 + 1e-6)
+
+
+def _printed_block_claim(claim_id: str, location: str, expected: str,
+                         label: str, block: np.ndarray,
+                         printed: list) -> ClaimRecord:
+    """A printed matrix against the recomputed ``block`` (to 1e-10)."""
+    agree = linalg.operator_norm(block - np.array(printed, dtype=complex)) <= 1e-10
+    return ClaimRecord(
+        claim_id=claim_id,
+        location=location,
+        expected=expected,
+        computed=f"{label} {_fmt_block(block.real)}",
+        status=_verdict(agree),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Section 2 examples
 
 
-def _claim_ex22_membership() -> ClaimRecord:
-    t = fixtures.nilpotent_shift(3)
+def _membership_claim(claim_id: str, location: str, expected: str,
+                      t: np.ndarray, note: str) -> ClaimRecord:
+    """T is a member at (3, 2, 1) with a vanishing gap."""
     report = posinormal.is_member(t, ClassQuery(3, 2, 1.0))
     ok = report.holds and report.gap_norm <= 1e-10
     return ClaimRecord(
-        claim_id="ex2.2-membership",
-        location="Example 2.2",
-        expected="3x3 shift is 3-quasi 2-power posinormal at lambda=1",
-        computed=f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)} "
-                 "(gap vanishes identically)",
+        claim_id=claim_id,
+        location=location,
+        expected=expected,
+        computed=f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)}{note}",
         status=_verdict(ok),
     )
+
+
+def _claim_ex22_membership() -> ClaimRecord:
+    return _membership_claim(
+        "ex2.2-membership", "Example 2.2",
+        "3x3 shift is 3-quasi 2-power posinormal at lambda=1",
+        fixtures.nilpotent_shift(3), " (gap vanishes identically)")
 
 
 def _not_2power_claim(claim_id: str, location: str, t: np.ndarray) -> ClaimRecord:
@@ -117,16 +143,10 @@ def _claim_ex22_not_2power() -> ClaimRecord:
 
 
 def _claim_ex23_membership() -> ClaimRecord:
-    t = fixtures.clipped_shift(6)
-    report = posinormal.is_member(t, ClassQuery(3, 2, 1.0))
-    ok = report.holds and report.gap_norm <= 1e-10
-    return ClaimRecord(
-        claim_id="ex2.3-membership",
-        location="Example 2.3 (dimension-6 section)",
-        expected="clipped shift is 3-quasi 2-power posinormal at lambda=1",
-        computed=f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)}",
-        status=_verdict(ok),
-    )
+    return _membership_claim(
+        "ex2.3-membership", "Example 2.3 (dimension-6 section)",
+        "clipped shift is 3-quasi 2-power posinormal at lambda=1",
+        fixtures.clipped_shift(6), "")
 
 
 def _claim_ex23_not_2power() -> ClaimRecord:
@@ -135,27 +155,22 @@ def _claim_ex23_not_2power() -> ClaimRecord:
 
 
 def _claim_prop26_squared_product() -> ClaimRecord:
-    t = fixtures.invariant_block_matrix()
-    block = (linalg.matpow(t, 2) @ linalg.adjoint(linalg.matpow(t, 2)))[:2, :2]
-    printed = np.array([[5, 10], [10, 20]], dtype=complex)
-    agree = linalg.operator_norm(block - printed) <= 1e-10
-    return ClaimRecord(
-        claim_id="ex-prop2.6-squared-product",
-        location="Example after Proposition 2.6",
-        expected="T^2 T*^2 upper block = [[5, 10], [10, 20]]",
-        computed=f"direct product gives {_fmt_block(block.real)}",
-        status=_verdict(agree),
-    )
+    t2 = linalg.matpow(fixtures.invariant_block_matrix(), 2)
+    return _printed_block_claim(
+        "ex-prop2.6-squared-product", "Example after Proposition 2.6",
+        "T^2 T*^2 upper block = [[5, 10], [10, 20]]", "direct product gives",
+        (t2 @ linalg.adjoint(t2))[:2, :2], [[5, 10], [10, 20]])
 
 
-def _claim_prop26_lambda3() -> ClaimRecord:
-    t = fixtures.invariant_block_matrix()
+def _lambda3_claim(claim_id: str, location: str, expected: str,
+                   t: np.ndarray) -> ClaimRecord:
+    """T is a member at (1, 2, 3); reports the recomputed lambda_min."""
     report = posinormal.is_member(t, ClassQuery(1, 2, 3.0))
     lam = posinormal.min_lambda(t, 1, 2)
     return ClaimRecord(
-        claim_id="ex-prop2.6-lambda3",
-        location="Example after Proposition 2.6",
-        expected="positivity holds for lambda=3 at (k=1, n=2)",
+        claim_id=claim_id,
+        location=location,
+        expected=expected,
         computed=f"holds={report.holds}, gap min eigenvalue "
                  f"{_fmt(report.gap_min_eigenvalue)}; recomputed "
                  f"lambda_min={_fmt(lam.lambda_min)}",
@@ -163,18 +178,19 @@ def _claim_prop26_lambda3() -> ClaimRecord:
     )
 
 
+def _claim_prop26_lambda3() -> ClaimRecord:
+    return _lambda3_claim(
+        "ex-prop2.6-lambda3", "Example after Proposition 2.6",
+        "positivity holds for lambda=3 at (k=1, n=2)",
+        fixtures.invariant_block_matrix())
+
+
 def _claim_prop26_restriction_gap() -> ClaimRecord:
     a = np.array([[1, 1], [0, 2]], dtype=complex)
-    gap = posinormal.gap_matrix(a, 1, 2, 3.0)
-    printed = np.array([[8, 8], [8, 25]], dtype=complex)
-    agree = linalg.operator_norm(gap - printed) <= 1e-10
-    return ClaimRecord(
-        claim_id="ex-prop2.6-restriction-gap",
-        location="Example after Proposition 2.6",
-        expected="restriction gap at lambda=3 equals [[8, 8], [8, 25]]",
-        computed=f"direct gap is {_fmt_block(gap.real)}",
-        status=_verdict(agree),
-    )
+    return _printed_block_claim(
+        "ex-prop2.6-restriction-gap", "Example after Proposition 2.6",
+        "restriction gap at lambda=3 equals [[8, 8], [8, 25]]", "direct gap is",
+        posinormal.gap_matrix(a, 1, 2, 3.0), [[8, 8], [8, 25]])
 
 
 def _claim_prop26_restriction_preserved() -> ClaimRecord:
@@ -194,31 +210,16 @@ def _claim_prop26_restriction_preserved() -> ClaimRecord:
 
 def _claim_thm210_gap_display() -> ClaimRecord:
     t = fixtures.split_range_matrix()
-    gap = posinormal.gap_matrix(t, 1, 2, 3.0)[:2, :2]
-    printed = np.array([[12, 6], [6, 3]], dtype=complex)
-    agree = linalg.operator_norm(gap - printed) <= 1e-10
-    return ClaimRecord(
-        claim_id="ex-thm2.10-gap-display",
-        location="Example after Theorem 2.10",
-        expected="gap at (1, 2, 3) has upper block [[12, 6], [6, 3]]",
-        computed=f"direct gap block is {_fmt_block(gap.real)}",
-        status=_verdict(agree),
-    )
+    return _printed_block_claim(
+        "ex-thm2.10-gap-display", "Example after Theorem 2.10",
+        "gap at (1, 2, 3) has upper block [[12, 6], [6, 3]]", "direct gap block is",
+        posinormal.gap_matrix(t, 1, 2, 3.0)[:2, :2], [[12, 6], [6, 3]])
 
 
 def _claim_thm210_lambda3() -> ClaimRecord:
-    t = fixtures.split_range_matrix()
-    report = posinormal.is_member(t, ClassQuery(1, 2, 3.0))
-    lam = posinormal.min_lambda(t, 1, 2)
-    return ClaimRecord(
-        claim_id="ex-thm2.10-lambda3",
-        location="Example after Theorem 2.10",
-        expected="1-quasi 2-power posinormal with lambda=3",
-        computed=f"holds={report.holds}, gap min eigenvalue "
-                 f"{_fmt(report.gap_min_eigenvalue)}; recomputed "
-                 f"lambda_min={_fmt(lam.lambda_min)}",
-        status=_verdict(report.holds),
-    )
+    return _lambda3_claim(
+        "ex-thm2.10-lambda3", "Example after Theorem 2.10",
+        "1-quasi 2-power posinormal with lambda=3", fixtures.split_range_matrix())
 
 
 def _claim_thm210_block_split() -> ClaimRecord:
@@ -270,7 +271,7 @@ def _claim_thm210_spectrum_union() -> ClaimRecord:
 
 def _claim_prop24_vector_inequality(seed: int) -> ClaimRecord:
     t = fixtures.split_range_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(t, 1, 2)
     oks = [
         posinormal.check_norm_inequality(t, 1, 2, lam, m, seed=seed + m)
         for m in (1, 2, 3)
@@ -298,7 +299,7 @@ def _claim_prop24_nilpotency() -> ClaimRecord:
 
 def _claim_cor25_operator_norm() -> ClaimRecord:
     t = fixtures.split_range_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(t, 1, 2)
     reports = [posinormal.operator_norm_corollary_check(t, 1, 2, lam, m)
                for m in (1, 2)]
     ok = all(r.holds for r in reports)
@@ -316,7 +317,7 @@ def _claim_cor25_operator_norm() -> ClaimRecord:
 
 def _claim_prop27_isometry() -> ClaimRecord:
     t = fixtures.invariant_block_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(t, 1, 2)
     s = np.diag(np.exp(1j * np.array([0.3, 0.3, -1.1, -1.1])))
     report = structure.isometry_product_check(t, s, 1, 2, lam)
     return ClaimRecord(
@@ -332,7 +333,7 @@ def _claim_prop27_isometry() -> ClaimRecord:
 def _claim_prop28_unitary(seed: int) -> ClaimRecord:
     rng = np.random.default_rng(seed)
     t = fixtures.invariant_block_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(t, 1, 2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u, _ = np.linalg.qr(g)
     base = posinormal.is_member(t, ClassQuery(1, 2, lam))
@@ -349,7 +350,7 @@ def _claim_prop28_unitary(seed: int) -> ClaimRecord:
 
 def _claim_prop29_dense_range() -> ClaimRecord:
     t = np.diag([2.0 + 0j, 1.0])
-    lam = posinormal.min_lambda(t, 2, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(t, 2, 2)
     report = structure.dense_range_upgrade(t, 2, 2, lam)
     return ClaimRecord(
         claim_id="prop2.9-dense-range",
@@ -366,8 +367,8 @@ def _claim_thm211_tensor() -> ClaimRecord:
                                   ClassQuery(3, 2, 1.0), ClassQuery(3, 2, 1.0))
     d1 = np.diag([2.0 + 0j, 1.0])
     d2 = np.diag([3.0 + 0j, 1.0])
-    lam = posinormal.min_lambda(d1, 0, 2).lambda_min * (1 + 1e-6)
-    mu = posinormal.min_lambda(d2, 0, 2).lambda_min * (1 + 1e-6)
+    lam = _lam_above(d1, 0, 2)
+    mu = _lam_above(d2, 0, 2)
     diag = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam),
                                   ClassQuery(0, 2, mu))
     ok = nilp.holds and diag.holds
@@ -429,7 +430,9 @@ def _claim_inclusion_posinormal_npower() -> ClaimRecord:
 # Section 3
 
 
-def _random_space(rng: np.random.Generator, atoms: int = 8, blocks: int = 3):
+def _random_space(rng: np.random.Generator):
+    """8 atoms in 3 blocks with random masses and complex w, u."""
+    atoms, blocks = 8, 3
     masses = rng.uniform(0.2, 1.5, atoms)
     space = condexp.FiniteMeasureSpace(masses)
     idx = rng.permutation(atoms)
@@ -446,7 +449,7 @@ def _claim_e_properties(seed: int) -> ClaimRecord:
     space, partition, _, _ = _random_space(rng)
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     g = condexp.expand_blockwise(partition, rng.standard_normal(3) + 0j)
-    report = condexp.check_E_properties(space, partition, f, g, p=2.0, tol=1e-10)
+    report = condexp.check_E_properties(space, partition, f, g)
     names = [r.name for r in report.results if r.applicable]
     return ClaimRecord(
         claim_id="sec1-E-properties",
@@ -458,17 +461,18 @@ def _claim_e_properties(seed: int) -> ClaimRecord:
     )
 
 
-def _interval_operator(n_atoms: int = 8):
-    space, partition, w, u = fixtures.interval_example(n_atoms)
-    return condexp.build_operator(space, partition, w, u)
+def _interval_operator():
+    return condexp.build_operator(*fixtures.interval_example(8))
+
+
+def _operator_pair(seed: int) -> list:
+    """The 8-atom interval operator and one on a seeded random space."""
+    return [_interval_operator(),
+            condexp.build_operator(*_random_space(np.random.default_rng(seed)))]
 
 
 def _claim_norm_formula(seed: int) -> ClaimRecord:
-    rng = np.random.default_rng(seed)
-    reports = [condexp.norm_formula_check(_interval_operator())]
-    space, partition, w, u = _random_space(rng)
-    reports.append(condexp.norm_formula_check(
-        condexp.build_operator(space, partition, w, u)))
+    reports = [condexp.norm_formula_check(op) for op in _operator_pair(seed)]
     ok = all(r.passed for r in reports)
     return ClaimRecord(
         claim_id="sec1-norm-formula",
@@ -480,13 +484,9 @@ def _claim_norm_formula(seed: int) -> ClaimRecord:
 
 
 def _claim_lemma31(seed: int) -> ClaimRecord:
-    rng = np.random.default_rng(seed)
-    ops = [_interval_operator()]
-    space, partition, w, u = _random_space(rng)
-    ops.append(condexp.build_operator(space, partition, w, u))
     devs = []
     ok = True
-    for op in ops:
+    for op in _operator_pair(seed):
         for m in (1, 2, 3):
             rep = condexp.lemma31_check(op, m)
             devs.append(max(rep.deviation_t_star_t, rep.deviation_t_t_star))
@@ -502,11 +502,7 @@ def _claim_lemma31(seed: int) -> ClaimRecord:
 
 
 def _claim_polar(seed: int) -> ClaimRecord:
-    rng = np.random.default_rng(seed)
-    ops = [_interval_operator()]
-    space, partition, w, u = _random_space(rng)
-    ops.append(condexp.build_operator(space, partition, w, u))
-    reports = [condexp.polar_decomposition_check(op) for op in ops]
+    reports = [condexp.polar_decomposition_check(op) for op in _operator_pair(seed)]
     ok = all(r.passed for r in reports)
     worst = max(max(r.factor_residual, r.partial_isometry_residual)
                 for r in reports)

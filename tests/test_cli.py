@@ -1,0 +1,186 @@
+"""The command line and the document formats: exit codes 0/1/2 over the
+fixtures, malformed documents naming their bad field, and the fixture
+files as written by fileio."""
+
+import json
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from posilab import cli, fileio, fixtures
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+SPACE = FIXTURES / "interval_two_block_8.json"
+MATRICES = sorted(p for p in FIXTURES.glob("*.json") if p != SPACE)
+CONDEXP_CHECKS = ("norm", "lemma31", "polar", "thm33", "thm34", "thm35")
+
+
+def run(argv):
+    """cli.main with every warning turned into an error, so a numerical
+    warning that leaks out of the library fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main([str(a) for a in argv])
+
+
+# --- exit code 0 on every fixture -----------------------------------------------
+
+@pytest.mark.parametrize("path", MATRICES, ids=lambda p: p.stem)
+def test_matrix_subcommands_exit_zero(path, capsys):
+    identity = FIXTURES / "identity_2.json"
+    for argv in (["check", path, "--k", 1, "--n", 2, "--lambda", 1.5],
+                 ["lambda-min", path, "--k", 2, "--n", 1],
+                 ["decompose", path, "--k", 1],
+                 # every fixture is a member at (3, 1, 10), the identity at mu = 1
+                 ["tensor", path, identity, "--k", 3, "--n", 1,
+                  "--lambda", 10, "--mu", 1]):
+        assert run(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert str(path) in out.splitlines()[0]
+    assert "holds: true" in out.splitlines()  # the tensor verdict
+
+
+@pytest.mark.parametrize("check", CONDEXP_CHECKS)
+def test_condexp_subcommands_exit_zero(check, capsys):
+    assert run(["condexp", SPACE, check, "--k", 1, "--n", 2,
+                "--lambda", 4, "--power", 2]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(f"space: {SPACE} (8 atoms, 2 blocks)")
+
+
+# --- exit code 1 on malformed documents ---------------------------------------
+
+def _matrix_doc():
+    return json.loads((FIXTURES / "invariant_block_4.json").read_text())
+
+
+def _space_doc():
+    return json.loads(SPACE.read_text())
+
+
+def _mutated(doc, path, value):
+    """doc with the entry at ``path`` (a key sequence) replaced, or deleted
+    when value is None."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is None:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return json.dumps(doc)
+
+
+MALFORMED_MATRICES = [
+    ("missing entries", _mutated(_matrix_doc(), ["entries"], None), "entries"),
+    ("row count", _mutated(_matrix_doc(), ["dim_rows"], 5), "entries"),
+    ("column count", _mutated(_matrix_doc(), ["dim_cols"], 0), "dim_cols"),
+    ("triple", _mutated(_matrix_doc(), ["entries", 0, 0], [1.0, 0.0, 0.0]),
+     "entries[0][0]"),
+    ("string", _mutated(_matrix_doc(), ["entries", 3, 2], ["one", 0.0]),
+     "entries[3][2]"),
+    ("short row", _mutated(_matrix_doc(), ["entries", 1], [[0.0, 0.0]]),
+     "entries[1]"),
+    ("infinite", _mutated(_matrix_doc(), ["entries", 2, 1], [float("inf"), 0.0]),
+     "entries"),
+    ("truncated", json.dumps(_matrix_doc())[:40], "document"),
+    ("not an object", "[1, 2]", "document root"),
+]
+
+MALFORMED_SPACES = [
+    ("missing atoms", _mutated(_space_doc(), ["atoms"], None), "atoms"),
+    ("negative mass", _mutated(_space_doc(), ["atoms", 3, "mass"], -1.0),
+     "atoms[3].mass"),
+    ("uncovered atoms", _mutated(_space_doc(), ["partition", 1], None),
+     "partition"),
+    ("bad index", _mutated(_space_doc(), ["partition", 0, 1], "x"),
+     "partition[0][1]"),
+    ("short w", _mutated(_space_doc(), ["w", 7], None), "w"),
+    ("bad u value", _mutated(_space_doc(), ["u", 2], [1.0]), "u[2]"),
+]
+
+
+@pytest.mark.parametrize("text, field", [(t, f) for _, t, f in MALFORMED_MATRICES],
+                         ids=[name for name, _, _ in MALFORMED_MATRICES])
+def test_malformed_matrix_exits_one_naming_the_field(text, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["check", path, "--k", 1, "--n", 1, "--lambda", 1.0],
+                 ["lambda-min", path, "--k", 1, "--n", 1],
+                 ["decompose", path, "--k", 1]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field}"), err
+
+
+@pytest.mark.parametrize("text, field", [(t, f) for _, t, f in MALFORMED_SPACES],
+                         ids=[name for name, _, _ in MALFORMED_SPACES])
+def test_malformed_space_exits_one_naming_the_field(text, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["condexp", path, "norm"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {field}"), err
+
+
+# --- exit code 2 on overflow ----------------------------------------------------
+
+def _overflow_cases(tmp_path):
+    big, large = tmp_path / "big.json", tmp_path / "large.json"
+    big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
+    large.write_text(fileio.dumps_matrix(np.array([[1e100, 1.0], [0.0, 1.0]])))
+    identity = FIXTURES / "identity_2.json"
+    return [
+        ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # T^{k+1}
+        ["lambda-min", big, "--k", 2, "--n", 1],
+        ["decompose", big, "--k", 3],                          # T^k
+        ["check", large, "--k", 2, "--n", 1, "--lambda", 1.0],  # the gap
+        ["lambda-min", large, "--k", 2, "--n", 1],             # C*C
+        ["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200],  # lambda^2
+        ["condexp", SPACE, "thm33", "--lambda", 1e200],
+        ["condexp", SPACE, "thm34", "--lambda", 1e200],
+        ["condexp", SPACE, "thm35", "--lambda", 1e200],
+        ["tensor", identity, identity, "--k", 0, "--n", 1,
+         "--lambda", 1e160, "--mu", 1e160],
+    ]
+
+
+def test_overflow_is_a_numerical_failure(tmp_path, capsys):
+    for argv in _overflow_cases(tmp_path):
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical failure:") and "overflows" in err, err
+
+
+# --- the fixture files -----------------------------------------------------------
+
+FIXTURE_DOCUMENTS = {
+    "clipped_shift_6": lambda: fileio.dumps_matrix(fixtures.clipped_shift(6)),
+    "diag_2_1": lambda: fileio.dumps_matrix(np.diag([2.0, 1.0])),
+    "identity_2": lambda: fileio.dumps_matrix(np.eye(2)),
+    "interval_two_block_8": lambda: fileio.dumps_space(*fixtures.interval_example(8)),
+    "invariant_block_4": lambda: fileio.dumps_matrix(fixtures.invariant_block_matrix()),
+    "nilpotent_shift_3": lambda: fileio.dumps_matrix(fixtures.nilpotent_shift(3)),
+    "split_range_4": lambda: fileio.dumps_matrix(fixtures.split_range_matrix()),
+}
+
+
+def test_fixture_files_are_serialized_operators():
+    assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_DOCUMENTS)
+    for stem, dumps in FIXTURE_DOCUMENTS.items():
+        assert (FIXTURES / f"{stem}.json").read_text() == dumps(), stem
+
+
+def test_documents_round_trip():
+    for path in MATRICES:
+        text = path.read_text()
+        assert fileio.dumps_matrix(fileio.loads_matrix(text)) == text
+    text = SPACE.read_text()
+    assert fileio.dumps_space(*fileio.loads_space(text)) == text

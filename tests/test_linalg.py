@@ -46,30 +46,7 @@ def test_adjoint_involution(rows, cols, seed):
     np.testing.assert_allclose(linalg.adjoint(linalg.adjoint(m)), m)
 
 
-# --- matmul / matpow ---------------------------------------------------------
-
-def test_matmul_identity():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    np.testing.assert_allclose(linalg.matmul(np.eye(2), m), m)
-
-
-def test_matmul_invariant_block_square():
-    t = np.array([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-                 dtype=complex)
-    # hand multiplication of the upper block
-    np.testing.assert_allclose(linalg.matmul(t, t)[:2, :2],
-                               np.array([[1, 3], [0, 4]]))
-
-
-def test_matmul_nilpotent():
-    j = np.array([[0, 1], [0, 0]], dtype=complex)
-    np.testing.assert_allclose(linalg.matmul(j, j), np.zeros((2, 2)))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
+# --- matpow -----------------------------------------------------------------
 
 def test_matpow_zero_is_identity():
     m = np.array([[5, 1], [2, 3]], dtype=complex)
@@ -257,37 +234,6 @@ def test_kron_mixed_product(rng):
         rhs = linalg.kron(a @ c, b @ d)
         scale = max(1.0, linalg.operator_norm(lhs))
         assert linalg.operator_norm(lhs - rhs) <= 1e-12 * scale
-
-
-# --- pinv --------------------------------------------------------------------
-
-def test_pinv_diagonal():
-    np.testing.assert_allclose(linalg.pinv(np.diag([2.0, 0.0])),
-                               np.diag([0.5, 0.0]), atol=1e-14)
-
-
-def test_pinv_invertible_equals_inverse(rng):
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3 * np.eye(4)
-    np.testing.assert_allclose(linalg.pinv(m), np.linalg.inv(m), atol=1e-10)
-
-
-def test_pinv_rank_one_column():
-    # normal equations: pinv of a column v is v* / ||v||^2
-    col = np.array([[3.0], [4.0]])
-    np.testing.assert_allclose(linalg.pinv(col), [[3 / 25, 4 / 25]], atol=1e-14)
-
-
-def test_pinv_moore_penrose_identities(rng):
-    for _ in range(15):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(1, 7))
-        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        p = linalg.pinv(m)
-        scale = max(1.0, linalg.operator_norm(m))
-        assert linalg.operator_norm(m @ p @ m - m) <= 1e-9 * scale
-        assert linalg.operator_norm(p @ m @ p - p) <= 1e-9 * max(1.0, linalg.operator_norm(p))
-        proj = m @ p
-        assert linalg.operator_norm(proj.conj().T - proj) <= 1e-9
 
 
 # --- spectrum ----------------------------------------------------------------

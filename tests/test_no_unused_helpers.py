@@ -1,0 +1,76 @@
+"""Every public module-level function and class of posilab has a caller.
+
+A definition counts as used when some other top-level statement refers to
+it: inside its own module by name, elsewhere through ``from .module import
+name`` or ``module.name`` with ``module`` bound to the posilab module.  The
+callers searched are src/posilab (the re-exports of __init__.py do not
+count) and the benchmark in posibench/.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "posilab").glob("*.py")
+                 if p.name != "__init__.py")
+CALLERS = SOURCES + sorted((ROOT / "posibench").glob("*.py"))
+
+
+def _posilab_module(dotted: str | None, level: int) -> str | None:
+    """The posilab module an import names: ".x" or "posilab.x" -> "x",
+    "." or "posilab" -> "" (the package itself), anything else None."""
+    dotted = dotted or ""
+    if level == 1:
+        return dotted
+    if level == 0 and (dotted == "posilab" or dotted.startswith("posilab.")):
+        return dotted[len("posilab."):]
+    return None
+
+
+def _references(path: Path) -> set:
+    """(module, name) pairs that the top-level statements of a file use."""
+    tree = ast.parse(path.read_text())
+    own = path.stem if path in SOURCES else None
+    modules, members = {}, {}  # local name -> module, -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _posilab_module(node.module, node.level)
+            for alias in node.names if source is not None else ():
+                local = alias.asname or alias.name
+                if source == "":
+                    modules[local] = alias.name
+                else:
+                    members[local] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                source = _posilab_module(alias.name, 0)
+                if source and alias.asname:
+                    modules[alias.asname] = source
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for statement in tree.body:
+        found = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                if node.id in members:
+                    found.add(members[node.id])
+                elif node.id in defined:
+                    found.add((own, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                found.add((modules[node.value.id], node.attr))
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            found.discard((own, statement.name))  # recursion is not a caller
+        used |= found
+    return used
+
+
+def test_every_public_helper_has_a_caller():
+    used = set().union(*(_references(path) for path in CALLERS))
+    public = {(path.stem, node.name)
+              for path in SOURCES
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(public - used) == []

@@ -190,8 +190,6 @@ def test_check_norm_inequality_deterministic_and_validated():
     assert a == b
     with pytest.raises(ValidationError):
         posinormal.check_norm_inequality(t, 1, 2, lam, m=0)
-    with pytest.raises(ValidationError):
-        posinormal.check_norm_inequality(t, 1, 2, lam, m=2, trials=0)
 
 
 def test_operator_norm_corollary_identity():
