@@ -15,15 +15,12 @@ __version__ = "0.1.0"
 from .errors import FileFormatError, NumericalFailure, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigen,
     PsdVerdict,
     RankSpaces,
     SubspaceBasis,
-    adjoint,
     as_matrix,
     hermitian_eigen,
     is_psd,
-    kron,
     matpow,
     operator_norm,
     spectrum,
@@ -37,8 +34,6 @@ from .posinormal import (
     classify_grid,
     gap_matrix,
     is_member,
-    is_n_power_posinormal,
-    is_posinormal,
     min_lambda,
     nilpotency_collapse_check,
     operator_norm_corollary_check,
@@ -62,7 +57,6 @@ from .condexp import (
     check_E_properties,
     conditional_expectation,
     conditional_projector,
-    discretize_interval_example,
     lemma31_check,
     norm_formula_check,
     polar_decomposition_check,

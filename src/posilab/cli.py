@@ -97,11 +97,7 @@ def _cmd_tensor(args) -> int:
     t = fileio.load_matrix(args.matrix_file_a)
     s = fileio.load_matrix(args.matrix_file_b)
     report = structure.tensor_check(
-        t, s,
-        ClassQuery(args.k, args.n, args.lam),
-        ClassQuery(args.k, args.n, args.mu),
-        tol=args.tol,
-    )
+        t, s, ClassQuery(args.k, args.n, args.lam), args.mu, tol=args.tol)
     print(f"factors: {args.matrix_file_a} (x) {args.matrix_file_b}")
     print(f"query: k={args.k} n={args.n} lambda*mu={_fmt(args.lam * args.mu)}")
     _print_class_report(report)
@@ -183,42 +179,36 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Verification lab for k-quasi n-power "
                                  "posinormal operators")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
+    query = argparse.ArgumentParser(add_help=False, parents=[tol])
+    query.add_argument("--k", type=int, required=True)
+    query.add_argument("--n", type=int, required=True)
 
-    def add_common(p, k=False, n=False, lam=False, mu=False):
-        if k:
-            p.add_argument("--k", type=int, required=True)
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if lam:
-            p.add_argument("--lambda", dest="lam", type=float, required=True)
-        if mu:
-            p.add_argument("--mu", type=float, required=True)
-        p.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
-
-    p = sub.add_parser("check", help="membership test for one matrix")
+    p = sub.add_parser("check", parents=[query], help="membership test for one matrix")
     p.add_argument("matrix_file")
-    add_common(p, k=True, n=True, lam=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("lambda-min", help="minimal feasible lambda")
+    p = sub.add_parser("lambda-min", parents=[query], help="minimal feasible lambda")
     p.add_argument("matrix_file")
-    add_common(p, k=True, n=True)
     p.set_defaults(func=_cmd_lambda_min)
 
-    p = sub.add_parser("decompose", help="range/kernel block splitting")
+    p = sub.add_parser("decompose", parents=[tol], help="range/kernel block splitting")
     p.add_argument("matrix_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("tensor", help="Kronecker product membership")
+    p = sub.add_parser("tensor", parents=[query], help="Kronecker product membership")
     p.add_argument("matrix_file_a")
     p.add_argument("matrix_file_b")
-    add_common(p, k=True, n=True, lam=True, mu=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--mu", type=float, required=True)
     p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("condexp", help="weighted conditional operator checks")
+    p = sub.add_parser("condexp", parents=[tol],
+                       help="weighted conditional operator checks")
     p.add_argument("space_file")
     p.add_argument("check", choices=["norm", "lemma31", "polar",
                                      "thm33", "thm34", "thm35"])
@@ -227,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--power", type=float, default=1.0,
                    help="exponent m for lemma31")
-    p.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
     p.set_defaults(func=_cmd_condexp)
 
     p = sub.add_parser("paper-verify",

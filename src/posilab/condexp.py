@@ -72,12 +72,15 @@ class BlockPartition:
     atom_count: int
 
     def __init__(self, blocks, atom_count: int):
-        normalized = tuple(tuple(int(i) for i in b) for b in blocks)
+        blocks = tuple(tuple(b) for b in blocks)
         seen: set[int] = set()
-        for bi, block in enumerate(normalized):
+        for bi, block in enumerate(blocks):
             if not block:
                 raise ValidationError(f"partition[{bi}] is empty")
             for i in block:
+                if not linalg.is_integer(i):
+                    raise ValidationError(
+                        f"partition[{bi}] holds {i!r}, not an atom index")
                 if i < 0 or i >= atom_count:
                     raise ValidationError(
                         f"partition[{bi}] references atom {i}, "
@@ -89,7 +92,8 @@ class BlockPartition:
         if len(seen) != atom_count:
             missing = sorted(set(range(atom_count)) - seen)
             raise ValidationError(f"partition does not cover atoms {missing}")
-        object.__setattr__(self, "blocks", normalized)
+        object.__setattr__(self, "blocks",
+                           tuple(tuple(int(i) for i in b) for b in blocks))
         object.__setattr__(self, "atom_count", int(atom_count))
 
     @property
@@ -121,7 +125,11 @@ def block_expectations(space: FiniteMeasureSpace, partition: BlockPartition,
                        f) -> np.ndarray:
     """Mass-weighted mean of f on each block, in block order."""
     _check_compatible(space, partition)
-    f = as_function(f, space)
+    return _block_means(space, partition, as_function(f, space))
+
+
+def _block_means(space: FiniteMeasureSpace, partition: BlockPartition,
+                 f: np.ndarray) -> np.ndarray:
     out = np.empty(partition.block_count, dtype=complex)
     for bi, block in enumerate(partition.blocks):
         idx = list(block)
@@ -293,20 +301,28 @@ class WeightedConditionalOperator:
     e_uw: np.ndarray = field(repr=False)
 
 
+@linalg.quiet_overflow
 def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
                    w, u) -> WeightedConditionalOperator:
-    """Materialize f -> w E(u f) as a matrix on the orthonormal atom basis."""
+    """Materialize f -> w E(u f) as a matrix on the orthonormal atom basis;
+    NumericalFailure when the matrix or a blockwise expectation overflows."""
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
+
+    def mean(f, what: str) -> np.ndarray:
+        f = np.asarray(f, dtype=complex)  # as_function's dtype: same rounding
+        return linalg.require_finite(_block_means(space, partition, f), what)
+
     return WeightedConditionalOperator(
         space=space, partition=partition, w=w, u=u,
-        matrix=_weighted_conditional_matrix(space, partition, w, u),
-        e_w2=block_expectations(space, partition, np.abs(w) ** 2).real,
-        e_u2=block_expectations(space, partition, np.abs(u) ** 2).real,
-        e_w=block_expectations(space, partition, w),
-        e_u=block_expectations(space, partition, u),
-        e_uw=block_expectations(space, partition, u * w),
+        matrix=linalg.require_finite(
+            _weighted_conditional_matrix(space, partition, w, u), "T = M_w E M_u"),
+        e_w2=mean(np.abs(w) ** 2, "E|w|^2").real,
+        e_u2=mean(np.abs(u) ** 2, "E|u|^2").real,
+        e_w=mean(w, "E(w)"),
+        e_u=mean(u, "E(u)"),
+        e_uw=mean(u * w, "E(uw)"),
     )
 
 
@@ -342,11 +358,12 @@ def norm_formula_check(op: WeightedConditionalOperator,
 
 def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     """H^m for Hermitian PSD H; integer m by repeated product, real m > 0
-    through the eigendecomposition with negative rounding clipped."""
+    through the eigendecomposition, where an eigenvalue <= DEFAULT_TOL times
+    the largest counts as 0 (the chi convention: rounding is not powered)."""
     if isinstance(m, numbers.Integral):
         return np.linalg.matrix_power(h, int(m))
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    powered = np.where(w > 0.0, w, 0.0) ** float(m)
+    powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w[-1])
     return (v * powered) @ v.conj().T
 
 
@@ -365,6 +382,7 @@ class PowerIdentityReport:
     passed: bool
 
 
+@linalg.quiet_overflow
 def lemma31_check(op: WeightedConditionalOperator, m,
                   tol: float = DEFAULT_TOL) -> PowerIdentityReport:
     """Blockwise closed forms of (T*T)^m and (TT*)^m against matrix powers.
@@ -376,8 +394,8 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     expectations follow the chi convention: off the support everything is
     0, so negative powers of vanishing blocks never occur.
     """
-    if not isinstance(m, numbers.Real) or m <= 0:
-        raise ValidationError(f"power m must be a real > 0, got {m!r}")
+    if not isinstance(m, numbers.Real) or not np.isfinite(m) or m <= 0:
+        raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
     eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
 
     def deviation(x, ex, chi_x, ey, gram) -> float:
@@ -385,7 +403,8 @@ def lemma31_check(op: WeightedConditionalOperator, m,
         left = x * _masked_pow(ex, float(m) - 1.0, chi_x) * ey ** float(m)
         rhs = _weighted_conditional_matrix(op.space, op.partition, left, np.conj(x))
         lhs = _hermitian_power(gram, m)
-        return linalg.operator_norm(lhs - rhs) / max(1.0, linalg.operator_norm(lhs))
+        diff = linalg.require_finite(lhs - rhs, "Lemma 3.1 power")
+        return linalg.operator_norm(diff) / max(1.0, linalg.operator_norm(lhs))
 
     t = op.matrix
     dev1 = deviation(np.conj(op.u), eu2, chi_s, ew2, t.conj().T @ t)
@@ -407,6 +426,7 @@ class PolarReport:
     passed: bool
 
 
+@linalg.quiet_overflow
 def polar_decomposition_check(op: WeightedConditionalOperator,
                               tol: float = DEFAULT_TOL) -> PolarReport:
     """Verify the closed-form polar factors of the weighted operator.
@@ -429,16 +449,15 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
         space, partition, iso_weight * op.w, op.u
     )
 
+    def residual(x, y, what: str) -> float:
+        return linalg.operator_norm(linalg.require_finite(x - y, what))
+
     t_norm = linalg.operator_norm(op.matrix)
-    factor_residual = linalg.operator_norm(partial_iso @ modulus - op.matrix)
-    sq_residual = linalg.operator_norm(
-        modulus @ modulus - op.matrix.conj().T @ op.matrix
-    )
+    factor_residual = residual(partial_iso @ modulus, op.matrix, "U |T|")
+    sq_residual = residual(modulus @ modulus, op.matrix.conj().T @ op.matrix, "|T|^2")
     psd = linalg.is_psd(modulus, tol=max(tol, 1e-10))
     range_proj = linalg.svd_rank_spaces(modulus, tol=1e-10).range.projector()
-    iso_residual = linalg.operator_norm(
-        partial_iso.conj().T @ partial_iso - range_proj
-    )
+    iso_residual = residual(partial_iso.conj().T @ partial_iso, range_proj, "U*U")
     scale = max(1.0, t_norm)
     return PolarReport(
         factor_residual=factor_residual,
@@ -470,13 +489,12 @@ class PosinormalCriterionReport:
     """Blockwise posinormality criterion vs the direct matrix test.
 
     The equivalence is only claimed when the supports of E|u|^2 and E(u)
-    coincide; otherwise ``applicable`` is False and only the necessary
+    coincide; otherwise ``supports_match`` is False and only the necessary
     inequality (evaluated on the support of E(u)) is reported.
     """
 
     lam: float
     supports_match: bool
-    applicable: bool
     blockwise_holds: bool
     matrix_holds: bool
     agree: bool | None
@@ -491,11 +509,10 @@ def thm33_check(op: WeightedConditionalOperator, lam: float,
     supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
     blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
                                     op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol)
-    matrix_holds = posinormal.is_posinormal(op.matrix, query.lam, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return PosinormalCriterionReport(
         lam=query.lam,
         supports_match=supports_match,
-        applicable=supports_match,
         blockwise_holds=blockwise,
         matrix_holds=matrix_holds,
         agree=(blockwise == matrix_holds) if supports_match else None,
@@ -531,9 +548,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
          * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
         np.ones_like(chi_g), tol)
-    matrix_holds = posinormal.is_n_power_posinormal(
-        op.matrix, n, query.lam, tol=tol
-    ).holds
+    matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return NPowerCriterionReport(
         n=n,
         lam=query.lam,
@@ -605,28 +620,3 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
         proof_margins=margins_b,
     )
 
-
-def discretize_interval_example(n_atoms: int):
-    """Midpoint discretization of the two-block interval example.
-
-    The unit interval splits at 1/2 into two blocks; w is 2 on the left
-    block and 1 on the right, u(x) = x on the left and 1 - x on the right,
-    both sampled at the n_atoms midpoints of a uniform grid (masses
-    1/n_atoms each).  Returns (space, partition, w, u).
-    Requires n_atoms even so the split lands between atoms.
-    """
-    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 2 or n_atoms % 2:
-        raise ValidationError(
-            f"n_atoms must be an even integer >= 2, got {n_atoms!r}"
-        )
-    mid = (np.arange(n_atoms) + 0.5) / n_atoms
-    space = FiniteMeasureSpace(
-        np.full(n_atoms, 1.0 / n_atoms),
-        labels=tuple(f"x={x:.6g}" for x in mid),
-    )
-    half = n_atoms // 2
-    partition = BlockPartition([range(half), range(half, n_atoms)], n_atoms)
-    left = mid < 0.5
-    w = np.where(left, 2.0, 1.0).astype(complex)
-    u = np.where(left, mid, 1.0 - mid).astype(complex)
-    return space, partition, w, u

@@ -18,7 +18,7 @@ import numpy as np
 
 from .condexp import BlockPartition, FiniteMeasureSpace, as_function
 from .errors import FileFormatError
-from .linalg import as_matrix
+from .linalg import as_matrix, is_integer
 
 
 def _require(doc: dict, name: str):
@@ -38,7 +38,7 @@ def _as_complex(value, where: str) -> complex:
 
 
 def _as_positive_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not is_integer(value) or value < 1:
         raise FileFormatError(f"{where}: expected a positive integer")
     return value
 
@@ -98,7 +98,7 @@ def space_from_document(doc):
         if not isinstance(block, list) or not block:
             raise FileFormatError(f"partition[{bi}]: expected a nonempty array")
         for pos, idx in enumerate(block):
-            if not isinstance(idx, int) or isinstance(idx, bool):
+            if not is_integer(idx):
                 raise FileFormatError(f"partition[{bi}][{pos}]: expected an atom index")
     try:
         partition = BlockPartition(blocks, space.atom_count)

@@ -45,9 +45,9 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+def is_integer(value) -> bool:
+    """The one test for integer inputs: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # Arithmetic on validated data runs under quiet_overflow; require_finite
@@ -66,7 +66,7 @@ def require_finite(m: np.ndarray, what: str) -> np.ndarray:
 def matpow(m, p: int) -> np.ndarray:
     """p-th power of a square matrix; p = 0 gives the identity."""
     m = require_square(m)
-    if not isinstance(p, (int, np.integer)) or p < 0:
+    if not is_integer(p) or p < 0:
         raise ValidationError(f"power must be a non-negative integer, got {p!r}")
     return require_finite(np.linalg.matrix_power(m, int(p)), f"matrix power {p}")
 
@@ -103,16 +103,9 @@ def deviation_beyond(x, y, tol: float) -> float | None:
     return dev if dev > tol else None
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition H = V diag(w) V* with w ascending, V unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition H = V diag(w) V* of a Hermitian matrix, as the
+    pair (w, V) of ``numpy.linalg.eigh``: w ascending, V unitary.
 
     Rejects inputs whose asymmetry exceeds ``tol`` relative to max(1, norm),
     by bounds first; the symmetrized (H + H*)/2 is what gets decomposed, so
@@ -124,8 +117,7 @@ def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> HermitianEigen:
         raise ValidationError(
             f"matrix is not Hermitian: relative asymmetry {asym:.3e} > {tol:.3e}"
         )
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh((h + h.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,6 @@ class PsdVerdict:
     min_eigenvalue: float
     witness: np.ndarray | None  # unit vector with <Hx, x> < 0, when not PSD
 
-    def __bool__(self) -> bool:
-        return self.is_psd
-
 
 def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """Test H >= 0 up to a relative eigenvalue tolerance.
@@ -147,20 +136,19 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
     norm taken from the eigenvalues.  On failure the witness is the unit
     eigenvector of the most negative eigenvalue.
     """
-    eig = hermitian_eigen(h, tol=max(tol, 1e-12))
-    lo = float(eig.eigenvalues[0])
-    scale = float(np.max(np.abs(eig.eigenvalues))) if eig.eigenvalues.size else 0.0
+    w, v = hermitian_eigen(h, tol=max(tol, 1e-12))
+    lo = float(w[0])
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
     ok = lo >= -tol * max(1.0, scale)
-    witness = None if ok else eig.eigenvectors[:, 0].copy()
+    witness = None if ok else v[:, 0].copy()
     return PsdVerdict(is_psd=ok, min_eigenvalue=lo, witness=witness)
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of C^ambient_dim."""
+    """Orthonormal columns spanning a subspace."""
 
-    basis: np.ndarray  # shape (ambient_dim, dim); dim may be 0
-    ambient_dim: int
+    basis: np.ndarray  # shape (ambient dimension, dim); dim may be 0
 
     @property
     def dim(self) -> int:
@@ -172,39 +160,27 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class RankSpaces:
-    """SVD-derived range, kernel and cokernel of a matrix."""
+    """SVD-derived range and cokernel of a matrix."""
 
     range: SubspaceBasis     # column space
-    kernel: SubspaceBasis    # null space
     cokernel: SubspaceBasis  # orthogonal complement of the range = ker(M*)
     rank: int
-    singular_values: np.ndarray
 
 
 def svd_rank_spaces(m, tol: float = DEFAULT_TOL) -> RankSpaces:
-    """Numerical rank plus orthonormal bases for range/kernel/cokernel.
+    """Numerical rank plus orthonormal bases for the range and cokernel.
 
     Singular values <= tol * sigma_max count as zero.  The range and
-    cokernel bases together form a unitary of the codomain; the kernel
-    basis is annihilated by M up to the same threshold.
+    cokernel bases together form a unitary of the codomain.
     """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m)
+    u, s, _ = np.linalg.svd(as_matrix(m))
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    rows, cols = m.shape
     return RankSpaces(
-        range=SubspaceBasis(basis=u[:, :rank], ambient_dim=rows),
-        kernel=SubspaceBasis(basis=vh[rank:, :].conj().T, ambient_dim=cols),
-        cokernel=SubspaceBasis(basis=u[:, rank:], ambient_dim=rows),
+        range=SubspaceBasis(u[:, :rank]),
+        cokernel=SubspaceBasis(u[:, rank:]),
         rank=rank,
-        singular_values=s,
     )
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; realizes the tensor product of operators."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def spectrum(m) -> np.ndarray:

@@ -49,9 +49,9 @@ class ClassQuery:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 0:
+        if not linalg.is_integer(self.k) or self.k < 0:
             raise ValidationError(f"k must be a non-negative integer, got {self.k!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not linalg.is_integer(self.n) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 0.0:
@@ -68,9 +68,6 @@ class ClassReport:
     gap_min_eigenvalue: float
     gap_norm: float
     witness: np.ndarray | None  # unit vector certifying failure, else None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 @dataclass(frozen=True)
@@ -174,16 +171,6 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
                               f"gap min eigenvalue {report.gap_min_eigenvalue:.3e}")
 
 
-def is_posinormal(t, lam: float, tol: float = DEFAULT_TOL) -> ClassReport:
-    """Posinormality test: lam^2 T*T - TT* >= 0 (the k=0, n=1 case)."""
-    return is_member(t, ClassQuery(k=0, n=1, lam=lam), tol=tol)
-
-
-def is_n_power_posinormal(t, n: int, lam: float, tol: float = DEFAULT_TOL) -> ClassReport:
-    """n-power posinormality: T^n T*^n <= lam^2 T*T (the k=0 case)."""
-    return is_member(t, ClassQuery(k=0, n=n, lam=lam), tol=tol)
-
-
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     """Minimal lambda making T a member at (k, n), by pencil compression.
 
@@ -203,8 +190,7 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
 def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
     a = linalg.require_finite(p.c.conj().T @ p.c, "(T^{k+1})*T^{k+1}")
     b = linalg.require_finite(p.d.conj().T @ p.d, "(T*^n T^k)*T*^n T^k")
-    hermitian = linalg.hermitian_eigen(a, tol=1e-8)
-    w, v = hermitian.eigenvalues, hermitian.eigenvectors
+    w, v = linalg.hermitian_eigen(a, tol=1e-8)
     a_max = float(w[-1]) if w.size else 0.0
     positive = w > tol * a_max if a_max > 0 else np.zeros_like(w, dtype=bool)
 
@@ -235,7 +221,7 @@ def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
 
 def _order(m, k: int) -> int:
     """The shifted order m, validated as an integer >= k."""
-    if not isinstance(m, (int, np.integer)) or m < k:
+    if not linalg.is_integer(m) or m < k:
         raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
     return int(m)
 
@@ -348,8 +334,7 @@ def classify_grid(t, k_max: int,
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
     1 <= n <= n_max."""
     t = linalg.require_square(t)
-    if k_max < 0 or n_max < 1:
-        raise ValidationError("grid requires k_max >= 0 and n_max >= 1")
+    ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max
     powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
     return {
         (k, n): _min_lambda(_pencil_of_powers(t, powers[k], powers[n]), DEFAULT_TOL)

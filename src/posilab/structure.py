@@ -53,11 +53,8 @@ class Decomposition:
     nilpotency_residual: float
     full_range: bool
 
-    def assembled_basis(self) -> np.ndarray:
-        return np.hstack([self.range_basis.basis, self.kernel_basis.basis])
-
     def reconstruct(self) -> np.ndarray:
-        q = self.assembled_basis()
+        q = np.hstack([self.range_basis.basis, self.kernel_basis.basis])
         upper = np.hstack([self.block_a, self.block_b])
         dim_k = self.kernel_basis.dim
         lower = np.hstack([
@@ -118,18 +115,17 @@ def spectrum_union_gap(decomp: Decomposition, t) -> float:
     return linalg.hausdorff_distance(spec_t, union)
 
 
-def restrict_to_invariant(t, subspace, k: int, n: int,
+def restrict_to_invariant(t, basis, k: int, n: int,
                           lam: float) -> tuple[np.ndarray, ClassReport]:
     """Compress T to an invariant subspace and test the compression.
 
-    ``subspace`` is an orthonormal basis (matrix of columns or a
-    SubspaceBasis).  Rejected unless the columns are orthonormal and the
-    invariance residual ||(I - MM*)TM|| is below 1e-9 * max(1, ||T||).
-    For a member T the compression is again a member at the same lambda.
+    ``basis`` is a matrix M whose columns span the subspace.  Rejected
+    unless the columns are orthonormal and the invariance residual
+    ||(I - MM*)TM|| is below 1e-9 * max(1, ||T||).  For a member T the
+    compression is again a member at the same lambda.
     """
     t = linalg.require_square(t)
-    m = (subspace.basis if isinstance(subspace, SubspaceBasis)
-         else linalg.as_matrix(subspace))
+    m = linalg.as_matrix(basis)
     if m.shape[0] != t.shape[0] or m.shape[1] < 1:
         raise ValidationError(
             f"subspace basis shape {m.shape} incompatible with operator {t.shape}"
@@ -198,25 +194,18 @@ def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
             "dense-range upgrade does not apply"
         )
     posinormal.require_member(t, query, DEFAULT_TOL, "T")
-    return posinormal.is_n_power_posinormal(t, n, lam, tol=DEFAULT_TOL)
+    return posinormal.is_member(t, ClassQuery(k=0, n=n, lam=lam))
 
 
-def tensor_check(t, s, t_query: ClassQuery, s_query: ClassQuery,
-                 tol: float = 1e-9) -> ClassReport:
-    """Membership of the Kronecker product at the product of the lambdas.
+def tensor_check(t, s, query: ClassQuery, mu: float,
+                 tol: float = DEFAULT_TOL) -> ClassReport:
+    """Membership of the Kronecker product T (x) S at lambda * mu.
 
-    Both factors must be members at a common (k, n); the product is then a
-    member at lambda * mu.
+    T must be a member at ``query`` and S at the same (k, n) with lambda
+    ``mu``; the product is then a member at lambda * mu.
     """
-    if t_query.k != s_query.k or t_query.n != s_query.n:
-        raise ValidationError(
-            f"queries must share (k, n): got ({t_query.k}, {t_query.n}) "
-            f"vs ({s_query.k}, {s_query.n})"
-        )
     # require_member validates each factor as a square matrix.
-    posinormal.require_member(t, t_query, tol, "T")
-    posinormal.require_member(s, s_query, tol, "S")
-    product_query = ClassQuery(
-        k=t_query.k, n=t_query.n, lam=t_query.lam * s_query.lam
-    )
-    return posinormal.is_member(linalg.kron(t, s), product_query, tol=tol)
+    posinormal.require_member(t, query, tol, "T")
+    posinormal.require_member(s, ClassQuery(k=query.k, n=query.n, lam=mu), tol, "S")
+    product_query = ClassQuery(k=query.k, n=query.n, lam=query.lam * mu)
+    return posinormal.is_member(np.kron(t, s), product_query, tol=tol)

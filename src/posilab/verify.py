@@ -159,7 +159,7 @@ def _claim_prop26_squared_product() -> ClaimRecord:
     return _printed_block_claim(
         "ex-prop2.6-squared-product", "Example after Proposition 2.6",
         "T^2 T*^2 upper block = [[5, 10], [10, 20]]", "direct product gives",
-        (t2 @ linalg.adjoint(t2))[:2, :2], [[5, 10], [10, 20]])
+        (t2 @ t2.conj().T)[:2, :2], [[5, 10], [10, 20]])
 
 
 def _lambda3_claim(claim_id: str, location: str, expected: str,
@@ -363,14 +363,12 @@ def _claim_prop29_dense_range() -> ClaimRecord:
 
 def _claim_thm211_tensor() -> ClaimRecord:
     shift = fixtures.nilpotent_shift(3)
-    nilp = structure.tensor_check(shift, shift,
-                                  ClassQuery(3, 2, 1.0), ClassQuery(3, 2, 1.0))
+    nilp = structure.tensor_check(shift, shift, ClassQuery(3, 2, 1.0), 1.0)
     d1 = np.diag([2.0 + 0j, 1.0])
     d2 = np.diag([3.0 + 0j, 1.0])
     lam = _lam_above(d1, 0, 2)
     mu = _lam_above(d2, 0, 2)
-    diag = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam),
-                                  ClassQuery(0, 2, mu))
+    diag = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam), mu)
     ok = nilp.holds and diag.holds
     return ClaimRecord(
         claim_id="thm2.11-tensor-product",

@@ -100,6 +100,10 @@ MALFORMED_SPACES = [
      "partition"),
     ("bad index", _mutated(_space_doc(), ["partition", 0, 1], "x"),
      "partition[0][1]"),
+    ("float index", _mutated(_space_doc(), ["partition", 0, 1], 1.7),
+     "partition[0][1]"),
+    ("bool index", _mutated(_space_doc(), ["partition", 0, 1], True),
+     "partition[0][1]"),
     ("short w", _mutated(_space_doc(), ["w", 7], None), "w"),
     ("bad u value", _mutated(_space_doc(), ["u", 2], [1.0]), "u[2]"),
 ]
@@ -130,12 +134,22 @@ def test_malformed_space_exits_one_naming_the_field(text, field, tmp_path, capsy
     assert err.startswith(f"error: {field}"), err
 
 
+@pytest.mark.parametrize("power", ["nan", "inf", "-inf", "0"])
+def test_bad_power_exits_one_naming_it(power, capsys):
+    assert run(["condexp", SPACE, "lemma31", f"--power={power}"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: power"), err
+
+
 # --- exit code 2 on overflow ----------------------------------------------------
 
 def _overflow_cases(tmp_path):
     big, large = tmp_path / "big.json", tmp_path / "large.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
     large.write_text(fileio.dumps_matrix(np.array([[1e100, 1.0], [0.0, 1.0]])))
+    heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
+    space, partition, _, u = fixtures.interval_example(8)
+    heavy.write_text(fileio.dumps_space(space, partition, np.full(8, 1e200), u))
     identity = FIXTURES / "identity_2.json"
     return [
         ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # T^{k+1}
@@ -149,6 +163,8 @@ def _overflow_cases(tmp_path):
         ["condexp", SPACE, "thm35", "--lambda", 1e200],
         ["tensor", identity, identity, "--k", 0, "--n", 1,
          "--lambda", 1e160, "--mu", 1e160],
+        ["condexp", SPACE, "lemma31", "--power", 1e300],       # (T*T)^m
+        *(["condexp", heavy, check] for check in CONDEXP_CHECKS),
     ]
 
 
@@ -157,6 +173,34 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert err.startswith("numerical failure:") and "overflows" in err, err
+
+
+# --- the parser ------------------------------------------------------------------
+
+def test_parsed_arguments_with_defaults():
+    tol = {"tol": 1e-10}
+    cases = {
+        "check": (["check", "m.json", "--k", "1", "--n", "2", "--lambda", "3"],
+                  {"matrix_file": "m.json", "k": 1, "n": 2, "lam": 3.0, **tol}),
+        "lambda-min": (["lambda-min", "m.json", "--k", "0", "--n", "1"],
+                       {"matrix_file": "m.json", "k": 0, "n": 1, **tol}),
+        "decompose": (["decompose", "m.json", "--k", "2"],
+                      {"matrix_file": "m.json", "k": 2, "n": 1, **tol}),
+        "tensor": (["tensor", "a.json", "b.json", "--k", "1", "--n", "1",
+                    "--lambda", "2", "--mu", "3", "--tol", "1e-9"],
+                   {"matrix_file_a": "a.json", "matrix_file_b": "b.json",
+                    "k": 1, "n": 1, "lam": 2.0, "mu": 3.0, "tol": 1e-9}),
+        "condexp": (["condexp", "s.json", "norm"],
+                    {"space_file": "s.json", "check": "norm", "k": 1, "n": 1,
+                     "lam": 1.0, "power": 1.0, **tol}),
+        "paper-verify": (["paper-verify"], {"out": None, "seed": 20250810}),
+    }
+    parser = cli.build_parser()
+    assert set(cases) == set(parser._subparsers._group_actions[0].choices)
+    for command, (argv, expected) in cases.items():
+        parsed = vars(parser.parse_args(argv))
+        assert parsed.pop("func").__name__ == "_cmd_" + command.replace("-", "_")
+        assert parsed == {"command": command, **expected}, command
 
 
 # --- the fixture files -----------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from posilab import condexp
+from posilab import condexp, fixtures
+from posilab.errors import ValidationError
 
 import oracles
 
@@ -71,3 +72,36 @@ def test_operator_applies_w_E_u():
     direct = w * oracles.conditional_expectation_oracle(masses, parts, u * f)
     np.testing.assert_allclose(op.matrix @ (root * f) / root, direct,
                                rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", [0.25, 0.5, 1.5])
+def test_lemma31_holds_at_fractional_powers(m):
+    # Rounding-level eigenvalues of T*T's null space must count as 0, not
+    # be raised to the power m.
+    ops = [condexp.build_operator(*fixtures.interval_example(8))]
+    rng = np.random.default_rng(31)
+    for atoms, blocks in ((8, 3), (12, 4), (16, 5)):
+        masses, parts, w, u = random_space(rng, atoms, blocks, vanishing=True)
+        ops.append(condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                          condexp.BlockPartition(parts, atoms), w, u))
+    for op in ops:
+        report = condexp.lemma31_check(op, m)
+        assert report.passed, (op.space.atom_count, report)
+
+
+def test_partition_takes_integer_indices_only():
+    for blocks in ([[0, 1.7]], [[True, 0]], [[0, "1"]]):
+        with pytest.raises(ValidationError, match="atom index"):
+            condexp.BlockPartition(blocks, 2)
+    partition = condexp.BlockPartition([np.array([1, 0], dtype=np.int64)], 2)
+    assert partition.blocks == ((1, 0),)
+    assert all(type(i) is int for i in partition.blocks[0])
+
+
+def test_interval_example_validates_its_size():
+    for n_atoms in (7, 0, 8.0, True):
+        with pytest.raises(ValidationError):
+            fixtures.interval_example(n_atoms)
+    space, partition, w, u = fixtures.interval_example(np.int64(4))
+    assert partition.blocks == ((0, 1), (2, 3))
+    np.testing.assert_allclose(u.real, [0.125, 0.375, 0.375, 0.125])

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from posilab import linalg
 from posilab.errors import NumericalFailure, ValidationError
@@ -19,31 +17,6 @@ def test_as_matrix_rejects_bad_inputs():
         linalg.as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError):
         linalg.as_matrix([[np.inf + 1j, 0], [0, 1]])
-
-
-# --- adjoint -----------------------------------------------------------------
-
-def test_adjoint_scalar_conjugate():
-    out = linalg.adjoint([[2 + 1j]])
-    assert out == np.array([[2 - 1j]])
-
-
-def test_adjoint_identity_self_adjoint():
-    np.testing.assert_allclose(linalg.adjoint(np.eye(3)), np.eye(3))
-
-
-def test_adjoint_shift_transposes():
-    np.testing.assert_allclose(
-        linalg.adjoint(nilpotent_shift(3)), np.eye(3, k=-1)
-    )
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_adjoint_involution(rows, cols, seed):
-    g = np.random.default_rng(seed)
-    m = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
-    np.testing.assert_allclose(linalg.adjoint(linalg.adjoint(m)), m)
 
 
 # --- matpow -----------------------------------------------------------------
@@ -70,27 +43,29 @@ def test_matpow_split_range_square():
 def test_matpow_rejects():
     with pytest.raises(ValidationError):
         linalg.matpow(np.ones((2, 3)), 2)
-    with pytest.raises(ValidationError):
-        linalg.matpow(np.eye(2), -1)
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValidationError):
+            linalg.matpow(np.eye(2), bad)
+    np.testing.assert_allclose(linalg.matpow(np.eye(2), np.int64(3)), np.eye(2))
 
 
 # --- hermitian eigensolver ---------------------------------------------------
 
 def test_hermitian_eigen_diagonal():
-    eig = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, 2.0, 3.0])
+    w, _ = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
+    np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_hermitian_eigen_2x2_characteristic_polynomial():
     # roots of x^2 - 6x + 4: 3 +- sqrt(5)
-    eig = linalg.hermitian_eigen(np.array([[1.0, 1.0], [1.0, 5.0]]))
-    np.testing.assert_allclose(eig.eigenvalues,
+    w, _ = linalg.hermitian_eigen(np.array([[1.0, 1.0], [1.0, 5.0]]))
+    np.testing.assert_allclose(w,
                                [3 - np.sqrt(5), 3 + np.sqrt(5)], atol=1e-12)
 
 
 def test_hermitian_eigen_zero():
-    eig = linalg.hermitian_eigen(np.zeros((4, 4)))
-    np.testing.assert_allclose(eig.eigenvalues, np.zeros(4))
+    w, _ = linalg.hermitian_eigen(np.zeros((4, 4)))
+    np.testing.assert_allclose(w, np.zeros(4))
 
 
 def test_hermitian_eigen_invariants(rng):
@@ -98,13 +73,12 @@ def test_hermitian_eigen_invariants(rng):
         dim = int(rng.integers(1, 9))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = (g + g.conj().T) / 2
-        eig = linalg.hermitian_eigen(h)
-        v = eig.eigenvectors
+        w, v = linalg.hermitian_eigen(h)
         assert linalg.operator_norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
-        recon = v @ np.diag(eig.eigenvalues) @ v.conj().T
+        recon = v @ np.diag(w) @ v.conj().T
         assert (linalg.operator_norm(h - recon)
                 <= 1e-10 * max(1.0, linalg.operator_norm(h)))
-        assert np.all(np.diff(eig.eigenvalues) >= -1e-14)
+        assert np.all(np.diff(w) >= -1e-14)
 
 
 def test_hermitian_eigen_rejects_asymmetric():
@@ -169,14 +143,13 @@ def test_is_psd_rejects_non_hermitian():
 def test_rank_spaces_zero_matrix():
     spaces = linalg.svd_rank_spaces(np.zeros((3, 3)))
     assert spaces.rank == 0
-    assert spaces.kernel.dim == 3
-    np.testing.assert_allclose(spaces.kernel.projector(), np.eye(3))
+    assert spaces.range.dim == 0
+    np.testing.assert_allclose(spaces.cokernel.projector(), np.eye(3))
 
 
 def test_rank_spaces_identity():
     spaces = linalg.svd_rank_spaces(np.eye(4))
     assert spaces.rank == 4
-    assert spaces.kernel.dim == 0
     assert spaces.cokernel.dim == 0
 
 
@@ -198,42 +171,11 @@ def test_rank_nullity_and_kernel_annihilation(rng):
         m = ((rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner)))
              @ (rng.standard_normal((inner, cols)) + 1j * rng.standard_normal((inner, cols))))
         spaces = linalg.svd_rank_spaces(m)
-        assert spaces.rank + spaces.kernel.dim == cols
+        assert spaces.rank == spaces.range.dim == inner
         assert spaces.range.dim + spaces.cokernel.dim == rows
-        if spaces.kernel.dim:
-            assert (linalg.operator_norm(m @ spaces.kernel.basis)
-                    <= 1e-9 * max(1.0, linalg.operator_norm(m)))
-
-
-# --- kron --------------------------------------------------------------------
-
-def test_kron_identity():
-    np.testing.assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_zero_absorbs():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    np.testing.assert_allclose(linalg.kron(a, np.zeros((2, 2))), np.zeros((4, 4)))
-
-
-def test_kron_nilpotent_square():
-    j = np.array([[0, 1], [0, 0]], dtype=complex)
-    # mixed product: (J (x) J)^2 = J^2 (x) J^2 = 0
-    np.testing.assert_allclose(linalg.matpow(linalg.kron(j, j), 2),
-                               np.zeros((4, 4)))
-
-
-def test_kron_mixed_product(rng):
-    for _ in range(30):
-        da, db = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        a, c = (rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
-                for _ in range(2))
-        b, d = (rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-                for _ in range(2))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        scale = max(1.0, linalg.operator_norm(lhs))
-        assert linalg.operator_norm(lhs - rhs) <= 1e-12 * scale
+        # the cokernel is ker(M*): it annihilates M from the left
+        assert (linalg.operator_norm(spaces.cokernel.basis.conj().T @ m)
+                <= 1e-9 * max(1.0, linalg.operator_norm(m)))
 
 
 # --- spectrum ----------------------------------------------------------------

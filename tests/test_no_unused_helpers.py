@@ -1,4 +1,5 @@
-"""Every public module-level function and class of posilab has a caller.
+"""Every public module-level function and class of posilab has a caller,
+and the number of defaulted parameters does not grow.
 
 A definition counts as used when some other top-level statement refers to
 it: inside its own module by name, elsewhere through ``from .module import
@@ -74,3 +75,21 @@ def test_every_public_helper_has_a_caller():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
     assert sorted(public - used) == []
+
+
+# Defaulted parameters over every function of src/posilab (methods and
+# nested functions included): each is an option a caller may set.  Adding
+# one means raising this number on purpose.
+MAX_DEFAULTED = 17
+
+
+def test_defaulted_parameters_do_not_grow():
+    counted = []
+    for path in sorted((ROOT / "src" / "posilab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count = (len(args.defaults)
+                         + sum(d is not None for d in args.kw_defaults))
+                counted += [f"{path.stem}.{getattr(node, 'name', 'lambda')}"] * count
+    assert len(counted) <= MAX_DEFAULTED, sorted(counted)

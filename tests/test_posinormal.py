@@ -64,6 +64,11 @@ def test_query_validation():
         ClassQuery(k=0, n=1, lam=0.0)
     with pytest.raises(ValidationError):
         ClassQuery(k=0, n=1, lam=float("nan"))
+    # one integer rule: an int or a numpy integer, never a bool or a float
+    for k, n in ((True, 1), (0, True), (1.0, 1), (0, 2.0)):
+        with pytest.raises(ValidationError):
+            ClassQuery(k=k, n=n, lam=1.0)
+    assert ClassQuery(k=np.int64(1), n=np.int32(2), lam=1.0).n == 2
 
 
 # --- membership ----------------------------------------------------------------
@@ -95,20 +100,22 @@ def test_is_posinormal_cases(rng):
     # normal operator: T*T = TT*
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = g + g.conj().T
-    assert posinormal.is_posinormal(h, 1.0).holds
+    # posinormality is membership at k = 0, n = 1
+    assert posinormal.is_member(h, ClassQuery(0, 1, 1.0)).holds
     # direct computation: lam^2 diag(0,1) - diag(1,0) is indefinite
-    assert not posinormal.is_posinormal(np.array([[0, 1], [0, 0]]), 1.0).holds
-    assert posinormal.is_posinormal(np.diag([2.0, 1.0]), 1.0).holds
-    assert posinormal.is_posinormal(np.diag([2.0, 1.0]), 5.0).holds
+    assert not posinormal.is_member(np.array([[0, 1], [0, 0]]), ClassQuery(0, 1, 1.0)).holds
+    assert posinormal.is_member(np.diag([2.0, 1.0]), ClassQuery(0, 1, 1.0)).holds
+    assert posinormal.is_member(np.diag([2.0, 1.0]), ClassQuery(0, 1, 5.0)).holds
 
 
 def test_is_n_power_posinormal_cases():
-    assert not posinormal.is_n_power_posinormal(nilpotent_shift(3), 2, 1e5).holds
-    assert posinormal.is_n_power_posinormal(np.eye(3), 5, 1.0).holds
+    # n-power posinormality is membership at k = 0
+    assert not posinormal.is_member(nilpotent_shift(3), ClassQuery(0, 2, 1e5)).holds
+    assert posinormal.is_member(np.eye(3), ClassQuery(0, 5, 1.0)).holds
     # dimension-6 section has the same e1 obstruction (brute-force oracle)
     t = clipped_shift(6)
     assert not oracles.member_oracle(t, 0, 2, 1.0)
-    assert not posinormal.is_n_power_posinormal(t, 2, 1.0).holds
+    assert not posinormal.is_member(t, ClassQuery(0, 2, 1.0)).holds
 
 
 # --- min_lambda ------------------------------------------------------------------
@@ -188,8 +195,9 @@ def test_check_norm_inequality_deterministic_and_validated():
     a = posinormal.check_norm_inequality(t, 1, 2, lam, m=2, seed=7)
     b = posinormal.check_norm_inequality(t, 1, 2, lam, m=2, seed=7)
     assert a == b
-    with pytest.raises(ValidationError):
-        posinormal.check_norm_inequality(t, 1, 2, lam, m=0)
+    for m in (0, True, 2.0):
+        with pytest.raises(ValidationError):
+            posinormal.check_norm_inequality(t, 1, 2, lam, m=m)
 
 
 def test_operator_norm_corollary_identity():
@@ -273,6 +281,12 @@ def test_classify_grid_diagonal_closed_form():
         assert result.feasible
         if k == 0:
             assert result.lambda_min == pytest.approx(2.0 ** (n - 1), rel=1e-9)
+
+
+def test_classify_grid_validates_like_a_query():
+    for k_max, n_max in ((-1, 1), (0, 0), (1.5, 2), (2, 1.5), (True, 1)):
+        with pytest.raises(ValidationError):
+            posinormal.classify_grid(np.eye(2), k_max, n_max)
 
 
 def test_classify_grid_k_monotone(rng):

@@ -38,7 +38,7 @@ def test_decompose_split_range_matrix():
     # for a member, the compression passes the k = 0 test at the same lambda
     lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
     assert posinormal.is_member(t, ClassQuery(1, 2, lam)).holds
-    assert posinormal.is_n_power_posinormal(decomp.block_a, 2, lam).holds
+    assert posinormal.is_member(decomp.block_a, ClassQuery(0, 2, lam)).holds
 
 
 def test_decompose_fully_nilpotent():
@@ -91,7 +91,7 @@ def test_restrict_diagonal():
     compressed, report = structure.restrict_to_invariant(t, basis, 0, 2, 9.01)
     np.testing.assert_allclose(compressed, np.diag([2.0, 1.0]))
     # T itself is a member at lambda = 9.01 > 3^(n-1); restriction inherits
-    assert posinormal.is_n_power_posinormal(t, 2, 9.01).holds
+    assert posinormal.is_member(t, ClassQuery(0, 2, 9.01)).holds
     assert report.holds
 
 
@@ -249,16 +249,14 @@ def test_dense_range_upgrade_rejects_rank_deficient():
 # --- tensor products ---------------------------------------------------------------------
 
 def test_tensor_identity_pair():
-    report = structure.tensor_check(np.eye(2), np.eye(2),
-                                    ClassQuery(1, 1, 1.0), ClassQuery(1, 1, 1.0))
+    report = structure.tensor_check(np.eye(2), np.eye(2), ClassQuery(1, 1, 1.0), 1.0)
     assert report.holds
     assert report.gap_norm <= 1e-12
 
 
 def test_tensor_shift_pair():
     t = nilpotent_shift(3)
-    report = structure.tensor_check(t, t, ClassQuery(3, 2, 1.0),
-                                    ClassQuery(3, 2, 1.0))
+    report = structure.tensor_check(t, t, ClassQuery(3, 2, 1.0), 1.0)
     # (T (x) T)^3 = T^3 (x) T^3 = 0 kills the gap entirely
     assert report.holds
     assert report.gap_norm <= 1e-12
@@ -268,21 +266,23 @@ def test_tensor_diagonal_closed_form():
     d1, d2 = np.diag([2.0, 1.0]), np.diag([3.0, 1.0])
     lam = 2.0 * (1 + 1e-9)   # max d^{n-1} for n = 2
     mu = 3.0 * (1 + 1e-9)
-    report = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam),
-                                    ClassQuery(0, 2, mu))
+    report = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam), mu)
     assert report.holds
 
 
-def test_tensor_rejects_mismatched_queries():
-    with pytest.raises(ValidationError, match="share"):
-        structure.tensor_check(np.eye(2), np.eye(2),
-                               ClassQuery(1, 1, 1.0), ClassQuery(2, 1, 1.0))
+def test_tensor_default_tol_is_the_membership_default():
+    # gap (lam^2 - 1) I = -5e-10 I: a member at tol 1e-9, not at 1e-10
+    t, lam = np.eye(2), float(np.sqrt(1.0 - 5e-10))
+    assert not posinormal.is_member(t, ClassQuery(0, 1, lam)).holds
+    with pytest.raises(ValidationError, match="not a member"):
+        structure.tensor_check(t, np.eye(2), ClassQuery(0, 1, lam), 1.0)
+    assert structure.tensor_check(t, np.eye(2), ClassQuery(0, 1, lam), 1.0,
+                                  tol=1e-9).holds
 
 
 def test_tensor_rejects_nonmember():
     with pytest.raises(ValidationError, match="not a member"):
-        structure.tensor_check(nilpotent_shift(3), np.eye(3),
-                               ClassQuery(0, 2, 1.0), ClassQuery(0, 2, 1.0))
+        structure.tensor_check(nilpotent_shift(3), np.eye(3), ClassQuery(0, 2, 1.0), 1.0)
 
 
 def test_tensor_preservation_random(rng):
@@ -295,8 +295,7 @@ def test_tensor_preservation_random(rng):
             s, mu, _ = oracles.random_member(rng, int(rng.integers(2, 5)), k, n)
         except RuntimeError:
             continue
-        report = structure.tensor_check(t, s, ClassQuery(k, n, lam),
-                                        ClassQuery(k, n, mu), tol=1e-9)
+        report = structure.tensor_check(t, s, ClassQuery(k, n, lam), mu, tol=1e-9)
         assert report.holds
         hits += 1
     assert hits >= 5
