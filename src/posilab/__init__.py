@@ -16,8 +16,6 @@ from .errors import FileFormatError, NumericalFailure, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     PsdVerdict,
-    RankSpaces,
-    SubspaceBasis,
     as_matrix,
     hermitian_eigen,
     is_psd,

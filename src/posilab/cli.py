@@ -76,15 +76,15 @@ def _cmd_decompose(args) -> int:
     print(f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})")
     print(f"k: {args.k}")
     print(f"full_range: {str(decomp.full_range).lower()}")
-    print(f"block_dims: A={decomp.range_basis.dim} "
-          f"C={decomp.kernel_basis.dim}")
+    print(f"block_dims: A={decomp.range_basis.shape[1]} "
+          f"C={decomp.kernel_basis.shape[1]}")
     print(f"residual_lower_left: {_fmt(decomp.residual_lower_left)}")
     print(f"nilpotency_residual: {_fmt(decomp.nilpotency_residual)}")
     recon = linalg.operator_norm(decomp.reconstruct() - t)
     print(f"reconstruction_residual: {_fmt(recon)}")
     spec_t = linalg.distinct_values(linalg.spectrum(t), tol=1e-8)
     print("spectrum_T: " + ", ".join(f"{v:.8g}" for v in spec_t))
-    if decomp.range_basis.dim > 0:
+    if decomp.range_basis.shape[1] > 0:
         spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=1e-8)
         print("spectrum_A: " + ", ".join(f"{v:.8g}" for v in spec_a))
     union_gap = structure.spectrum_union_gap(decomp, t)

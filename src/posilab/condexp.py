@@ -342,11 +342,13 @@ class NormFormulaReport:
     passed: bool
 
 
+@linalg.quiet_overflow
 def norm_formula_check(op: WeightedConditionalOperator,
                        tol: float = DEFAULT_TOL) -> NormFormulaReport:
     """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2)."""
     matrix_norm = linalg.operator_norm(op.matrix)
-    blockwise = float(np.sqrt(np.max(op.e_w2 * op.e_u2)))
+    blockwise = float(linalg.require_finite(np.sqrt(np.max(op.e_w2 * op.e_u2)),
+                                            "blockwise norm"))
     dev = abs(matrix_norm - blockwise)
     return NormFormulaReport(
         matrix_norm=matrix_norm,
@@ -456,7 +458,8 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     factor_residual = residual(partial_iso @ modulus, op.matrix, "U |T|")
     sq_residual = residual(modulus @ modulus, op.matrix.conj().T @ op.matrix, "|T|^2")
     psd = linalg.is_psd(modulus, tol=max(tol, 1e-10))
-    range_proj = linalg.svd_rank_spaces(modulus, tol=1e-10).range.projector()
+    range_basis, _ = linalg.svd_rank_spaces(modulus, 1e-10)
+    range_proj = range_basis @ range_basis.conj().T
     iso_residual = residual(partial_iso.conj().T @ partial_iso, range_proj, "U*U")
     scale = max(1.0, t_norm)
     return PolarReport(
@@ -473,10 +476,14 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     )
 
 
-def _blockwise(big, small, mask: np.ndarray, tol: float) -> tuple[bool, np.ndarray]:
+def _blockwise(big, small, mask: np.ndarray, tol: float,
+               what: str) -> tuple[bool, np.ndarray]:
     """Blockwise big >= small: the margins big - small, and whether every
     masked block has margin >= -tol * max(1, scale), scale the largest
-    |big| or |small| over all blocks."""
+    |big| or |small| over all blocks.  NumericalFailure when a side of
+    ``what`` overflowed; callers compute the sides under quiet_overflow."""
+    linalg.require_finite(big, f"{what} left side")
+    linalg.require_finite(small, f"{what} right side")
     margins = big - small
     scale = float(max(np.max(np.abs(big), initial=0.0),
                       np.max(np.abs(small), initial=0.0)))
@@ -501,6 +508,7 @@ class PosinormalCriterionReport:
     block_margins: np.ndarray
 
 
+@linalg.quiet_overflow
 def thm33_check(op: WeightedConditionalOperator, lam: float,
                 tol: float = DEFAULT_TOL) -> PosinormalCriterionReport:
     """Blockwise lam^2 E|w|^2 |E u|^2 >= E|u|^2 |E w|^2 vs posinormality."""
@@ -508,7 +516,8 @@ def thm33_check(op: WeightedConditionalOperator, lam: float,
     s_prime = support_mask(op.e_u)
     supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
     blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
-                                    op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol)
+                                    op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol,
+                                    "Theorem 3.3")
     matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return PosinormalCriterionReport(
         lam=query.lam,
@@ -537,6 +546,7 @@ class NPowerCriterionReport:
     block_margins: np.ndarray
 
 
+@linalg.quiet_overflow
 def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
                 tol: float = DEFAULT_TOL) -> NPowerCriterionReport:
     """lam^2 E|w|^2 |E u|^2 >= |E(uw)|^{2n} (E|u|^2 / (E|w|^2)^n) |E w|^2."""
@@ -547,7 +557,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
         (np.abs(op.e_uw) ** (2 * n)
          * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
-        np.ones_like(chi_g), tol)
+        np.ones_like(chi_g), tol, "Theorem 3.4")
     matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return NPowerCriterionReport(
         n=n,
@@ -585,6 +595,7 @@ class QuasiCriterionReport:
         return self.stated_holds == self.proof_form_holds == self.matrix_holds
 
 
+@linalg.quiet_overflow
 def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
                 tol: float = DEFAULT_TOL) -> QuasiCriterionReport:
     """Evaluate both printed forms of the quasi-class criterion and the
@@ -599,7 +610,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
     stated, margins_a = _blockwise(
         (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
          * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g)),
-        np.abs(op.e_uw) ** (2 * k + 2), every, tol)
+        np.abs(op.e_uw) ** (2 * k + 2), every, tol, "Theorem 3.5 stated")
 
     # Inner display of the derivation, as printed.
     proof_form, margins_b = _blockwise(
@@ -608,7 +619,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
          * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
                    * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
          * chi_g * np.abs(op.e_w) ** 2),
-        every, tol)
+        every, tol, "Theorem 3.5 proof form")
 
     matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
     return QuasiCriterionReport(

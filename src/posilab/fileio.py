@@ -1,11 +1,15 @@
 """On-disk document formats for matrices and measure spaces.
 
+One load and one dump per format: ``load_matrix(path)`` and
+``dumps_matrix(m)`` for a matrix, ``load_space(path)`` and
+``dumps_space(space, partition, w, u)`` for a measure space.
+
 Both formats are JSON.  A matrix document carries ``dim_rows``,
 ``dim_cols`` and ``entries`` (rows of [real, imaginary] pairs); a
 measure-space document carries ``atoms`` ({mass, label} records),
 ``partition`` (blocks of atom indices) and the weight functions ``w``
 and ``u`` as [real, imaginary] pairs.  Values parse as 64-bit floats;
-serialization uses repr so parse -> serialize -> parse is the identity.
+serialization uses repr so load -> dumps -> load is the identity.
 
 All validation failures raise FileFormatError naming the offending field
 and index.
@@ -43,37 +47,52 @@ def _as_positive_int(value, where: str) -> int:
     return value
 
 
-def matrix_from_document(doc) -> np.ndarray:
+def _read(path) -> dict:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"document: invalid JSON ({exc})") from exc
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _pairs(values) -> list:
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def load_matrix(path) -> np.ndarray:
+    doc = _read(path)
     rows = _as_positive_int(_require(doc, "dim_rows"), "dim_rows")
     cols = _as_positive_int(_require(doc, "dim_cols"), "dim_cols")
     entries = _require(doc, "entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"entries: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
+    values = []  # row lengths are checked before any array is allocated
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise FileFormatError(f"entries[{i}]: expected {cols} entries")
-        for j, value in enumerate(row):
-            out[i, j] = _as_complex(value, f"entries[{i}][{j}]")
+        values.append([_as_complex(value, f"entries[{i}][{j}]")
+                       for j, value in enumerate(row)])
     try:
-        return as_matrix(out)
+        return as_matrix(values)
     except ValueError as exc:
         raise FileFormatError(f"entries: {exc}") from exc
 
 
-def matrix_to_document(m) -> dict:
+def dumps_matrix(m) -> str:
     m = as_matrix(m)
-    return {
+    return _dumps({
         "dim_rows": int(m.shape[0]),
         "dim_cols": int(m.shape[1]),
-        "entries": [
-            [[float(v.real), float(v.imag)] for v in row] for row in m
-        ],
-    }
+        "entries": [_pairs(row) for row in m],
+    })
 
 
-def space_from_document(doc):
+def load_space(path):
     """Parse (space, partition, w, u) from a measure-space document."""
+    doc = _read(path)
     atoms = _require(doc, "atoms")
     if not isinstance(atoms, list) or not atoms:
         raise FileFormatError("atoms: expected a nonempty array")
@@ -117,48 +136,14 @@ def space_from_document(doc):
     return space, partition, functions[0], functions[1]
 
 
-def space_to_document(space: FiniteMeasureSpace, partition: BlockPartition,
-                      w, u) -> dict:
-    w = as_function(w, space)
-    u = as_function(u, space)
-    return {
+def dumps_space(space: FiniteMeasureSpace, partition: BlockPartition,
+                w, u) -> str:
+    return _dumps({
         "atoms": [
             {"mass": float(mass), "label": label}
             for mass, label in zip(space.masses, space.labels)
         ],
         "partition": [list(block) for block in partition.blocks],
-        "w": [[float(v.real), float(v.imag)] for v in w],
-        "u": [[float(v.real), float(v.imag)] for v in u],
-    }
-
-
-def _loads(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"document: invalid JSON ({exc})") from exc
-
-
-def loads_matrix(text: str) -> np.ndarray:
-    return matrix_from_document(_loads(text))
-
-
-def dumps_matrix(m) -> str:
-    return json.dumps(matrix_to_document(m), indent=2, sort_keys=True) + "\n"
-
-
-def load_matrix(path) -> np.ndarray:
-    return loads_matrix(Path(path).read_text())
-
-
-def loads_space(text: str):
-    return space_from_document(_loads(text))
-
-
-def dumps_space(space, partition, w, u) -> str:
-    return json.dumps(space_to_document(space, partition, w, u),
-                      indent=2, sort_keys=True) + "\n"
-
-
-def load_space(path):
-    return loads_space(Path(path).read_text())
+        "w": _pairs(as_function(w, space)),
+        "u": _pairs(as_function(u, space)),
+    })

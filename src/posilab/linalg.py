@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 
-# Relative eigenvalue / singular-value cutoff used by the PSD and rank
-# decisions when the caller does not override it.
+# Relative eigenvalue / singular-value cutoff of the membership, PSD and
+# rank decisions when a caller (or the CLI's --tol) sets no other.
 DEFAULT_TOL = 1e-10
 
 # Dimension up to which spectrum() cross-checks the eigenvalue product
@@ -103,7 +103,7 @@ def deviation_beyond(x, y, tol: float) -> float | None:
     return dev if dev > tol else None
 
 
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(h, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition H = V diag(w) V* of a Hermitian matrix, as the
     pair (w, V) of ``numpy.linalg.eigh``: w ascending, V unitary.
 
@@ -129,14 +129,14 @@ class PsdVerdict:
     witness: np.ndarray | None  # unit vector with <Hx, x> < 0, when not PSD
 
 
-def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
+def is_psd(h, tol: float) -> PsdVerdict:
     """Test H >= 0 up to a relative eigenvalue tolerance.
 
     Passes iff the smallest eigenvalue is >= -tol * max(1, ||H||_2), the
     norm taken from the eigenvalues.  On failure the witness is the unit
     eigenvector of the most negative eigenvalue.
     """
-    w, v = hermitian_eigen(h, tol=max(tol, 1e-12))
+    w, v = hermitian_eigen(h, tol)
     lo = float(w[0])
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     ok = lo >= -tol * max(1.0, scale)
@@ -144,43 +144,17 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
     return PsdVerdict(is_psd=ok, min_eigenvalue=lo, witness=witness)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace."""
+def svd_rank_spaces(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (range, cokernel) of a matrix: the column space
+    and its orthogonal complement ker(M*), together a unitary of the
+    codomain; the numerical rank is the range basis's column count.
 
-    basis: np.ndarray  # shape (ambient dimension, dim); dim may be 0
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-
-@dataclass(frozen=True)
-class RankSpaces:
-    """SVD-derived range and cokernel of a matrix."""
-
-    range: SubspaceBasis     # column space
-    cokernel: SubspaceBasis  # orthogonal complement of the range = ker(M*)
-    rank: int
-
-
-def svd_rank_spaces(m, tol: float = DEFAULT_TOL) -> RankSpaces:
-    """Numerical rank plus orthonormal bases for the range and cokernel.
-
-    Singular values <= tol * sigma_max count as zero.  The range and
-    cokernel bases together form a unitary of the codomain.
+    Singular values <= tol * sigma_max count as zero.
     """
     u, s, _ = np.linalg.svd(as_matrix(m))
     smax = float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    return RankSpaces(
-        range=SubspaceBasis(u[:, :rank]),
-        cokernel=SubspaceBasis(u[:, rank:]),
-        rank=rank,
-    )
+    return u[:, :rank], u[:, rank:]
 
 
 def spectrum(m) -> np.ndarray:

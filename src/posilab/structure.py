@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, SubspaceBasis
+from .linalg import DEFAULT_TOL
 from .posinormal import ClassQuery, ClassReport
 
 # Distinct eigenvalues closer than this are one value in spectrum_union_gap.
@@ -44,8 +44,8 @@ class Decomposition:
     where the kernel part is empty and A is all of T (up to basis).
     """
 
-    range_basis: SubspaceBasis
-    kernel_basis: SubspaceBasis
+    range_basis: np.ndarray   # orthonormal columns spanning closure(T^k H)
+    kernel_basis: np.ndarray  # orthonormal columns spanning ker(T*^k)
     block_a: np.ndarray
     block_b: np.ndarray
     block_c: np.ndarray
@@ -54,9 +54,9 @@ class Decomposition:
     full_range: bool
 
     def reconstruct(self) -> np.ndarray:
-        q = np.hstack([self.range_basis.basis, self.kernel_basis.basis])
+        q = np.hstack([self.range_basis, self.kernel_basis])
         upper = np.hstack([self.block_a, self.block_b])
-        dim_k = self.kernel_basis.dim
+        dim_k = self.kernel_basis.shape[1]
         lower = np.hstack([
             np.zeros((dim_k, self.block_a.shape[1]), dtype=complex),
             self.block_c,
@@ -75,9 +75,8 @@ def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
     """
     t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    spaces = linalg.svd_rank_spaces(linalg.matpow(t, k), tol=tol)
-    q_range = spaces.range.basis
-    q_kernel = spaces.cokernel.basis  # ker(T*^k) = range(T^k) orthocomplement
+    # ker(T*^k) is the orthogonal complement of range(T^k)
+    q_range, q_kernel = linalg.svd_rank_spaces(linalg.matpow(t, k), tol)
     block_a = q_range.conj().T @ t @ q_range
     block_b = q_range.conj().T @ t @ q_kernel
     block_c = q_kernel.conj().T @ t @ q_kernel
@@ -85,14 +84,14 @@ def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
     # An empty kernel block has norm 0 (operator_norm of a 0x0 power).
     nilp = linalg.operator_norm(np.linalg.matrix_power(block_c, k))
     return Decomposition(
-        range_basis=spaces.range,
-        kernel_basis=spaces.cokernel,
+        range_basis=q_range,
+        kernel_basis=q_kernel,
         block_a=block_a,
         block_b=block_b,
         block_c=block_c,
         residual_lower_left=residual,
         nilpotency_residual=nilp,
-        full_range=spaces.rank == t.shape[0],
+        full_range=q_range.shape[1] == t.shape[0],
     )
 
 
@@ -104,7 +103,7 @@ def spectrum_union_gap(decomp: Decomposition, t) -> float:
     """
     t = linalg.require_square(t)
     spec_t = linalg.distinct_values(linalg.spectrum(t), tol=_CLUSTER_TOL)
-    if decomp.range_basis.dim == 0:
+    if decomp.range_basis.shape[1] == 0:
         spec_a = []  # fully nilpotent: only the kernel block remains
     else:
         spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a),
@@ -187,10 +186,10 @@ def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
     """
     t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=lam)
-    spaces = linalg.svd_rank_spaces(linalg.matpow(t, k), tol=DEFAULT_TOL)
-    if spaces.rank < t.shape[0]:
+    rank = linalg.svd_rank_spaces(linalg.matpow(t, k), DEFAULT_TOL)[0].shape[1]
+    if rank < t.shape[0]:
         raise ValidationError(
-            f"T^{k} is rank deficient (rank {spaces.rank} of {t.shape[0]}); "
+            f"T^{k} is rank deficient (rank {rank} of {t.shape[0]}); "
             "dense-range upgrade does not apply"
         )
     posinormal.require_member(t, query, DEFAULT_TOL, "T")

@@ -225,12 +225,12 @@ def _claim_thm210_lambda3() -> ClaimRecord:
 def _claim_thm210_block_split() -> ClaimRecord:
     t = fixtures.split_range_matrix()
     decomp = structure.decompose(t, 1, 2)
-    split = (decomp.range_basis.dim, decomp.kernel_basis.dim)
+    split = (decomp.range_basis.shape[1], decomp.kernel_basis.shape[1])
     return ClaimRecord(
         claim_id="ex-thm2.10-block-split",
         location="Example after Theorem 2.10",
         expected="T splits 2+2 (A and C both 2x2)",
-        computed=f"rank(T) = {decomp.range_basis.dim} forces a "
+        computed=f"rank(T) = {split[0]} forces a "
                  f"{split[0]}+{split[1]} split",
         status=_verdict(split == (2, 2)),
     )

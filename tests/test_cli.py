@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posilab import cli, fileio, fixtures
+from posilab import cli, condexp, fileio, fixtures
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SPACE = FIXTURES / "interval_two_block_8.json"
@@ -90,6 +90,9 @@ MALFORMED_MATRICES = [
      "entries"),
     ("truncated", json.dumps(_matrix_doc())[:40], "document"),
     ("not an object", "[1, 2]", "document root"),
+    ("huge dim_cols", json.dumps({"dim_rows": 2, "dim_cols": 10 ** 15,
+                                  "entries": [[[1.0, 0.0]], [[0.0, 1.0]]]}),
+     "entries[0]"),
 ]
 
 MALFORMED_SPACES = [
@@ -150,6 +153,12 @@ def _overflow_cases(tmp_path):
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
     space, partition, _, u = fixtures.interval_example(8)
     heavy.write_text(fileio.dumps_space(space, partition, np.full(8, 1e200), u))
+    # E|w|^2 E|u|^2 and |E(uw)|^6 overflow, the operator and its moments do not
+    square = tmp_path / "square.json"
+    square.write_text(fileio.dumps_space(space, partition, np.full(8, 1e154),
+                                         np.full(8, 1e154)))
+    tall = tmp_path / "tall.json"  # lambda^2 E|w|^2 overflows at lambda = 1e100
+    tall.write_text(fileio.dumps_space(space, partition, np.full(8, 1e100), u))
     identity = FIXTURES / "identity_2.json"
     return [
         ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # T^{k+1}
@@ -164,6 +173,10 @@ def _overflow_cases(tmp_path):
         ["tensor", identity, identity, "--k", 0, "--n", 1,
          "--lambda", 1e160, "--mu", 1e160],
         ["condexp", SPACE, "lemma31", "--power", 1e300],       # (T*T)^m
+        ["condexp", square, "norm"],                           # blockwise norm
+        ["condexp", square, "thm34", "--n", 3],
+        ["condexp", tall, "thm33", "--lambda", 1e100],
+        ["condexp", tall, "thm35", "--lambda", 1e100],
         *(["condexp", heavy, check] for check in CONDEXP_CHECKS),
     ]
 
@@ -224,7 +237,62 @@ def test_fixture_files_are_serialized_operators():
 
 def test_documents_round_trip():
     for path in MATRICES:
-        text = path.read_text()
-        assert fileio.dumps_matrix(fileio.loads_matrix(text)) == text
-    text = SPACE.read_text()
-    assert fileio.dumps_space(*fileio.loads_space(text)) == text
+        assert fileio.dumps_matrix(fileio.load_matrix(path)) == path.read_text()
+    assert fileio.dumps_space(*fileio.load_space(SPACE)) == SPACE.read_text()
+
+
+# Values a 64-bit float round trip must keep: signed zeros, subnormals, the
+# largest magnitudes and values that need all 17 significant digits.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e300, -1e300,
+               0.1, 2.0 / 3.0, -1.2345678901234567e-8)
+LABELS = ("a", "atom 7", "\u03b2", 'q"uote', "back\\slash", "")
+
+
+def _values(rng, count) -> np.ndarray:
+    """Edge values mixed with Gaussian ones at random scales."""
+    picks = rng.choice(EDGE_VALUES, size=count)
+    gauss = rng.standard_normal(count) * 10.0 ** rng.uniform(-20, 20, count)
+    return np.where(rng.random(count) < 0.5, picks, gauss)
+
+
+def _complex(rng, count) -> np.ndarray:
+    z = np.empty(count, dtype=complex)  # re + 1j * im would lose an imaginary -0.0
+    z.real, z.imag = _values(rng, count), _values(rng, count)
+    return z
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
+
+
+def test_random_documents_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(20250810)
+    path = tmp_path / "doc.json"
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+        m = _complex(rng, rows * cols).reshape(rows, cols)
+        path.write_text(fileio.dumps_matrix(m))
+        loaded = fileio.load_matrix(path)
+        assert _bits(loaded) == _bits(m)
+        assert fileio.dumps_matrix(loaded) == path.read_text()
+    for _ in range(60):
+        atoms = int(rng.integers(1, 21))
+        masses = np.abs(_values(rng, atoms))
+        masses[masses == 0.0] = 1.0
+        labels = [str(rng.choice(LABELS)) + str(i) * int(rng.integers(2))
+                  for i in range(atoms)]
+        space = condexp.FiniteMeasureSpace(masses, labels)
+        cuts = sorted(rng.choice(range(1, atoms), size=int(rng.integers(atoms)),
+                                 replace=False)) if atoms > 1 else []
+        blocks = [tuple(int(i) for i in b)
+                  for b in np.split(rng.permutation(atoms), cuts)]
+        partition = condexp.BlockPartition(blocks, atoms)
+        w, u = _complex(rng, atoms), _complex(rng, atoms)
+        path.write_text(fileio.dumps_space(space, partition, w, u))
+        space2, partition2, w2, u2 = fileio.load_space(path)
+        assert _bits(space2.masses) == _bits(masses)
+        assert space2.labels == space.labels
+        assert partition2.blocks == partition.blocks
+        assert _bits(w2) == _bits(w) and _bits(u2) == _bits(u)
+        assert fileio.dumps_space(space2, partition2, w2, u2) == path.read_text()

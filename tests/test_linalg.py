@@ -52,19 +52,19 @@ def test_matpow_rejects():
 # --- hermitian eigensolver ---------------------------------------------------
 
 def test_hermitian_eigen_diagonal():
-    w, _ = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]))
+    w, _ = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]), tol=1e-10)
     np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
 
 
 def test_hermitian_eigen_2x2_characteristic_polynomial():
     # roots of x^2 - 6x + 4: 3 +- sqrt(5)
-    w, _ = linalg.hermitian_eigen(np.array([[1.0, 1.0], [1.0, 5.0]]))
+    w, _ = linalg.hermitian_eigen(np.array([[1.0, 1.0], [1.0, 5.0]]), tol=1e-10)
     np.testing.assert_allclose(w,
                                [3 - np.sqrt(5), 3 + np.sqrt(5)], atol=1e-12)
 
 
 def test_hermitian_eigen_zero():
-    w, _ = linalg.hermitian_eigen(np.zeros((4, 4)))
+    w, _ = linalg.hermitian_eigen(np.zeros((4, 4)), tol=1e-10)
     np.testing.assert_allclose(w, np.zeros(4))
 
 
@@ -73,7 +73,7 @@ def test_hermitian_eigen_invariants(rng):
         dim = int(rng.integers(1, 9))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = (g + g.conj().T) / 2
-        w, v = linalg.hermitian_eigen(h)
+        w, v = linalg.hermitian_eigen(h, tol=1e-10)
         assert linalg.operator_norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
         recon = v @ np.diag(w) @ v.conj().T
         assert (linalg.operator_norm(h - recon)
@@ -83,7 +83,7 @@ def test_hermitian_eigen_invariants(rng):
 
 def test_hermitian_eigen_rejects_asymmetric():
     with pytest.raises(ValidationError, match="asymmetry"):
-        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
 
 
 def test_hermitian_eigen_checks_symmetry_without_svd(rng, monkeypatch):
@@ -94,17 +94,17 @@ def test_hermitian_eigen_checks_symmetry_without_svd(rng, monkeypatch):
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = (g + g.conj().T) / 2
     assert np.array_equal(h, h.conj().T)  # equal to its adjoint bit for bit
-    linalg.hermitian_eigen(h)
-    linalg.hermitian_eigen(g.conj().T @ g)  # rounding-level asymmetry
+    linalg.hermitian_eigen(h, tol=1e-10)
+    linalg.hermitian_eigen(g.conj().T @ g, tol=1e-10)  # rounding-level asymmetry
     assert calls == []
     with pytest.raises(ValidationError, match="asymmetry"):
-        linalg.hermitian_eigen(h + 1e-6 * g)
+        linalg.hermitian_eigen(h + 1e-6 * g, tol=1e-10)
 
 
 # --- PSD test ----------------------------------------------------------------
 
 def test_is_psd_with_kernel():
-    verdict = linalg.is_psd(np.diag([1.0, 0.0]))
+    verdict = linalg.is_psd(np.diag([1.0, 0.0]), tol=1e-10)
     assert verdict.is_psd and verdict.witness is None
 
 
@@ -116,7 +116,7 @@ def test_is_psd_explicit_negative_direction():
 
 def test_is_psd_indefinite_from_negative_diagonal():
     # a negative diagonal entry forces indefiniteness
-    verdict = linalg.is_psd(np.array([[-1.0, -7.0], [-7.0, 103.0]]))
+    verdict = linalg.is_psd(np.array([[-1.0, -7.0], [-7.0, 103.0]]), tol=1e-10)
     assert not verdict.is_psd
     x = verdict.witness
     assert np.vdot(x, np.array([[-1.0, -7.0], [-7.0, 103.0]]) @ x).real < 0
@@ -135,32 +135,35 @@ def test_is_psd_shift_properties(rng):
 
 def test_is_psd_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        linalg.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
 
 
 # --- rank spaces -------------------------------------------------------------
 
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
 def test_rank_spaces_zero_matrix():
-    spaces = linalg.svd_rank_spaces(np.zeros((3, 3)))
-    assert spaces.rank == 0
-    assert spaces.range.dim == 0
-    np.testing.assert_allclose(spaces.cokernel.projector(), np.eye(3))
+    range_basis, cokernel = linalg.svd_rank_spaces(np.zeros((3, 3)), tol=1e-10)
+    assert range_basis.shape == (3, 0)
+    np.testing.assert_allclose(_projector(cokernel), np.eye(3))
 
 
 def test_rank_spaces_identity():
-    spaces = linalg.svd_rank_spaces(np.eye(4))
-    assert spaces.rank == 4
-    assert spaces.cokernel.dim == 0
+    range_basis, cokernel = linalg.svd_rank_spaces(np.eye(4), tol=1e-10)
+    assert range_basis.shape == (4, 4)
+    assert cokernel.shape == (4, 0)
 
 
 def test_rank_spaces_split_range_matrix():
     # column-space oracle: columns of T span {e1, e2, e3}
-    spaces = linalg.svd_rank_spaces(split_range_matrix())
-    assert spaces.rank == 3
-    oracle_proj = np.diag([1.0, 1.0, 1.0, 0.0])
-    np.testing.assert_allclose(spaces.range.projector(), oracle_proj, atol=1e-12)
-    np.testing.assert_allclose(spaces.cokernel.projector(),
-                               np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
+    range_basis, cokernel = linalg.svd_rank_spaces(split_range_matrix(), tol=1e-10)
+    assert range_basis.shape[1] == 3
+    np.testing.assert_allclose(_projector(range_basis), np.diag([1.0, 1.0, 1.0, 0.0]),
+                               atol=1e-12)
+    np.testing.assert_allclose(_projector(cokernel), np.diag([0.0, 0.0, 0.0, 1.0]),
+                               atol=1e-12)
 
 
 def test_rank_nullity_and_kernel_annihilation(rng):
@@ -170,11 +173,11 @@ def test_rank_nullity_and_kernel_annihilation(rng):
         inner = int(rng.integers(1, min(rows, cols) + 1))
         m = ((rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner)))
              @ (rng.standard_normal((inner, cols)) + 1j * rng.standard_normal((inner, cols))))
-        spaces = linalg.svd_rank_spaces(m)
-        assert spaces.rank == spaces.range.dim == inner
-        assert spaces.range.dim + spaces.cokernel.dim == rows
+        range_basis, cokernel = linalg.svd_rank_spaces(m, tol=1e-10)
+        assert range_basis.shape == (rows, inner)
+        assert cokernel.shape == (rows, rows - inner)
         # the cokernel is ker(M*): it annihilates M from the left
-        assert (linalg.operator_norm(spaces.cokernel.basis.conj().T @ m)
+        assert (linalg.operator_norm(cokernel.conj().T @ m)
                 <= 1e-9 * max(1.0, linalg.operator_norm(m)))
 
 

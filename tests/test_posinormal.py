@@ -180,13 +180,13 @@ def test_min_lambda_diagonal_closed_form():
 def test_check_norm_inequality_at_definition_order():
     t = invariant_block_matrix()
     lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
-    assert posinormal.check_norm_inequality(t, 1, 2, lam, m=1)
+    assert posinormal.check_norm_inequality(t, 1, 2, lam, m=1, seed=1729)
 
 
 def test_check_norm_inequality_vanishing_powers():
     t = nilpotent_shift(3)
-    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=4)
-    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=5)
+    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=4, seed=1729)
+    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=5, seed=1729)
 
 
 def test_check_norm_inequality_deterministic_and_validated():
@@ -197,7 +197,7 @@ def test_check_norm_inequality_deterministic_and_validated():
     assert a == b
     for m in (0, True, 2.0):
         with pytest.raises(ValidationError):
-            posinormal.check_norm_inequality(t, 1, 2, lam, m=m)
+            posinormal.check_norm_inequality(t, 1, 2, lam, m=m, seed=7)
 
 
 def test_operator_norm_corollary_identity():

@@ -27,8 +27,8 @@ def test_decompose_split_range_matrix():
     t = split_range_matrix()
     decomp = structure.decompose(t, 1, 2)
     assert not decomp.full_range
-    assert decomp.range_basis.dim == 3
-    assert decomp.kernel_basis.dim == 1
+    assert decomp.range_basis.shape[1] == 3
+    assert decomp.kernel_basis.shape[1] == 1
     assert decomp.residual_lower_left <= 1e-12
     assert decomp.nilpotency_residual <= 1e-12
     # block A keeps the nonzero spectrum; distinct union matches
@@ -44,8 +44,8 @@ def test_decompose_split_range_matrix():
 def test_decompose_fully_nilpotent():
     t = nilpotent_shift(3)
     decomp = structure.decompose(t, 3, 2)
-    assert decomp.range_basis.dim == 0
-    assert decomp.kernel_basis.dim == 3
+    assert decomp.range_basis.shape[1] == 0
+    assert decomp.kernel_basis.shape[1] == 3
     # block C is all of T in the kernel basis; C^3 = 0
     assert decomp.nilpotency_residual <= 1e-12
     assert linalg.operator_norm(decomp.reconstruct() - t) <= 1e-12
@@ -56,8 +56,8 @@ def test_decompose_unitary_degenerate(rng):
     u = haar_unitary(rng, 4)
     decomp = structure.decompose(u, 1, 1)
     assert decomp.full_range
-    assert decomp.kernel_basis.dim == 0
-    q = decomp.range_basis.basis
+    assert decomp.kernel_basis.shape[1] == 0
+    q = decomp.range_basis
     np.testing.assert_allclose(decomp.block_a, q.conj().T @ u @ q, atol=1e-12)
 
 
