@@ -49,7 +49,9 @@ def _as_positive_int(value, where: str) -> int:
 
 def _read(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"document: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"document: invalid JSON ({exc})") from exc
 

@@ -50,9 +50,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# Arithmetic on validated data runs under quiet_overflow; require_finite
-# then reports an overflow as a NumericalFailure, not as a warning.
-quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+def quiet_overflow(fn):
+    """Decorator: ``fn`` runs with numpy's overflow and invalid-value
+    warnings off.  Each decorated function gets its own ``np.errstate``,
+    whose decorator form keeps its state per call, so calls nest and
+    recurse; one instance shared as a ``with`` block could not be entered
+    twice.  Arithmetic on validated data runs this way; require_finite
+    then reports an overflow as a NumericalFailure, not as a warning."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
 def require_finite(m: np.ndarray, what: str) -> np.ndarray:

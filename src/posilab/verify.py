@@ -1,11 +1,22 @@
 """Claim-by-claim verification of the source article.
 
-Each worked example and numbered statement the package models is turned
-into a ClaimRecord: the value the article prints, the value this
-implementation computes, and a status.  Mismatches are findings, never
+Each worked example and numbered statement the package models is one row
+of the claim table: its id, its location in the article, the value the
+article prints, and a ``compute`` function.  ``compute()`` returns
+``(computed, ok)``: the text of what this implementation computes, and
+``ok`` True (the recomputation agrees with the printed claim), False (it
+contradicts it) or None (no sound cross-implication exists, so the text
+is recorded as evidence only).  ``run_claim_suite`` times each compute and
+turns the row into a ClaimRecord.  Mismatches are findings, never
 failures; several of the article's displayed numbers do not survive
 recomputation and the whole point of this harness is to document that
 precisely.
+
+The table is built anew on every ``run_claim_suite`` call, and every
+compute is, or calls, a module-level ``_claim_*`` function looked up at
+that time.  A profiler that replaces ``verify._claim_*`` with timed
+wrappers therefore sees one span per claim; a table built at import would
+hold the unwrapped functions.
 
 Statuses:
   match           recomputation agrees with the printed claim
@@ -69,55 +80,30 @@ def _fmt_block(m: np.ndarray) -> str:
     return "[" + ", ".join(rows) + "]"
 
 
-def _verdict(ok: bool) -> str:
-    return MATCH if ok else MISMATCH
-
-
 def _lam_above(t: np.ndarray, k: int, n: int) -> float:
     """lambda_min at (k, n), raised by 1e-6 relative so T is a member."""
     return posinormal.min_lambda(t, k, n).lambda_min * (1 + 1e-6)
 
 
-def _printed_block_claim(claim_id: str, location: str, expected: str,
-                         label: str, block: np.ndarray,
-                         printed: list) -> ClaimRecord:
+def _block(label: str, block: np.ndarray, printed: list) -> tuple:
     """A printed matrix against the recomputed ``block`` (to 1e-10)."""
     agree = linalg.operator_norm(block - np.array(printed, dtype=complex)) <= 1e-10
-    return ClaimRecord(
-        claim_id=claim_id,
-        location=location,
-        expected=expected,
-        computed=f"{label} {_fmt_block(block.real)}",
-        status=_verdict(agree),
-    )
+    return f"{label} {_fmt_block(block.real)}", agree
 
 
 # ---------------------------------------------------------------------------
 # Section 2 examples
 
 
-def _membership_claim(claim_id: str, location: str, expected: str,
-                      t: np.ndarray, note: str) -> ClaimRecord:
+def _claim_membership(t: np.ndarray, note: str) -> tuple:
     """T is a member at (3, 2, 1) with a vanishing gap."""
     report = posinormal.is_member(t, ClassQuery(3, 2, 1.0))
-    ok = report.holds and report.gap_norm <= 1e-10
-    return ClaimRecord(
-        claim_id=claim_id,
-        location=location,
-        expected=expected,
-        computed=f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)}{note}",
-        status=_verdict(ok),
-    )
+    return (f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)}{note}",
+            report.holds and report.gap_norm <= 1e-10)
 
 
-def _claim_ex22_membership() -> ClaimRecord:
-    return _membership_claim(
-        "ex2.2-membership", "Example 2.2",
-        "3x3 shift is 3-quasi 2-power posinormal at lambda=1",
-        fixtures.nilpotent_shift(3), " (gap vanishes identically)")
-
-
-def _not_2power_claim(claim_id: str, location: str, t: np.ndarray) -> ClaimRecord:
+def _claim_not_2power(t: np.ndarray) -> tuple:
+    """No lambda makes T 2-power posinormal; e1 spans the obstruction."""
     result = posinormal.min_lambda(t, 0, 2)
     rejected = all(
         not posinormal.is_member(t, ClassQuery(0, 2, lam)).holds
@@ -126,211 +112,108 @@ def _not_2power_claim(claim_id: str, location: str, t: np.ndarray) -> ClaimRecor
     e1 = np.zeros(t.shape[0]); e1[0] = 1.0
     overlap = (abs(np.vdot(e1, result.kernel_obstruction))
                if result.kernel_obstruction is not None else 0.0)
-    ok = (not result.feasible) and rejected and overlap > 1 - 1e-8
-    return ClaimRecord(
-        claim_id=claim_id,
-        location=location,
-        expected="not 2-power posinormal for any lambda",
-        computed=f"infeasible={not result.feasible}, rejected up to lambda=1e6, "
-                 f"obstruction overlap with e1 = {_fmt(overlap)}",
-        status=_verdict(ok),
-    )
+    return (f"infeasible={not result.feasible}, rejected up to lambda=1e6, "
+            f"obstruction overlap with e1 = {_fmt(overlap)}",
+            (not result.feasible) and rejected and overlap > 1 - 1e-8)
 
 
-def _claim_ex22_not_2power() -> ClaimRecord:
-    return _not_2power_claim("ex2.2-not-2power", "Example 2.2",
-                             fixtures.nilpotent_shift(3))
-
-
-def _claim_ex23_membership() -> ClaimRecord:
-    return _membership_claim(
-        "ex2.3-membership", "Example 2.3 (dimension-6 section)",
-        "clipped shift is 3-quasi 2-power posinormal at lambda=1",
-        fixtures.clipped_shift(6), "")
-
-
-def _claim_ex23_not_2power() -> ClaimRecord:
-    return _not_2power_claim("ex2.3-not-2power", "Example 2.3 (dimension-6 section)",
-                             fixtures.clipped_shift(6))
-
-
-def _claim_prop26_squared_product() -> ClaimRecord:
+def _claim_prop26_squared_product() -> tuple:
     t2 = linalg.matpow(fixtures.invariant_block_matrix(), 2)
-    return _printed_block_claim(
-        "ex-prop2.6-squared-product", "Example after Proposition 2.6",
-        "T^2 T*^2 upper block = [[5, 10], [10, 20]]", "direct product gives",
-        (t2 @ t2.conj().T)[:2, :2], [[5, 10], [10, 20]])
+    return _block("direct product gives", (t2 @ t2.conj().T)[:2, :2],
+                  [[5, 10], [10, 20]])
 
 
-def _lambda3_claim(claim_id: str, location: str, expected: str,
-                   t: np.ndarray) -> ClaimRecord:
+def _claim_lambda3(t: np.ndarray) -> tuple:
     """T is a member at (1, 2, 3); reports the recomputed lambda_min."""
     report = posinormal.is_member(t, ClassQuery(1, 2, 3.0))
     lam = posinormal.min_lambda(t, 1, 2)
-    return ClaimRecord(
-        claim_id=claim_id,
-        location=location,
-        expected=expected,
-        computed=f"holds={report.holds}, gap min eigenvalue "
-                 f"{_fmt(report.gap_min_eigenvalue)}; recomputed "
-                 f"lambda_min={_fmt(lam.lambda_min)}",
-        status=_verdict(report.holds),
-    )
+    return (f"holds={report.holds}, gap min eigenvalue "
+            f"{_fmt(report.gap_min_eigenvalue)}; recomputed "
+            f"lambda_min={_fmt(lam.lambda_min)}", report.holds)
 
 
-def _claim_prop26_lambda3() -> ClaimRecord:
-    return _lambda3_claim(
-        "ex-prop2.6-lambda3", "Example after Proposition 2.6",
-        "positivity holds for lambda=3 at (k=1, n=2)",
-        fixtures.invariant_block_matrix())
-
-
-def _claim_prop26_restriction_gap() -> ClaimRecord:
+def _claim_prop26_restriction_gap() -> tuple:
     a = np.array([[1, 1], [0, 2]], dtype=complex)
-    return _printed_block_claim(
-        "ex-prop2.6-restriction-gap", "Example after Proposition 2.6",
-        "restriction gap at lambda=3 equals [[8, 8], [8, 25]]", "direct gap is",
-        posinormal.gap_matrix(a, 1, 2, 3.0), [[8, 8], [8, 25]])
+    return _block("direct gap is", posinormal.gap_matrix(a, 1, 2, 3.0),
+                  [[8, 8], [8, 25]])
 
 
-def _claim_prop26_restriction_preserved() -> ClaimRecord:
+def _claim_prop26_restriction_preserved() -> tuple:
     t = fixtures.invariant_block_matrix()
     lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-8)
     basis = np.eye(4, dtype=complex)[:, :2]
     _, report = structure.restrict_to_invariant(t, basis, 1, 2, lam)
-    return ClaimRecord(
-        claim_id="ex-prop2.6-restriction-preserved",
-        location="Proposition 2.6",
-        expected="restriction to the invariant span{e1, e2} stays in the class "
-                 "at the same lambda",
-        computed=f"restriction member at lambda={_fmt(lam)}: {report.holds}",
-        status=_verdict(report.holds),
-    )
+    return f"restriction member at lambda={_fmt(lam)}: {report.holds}", report.holds
 
 
-def _claim_thm210_gap_display() -> ClaimRecord:
+def _claim_thm210_gap_display() -> tuple:
     t = fixtures.split_range_matrix()
-    return _printed_block_claim(
-        "ex-thm2.10-gap-display", "Example after Theorem 2.10",
-        "gap at (1, 2, 3) has upper block [[12, 6], [6, 3]]", "direct gap block is",
-        posinormal.gap_matrix(t, 1, 2, 3.0)[:2, :2], [[12, 6], [6, 3]])
+    return _block("direct gap block is", posinormal.gap_matrix(t, 1, 2, 3.0)[:2, :2],
+                  [[12, 6], [6, 3]])
 
 
-def _claim_thm210_lambda3() -> ClaimRecord:
-    return _lambda3_claim(
-        "ex-thm2.10-lambda3", "Example after Theorem 2.10",
-        "1-quasi 2-power posinormal with lambda=3", fixtures.split_range_matrix())
-
-
-def _claim_thm210_block_split() -> ClaimRecord:
-    t = fixtures.split_range_matrix()
-    decomp = structure.decompose(t, 1, 2)
+def _claim_thm210_block_split() -> tuple:
+    decomp = structure.decompose(fixtures.split_range_matrix(), 1, 2)
     split = (decomp.range_basis.shape[1], decomp.kernel_basis.shape[1])
-    return ClaimRecord(
-        claim_id="ex-thm2.10-block-split",
-        location="Example after Theorem 2.10",
-        expected="T splits 2+2 (A and C both 2x2)",
-        computed=f"rank(T) = {split[0]} forces a "
-                 f"{split[0]}+{split[1]} split",
-        status=_verdict(split == (2, 2)),
-    )
+    return (f"rank(T) = {split[0]} forces a {split[0]}+{split[1]} split",
+            split == (2, 2))
 
 
-def _claim_thm210_spectrum() -> ClaimRecord:
+def _claim_thm210_spectrum() -> tuple:
     t = fixtures.split_range_matrix()
     distinct = linalg.distinct_values(linalg.spectrum(t), tol=1e-8)
-    expected = [0.0, 1.0, 2.0]
     ok = (len(distinct) == 3
-          and linalg.hausdorff_distance(distinct, expected) <= 1e-8)
-    return ClaimRecord(
-        claim_id="ex-thm2.10-spectrum",
-        location="Example after Theorem 2.10",
-        expected="sigma(T) = {0, 1, 2}",
-        computed="distinct eigenvalues " + ", ".join(
-            _fmt(v.real) for v in distinct),
-        status=_verdict(ok),
-    )
+          and linalg.hausdorff_distance(distinct, [0.0, 1.0, 2.0]) <= 1e-8)
+    return ("distinct eigenvalues " + ", ".join(_fmt(v.real) for v in distinct),
+            ok)
 
 
-def _claim_thm210_spectrum_union() -> ClaimRecord:
+def _claim_thm210_spectrum_union() -> tuple:
     t = fixtures.split_range_matrix()
-    decomp = structure.decompose(t, 1, 2)
-    gap = structure.spectrum_union_gap(decomp, t)
-    return ClaimRecord(
-        claim_id="ex-thm2.10-spectrum-union",
-        location="Theorem 2.10",
-        expected="sigma(T) = sigma(A) union {0} (distinct values)",
-        computed=f"Hausdorff distance {_fmt(gap)}",
-        status=_verdict(gap <= 1e-6),
-    )
+    gap = structure.spectrum_union_gap(structure.decompose(t, 1, 2), t)
+    return f"Hausdorff distance {_fmt(gap)}", gap <= 1e-6
 
 
 # ---------------------------------------------------------------------------
 # Section 2 statements
 
 
-def _claim_prop24_vector_inequality(seed: int) -> ClaimRecord:
+def _claim_prop24_vector_inequality(seed: int) -> tuple:
     t = fixtures.split_range_matrix()
     lam = _lam_above(t, 1, 2)
     oks = [
         posinormal.check_norm_inequality(t, 1, 2, lam, m, seed=seed + m)
         for m in (1, 2, 3)
     ]
-    return ClaimRecord(
-        claim_id="prop2.4-vector-inequality",
-        location="Proposition 2.4(i)",
-        expected="||T*^n T^m x|| <= lambda ||T^{m+1} x|| for all m >= k",
-        computed=f"sampled trials pass for m=1,2,3: {oks}",
-        status=_verdict(all(oks)),
-    )
+    return f"sampled trials pass for m=1,2,3: {oks}", all(oks)
 
 
-def _claim_prop24_nilpotency() -> ClaimRecord:
+def _claim_prop24_nilpotency() -> tuple:
     report = posinormal.nilpotency_collapse_check(fixtures.nilpotent_shift(3), 3, 2)
-    ok = report.asserted and report.passes
-    return ClaimRecord(
-        claim_id="prop2.4ii-nilpotency",
-        location="Proposition 2.4(ii)",
-        expected="T^{k+1} = 0 with k >= n forces T^k = 0",
-        computed=f"asserted={report.asserted}, ||T^k||={_fmt(report.norm_t_k)}",
-        status=_verdict(ok),
-    )
+    return (f"asserted={report.asserted}, ||T^k||={_fmt(report.norm_t_k)}",
+            report.asserted and report.passes)
 
 
-def _claim_cor25_operator_norm() -> ClaimRecord:
+def _claim_cor25_operator_norm() -> tuple:
     t = fixtures.split_range_matrix()
     lam = _lam_above(t, 1, 2)
     reports = [posinormal.operator_norm_corollary_check(t, 1, 2, lam, m)
                for m in (1, 2)]
     ok = all(r.holds for r in reports)
     squared = all(r.holds_squared for r in reports)
-    return ClaimRecord(
-        claim_id="cor2.5-operator-norm",
-        location="Corollary 2.5",
-        expected="||T*^n T^m|| <= lambda ||T^{m+1}|| for m >= k "
-                 "(first power; the printed square is evaluated only)",
-        computed=f"first-power holds for m=1,2: {ok}; "
-                 f"printed lambda^2 variant holds: {squared}",
-        status=_verdict(ok),
-    )
+    return (f"first-power holds for m=1,2: {ok}; "
+            f"printed lambda^2 variant holds: {squared}", ok)
 
 
-def _claim_prop27_isometry() -> ClaimRecord:
+def _claim_prop27_isometry() -> tuple:
     t = fixtures.invariant_block_matrix()
     lam = _lam_above(t, 1, 2)
     s = np.diag(np.exp(1j * np.array([0.3, 0.3, -1.1, -1.1])))
     report = structure.isometry_product_check(t, s, 1, 2, lam)
-    return ClaimRecord(
-        claim_id="prop2.7-commuting-isometry",
-        location="Proposition 2.7",
-        expected="TS stays in the class when the isometry S commutes with "
-                 "the member T",
-        computed=f"TS member at lambda={_fmt(lam)}: {report.holds}",
-        status=_verdict(report.holds),
-    )
+    return f"TS member at lambda={_fmt(lam)}: {report.holds}", report.holds
 
 
-def _claim_prop28_unitary(seed: int) -> ClaimRecord:
+def _claim_prop28_unitary(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     t = fixtures.invariant_block_matrix()
     lam = _lam_above(t, 1, 2)
@@ -338,30 +221,18 @@ def _claim_prop28_unitary(seed: int) -> ClaimRecord:
     u, _ = np.linalg.qr(g)
     base = posinormal.is_member(t, ClassQuery(1, 2, lam))
     conj = structure.unitary_conjugate_check(t, u, 1, 2, lam)
-    ok = conj.holds == base.holds and conj.holds
-    return ClaimRecord(
-        claim_id="prop2.8-unitary-equivalence",
-        location="Proposition 2.8",
-        expected="membership is invariant under unitary conjugation",
-        computed=f"T verdict {base.holds}, U*TU verdict {conj.holds}",
-        status=_verdict(ok),
-    )
+    return (f"T verdict {base.holds}, U*TU verdict {conj.holds}",
+            conj.holds == base.holds and conj.holds)
 
 
-def _claim_prop29_dense_range() -> ClaimRecord:
+def _claim_prop29_dense_range() -> tuple:
     t = np.diag([2.0 + 0j, 1.0])
     lam = _lam_above(t, 2, 2)
     report = structure.dense_range_upgrade(t, 2, 2, lam)
-    return ClaimRecord(
-        claim_id="prop2.9-dense-range",
-        location="Proposition 2.9",
-        expected="full-rank T^k upgrades membership to the n-power class",
-        computed=f"k=0 test at lambda={_fmt(lam)}: {report.holds}",
-        status=_verdict(report.holds),
-    )
+    return f"k=0 test at lambda={_fmt(lam)}: {report.holds}", report.holds
 
 
-def _claim_thm211_tensor() -> ClaimRecord:
+def _claim_thm211_tensor() -> tuple:
     shift = fixtures.nilpotent_shift(3)
     nilp = structure.tensor_check(shift, shift, ClassQuery(3, 2, 1.0), 1.0)
     d1 = np.diag([2.0 + 0j, 1.0])
@@ -369,17 +240,11 @@ def _claim_thm211_tensor() -> ClaimRecord:
     lam = _lam_above(d1, 0, 2)
     mu = _lam_above(d2, 0, 2)
     diag = structure.tensor_check(d1, d2, ClassQuery(0, 2, lam), mu)
-    ok = nilp.holds and diag.holds
-    return ClaimRecord(
-        claim_id="thm2.11-tensor-product",
-        location="Theorem 2.11",
-        expected="Kronecker product of members is a member at lambda*mu",
-        computed=f"shift pair holds: {nilp.holds}; diagonal pair holds: {diag.holds}",
-        status=_verdict(ok),
-    )
+    return (f"shift pair holds: {nilp.holds}; diagonal pair holds: {diag.holds}",
+            nilp.holds and diag.holds)
 
 
-def _claim_inclusion_congruence(seed: int) -> ClaimRecord:
+def _claim_inclusion_congruence(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     violations = 0
     cases = 0
@@ -398,30 +263,17 @@ def _claim_inclusion_congruence(seed: int) -> ClaimRecord:
             violations += 1
         if not posinormal.is_member(t, ClassQuery(k, n, lam * 2)).holds:
             violations += 1
-    ok = cases > 0 and violations == 0
-    return ClaimRecord(
-        claim_id="inclusion-chain-congruence",
-        location="Remark after Definition 2.1",
-        expected="members at (k, n, lambda) are members at (k+1, n, lambda) "
-                 "and at any larger lambda",
-        computed=f"{cases} seeded members, {violations} violations",
-        status=_verdict(ok),
-    )
+    return (f"{cases} seeded members, {violations} violations",
+            cases > 0 and violations == 0)
 
 
-def _claim_inclusion_posinormal_npower() -> ClaimRecord:
+def _claim_inclusion_posinormal_npower() -> tuple:
     t = np.diag([2.0 + 0j, 1.0])
     lam1 = posinormal.min_lambda(t, 0, 1).lambda_min
     lam3 = posinormal.min_lambda(t, 0, 3).lambda_min
-    return ClaimRecord(
-        claim_id="inclusion-posinormal-npower",
-        location="Remark after Definition 2.1",
-        expected="posinormal subset n-power posinormal (no lambda stated)",
-        computed="inclusion needs lambda inflation: diag(2,1) has "
-                 f"lambda_min={_fmt(lam1)} at n=1 but {_fmt(lam3)} at n=3; "
-                 "no fixed-lambda congruence exists",
-        status=NOT_ASSERTABLE,
-    )
+    return ("inclusion needs lambda inflation: diag(2,1) has "
+            f"lambda_min={_fmt(lam1)} at n=1 but {_fmt(lam3)} at n=3; "
+            "no fixed-lambda congruence exists", None)
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +294,14 @@ def _random_space(rng: np.random.Generator):
     return space, partition, w, u
 
 
-def _claim_e_properties(seed: int) -> ClaimRecord:
+def _claim_e_properties(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     space, partition, _, _ = _random_space(rng)
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     g = condexp.expand_blockwise(partition, rng.standard_normal(3) + 0j)
     report = condexp.check_E_properties(space, partition, f, g)
     names = [r.name for r in report.results if r.applicable]
-    return ClaimRecord(
-        claim_id="sec1-E-properties",
-        location="Section 1, properties (i)-(v)",
-        expected="module, positivity, modulus, Hoelder and Jensen properties "
-                 "of E hold",
-        computed=f"checked {names}: all_passed={report.all_passed}",
-        status=_verdict(report.all_passed),
-    )
+    return f"checked {names}: all_passed={report.all_passed}", report.all_passed
 
 
 def _interval_operator():
@@ -469,19 +314,13 @@ def _operator_pair(seed: int) -> list:
             condexp.build_operator(*_random_space(np.random.default_rng(seed)))]
 
 
-def _claim_norm_formula(seed: int) -> ClaimRecord:
+def _claim_norm_formula(seed: int) -> tuple:
     reports = [condexp.norm_formula_check(op) for op in _operator_pair(seed)]
-    ok = all(r.passed for r in reports)
-    return ClaimRecord(
-        claim_id="sec1-norm-formula",
-        location="Section 1, norm identity",
-        expected="||T_{w,u}|| = sup over blocks of sqrt(E|w|^2 E|u|^2)",
-        computed="max deviation " + _fmt(max(r.deviation for r in reports)),
-        status=_verdict(ok),
-    )
+    return ("max deviation " + _fmt(max(r.deviation for r in reports)),
+            all(r.passed for r in reports))
 
 
-def _claim_lemma31(seed: int) -> ClaimRecord:
+def _claim_lemma31(seed: int) -> tuple:
     devs = []
     ok = True
     for op in _operator_pair(seed):
@@ -489,32 +328,17 @@ def _claim_lemma31(seed: int) -> ClaimRecord:
             rep = condexp.lemma31_check(op, m)
             devs.append(max(rep.deviation_t_star_t, rep.deviation_t_t_star))
             ok = ok and rep.passed
-    return ClaimRecord(
-        claim_id="lemma3.1-power-identities",
-        location="Lemma 3.1",
-        expected="blockwise closed forms reproduce (T*T)^m and (TT*)^m "
-                 "for m = 1, 2, 3",
-        computed=f"max relative deviation {_fmt(max(devs))}",
-        status=_verdict(ok),
-    )
+    return f"max relative deviation {_fmt(max(devs))}", ok
 
 
-def _claim_polar(seed: int) -> ClaimRecord:
+def _claim_polar(seed: int) -> tuple:
     reports = [condexp.polar_decomposition_check(op) for op in _operator_pair(seed)]
-    ok = all(r.passed for r in reports)
     worst = max(max(r.factor_residual, r.partial_isometry_residual)
                 for r in reports)
-    return ClaimRecord(
-        claim_id="thm3.2-polar-decomposition",
-        location="Theorem 3.2",
-        expected="U |T| = T with |T| PSD and U a partial isometry, "
-                 "via the blockwise closed forms",
-        computed=f"worst residual {_fmt(worst)}",
-        status=_verdict(ok),
-    )
+    return f"worst residual {_fmt(worst)}", all(r.passed for r in reports)
 
 
-def _claim_thm33() -> ClaimRecord:
+def _claim_thm33() -> tuple:
     op = _interval_operator()
     pencil = posinormal.min_lambda(op.matrix, 0, 1)
     if pencil.feasible and pencil.lambda_min and pencil.lambda_min > 0:
@@ -525,62 +349,38 @@ def _claim_thm33() -> ClaimRecord:
     for lam in sweep:
         rep = condexp.thm33_check(op, lam)
         pattern.append((round(lam, 6), rep.blockwise_holds, rep.matrix_holds))
-    return ClaimRecord(
-        claim_id="thm3.3-posinormal-criterion",
-        location="Theorem 3.3(ii)/(iii)",
-        expected="blockwise inequality equivalent to posinormality when the "
-                 "supports of E|u|^2 and E(u) agree",
-        computed="lambda sweep (lambda, blockwise, matrix): "
-                 + "; ".join(str(p) for p in pattern),
-        status=NOT_ASSERTABLE,
-    )
+    return ("lambda sweep (lambda, blockwise, matrix): "
+            + "; ".join(str(p) for p in pattern), None)
 
 
-def _claim_thm34() -> ClaimRecord:
-    op = _interval_operator()
-    rep = condexp.thm34_check(op, 2, 4.0)
-    return ClaimRecord(
-        claim_id="thm3.4-npower-criterion",
-        location="Theorem 3.4(ii)",
-        expected="n-power membership of the matrix implies the blockwise "
-                 "inequality",
-        computed=f"matrix holds={rep.matrix_holds}, blockwise "
-                 f"holds={rep.blockwise_holds}, necessity respected="
-                 f"{rep.necessity_ok}",
-        status=_verdict(rep.necessity_ok),
-    )
+def _claim_thm34() -> tuple:
+    rep = condexp.thm34_check(_interval_operator(), 2, 4.0)
+    return (f"matrix holds={rep.matrix_holds}, blockwise "
+            f"holds={rep.blockwise_holds}, necessity respected="
+            f"{rep.necessity_ok}", rep.necessity_ok)
 
 
-def _claim_ex36_ew2() -> ClaimRecord:
+def _ex36_expectation(moment) -> np.ndarray:
+    """Blockwise E(moment(w, u)), real part, on the 4096-atom interval example."""
     space, partition, w, u = fixtures.interval_example(4096)
-    e_w2 = condexp.block_expectations(space, partition, np.abs(w) ** 2).real
-    ok = abs(e_w2[0] - 4.0) == 0.0 and abs(e_w2[1] - 1.0) == 0.0
-    return ClaimRecord(
-        claim_id="ex3.6-Ew2",
-        location="Example after Theorem 3.5",
-        expected="E|w|^2 = (4, 1)",
-        computed=f"({_fmt(e_w2[0])}, {_fmt(e_w2[1])}) at 4096 atoms (exact)",
-        status=_verdict(ok),
-    )
+    return condexp.block_expectations(space, partition, moment(w, u)).real
 
 
-def _claim_ex36_eu2() -> ClaimRecord:
-    space, partition, w, u = fixtures.interval_example(4096)
-    e_u2 = condexp.block_expectations(space, partition, np.abs(u) ** 2).real
-    ok = max(abs(e_u2[0] - 1 / 12), abs(e_u2[1] - 1 / 12)) <= 1e-6
-    return ClaimRecord(
-        claim_id="ex3.6-Eu2",
-        location="Example after Theorem 3.5",
-        expected="E|u|^2 = (1/12, 1/12)",
-        computed=f"({_fmt(e_u2[0])}, {_fmt(e_u2[1])}) at 4096 atoms "
-                 f"(1/12 = {_fmt(1 / 12)})",
-        status=_verdict(ok),
-    )
+def _claim_ex36_ew2() -> tuple:
+    e_w2 = _ex36_expectation(lambda w, u: np.abs(w) ** 2)
+    return (f"({_fmt(e_w2[0])}, {_fmt(e_w2[1])}) at 4096 atoms (exact)",
+            abs(e_w2[0] - 4.0) == 0.0 and abs(e_w2[1] - 1.0) == 0.0)
 
 
-def _claim_ex36_euw() -> ClaimRecord:
-    space, partition, w, u = fixtures.interval_example(4096)
-    e_uw = condexp.block_expectations(space, partition, u * w).real
+def _claim_ex36_eu2() -> tuple:
+    e_u2 = _ex36_expectation(lambda w, u: np.abs(u) ** 2)
+    return (f"({_fmt(e_u2[0])}, {_fmt(e_u2[1])}) at 4096 atoms "
+            f"(1/12 = {_fmt(1 / 12)})",
+            max(abs(e_u2[0] - 1 / 12), abs(e_u2[1] - 1 / 12)) <= 1e-6)
+
+
+def _claim_ex36_euw() -> tuple:
+    e_uw = _ex36_expectation(lambda w, u: u * w)
     # Independent block integrals: (2 * x on [0, 1/2)) and (1 - x on
     # [1/2, 1]) average to 1/2 and 1/4 respectively.
     oracle = (0.5, 0.25)
@@ -588,52 +388,143 @@ def _claim_ex36_euw() -> ClaimRecord:
                        and abs(e_uw[1] - 0.25) <= 1e-6)
     matches_oracle = (abs(e_uw[0] - oracle[0]) <= 1e-6
                       and abs(e_uw[1] - oracle[1]) <= 1e-6)
-    return ClaimRecord(
-        claim_id="ex3.6-Euw",
-        location="Example after Theorem 3.5",
-        expected="E(uw) = (1/4, 1/4)",
-        computed=f"({_fmt(e_uw[0])}, {_fmt(e_uw[1])}); analytic block "
-                 f"integrals give (1/2, 1/4), agreement with them: "
-                 f"{matches_oracle}",
-        status=MATCH if matches_printed else MISMATCH,
-    )
+    return (f"({_fmt(e_uw[0])}, {_fmt(e_uw[1])}); analytic block "
+            f"integrals give (1/2, 1/4), agreement with them: "
+            f"{matches_oracle}", matches_printed)
 
 
-def _claim_ex36_criterion_arithmetic() -> ClaimRecord:
+def _claim_ex36_criterion_arithmetic() -> tuple:
     lhs = Fraction(1, 4) ** 4
     rhs = Fraction(16) * Fraction(1, 12) ** 3 * Fraction(4)
-    ok = (lhs == Fraction(1, 256) and rhs == Fraction(1, 27) and lhs <= rhs)
-    return ClaimRecord(
-        claim_id="ex3.6-criterion-arithmetic",
-        location="Example after Theorem 3.5",
-        expected="(1/4)^4 = 1/256 <= 16 (1/12)^3 (4) = 1/27",
-        computed=f"lhs = {lhs} = {_fmt(float(lhs))}, rhs = {rhs} = "
-                 f"{_fmt(float(rhs))}, lhs <= rhs: {lhs <= rhs}",
-        status=_verdict(ok),
-    )
+    return (f"lhs = {lhs} = {_fmt(float(lhs))}, rhs = {rhs} = "
+            f"{_fmt(float(rhs))}, lhs <= rhs: {lhs <= rhs}",
+            lhs == Fraction(1, 256) and rhs == Fraction(1, 27) and lhs <= rhs)
 
 
-def _claim_ex36_thm35_verdicts() -> ClaimRecord:
-    op = _interval_operator()
-    rep = condexp.thm35_check(op, 1, 2, 4.0)
-    return ClaimRecord(
-        claim_id="ex3.6-thm35-verdicts",
-        location="Theorem 3.5 and its example",
-        expected="stated criterion, proof-internal display and matrix gap "
-                 "test agree (no direction is proved)",
-        computed=f"stated={rep.stated_holds}, proof_form={rep.proof_form_holds}, "
-                 f"matrix={rep.matrix_holds} at (k=1, n=2, lambda=4), "
-                 f"8 atoms",
-        status=NOT_ASSERTABLE,
-    )
+def _claim_ex36_thm35_verdicts() -> tuple:
+    rep = condexp.thm35_check(_interval_operator(), 1, 2, 4.0)
+    return (f"stated={rep.stated_holds}, proof_form={rep.proof_form_holds}, "
+            f"matrix={rep.matrix_holds} at (k=1, n=2, lambda=4), 8 atoms", None)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
+def _claims(seed: int) -> list:
+    """(claim_id, location, expected, compute) for every claim of the suite."""
+    after26 = "Example after Proposition 2.6"
+    after210 = "Example after Theorem 2.10"
+    remark21 = "Remark after Definition 2.1"
+    ex36 = "Example after Theorem 3.5"
+    return [
+        ("ex2.2-membership", "Example 2.2",
+         "3x3 shift is 3-quasi 2-power posinormal at lambda=1",
+         lambda: _claim_membership(fixtures.nilpotent_shift(3),
+                                   " (gap vanishes identically)")),
+        ("ex2.2-not-2power", "Example 2.2",
+         "not 2-power posinormal for any lambda",
+         lambda: _claim_not_2power(fixtures.nilpotent_shift(3))),
+        ("ex2.3-membership", "Example 2.3 (dimension-6 section)",
+         "clipped shift is 3-quasi 2-power posinormal at lambda=1",
+         lambda: _claim_membership(fixtures.clipped_shift(6), "")),
+        ("ex2.3-not-2power", "Example 2.3 (dimension-6 section)",
+         "not 2-power posinormal for any lambda",
+         lambda: _claim_not_2power(fixtures.clipped_shift(6))),
+        ("ex-prop2.6-squared-product", after26,
+         "T^2 T*^2 upper block = [[5, 10], [10, 20]]",
+         _claim_prop26_squared_product),
+        ("ex-prop2.6-lambda3", after26,
+         "positivity holds for lambda=3 at (k=1, n=2)",
+         lambda: _claim_lambda3(fixtures.invariant_block_matrix())),
+        ("ex-prop2.6-restriction-gap", after26,
+         "restriction gap at lambda=3 equals [[8, 8], [8, 25]]",
+         _claim_prop26_restriction_gap),
+        ("ex-prop2.6-restriction-preserved", "Proposition 2.6",
+         "restriction to the invariant span{e1, e2} stays in the class "
+         "at the same lambda",
+         _claim_prop26_restriction_preserved),
+        ("ex-thm2.10-gap-display", after210,
+         "gap at (1, 2, 3) has upper block [[12, 6], [6, 3]]",
+         _claim_thm210_gap_display),
+        ("ex-thm2.10-lambda3", after210,
+         "1-quasi 2-power posinormal with lambda=3",
+         lambda: _claim_lambda3(fixtures.split_range_matrix())),
+        ("ex-thm2.10-block-split", after210,
+         "T splits 2+2 (A and C both 2x2)",
+         _claim_thm210_block_split),
+        ("ex-thm2.10-spectrum", after210, "sigma(T) = {0, 1, 2}",
+         _claim_thm210_spectrum),
+        ("ex-thm2.10-spectrum-union", "Theorem 2.10",
+         "sigma(T) = sigma(A) union {0} (distinct values)",
+         _claim_thm210_spectrum_union),
+        ("prop2.4-vector-inequality", "Proposition 2.4(i)",
+         "||T*^n T^m x|| <= lambda ||T^{m+1} x|| for all m >= k",
+         lambda: _claim_prop24_vector_inequality(seed)),
+        ("prop2.4ii-nilpotency", "Proposition 2.4(ii)",
+         "T^{k+1} = 0 with k >= n forces T^k = 0",
+         _claim_prop24_nilpotency),
+        ("cor2.5-operator-norm", "Corollary 2.5",
+         "||T*^n T^m|| <= lambda ||T^{m+1}|| for m >= k "
+         "(first power; the printed square is evaluated only)",
+         _claim_cor25_operator_norm),
+        ("prop2.7-commuting-isometry", "Proposition 2.7",
+         "TS stays in the class when the isometry S commutes with "
+         "the member T",
+         _claim_prop27_isometry),
+        ("prop2.8-unitary-equivalence", "Proposition 2.8",
+         "membership is invariant under unitary conjugation",
+         lambda: _claim_prop28_unitary(seed + 1)),
+        ("prop2.9-dense-range", "Proposition 2.9",
+         "full-rank T^k upgrades membership to the n-power class",
+         _claim_prop29_dense_range),
+        ("thm2.11-tensor-product", "Theorem 2.11",
+         "Kronecker product of members is a member at lambda*mu",
+         _claim_thm211_tensor),
+        ("inclusion-chain-congruence", remark21,
+         "members at (k, n, lambda) are members at (k+1, n, lambda) "
+         "and at any larger lambda",
+         lambda: _claim_inclusion_congruence(seed + 2)),
+        ("inclusion-posinormal-npower", remark21,
+         "posinormal subset n-power posinormal (no lambda stated)",
+         _claim_inclusion_posinormal_npower),
+        ("sec1-E-properties", "Section 1, properties (i)-(v)",
+         "module, positivity, modulus, Hoelder and Jensen properties "
+         "of E hold",
+         lambda: _claim_e_properties(seed + 3)),
+        ("sec1-norm-formula", "Section 1, norm identity",
+         "||T_{w,u}|| = sup over blocks of sqrt(E|w|^2 E|u|^2)",
+         lambda: _claim_norm_formula(seed + 4)),
+        ("lemma3.1-power-identities", "Lemma 3.1",
+         "blockwise closed forms reproduce (T*T)^m and (TT*)^m "
+         "for m = 1, 2, 3",
+         lambda: _claim_lemma31(seed + 5)),
+        ("thm3.2-polar-decomposition", "Theorem 3.2",
+         "U |T| = T with |T| PSD and U a partial isometry, "
+         "via the blockwise closed forms",
+         lambda: _claim_polar(seed + 6)),
+        ("thm3.3-posinormal-criterion", "Theorem 3.3(ii)/(iii)",
+         "blockwise inequality equivalent to posinormality when the "
+         "supports of E|u|^2 and E(u) agree",
+         _claim_thm33),
+        ("thm3.4-npower-criterion", "Theorem 3.4(ii)",
+         "n-power membership of the matrix implies the blockwise "
+         "inequality",
+         _claim_thm34),
+        ("ex3.6-Ew2", ex36, "E|w|^2 = (4, 1)", _claim_ex36_ew2),
+        ("ex3.6-Eu2", ex36, "E|u|^2 = (1/12, 1/12)", _claim_ex36_eu2),
+        ("ex3.6-Euw", ex36, "E(uw) = (1/4, 1/4)", _claim_ex36_euw),
+        ("ex3.6-criterion-arithmetic", ex36,
+         "(1/4)^4 = 1/256 <= 16 (1/12)^3 (4) = 1/27",
+         _claim_ex36_criterion_arithmetic),
+        ("ex3.6-thm35-verdicts", "Theorem 3.5 and its example",
+         "stated criterion, proof-internal display and matrix gap "
+         "test agree (no direction is proved)",
+         _claim_ex36_thm35_verdicts),
+    ]
+
+
 def _input_digests() -> dict:
-    digests = {}
     named = {
         "nilpotent-shift-3": fileio.dumps_matrix(fixtures.nilpotent_shift(3)),
         "clipped-shift-6": fileio.dumps_matrix(fixtures.clipped_shift(6)),
@@ -641,9 +532,8 @@ def _input_digests() -> dict:
         "split-range-4": fileio.dumps_matrix(fixtures.split_range_matrix()),
         "interval-example-8": fileio.dumps_space(*fixtures.interval_example(8)),
     }
-    for name, text in named.items():
-        digests[name] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in named.items()}
 
 
 def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
@@ -652,51 +542,18 @@ def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
     The output is identical for identical seeds except for the wall-clock
     timings.  Claims are sorted by id so evaluation order never shows.
     """
-    builders = [
-        _claim_ex22_membership,
-        _claim_ex22_not_2power,
-        _claim_ex23_membership,
-        _claim_ex23_not_2power,
-        _claim_prop26_squared_product,
-        _claim_prop26_lambda3,
-        _claim_prop26_restriction_gap,
-        _claim_prop26_restriction_preserved,
-        _claim_thm210_gap_display,
-        _claim_thm210_lambda3,
-        _claim_thm210_block_split,
-        _claim_thm210_spectrum,
-        _claim_thm210_spectrum_union,
-        lambda: _claim_prop24_vector_inequality(seed),
-        _claim_prop24_nilpotency,
-        _claim_cor25_operator_norm,
-        _claim_prop27_isometry,
-        lambda: _claim_prop28_unitary(seed + 1),
-        _claim_prop29_dense_range,
-        _claim_thm211_tensor,
-        lambda: _claim_inclusion_congruence(seed + 2),
-        _claim_inclusion_posinormal_npower,
-        lambda: _claim_e_properties(seed + 3),
-        lambda: _claim_norm_formula(seed + 4),
-        lambda: _claim_lemma31(seed + 5),
-        lambda: _claim_polar(seed + 6),
-        _claim_thm33,
-        _claim_thm34,
-        _claim_ex36_ew2,
-        _claim_ex36_eu2,
-        _claim_ex36_euw,
-        _claim_ex36_criterion_arithmetic,
-        _claim_ex36_thm35_verdicts,
-    ]
-    claims = []
-    timings = {}
-    for build in builders:
-        start = time.perf_counter()
-        record = build()
-        timings[record.claim_id] = time.perf_counter() - start
-        claims.append(record)
-    ids = [c.claim_id for c in claims]
+    rows = _claims(seed)
+    ids = [row[0] for row in rows]
     if len(set(ids)) != len(ids):
         raise RuntimeError("duplicate claim ids in the suite")
+    claims = []
+    timings = {}
+    for claim_id, location, expected, compute in rows:
+        start = time.perf_counter()
+        computed, ok = compute()
+        timings[claim_id] = time.perf_counter() - start
+        status = NOT_ASSERTABLE if ok is None else MATCH if ok else MISMATCH
+        claims.append(ClaimRecord(claim_id, location, expected, computed, status))
     claims.sort(key=lambda c: c.claim_id)
     return RunReport(
         tool_version=__version__,
@@ -707,8 +564,8 @@ def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
     )
 
 
-def report_to_document(report: RunReport) -> dict:
-    return {
+def dumps_report(report: RunReport) -> str:
+    doc = {
         "tool": "posilab",
         "version": report.tool_version,
         "seed": report.seed,
@@ -726,7 +583,4 @@ def report_to_document(report: RunReport) -> dict:
             for c in report.claims
         ],
     }
-
-
-def dumps_report(report: RunReport) -> str:
-    return json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -137,6 +137,15 @@ def test_malformed_space_exits_one_naming_the_field(text, field, tmp_path, capsy
     assert err.startswith(f"error: {field}"), err
 
 
+def test_document_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert run(["check", path, "--k", 1, "--n", 1, "--lambda", 1]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: document:"), err
+
+
 @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "0"])
 def test_bad_power_exits_one_naming_it(power, capsys):
     assert run(["condexp", SPACE, "lemma31", f"--power={power}"]) == 1

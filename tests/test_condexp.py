@@ -105,3 +105,94 @@ def test_interval_example_validates_its_size():
     space, partition, w, u = fixtures.interval_example(np.int64(4))
     assert partition.blocks == ((0, 1), (2, 3))
     np.testing.assert_allclose(u.real, [0.125, 0.375, 0.375, 0.125])
+
+
+def _criterion_cases():
+    """Seeded operators, their oracle matrix, and per block the oracle's
+    moments (E|w|^2, E|u|^2, E(w), E(u), E(uw)).  In some, u or w vanishes
+    on a whole block; in one, u is conj(w) times a positive blockwise
+    constant, which makes T positive, so posinormal exactly for lambda >= 1."""
+    rng = np.random.default_rng(33)
+    for atoms, blocks, kind in ((7, 3, None), (12, 4, "u"), (16, 5, "w"),
+                                (9, 3, "u"), (10, 4, "positive")):
+        masses, parts, w, u = random_space(rng, atoms, blocks, kind == "u")
+        if kind == "w":
+            w[list(parts[1])] = 0.0
+        if kind == "positive":
+            for block in parts:
+                u[list(block)] = np.conj(w[list(block)]) * rng.uniform(0.5, 2.0)
+        op = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                    condexp.BlockPartition(parts, atoms), w, u)
+        first = [block[0] for block in parts]
+        ew2, eu2, ew, eu, euw = (
+            oracles.conditional_expectation_oracle(masses, parts, f)[first]
+            for f in (np.abs(w) ** 2, np.abs(u) ** 2, w, u, u * w))
+        moments = list(zip(ew2.real, eu2.real, ew, eu, euw))
+        yield op, oracles.weighted_operator_matrix_oracle(masses, parts, w, u), moments
+
+
+def _assert_margins(margins, sides):
+    """margins equal big - small for the (big, small) of each block."""
+    big, small = np.array(sides).T
+    scale = max(1.0, float(np.max(np.abs(sides))))
+    np.testing.assert_allclose(margins, big - small, rtol=1e-10, atol=1e-12 * scale)
+
+
+LAMBDAS = (0.25, 0.5, 2.0, 4.0, 16.0)
+
+
+def test_thm33_criterion_matches_oracles():
+    for op, matrix, moments in _criterion_cases():
+        for lam in LAMBDAS:
+            report = condexp.thm33_check(op, lam)
+            assert report.matrix_holds == oracles.member_oracle(matrix, 0, 1, lam)
+            _assert_margins(report.block_margins, [
+                (lam ** 2 * ew2 * abs(eu) ** 2, eu2 * abs(ew) ** 2)
+                for ew2, eu2, ew, eu, _ in moments])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_thm34_criterion_matches_oracles(n):
+    for op, matrix, moments in _criterion_cases():
+        for lam in LAMBDAS:
+            report = condexp.thm34_check(op, n, lam)
+            assert report.matrix_holds == oracles.member_oracle(matrix, 0, n, lam)
+            _assert_margins(report.block_margins, [
+                (lam ** 2 * ew2 * abs(eu) ** 2,
+                 abs(euw) ** (2 * n) * (eu2 / ew2 ** n if ew2 > 0 else 0.0)
+                 * abs(ew) ** 2)
+                for ew2, eu2, ew, eu, euw in moments])
+
+
+@pytest.mark.parametrize("k, n", [(0, 1), (1, 2), (2, 1), (1, 3)])
+def test_thm35_criterion_matches_oracles(k, n):
+    for op, matrix, moments in _criterion_cases():
+        for lam in LAMBDAS:
+            report = condexp.thm35_check(op, k, n, lam)
+            assert report.matrix_holds == oracles.member_oracle(matrix, k, n, lam)
+            _assert_margins(report.stated_margins, [
+                (lam ** 2 * eu2 ** (2 * n - 1)
+                 * (ew2 ** (2 * k * n - 1) if ew2 > 0 else 0.0),
+                 abs(euw) ** (2 * k + 2))
+                for ew2, eu2, ew, eu, euw in moments])
+            _assert_margins(report.proof_margins, [
+                (lam ** 2 * eu2 * ew2 ** (2 * k) * abs(eu) ** 2,
+                 abs(euw) ** (2 * k + n - 1)
+                 * (np.sqrt(eu2 / ew2 ** (n - 1)) if ew2 > 0 else 0.0)
+                 * abs(ew) ** 2)
+                for ew2, eu2, ew, eu, euw in moments])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "thm34_check's right side |E(uw)|^{2n} E|u|^2 / (E|w|^2)^n |E w|^2 is not "
+    "implied by membership: on the positive T of _criterion_cases, posinormal "
+    "at lambda >= 1, it fails at n = 1 for lambda = 2; plugging block "
+    "indicators into the definition gives |E(uw)|^{2(n-1)} E|u|^2 |E w|^2"))
+def test_thm34_necessity_holds():
+    """Membership of the matrix implies the blockwise inequality."""
+    failures = [(op.space.atom_count, n, lam)
+                for op, _, _ in _criterion_cases()
+                for n in (1, 2, 3)
+                for lam in LAMBDAS
+                if not condexp.thm34_check(op, n, lam).necessity_ok]
+    assert failures == []

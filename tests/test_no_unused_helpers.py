@@ -1,6 +1,6 @@
-"""Every public module-level function and class of posilab has a caller,
-every public method and property of its classes is read, and the number
-of defaulted parameters does not grow.
+"""Every module-level function and class of posilab, private ones too,
+has a caller, every public method and property of its classes is read,
+and the number of defaulted parameters does not grow.
 
 A definition counts as used when some other top-level statement refers to
 it: inside its own module by name, elsewhere through ``from .module import
@@ -68,14 +68,13 @@ def _references(path: Path) -> set:
     return used
 
 
-def test_every_public_helper_has_a_caller():
+def test_every_helper_has_a_caller():
     used = set().union(*(_references(path) for path in CALLERS))
-    public = {(path.stem, node.name)
-              for path in SOURCES
-              for node in ast.parse(path.read_text()).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    assert sorted(public - used) == []
+    defined = {(path.stem, node.name)
+               for path in SOURCES
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - used) == []
 
 
 def test_every_public_method_and_property_is_read():

@@ -1,0 +1,40 @@
+"""The claim table of verify: how a compute's (text, ok) becomes a
+ClaimRecord, and the guard against duplicated claim ids."""
+
+import pytest
+
+from posilab import verify
+
+SEED = verify.DEFAULT_SEED
+TARGET = "prop2.4ii-nilpotency"
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return verify.run_claim_suite(SEED)
+
+
+@pytest.mark.parametrize("ok, status", [(True, verify.MATCH),
+                                        (False, verify.MISMATCH),
+                                        (None, verify.NOT_ASSERTABLE)])
+def test_ok_sets_the_status_of_that_claim_only(ok, status, baseline, monkeypatch):
+    monkeypatch.setattr(verify, "_claim_prop24_nilpotency", lambda: ("patched", ok))
+    report = verify.run_claim_suite(SEED)
+    before = {c.claim_id: c for c in baseline.claims}
+    after = {c.claim_id: c for c in report.claims}
+    assert after.keys() == before.keys()
+    assert after[TARGET].computed == "patched"
+    assert after[TARGET].status == status
+    assert ({i: c for i, c in after.items() if i != TARGET}
+            == {i: c for i, c in before.items() if i != TARGET})
+    counts = dict(baseline.counts)
+    counts[before[TARGET].status] -= 1
+    counts[status] += 1
+    assert report.counts == counts
+
+
+def test_duplicated_row_is_refused(monkeypatch):
+    claims = verify._claims
+    monkeypatch.setattr(verify, "_claims", lambda seed: claims(seed) + claims(seed)[:1])
+    with pytest.raises(RuntimeError, match="duplicate claim ids"):
+        verify.run_claim_suite(SEED)
