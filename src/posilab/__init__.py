@@ -54,7 +54,6 @@ from .condexp import (
     block_expectations,
     check_E_properties,
     conditional_expectation,
-    conditional_projector,
     lemma31_check,
     norm_formula_check,
     polar_decomposition_check,

@@ -5,15 +5,22 @@ A space is a finite list of atoms with positive masses; a sub-sigma-algebra
 is a partition of the atoms into blocks.  The conditional expectation E
 averages over each block with the masses as weights, which makes it the
 orthogonal projection of L2 onto the blockwise-constant functions.  The
-operator under study sends f to w * E(u f) for weight functions w, u; its
-matrix is materialized in the orthonormal atom basis e_i / sqrt(mass_i),
-so adjoints downstream are plain conjugate transposes.
+operator under study sends f to w * E(u f) for weight functions w, u.
+In the orthonormal atom basis e_i / sqrt(mass_i), E = V V* with V the
+unit block indicators, so T = W V V* U is one rank-one piece per block
+(Herron, "Weighted conditional expectation operators", Oper. Matrices 5,
+2011).  S = span[WV | U*V], of dimension r <= min(N, 2B), reduces T and
+T vanishes off S, so T is unitarily T_c (+) 0 with T_c its r x r
+compression (see WeightedConditionalOperator).  The Lemma 3.1 sides and
+the polar factors map S into S too, and the norms, spectra and class
+memberships the checks report are the same for X_c (+) 0 as for X_c, so
+every check runs on r x r matrices and none on N x N ones.
 
 The *_check functions re-derive the blockwise formulas for powers, norm,
 polar factors and class criteria of that operator and compare them with
-direct matrix computation.  Checks are reporting-first: each returns the
-measured evidence, and only implications with an actual proof behind them
-are asserted by callers.
+direct matrix computation on the compression.  Checks are
+reporting-first: each returns the measured evidence, and only
+implications with an actual proof behind them are asserted by callers.
 """
 
 import numbers
@@ -157,25 +164,6 @@ def conditional_expectation(space: FiniteMeasureSpace,
     return expand_blockwise(partition, block_expectations(space, partition, f))
 
 
-def conditional_projector(space: FiniteMeasureSpace,
-                          partition: BlockPartition) -> np.ndarray:
-    """Matrix of E in the orthonormal basis e_i / sqrt(mass_i).
-
-    Hermitian and idempotent: the orthogonal projector onto blockwise
-    constants.
-    """
-    _check_compatible(space, partition)
-    n = space.atom_count
-    p = np.zeros((n, n), dtype=complex)
-    root = np.sqrt(space.masses)
-    for block in partition.blocks:
-        idx = list(block)
-        mass = space.masses[idx].sum()
-        col = root[idx]
-        p[np.ix_(idx, idx)] = np.outer(col, col) / mass
-    return p
-
-
 def support_mask(values) -> np.ndarray:
     """Entries counted as nonzero: |v| > SUPPORT_RTOL * max|v|."""
     v = np.abs(np.asarray(values, dtype=complex))
@@ -280,18 +268,21 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
 
 @dataclass(frozen=True)
 class WeightedConditionalOperator:
-    """The operator f -> w * E(u f) with its matrix representation.
+    """T: f -> w * E(u f), kept as its compression to a reducing subspace.
 
-    The matrix lives in the orthonormal basis e_i / sqrt(mass_i) and
-    equals diag(w) P diag(u) with P the projector onto blockwise
-    constants.
+    T = W V V* U in the atom basis, V = ``indicators`` (N x B): one
+    rank-one piece per block.  ``basis`` Q (N x r) has orthonormal columns
+    whose range contains span[WV | U*V]; ``compressed`` is T_c = Q* T Q.
+    So T = Q T_c Q*: unitarily T_c (+) 0.
     """
 
     space: FiniteMeasureSpace
     partition: BlockPartition
     w: np.ndarray
     u: np.ndarray
-    matrix: np.ndarray
+    indicators: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    compressed: np.ndarray
 
     # blockwise expectations used by every criterion; precomputed once
     e_w2: np.ndarray = field(repr=False)
@@ -304,20 +295,27 @@ class WeightedConditionalOperator:
 @linalg.quiet_overflow
 def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
                    w, u) -> WeightedConditionalOperator:
-    """Materialize f -> w E(u f) as a matrix on the orthonormal atom basis;
-    NumericalFailure when the matrix or a blockwise expectation overflows."""
+    """Compress f -> w E(u f) to its reducing subspace span[WV | U*V];
+    NumericalFailure when T_c or a blockwise expectation overflows."""
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
+    v = np.zeros((space.atom_count, partition.block_count))
+    for bi, block in enumerate(partition.blocks):
+        idx = list(block)
+        v[idx, bi] = np.sqrt(space.masses[idx] / space.masses[idx].sum())
+    # Householder QR is backward stable column by column, so each column
+    # keeps its own scale; a range larger than S still reduces T.
+    q = np.linalg.qr(np.hstack([w[:, None] * v, np.conj(u)[:, None] * v]))[0]
 
     def mean(f, what: str) -> np.ndarray:
         f = np.asarray(f, dtype=complex)  # as_function's dtype: same rounding
         return linalg.require_finite(_block_means(space, partition, f), what)
 
     return WeightedConditionalOperator(
-        space=space, partition=partition, w=w, u=u,
-        matrix=linalg.require_finite(
-            _weighted_conditional_matrix(space, partition, w, u), "T = M_w E M_u"),
+        space=space, partition=partition, w=w, u=u, indicators=v, basis=q,
+        compressed=linalg.require_finite(
+            _weighted_conditional_matrix(v, q, w, u), "T = M_w E M_u"),
         e_w2=mean(np.abs(w) ** 2, "E|w|^2").real,
         e_u2=mean(np.abs(u) ** 2, "E|u|^2").real,
         e_w=mean(w, "E(w)"),
@@ -326,12 +324,10 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     )
 
 
-def _weighted_conditional_matrix(space, partition, left, right) -> np.ndarray:
-    """Matrix of f -> left * E(right f) in the orthonormal basis."""
-    p = conditional_projector(space, partition)
-    left = np.asarray(left, dtype=complex)
-    right = np.asarray(right, dtype=complex)
-    return (left[:, None] * p) * right[None, :]
+def _weighted_conditional_matrix(v, q, left, right) -> np.ndarray:
+    """Q* M_left V V* M_right Q: f -> left * E(right f) compressed to the
+    range of Q, never formed at N x N."""
+    return (q.conj().T @ (left[:, None] * v)) @ (v.T @ (right[:, None] * q))
 
 
 @dataclass(frozen=True)
@@ -346,7 +342,7 @@ class NormFormulaReport:
 def norm_formula_check(op: WeightedConditionalOperator,
                        tol: float = DEFAULT_TOL) -> NormFormulaReport:
     """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2)."""
-    matrix_norm = linalg.operator_norm(op.matrix)
+    matrix_norm = linalg.operator_norm(op.compressed)
     blockwise = float(linalg.require_finite(np.sqrt(np.max(op.e_w2 * op.e_u2)),
                                             "blockwise norm"))
     dev = abs(matrix_norm - blockwise)
@@ -362,7 +358,7 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     """H^m for Hermitian PSD H; integer m by repeated product, real m > 0
     through the eigendecomposition, where an eigenvalue <= DEFAULT_TOL times
     the largest counts as 0 (the chi convention: rounding is not powered)."""
-    if isinstance(m, numbers.Integral):
+    if linalg.is_integer(m):
         return np.linalg.matrix_power(h, int(m))
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w[-1])
@@ -396,19 +392,21 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     expectations follow the chi convention: off the support everything is
     0, so negative powers of vanishing blocks never occur.
     """
-    if not isinstance(m, numbers.Real) or not np.isfinite(m) or m <= 0:
+    if (isinstance(m, bool) or not isinstance(m, numbers.Real)
+            or not np.isfinite(m) or m <= 0):
         raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
     eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
 
     def deviation(x, ex, chi_x, ey, gram) -> float:
         """(gram)^m against M_{x (ex)^{m-1} chi_x (ey)^m} E M_conj(x)."""
         left = x * _masked_pow(ex, float(m) - 1.0, chi_x) * ey ** float(m)
-        rhs = _weighted_conditional_matrix(op.space, op.partition, left, np.conj(x))
+        rhs = _weighted_conditional_matrix(op.indicators, op.basis, left,
+                                           np.conj(x))
         lhs = _hermitian_power(gram, m)
         diff = linalg.require_finite(lhs - rhs, "Lemma 3.1 power")
         return linalg.operator_norm(diff) / max(1.0, linalg.operator_norm(lhs))
 
-    t = op.matrix
+    t = op.compressed
     dev1 = deviation(np.conj(op.u), eu2, chi_s, ew2, t.conj().T @ t)
     dev2 = deviation(op.w, ew2, chi_g, eu2, t @ t.conj().T)
     return PowerIdentityReport(
@@ -439,24 +437,21 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     Checks: U |T| reassembles T; |T| is PSD and squares to T*T; U*U is the
     orthogonal projector onto the range of |T| (U is a partial isometry).
     """
-    space, partition = op.space, op.partition
+    v, q, t = op.indicators, op.basis, op.compressed
     eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
 
     modulus_weight = np.sqrt(_masked_ratio(ew2, eu2, chi_s).real)
     modulus = _weighted_conditional_matrix(
-        space, partition, modulus_weight * np.conj(op.u), op.u
-    )
+        v, q, modulus_weight * np.conj(op.u), op.u)
     iso_weight = np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g).real)
-    partial_iso = _weighted_conditional_matrix(
-        space, partition, iso_weight * op.w, op.u
-    )
+    partial_iso = _weighted_conditional_matrix(v, q, iso_weight * op.w, op.u)
 
     def residual(x, y, what: str) -> float:
         return linalg.operator_norm(linalg.require_finite(x - y, what))
 
-    t_norm = linalg.operator_norm(op.matrix)
-    factor_residual = residual(partial_iso @ modulus, op.matrix, "U |T|")
-    sq_residual = residual(modulus @ modulus, op.matrix.conj().T @ op.matrix, "|T|^2")
+    t_norm = linalg.operator_norm(t)
+    factor_residual = residual(partial_iso @ modulus, t, "U |T|")
+    sq_residual = residual(modulus @ modulus, t.conj().T @ t, "|T|^2")
     psd = linalg.is_psd(modulus, tol=max(tol, 1e-10))
     range_basis, _ = linalg.svd_rank_spaces(modulus, 1e-10)
     range_proj = range_basis @ range_basis.conj().T
@@ -518,7 +513,7 @@ def thm33_check(op: WeightedConditionalOperator, lam: float,
     blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
                                     op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol,
                                     "Theorem 3.3")
-    matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
     return PosinormalCriterionReport(
         lam=query.lam,
         supports_match=supports_match,
@@ -558,7 +553,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
          * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
         np.ones_like(chi_g), tol, "Theorem 3.4")
-    matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
     return NPowerCriterionReport(
         n=n,
         lam=query.lam,
@@ -576,7 +571,7 @@ class QuasiCriterionReport:
     ``stated_holds``: |E(uw)|^{2k+2} <= lam^2 (E|u|^2)^{2n-1} (E|w|^2)^{2kn-1}
     ``proof_form_holds``: the inequality actually displayed inside the
     source derivation, with exponent 2k+n-1 and a square-root factor
-    ``matrix_holds``: the direct gap test on the materialized matrix
+    ``matrix_holds``: the direct gap test on the compression T_c
 
     Disagreements between the three are findings, not failures.
     """
@@ -621,7 +616,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
          * chi_g * np.abs(op.e_w) ** 2),
         every, tol, "Theorem 3.5 proof form")
 
-    matrix_holds = posinormal.is_member(op.matrix, query, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
     return QuasiCriterionReport(
         k=k, n=n, lam=query.lam,
         stated_holds=stated,

@@ -6,8 +6,10 @@ behind validated interfaces.  A tolerance that callers set is a
 parameter; a fixed one is a named module constant, never a literal
 inside an algorithm.
 
-Target dimensions are small (tens, at most ~256), so robustness is
-preferred over speed throughout.
+Target dimensions are small (tens, up to the low hundreds; a weighted
+conditional operator arrives compressed to at most twice its block count,
+whatever its atom count), so robustness is preferred over speed
+throughout.
 """
 
 from dataclasses import dataclass

@@ -340,7 +340,7 @@ def _claim_polar(seed: int) -> tuple:
 
 def _claim_thm33() -> tuple:
     op = _interval_operator()
-    pencil = posinormal.min_lambda(op.matrix, 0, 1)
+    pencil = posinormal.min_lambda(op.compressed, 0, 1)
     if pencil.feasible and pencil.lambda_min and pencil.lambda_min > 0:
         sweep = [pencil.lambda_min * f for f in (0.5, 1.0 + 1e-8, 2.0)]
     else:
