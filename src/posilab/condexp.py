@@ -452,8 +452,8 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     t_norm = linalg.operator_norm(t)
     factor_residual = residual(partial_iso @ modulus, t, "U |T|")
     sq_residual = residual(modulus @ modulus, t.conj().T @ t, "|T|^2")
-    psd = linalg.is_psd(modulus, tol=max(tol, 1e-10))
-    range_basis, _ = linalg.svd_rank_spaces(modulus, 1e-10)
+    psd = linalg.is_psd(modulus, tol=max(tol, DEFAULT_TOL))
+    range_basis, _ = linalg.svd_rank_spaces(modulus, DEFAULT_TOL)
     range_proj = range_basis @ range_basis.conj().T
     iso_residual = residual(partial_iso.conj().T @ partial_iso, range_proj, "U*U")
     scale = max(1.0, t_norm)

@@ -13,9 +13,14 @@ Every query runs on one pencil: with C = T^{k+1} and D = T*^n T^k the
 gap is also lambda^2 C*C - D*D, and the minimal lambda is the root of the
 top eigenvalue of the pencil (D*D, C*C), found by ``min_lambda`` without
 search.  Each call forms T^k and T^n once; the grid forms each power once
-for all its cells.  Every norm check is settled with bounds first (the
-largest column norm and the Frobenius norm bracket the spectral norm); an
-SVD runs only when they cannot decide, so every verdict is the SVD's.
+for all its cells and eigendecomposes A = C*C once per k.
+
+From dim 32 up a verdict reads the gap's eigenvalues only, and an
+eigenvector is computed for a witness, when the verdict fails; below, one
+eigh, which costs less there, gives both.  Every norm threshold is settled
+with bounds first (the largest column norm and the Frobenius norm bracket
+the spectral norm): an SVD runs only when they straddle it, so every
+verdict is the one the exact norm gives.
 """
 
 from collections import namedtuple
@@ -36,6 +41,9 @@ _SHIFTED_TOL = 1e-9
 
 # Agreement required between the two algebraic forms of the gap matrix.
 _FORM_AGREEMENT_TOL = 1e-10
+
+# Asymmetry that min_lambda tolerates in A = C*C before eigendecomposing it.
+_GRAM_ASYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,9 @@ class ClassQuery:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Outcome of one membership query."""
+    """Outcome of one membership query: the gap's smallest eigenvalue and
+    norm, and a witness when the query fails; from dim 32 up the witness
+    is the only eigenvector computed (see linalg.hermitian_eigvals)."""
 
     holds: bool
     gap_min_eigenvalue: float
@@ -111,7 +121,8 @@ def _check_forms_agree(gap, gram) -> None:
 @linalg.quiet_overflow
 def _checked_gap(p: _Pencil, lam: float):
     """The symmetrized gap at lam, from the definition form checked against
-    the Gram form, and the norm_bounds of s = ||D*D||_2 = ||D||^2."""
+    the Gram form, and B = D*D, whose norm ||B||_2 = ||D||^2 scales the
+    PSD threshold."""
     lam2 = float(lam) ** 2
     gap = (p.tk.conj().T @ (lam2 * (p.t.conj().T @ p.t) - p.tn @ p.tn.conj().T)
            @ p.tk)
@@ -119,7 +130,7 @@ def _checked_gap(p: _Pencil, lam: float):
     _check_forms_agree(gap, lam2 * (p.c.conj().T @ p.c) - b)
     # Symmetrize away rounding-level asymmetry; both forms are Hermitian
     # in exact arithmetic.
-    return (gap + gap.conj().T) / 2.0, linalg.norm_bounds(b)
+    return (gap + gap.conj().T) / 2.0, b
 
 
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
@@ -134,29 +145,30 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
 def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
     """Membership of the pencil's gap at lam: PSD when the smallest
     eigenvalue lo >= -tol * max(1, s), s = ||D||^2.  The exact s, an SVD of
-    D, runs only when lo falls between the thresholds that the bounds on s
-    give."""
-    gap, s_bounds = _checked_gap(p, lam)
+    D, runs only when the bounds on ||D*D||_2 straddle the threshold."""
+    gap, b = _checked_gap(p, lam)
     # Equal to its adjoint bit for bit: no asymmetry check or copy needed.
-    w, v = np.linalg.eigh(gap)
+    w, witness = linalg.hermitian_eigvals(gap)
     lo = float(w[0])
-    strict, loose = (-tol * max(1.0, s) for s in s_bounds)
-    if loose <= lo < strict:  # the bounds cannot decide
-        holds = lo >= -tol * max(1.0, linalg.operator_norm(p.d) ** 2)
-    else:
-        holds = lo >= strict
-    witness = None if holds else v[:, 0].copy()
-    return ClassReport(holds, lo, float(np.max(np.abs(w))), witness)
+    holds = linalg.at_most_scaled(-lo, tol, b, lambda: linalg.operator_norm(p.d) ** 2)
+    return ClassReport(holds, lo, float(np.max(np.abs(w))),
+                       None if holds else witness())
 
 
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
-    """Decide membership at ``query``; carries eigendata and a witness.
+    """Decide membership at ``query``; carries the gap's smallest eigenvalue
+    and norm, and a witness when it fails.
 
     The PSD threshold is -tol * max(1, s) with s = ||D||^2, the norm of
     the subtracted Gram term (T*^n T^k)*(T*^n T^k).  Unlike the full gap
     norm s does not grow with lambda, so a fixed negative direction stays
     detected for arbitrarily large lambda, and verdicts stay monotone in
     lambda and covariant under scaling of T.
+
+    An SVD of D runs only when the bounds on s cannot decide.  From dim
+    32 up a holding verdict computes eigenvalues only, and a failing one
+    adds the witness: two solves of inverse iteration, or an eigh when they
+    do not converge.  Below dim 32 one eigh gives eigenvalues and witness.
     """
     return _verdict(_pencil(t, query.k, query.n), query.lam, tol)
 
@@ -180,25 +192,34 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
         lambda_min = sqrt( max eigenvalue of R* B R ),
 
     where R maps onto A's positive eigenspace and scales it to identity.
+    ||B||_2 (an SVD) is computed only when its bounds cannot settle the
+    kernel test.
     """
-    return _min_lambda(_pencil(t, k, n), tol)
+    p = _pencil(t, k, n)
+    return _min_lambda(_gram_eigen(p.c), p.d, tol)
 
 
 @linalg.quiet_overflow
-def _min_lambda(p: _Pencil, tol: float) -> LambdaResult:
-    a = linalg.require_finite(p.c.conj().T @ p.c, "(T^{k+1})*T^{k+1}")
-    b = linalg.require_finite(p.d.conj().T @ p.d, "(T*^n T^k)*T*^n T^k")
-    w, v = linalg.hermitian_eigen(a, tol=1e-8)
-    a_max = float(w[-1]) if w.size else 0.0
+def _gram_eigen(c) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w ascending, V) of A = C*C, C = T^{k+1}."""
+    a = linalg.require_finite(c.conj().T @ c, "(T^{k+1})*T^{k+1}")
+    return linalg.hermitian_eigen(a, _GRAM_ASYMMETRY_TOL)
+
+
+@linalg.quiet_overflow
+def _min_lambda(a_eigen, d, tol: float) -> LambdaResult:
+    """min_lambda from A's eigenpairs (_gram_eigen) and D = T*^n T^k."""
+    w, v = a_eigen
+    b = linalg.require_finite(d.conj().T @ d, "(T*^n T^k)*T*^n T^k")
+    a_max = float(w[-1])
     positive = w > tol * a_max if a_max > 0 else np.zeros_like(w, dtype=bool)
 
     v_ker = v[:, ~positive]
-    b_scale = linalg.operator_norm(b) if v_ker.shape[1] > 0 else 0.0
-    if b_scale > 0:
+    if v_ker.shape[1] > 0:
         compressed = v_ker.conj().T @ b @ v_ker
         kw, kv = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
         worst = float(kw[-1])
-        if worst > tol * max(1.0, b_scale):
+        if not linalg.at_most_scaled(worst, tol, b, lambda: linalg.operator_norm(b)):
             direction = v_ker @ kv[:, -1]
             direction = direction / np.linalg.norm(direction)
             return LambdaResult(feasible=False, lambda_min=None,
@@ -312,7 +333,7 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
     if linalg.operator_norm(p.c) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
-    feasibility = _min_lambda(p, DEFAULT_TOL)
+    feasibility = _min_lambda(_gram_eigen(p.c), p.d, DEFAULT_TOL)
     if not feasibility.feasible:
         raise ValidationError(
             "operator is not a member at (k, n) for any lambda"
@@ -330,12 +351,17 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
 def classify_grid(t, k_max: int,
                   n_max: int) -> dict[tuple[int, int], LambdaResult]:
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
-    1 <= n <= n_max."""
+    1 <= n <= n_max; each power of T is formed once, and A = C*C, which
+    depends on k only, is eigendecomposed once per k."""
     t = linalg.require_square(t)
     ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max
     powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
-    return {
-        (k, n): _min_lambda(_pencil_of_powers(t, powers[k], powers[n]), DEFAULT_TOL)
-        for k in range(k_max + 1)
-        for n in range(1, n_max + 1)
-    }
+    grid = {}
+    for k in range(k_max + 1):
+        a_eigen = None
+        for n in range(1, n_max + 1):
+            p = _pencil_of_powers(t, powers[k], powers[n])
+            if a_eigen is None:
+                a_eigen = _gram_eigen(p.c)
+            grid[(k, n)] = _min_lambda(a_eigen, p.d, DEFAULT_TOL)
+    return grid

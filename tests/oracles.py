@@ -39,6 +39,26 @@ def member_oracle(t, k, n, lam, tol=1e-10):
     return min_eig(gap_oracle(t, k, n, lam)) >= -tol * max(1.0, scale)
 
 
+def kernel_feasible(t, k, n, tol=1e-10):
+    """Feasibility of the pencil from SVDs alone: the right singular
+    vectors of C = T^{k+1} with sigma^2 <= tol * sigma_max^2 span its
+    numerical kernel, and D = T*^n T^k must keep their energy within
+    tol * max(1, ||D||^2).
+
+    Bisection cannot decide feasibility where C is exactly singular: at
+    lambda ~ 1e8 the rounding of lambda^2 C*C already outweighs the
+    tolerance, so bisect_min_lambda finds a lambda where none exists.
+    """
+    c = mpow(t, k + 1)
+    d = adj(mpow(t, n)) @ mpow(t, k)
+    _, s, vh = np.linalg.svd(c)
+    kernel = adj(vh[s ** 2 <= tol * s[0] ** 2])
+    if kernel.shape[1] == 0:
+        return True
+    energy = np.linalg.norm(d @ kernel, 2) ** 2
+    return energy <= tol * max(1.0, np.linalg.norm(d, 2) ** 2)
+
+
 def bisect_min_lambda(t, k, n, tol=1e-10, iters=120):
     """Minimal feasible lambda by pure bisection on membership.
 

@@ -432,15 +432,17 @@ def test_is_member_matches_oracle_across_regimes(rng):
     assert compared >= 0.8 * checked
 
 
-def _count_operator_norm(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """From now on, the shape of the first argument of every call to
+    module.name, in call order."""
     calls = []
-    exact = linalg.operator_norm
+    original = getattr(module, name)
 
-    def counting(m):
-        calls.append(np.shape(m))
-        return exact(m)
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "operator_norm", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -462,7 +464,7 @@ def _lambda_at(t, k, n, target):
 def test_verdict_settled_by_bounds_without_svd(rng, monkeypatch):
     t = 3.0 * kernel_case(rng, "generic", 12)
     result = posinormal.min_lambda(t, 1, 2)
-    calls = _count_operator_norm(monkeypatch)
+    calls = _count_calls(monkeypatch, linalg, "operator_norm")
     for lam, expect in ((result.lambda_min * 2.0, True),
                         (result.lambda_min * 0.5, False)):
         report = posinormal.is_member(t, ClassQuery(1, 2, lam))
@@ -488,7 +490,7 @@ def test_verdict_svd_fallback_between_bounds(rng, monkeypatch):
         for s_target, expect in (((s_lo + s_exact) / 2, True),
                                  ((s_exact + s_hi) / 2, False)):
             lam = _lambda_at(t, k, n, -tol * s_target)
-            calls = _count_operator_norm(monkeypatch)
+            calls = _count_calls(monkeypatch, linalg, "operator_norm")
             report = posinormal.is_member(t, ClassQuery(k, n, lam), tol=tol)
             assert report.holds == expect == oracles.member_oracle(t, k, n, lam, tol)
             assert calls == [d.shape]  # exactly one SVD, of D
@@ -497,7 +499,7 @@ def test_verdict_svd_fallback_between_bounds(rng, monkeypatch):
 
 def test_gap_form_disagreement_is_numerical_failure(monkeypatch):
     gap = np.diag([100.0, 1.0, 1.0, 1.0]).astype(complex)
-    calls = _count_operator_norm(monkeypatch)
+    calls = _count_calls(monkeypatch, linalg, "operator_norm")
     # Agreement settled by the Frobenius bound: no SVD.
     posinormal._check_forms_agree(gap, gap + 1e-12 * np.eye(4))
     assert calls == []
@@ -512,15 +514,163 @@ def test_gap_form_disagreement_is_numerical_failure(monkeypatch):
 
 
 def test_classify_grid_forms_each_power_once(rng, monkeypatch):
-    t = kernel_case(rng, "generic", 6)
-    expected = {(k, n): posinormal.min_lambda(t, k, n)
-                for k in range(4) for n in range(1, 4)}
-    powers = []
-    exact = linalg.matpow
-    monkeypatch.setattr(linalg, "matpow",
-                        lambda m, p: powers.append(p) or exact(m, p))
-    grid = posinormal.classify_grid(t, 3, 3)
-    assert sorted(powers) == [0, 1, 2, 3]
-    for key, result in expected.items():
-        assert grid[key].feasible == result.feasible
-        assert grid[key].lambda_min == result.lambda_min
+    for kind in ("generic", "nilpotent_tail"):
+        t = kernel_case(rng, kind, 6)
+        expected = {(k, n): posinormal.min_lambda(t, k, n)
+                    for k in range(4) for n in range(1, 4)}
+        powers = []
+        exact = linalg.matpow
+        monkeypatch.setattr(linalg, "matpow",
+                            lambda m, p: powers.append(p) or exact(m, p))
+        eigen = _count_calls(monkeypatch, linalg, "hermitian_eigen")
+        grid = posinormal.classify_grid(t, 3, 3)
+        monkeypatch.undo()
+        assert sorted(powers) == [0, 1, 2, 3]
+        assert len(eigen) == 4  # A = C*C once per k, k = 0..3
+        for key, result in expected.items():
+            assert grid[key].feasible == result.feasible
+            assert grid[key].lambda_min == result.lambda_min
+            if result.kernel_obstruction is None:
+                assert grid[key].kernel_obstruction is None
+            else:
+                assert np.array_equal(grid[key].kernel_obstruction,
+                                      result.kernel_obstruction)
+        if kind == "nilpotent_tail":
+            assert not all(result.feasible for result in grid.values())
+
+
+# --- the kernel test of min_lambda ---------------------------------------------------
+
+def test_kernel_test_settled_by_bounds_without_svd(rng, monkeypatch):
+    # Where A = C*C has a numerical kernel, its B-energy is either well
+    # above the threshold (a nilpotent tail) or at rounding level (a graded
+    # T at k = 3): the bounds on ||B||_2 decide, and agree with the SVDs.
+    # A graded T has such a kernel only now and then, so draw until four
+    # cases of each kind have been seen.
+    seen = {"graded": 0, "nilpotent_tail": 0}
+    for kind in seen:
+        for _ in range(60):
+            if seen[kind] >= 4:
+                break
+            t = kernel_case(rng, kind, int(rng.integers(6, 17)))
+            for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
+                c = oracles.mpow(t, k + 1)
+                s = np.linalg.svd(c, compute_uv=False)
+                if not np.any(s ** 2 <= 1e-10 * s[0] ** 2):
+                    continue  # A has no numerical kernel
+                seen[kind] += 1
+                calls = _count_calls(monkeypatch, linalg, "operator_norm")
+                result = posinormal.min_lambda(t, k, n)
+                monkeypatch.undo()
+                assert calls == []
+                assert result.feasible == oracles.kernel_feasible(t, k, n)
+    assert min(seen.values()) >= 4
+
+
+def test_kernel_test_svd_fallback_between_bounds(rng, monkeypatch):
+    # k = 0, n = 1: C = T and D = T*.  T e1 = 0 puts e1 in ker A exactly,
+    # and its B-energy is ||T* e1||^2 = ||row 1 of T||^2.  Set that energy
+    # between the thresholds given by the column-norm and Frobenius bounds
+    # on ||B||_2 = ||T||^2, on both sides of the exact threshold, so only
+    # the SVD of B can decide.
+    tol = 1e-10
+    for _ in range(4):
+        dim = int(rng.integers(6, 17))
+        head = 3.0 * (rng.standard_normal((dim, dim))
+                      + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2 * dim)
+        head[:, 0] = 0.0
+        row = head[0].copy()
+        head[0] = 0.0
+        b0 = head @ oracles.adj(head)
+        s_lo, s_hi = np.max(np.linalg.norm(b0, axis=0)), np.linalg.norm(b0)
+        s_exact = np.linalg.norm(head, 2) ** 2
+        for s_target, expect in (((s_lo + s_exact) / 2, True),
+                                 ((s_exact + s_hi) / 2, False)):
+            t = head.copy()
+            t[0] = row * np.sqrt(tol * s_target) / np.linalg.norm(row)
+            b = t @ oracles.adj(t)
+            assert 1.0 < np.max(np.linalg.norm(b, axis=0)) < np.linalg.norm(b, 2)
+            assert np.linalg.norm(b, 2) < np.linalg.norm(b)
+            calls = _count_calls(monkeypatch, linalg, "operator_norm")
+            result = posinormal.min_lambda(t, 0, 1, tol=tol)
+            monkeypatch.undo()
+            assert result.feasible == expect == oracles.kernel_feasible(t, 0, 1, tol)
+            assert calls == [b.shape]  # exactly one SVD, of B
+            if not expect:
+                assert abs(result.kernel_obstruction[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+# --- the witness of a failing verdict ----------------------------------------------
+
+def test_eigenvectors_only_for_a_witness(rng, monkeypatch):
+    # From dim 32 up a holding verdict runs eigvalsh alone and a failing one
+    # adds two solves; below dim 32 one eigh, which costs less there, runs
+    # either way.
+    for dim in (12, 40):
+        t = kernel_case(rng, "generic", dim)
+        lam_min = posinormal.min_lambda(t, 1, 2).lambda_min
+        for factor, holds in ((2.0, True), (0.5, False)):
+            lam = factor * lam_min
+            eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+            solve = _count_calls(monkeypatch, np.linalg, "solve")
+            report = posinormal.is_member(t, ClassQuery(1, 2, lam))
+            monkeypatch.undo()
+            assert report.holds == holds
+            assert eigh == ([(dim, dim)] if dim < 32 else [])
+            assert solve == ([(dim, dim)] * 2 if dim >= 32 and not holds else [])
+            if holds:
+                assert report.witness is None
+                continue
+            gap = posinormal.gap_matrix(t, 1, 2, lam)
+            x = report.witness
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(x, gap @ x).real - report.gap_min_eigenvalue) <= (
+                4 * 64 * dim * np.finfo(float).eps * report.gap_norm)
+
+
+def test_witness_falls_back_to_eigh(rng, monkeypatch):
+    t = kernel_case(rng, "generic", 40)
+    lam = 0.5 * posinormal.min_lambda(t, 1, 2).lambda_min
+    v = np.linalg.eigh(posinormal.gap_matrix(t, 1, 2, lam))[1][:, 0]
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def unconverged(a, b):  # a vector far from the eigenvector sought
+        return np.ones_like(b)
+
+    for solve in (failing, unconverged):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        report = posinormal.is_member(t, ClassQuery(1, 2, lam))
+        monkeypatch.undo()
+        assert not report.holds and eigh == [(40, 40)]
+        # eigh's vector, up to phase
+        assert abs(np.vdot(v, report.witness)) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.abs(report.witness), np.abs(v), atol=1e-12)
+
+
+def test_witness_at_dimension_128(rng, monkeypatch):
+    # The oracle comparison above stops at dim 32; the benchmark's operators
+    # have dim 128, where eigenvalues crowd and inverse iteration is tested
+    # hardest.
+    tol, dim, k, n = 1e-10, 128, 1, 2
+    eps = np.finfo(float).eps
+    for kind in ("generic", "graded", "nilpotent_tail"):
+        t = kernel_case(rng, kind, dim)
+        result = posinormal.min_lambda(t, k, n)
+        lam = (0.5 * result.lambda_min if result.feasible
+               else np.linalg.norm(t) ** (n - 1))
+        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+        report = posinormal.is_member(t, ClassQuery(k, n, lam), tol=tol)
+        monkeypatch.undo()
+        assert not report.holds and eigh == []
+        gap = posinormal.gap_matrix(t, k, n, lam)
+        x = report.witness
+        rayleigh = np.vdot(x, gap @ x).real
+        d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
+        threshold = -tol * max(1.0, np.linalg.norm(d, 2) ** 2)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert abs(rayleigh - report.gap_min_eigenvalue) <= (
+            4 * 64 * dim * eps * report.gap_norm)
+        assert rayleigh < threshold
