@@ -10,10 +10,25 @@ Rhaly sense (lambda^2 T*T >= TT*); k = 0 with general n is n-power
 posinormality (T^n T*^n <= lambda^2 T*T).
 
 Every query runs on one pencil: with C = T^{k+1} and D = T*^n T^k the
-gap is also lambda^2 C*C - D*D, and the minimal lambda is the root of the
-top eigenvalue of the pencil (D*D, C*C), found by ``min_lambda`` without
-search.  Each call forms T^k and T^n once; the grid forms each power once
-for all its cells and eigendecomposes A = C*C once per k.
+gap is also lambda^2 A - B, A = C*C and B = D*D, and the minimal lambda is
+the root of the top eigenvalue of the pencil (B, A), found by
+``min_lambda`` without search.
+
+lambda only scales one term, so every other product depends on (T, k, n)
+alone.  The module holds exactly one slot: for the last (T, k, n)
+queried, its own copy of T and the products T^k, D, T*T, T^n T*^n, A and
+B.  Its key is (k, n) and the bit pattern of T (so -0.0 and 0.0 differ);
+a caller that changes its T in place therefore gets fresh products.
+``min_lambda``, ``is_member`` and ``gap_matrix`` on one (T, k, n) form
+these products once and then do only the lambda-dependent work, with the
+same expressions in the same order, so a verdict is bit for bit the one a
+cold call gives.  No held array is returned to a caller.  A new
+(T, k, n) releases the slot before forming its products, and a formation
+that raises leaves no slot.  Each call reads the slot once and replaces
+it with one assignment, so concurrent callers at worst form the same
+products twice.  ``classify_grid`` does not use the slot: it forms each
+power of T once for all its cells, and C and the eigendecomposition of A
+once per k.
 
 From dim 32 up a verdict reads the gap's eigenvalues only, and an
 eigenvector is computed for a witness, when the verdict fails; below, one
@@ -91,22 +106,58 @@ class LambdaResult:
     kernel_obstruction: np.ndarray | None
 
 
-# T, T^k, T^n and the pencil pair C = T^{k+1}, D = T*^n T^k.
-_Pencil = namedtuple("_Pencil", "t tk tn c d")
+# The products of one (T, k, n) that do not depend on lambda: T (the slot's
+# own copy), T^k, D = T*^n T^k, T*T, T^n T*^n, A = C*C and B = D*D, with
+# C = T^{k+1}.  Neither T^n nor C is kept.
+_Pencil = namedtuple("_Pencil", "k n t tk d tt tntn a b")
+
+# The _Pencil of the last (T, k, n) queried, or None.
+_slot = None
 
 
 def _pencil(t, k: int, n: int) -> _Pencil:
-    """Validate T, k, n; build C and D from one T^k and one T^n."""
+    """Validate T, k, n; the slot's products when it holds this (T, k, n),
+    else the products formed anew, which then replace the slot."""
+    global _slot
     t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    return _pencil_of_powers(t, linalg.matpow(t, k), linalg.matpow(t, n))
+    held = _slot
+    if (held is not None and (held.k, held.n) == (k, n)
+            and np.array_equal(held.t.view(np.uint64),
+                               np.ascontiguousarray(t).view(np.uint64))):
+        return held
+    held = _slot = None  # release the old products before forming new ones
+    held = _form_pencil(np.array(t, order="C"), int(k), int(n))  # own copy of T
+    _slot = held
+    return held
 
 
 @linalg.quiet_overflow
-def _pencil_of_powers(t, tk, tn) -> _Pencil:
-    """The pencil of T from its powers T^k and T^n."""
-    return _Pencil(t, tk, tn, linalg.require_finite(t @ tk, "T^{k+1}"),
-                   linalg.require_finite(tn.conj().T @ tk, "T*^n T^k"))
+def _form_pencil(t, k: int, n: int) -> _Pencil:
+    """The products of (T, k, n) from one T^k and one T^n.  Only C and D
+    are checked for overflow here; A, B and the gap are checked where
+    they are read."""
+    tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
+    c, d = _power_c(t, tk), _power_d(tk, tn)
+    return _Pencil(k, n, t, tk, d, t.conj().T @ t, tn @ tn.conj().T, _gram(c), _gram(d))
+
+
+@linalg.quiet_overflow
+def _power_c(t, tk):
+    """C = T^{k+1} from T and T^k."""
+    return linalg.require_finite(t @ tk, "T^{k+1}")
+
+
+@linalg.quiet_overflow
+def _power_d(tk, tn):
+    """D = T*^n T^k from T^k and T^n."""
+    return linalg.require_finite(tn.conj().T @ tk, "T*^n T^k")
+
+
+@linalg.quiet_overflow
+def _gram(m):
+    """m*m; overflow is checked where it is read."""
+    return m.conj().T @ m
 
 
 def _check_forms_agree(gap, gram) -> None:
@@ -121,16 +172,14 @@ def _check_forms_agree(gap, gram) -> None:
 @linalg.quiet_overflow
 def _checked_gap(p: _Pencil, lam: float):
     """The symmetrized gap at lam, from the definition form checked against
-    the Gram form, and B = D*D, whose norm ||B||_2 = ||D||^2 scales the
-    PSD threshold."""
+    the Gram form lam^2 A - B; of the products, only those that involve
+    lam are formed here."""
     lam2 = float(lam) ** 2
-    gap = (p.tk.conj().T @ (lam2 * (p.t.conj().T @ p.t) - p.tn @ p.tn.conj().T)
-           @ p.tk)
-    b = p.d.conj().T @ p.d
-    _check_forms_agree(gap, lam2 * (p.c.conj().T @ p.c) - b)
+    gap = p.tk.conj().T @ (lam2 * p.tt - p.tntn) @ p.tk
+    _check_forms_agree(gap, lam2 * p.a - p.b)
     # Symmetrize away rounding-level asymmetry; both forms are Hermitian
     # in exact arithmetic.
-    return (gap + gap.conj().T) / 2.0, b
+    return (gap + gap.conj().T) / 2.0
 
 
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
@@ -139,18 +188,17 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     Cross-checked against the Gram form lam^2 C*C - D*D, bounds first;
     forms differing beyond 1e-10 relative raise NumericalFailure.
     """
-    return _checked_gap(_pencil(t, k, n), ClassQuery(k=k, n=n, lam=float(lam)).lam)[0]
+    return _checked_gap(_pencil(t, k, n), ClassQuery(k=k, n=n, lam=float(lam)).lam)
 
 
 def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
     """Membership of the pencil's gap at lam: PSD when the smallest
     eigenvalue lo >= -tol * max(1, s), s = ||D||^2.  The exact s, an SVD of
     D, runs only when the bounds on ||D*D||_2 straddle the threshold."""
-    gap, b = _checked_gap(p, lam)
     # Equal to its adjoint bit for bit: no asymmetry check or copy needed.
-    w, witness = linalg.hermitian_eigvals(gap)
+    w, witness = linalg.hermitian_eigvals(_checked_gap(p, lam))
     lo = float(w[0])
-    holds = linalg.at_most_scaled(-lo, tol, b, lambda: linalg.operator_norm(p.d) ** 2)
+    holds = linalg.at_most_scaled(-lo, tol, p.b, lambda: linalg.operator_norm(p.d) ** 2)
     return ClassReport(holds, lo, float(np.max(np.abs(w))),
                        None if holds else witness())
 
@@ -169,6 +217,12 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     32 up a holding verdict computes eigenvalues only, and a failing one
     adds the witness: two solves of inverse iteration, or an eigh when they
     do not converge.  Below dim 32 one eigh gives eigenvalues and witness.
+
+    The products that do not involve lambda (T^k, D, T*T, T^n T*^n, A = C*C
+    and B = D*D) come from the module's one slot when it holds the same k,
+    n and bit pattern of T, and are formed anew into it otherwise.  A call
+    then forms lam^2 T*T - T^n T*^n, its two products with T^k and
+    lam^2 A - B, cross-checks the two forms and computes the eigenvalues.
     """
     return _verdict(_pencil(t, query.k, query.n), query.lam, tol)
 
@@ -194,23 +248,27 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     where R maps onto A's positive eigenspace and scales it to identity.
     ||B||_2 (an SVD) is computed only when its bounds cannot settle the
     kernel test.
+
+    A and B come from the module's one slot, keyed by k, n and the bit
+    pattern of T, which is_member on the same (T, k, n) reads too; a
+    different (T, k, n) forms them anew and replaces the slot.
     """
     p = _pencil(t, k, n)
-    return _min_lambda(_gram_eigen(p.c), p.d, tol)
+    return _min_lambda(_gram_eigen(p.a), p.b, tol)
 
 
 @linalg.quiet_overflow
-def _gram_eigen(c) -> tuple[np.ndarray, np.ndarray]:
+def _gram_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w ascending, V) of A = C*C, C = T^{k+1}."""
-    a = linalg.require_finite(c.conj().T @ c, "(T^{k+1})*T^{k+1}")
+    linalg.require_finite(a, "(T^{k+1})*T^{k+1}")
     return linalg.hermitian_eigen(a, _GRAM_ASYMMETRY_TOL)
 
 
 @linalg.quiet_overflow
-def _min_lambda(a_eigen, d, tol: float) -> LambdaResult:
-    """min_lambda from A's eigenpairs (_gram_eigen) and D = T*^n T^k."""
+def _min_lambda(a_eigen, b, tol: float) -> LambdaResult:
+    """min_lambda from A's eigenpairs (_gram_eigen) and B = D*D."""
     w, v = a_eigen
-    b = linalg.require_finite(d.conj().T @ d, "(T*^n T^k)*T*^n T^k")
+    linalg.require_finite(b, "(T*^n T^k)*T*^n T^k")
     a_max = float(w[-1])
     positive = w > tol * a_max if a_max > 0 else np.zeros_like(w, dtype=bool)
 
@@ -264,10 +322,11 @@ def check_norm_inequality(t, k: int, n: int, lam: float, m: int,
         return False
 
     rng = np.random.default_rng(seed)
+    c = p.t @ p.tk  # C = T^{m+1}, which the pencil does not hold
     for _ in range(_TRIALS):
         x = rng.standard_normal(len(p.t)) + 1j * rng.standard_normal(len(p.t))
         x = x / np.linalg.norm(x)
-        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(p.c @ x) + _SHIFTED_TOL:
+        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(c @ x) + _SHIFTED_TOL:
             return False
     return True
 
@@ -297,7 +356,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     require_member(t, query, DEFAULT_TOL, "operator")
     p = _pencil(t, m, n)
     lhs = linalg.operator_norm(p.d)
-    base = linalg.operator_norm(p.c)
+    base = linalg.operator_norm(p.t @ p.tk)  # ||T^{m+1}||
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
@@ -331,10 +390,9 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     p = _pencil(t, k, n)
     t_norm = linalg.operator_norm(p.t)
     power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
-    if linalg.operator_norm(p.c) > power_bound:
+    if linalg.operator_norm(p.t @ p.tk) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
-    feasibility = _min_lambda(_gram_eigen(p.c), p.d, DEFAULT_TOL)
-    if not feasibility.feasible:
+    if not min_lambda(t, k, n).feasible:
         raise ValidationError(
             "operator is not a member at (k, n) for any lambda"
         )
@@ -351,17 +409,18 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
 def classify_grid(t, k_max: int,
                   n_max: int) -> dict[tuple[int, int], LambdaResult]:
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
-    1 <= n <= n_max; each power of T is formed once, and A = C*C, which
-    depends on k only, is eigendecomposed once per k."""
+    1 <= n <= n_max, without the slot: each power of T is formed once, and
+    C = T^{k+1} and the eigendecomposition of A = C*C, which depend on k
+    only, once per k."""
     t = linalg.require_square(t)
     ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max
     powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
     grid = {}
     for k in range(k_max + 1):
-        a_eigen = None
+        c, a_eigen = _power_c(t, powers[k]), None
         for n in range(1, n_max + 1):
-            p = _pencil_of_powers(t, powers[k], powers[n])
-            if a_eigen is None:
-                a_eigen = _gram_eigen(p.c)
-            grid[(k, n)] = _min_lambda(a_eigen, p.d, DEFAULT_TOL)
+            d = _power_d(powers[k], powers[n])
+            if a_eigen is None:  # after D's check, in min_lambda's order
+                a_eigen = _gram_eigen(_gram(c))
+            grid[(k, n)] = _min_lambda(a_eigen, _gram(d), DEFAULT_TOL)
     return grid

@@ -45,9 +45,10 @@ def kernel_feasible(t, k, n, tol=1e-10):
     numerical kernel, and D = T*^n T^k must keep their energy within
     tol * max(1, ||D||^2).
 
-    Bisection cannot decide feasibility where C is exactly singular: at
-    lambda ~ 1e8 the rounding of lambda^2 C*C already outweighs the
-    tolerance, so bisect_min_lambda finds a lambda where none exists.
+    Bisection alone cannot decide feasibility where C is exactly
+    singular: at lambda ~ 1e8 the rounding of lambda^2 C*C already
+    outweighs the tolerance, so it would find a lambda where none exists;
+    bisect_min_lambda asks this test first.
     """
     c = mpow(t, k + 1)
     d = adj(mpow(t, n)) @ mpow(t, k)
@@ -62,9 +63,11 @@ def kernel_feasible(t, k, n, tol=1e-10):
 def bisect_min_lambda(t, k, n, tol=1e-10, iters=120):
     """Minimal feasible lambda by pure bisection on membership.
 
-    Returns None when no lambda up to 2^60 is feasible (infeasible pencil
-    for practical purposes).
+    Returns None when kernel_feasible calls the pencil infeasible, or when
+    no lambda up to 2^60 is feasible.
     """
+    if not kernel_feasible(t, k, n, tol):
+        return None
     hi = 1.0
     for _ in range(60):
         if member_oracle(t, k, n, hi, tol):

@@ -1,3 +1,8 @@
+import dataclasses
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -523,10 +528,12 @@ def test_classify_grid_forms_each_power_once(rng, monkeypatch):
         monkeypatch.setattr(linalg, "matpow",
                             lambda m, p: powers.append(p) or exact(m, p))
         eigen = _count_calls(monkeypatch, linalg, "hermitian_eigen")
+        c = _count_calls(monkeypatch, posinormal, "_power_c")
         grid = posinormal.classify_grid(t, 3, 3)
         monkeypatch.undo()
         assert sorted(powers) == [0, 1, 2, 3]
-        assert len(eigen) == 4  # A = C*C once per k, k = 0..3
+        assert len(c) == 4  # C = T^{k+1} once per k, k = 0..3
+        assert len(eigen) == 4  # A = C*C once per k
         for key, result in expected.items():
             assert grid[key].feasible == result.feasible
             assert grid[key].lambda_min == result.lambda_min
@@ -537,6 +544,21 @@ def test_classify_grid_forms_each_power_once(rng, monkeypatch):
                                       result.kernel_obstruction)
         if kind == "nilpotent_tail":
             assert not all(result.feasible for result in grid.values())
+
+
+def test_min_lambda_feasibility_matches_bisection_on_nilpotent_tails(rng):
+    # T^{k+1} is exactly rank deficient here; the bisection oracle asks
+    # kernel_feasible first, since bisection alone finds a lambda where
+    # none exists.
+    verdicts = set()
+    for _ in range(6):
+        t = kernel_case(rng, "nilpotent_tail", int(rng.integers(8, 17)))
+        for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
+            result = posinormal.min_lambda(t, k, n)
+            oracle = oracles.bisect_min_lambda(t, k, n)
+            assert result.feasible == (oracle is not None)
+            verdicts.add(result.feasible)
+    assert verdicts == {True, False}
 
 
 # --- the kernel test of min_lambda ---------------------------------------------------
@@ -674,3 +696,137 @@ def test_witness_at_dimension_128(rng, monkeypatch):
         assert abs(rayleigh - report.gap_min_eigenvalue) <= (
             4 * 64 * dim * eps * report.gap_norm)
         assert rayleigh < threshold
+
+
+# --- the slot of lambda-independent products -----------------------------------------
+
+def _bits(result):
+    """The fields of a LambdaResult or ClassReport, each float or array as
+    its bytes, for a bit-for-bit comparison."""
+    return tuple(v if v is None or isinstance(v, bool) else np.asarray(v).tobytes()
+                 for v in dataclasses.astuple(result))
+
+
+def _lambdas(t, n, result):
+    """The three lambdas of a benchmark pencil query: around lambda_min, or
+    multiples of ||T||_F^(n-1) when there is no positive lambda_min."""
+    if result.feasible and result.lambda_min > 0:
+        return [result.lambda_min * f for f in (0.5, 1 + 1e-6, 2.0)]
+    return [np.linalg.norm(t) ** (n - 1) * f for f in (1.0, 1e3, 1e6)]
+
+
+def test_warm_slot_gives_the_cold_results_bit_for_bit(rng, monkeypatch):
+    # Cold: the slot is emptied before each call.  Warm: min_lambda and
+    # three is_member calls on one (T, k, n) after the slot holds it, with
+    # no product formed again.
+    infeasible = failing = 0
+    for kind in ("generic", "graded", "nilpotent_tail"):
+        for dim in (12, 40):
+            t = kernel_case(rng, kind, dim)
+            for k, n in ((0, 1), (1, 2), (3, 3)):
+                monkeypatch.setattr(posinormal, "_slot", None)
+                result = posinormal.min_lambda(t, k, n)
+                queries = [ClassQuery(k, n, lam) for lam in _lambdas(t, n, result)]
+                calls = [lambda: posinormal.min_lambda(t, k, n)] + [
+                    lambda q=q: posinormal.is_member(t, q) for q in queries]
+                cold = []
+                for call in calls:
+                    monkeypatch.setattr(posinormal, "_slot", None)
+                    cold.append(_bits(call()))
+                posinormal.is_member(t, queries[0])
+                formed = _count_calls(monkeypatch, posinormal, "_form_pencil")
+                assert [_bits(call()) for call in calls] == cold
+                assert formed == []
+                monkeypatch.undo()
+                infeasible += not result.feasible
+                failing += sum(not posinormal.is_member(t, q).holds for q in queries)
+    assert infeasible > 0 and failing > 0
+
+
+def test_slot_sees_in_place_changes(rng, monkeypatch):
+    # The slot keeps its own copy of T, so a caller that changes its array
+    # in place gets the results of the new T.  At k = 1, T^k is T itself.
+    t = kernel_case(rng, "generic", 12)
+    query = ClassQuery(1, 2, 1.0)
+    before = posinormal.min_lambda(t, 1, 2)
+    posinormal.is_member(t, query)
+    t *= 2.0
+    after = (posinormal.min_lambda(t, 1, 2), posinormal.is_member(t, query))
+    assert after[0].lambda_min == pytest.approx(2.0 * before.lambda_min, rel=1e-9)
+    monkeypatch.setattr(posinormal, "_slot", None)
+    assert _bits(after[0]) == _bits(posinormal.min_lambda(t.copy(), 1, 2))
+    monkeypatch.setattr(posinormal, "_slot", None)
+    assert _bits(after[1]) == _bits(posinormal.is_member(t.copy(), query))
+    # The key is the bit pattern: -0.0 in place of 0.0 forms anew.
+    t[0, 0] = 0.0
+    posinormal.min_lambda(t, 1, 2)
+    formed = _count_calls(monkeypatch, posinormal, "_form_pencil")
+    posinormal.min_lambda(t, 1, 2)
+    t[0, 0] = -0.0
+    posinormal.min_lambda(t, 1, 2)
+    assert formed == [t.shape]
+
+
+def test_overflow_leaves_nothing_held(rng, monkeypatch):
+    posinormal.min_lambda(kernel_case(rng, "generic", 3), 1, 1)
+    # C = T^2 overflows: the formation raises and leaves no slot, and so
+    # does the identical next call.
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match=re.escape("T^{k+1} overflows")):
+            posinormal.is_member(1e200 * np.eye(3), ClassQuery(1, 1, 1.0))
+        assert posinormal._slot is None
+    # C and D are finite but A = C*C overflows: every read of it raises.
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match=re.escape("(T^{k+1})*T^{k+1} overflows")):
+            posinormal.min_lambda(1e160 * np.eye(3), 0, 1)
+        with pytest.raises(NumericalFailure, match="gap matrix overflows"):
+            posinormal.is_member(1e160 * np.eye(3), ClassQuery(0, 1, 1.0))
+
+
+def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
+    t = kernel_case(rng, "generic", 16)
+    monkeypatch.setattr(posinormal, "_slot", None)
+    for k, n in ((1, 2), (3, 2), (0, 3)):
+        powers = []
+        exact = linalg.matpow
+        monkeypatch.setattr(linalg, "matpow",
+                            lambda m, p: powers.append(p) or exact(m, p))
+        result = posinormal.min_lambda(t, k, n)
+        for lam in _lambdas(t, n, result):
+            posinormal.is_member(t, ClassQuery(k, n, lam))
+        monkeypatch.setattr(linalg, "matpow", exact)
+        assert sorted(powers) == sorted((k, n))
+
+
+def test_concurrent_callers_get_their_own_results(rng, monkeypatch):
+    # Four threads on two cores, each on its own T, replace the one slot
+    # under one another; every result must still be the cold one.
+    cases = [(kernel_case(rng, "generic", 12), k, 2) for k in range(4)]
+    expected = []
+    for t, k, n in cases:
+        monkeypatch.setattr(posinormal, "_slot", None)
+        result = posinormal.min_lambda(t, k, n)
+        query = ClassQuery(k, n, 2.0 * result.lambda_min)
+        expected.append((_bits(result), query, _bits(posinormal.is_member(t, query))))
+    mismatches = []
+
+    def work(i):
+        t, k, n = cases[i]
+        lam_bits, query, member_bits = expected[i]
+        for _ in range(40):
+            if (_bits(posinormal.min_lambda(t, k, n)) != lam_bits
+                    or _bits(posinormal.is_member(t, query)) != member_bits):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
