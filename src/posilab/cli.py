@@ -35,7 +35,7 @@ def _print_class_report(report: posinormal.ClassReport) -> None:
     print(f"holds: {str(report.holds).lower()}")
     print(f"gap_min_eigenvalue: {_fmt(report.gap_min_eigenvalue)}")
     print(f"gap_norm: {_fmt(report.gap_norm)}")
-    if report.witness is not None:
+    if not report.holds:
         print(f"witness: {_fmt_vector(report.witness)}")
 
 

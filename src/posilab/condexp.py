@@ -360,7 +360,7 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     the largest counts as 0 (the chi convention: rounding is not powered)."""
     if linalg.is_integer(m):
         return np.linalg.matrix_power(h, int(m))
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh(linalg.symmetrize(h))
     powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w[-1])
     return (v * powered) @ v.conj().T
 

@@ -33,12 +33,21 @@ def _require(doc: dict, name: str):
     return doc[name]
 
 
+def _as_float(value, where: str) -> float:
+    """float(value); an integer literal beyond the float range is a
+    FileFormatError naming ``where``, not an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FileFormatError(f"{where}: number beyond the 64-bit float range") from None
+
+
 def _as_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in value)):
         raise FileFormatError(f"{where}: expected a [real, imaginary] pair")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_as_float(value[0], where), _as_float(value[1], where))
 
 
 def _as_positive_int(value, where: str) -> int:
@@ -105,7 +114,7 @@ def load_space(path):
         mass = atom.get("mass")
         if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass <= 0:
             raise FileFormatError(f"atoms[{i}].mass: expected a positive number")
-        masses.append(float(mass))
+        masses.append(_as_float(mass, f"atoms[{i}].mass"))
         labels.append(str(atom.get("label", f"a{i}")))
     try:
         space = FiniteMeasureSpace(masses, labels)

@@ -12,8 +12,7 @@ whatever its atom count), so robustness is preferred over speed
 throughout.
 """
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,18 +26,6 @@ DEFAULT_TOL = 1e-10
 # against the determinant, and the relative agreement it requires.
 _DET_CHECK_MAX_DIM = 12
 _DET_CHECK_TOL = 1e-8
-
-# Inverse iteration for a witness: the shift lies _WITNESS_SHIFT units of
-# n * eps * ||H||_2 below the smallest eigenvalue, and the vector is kept
-# when its Rayleigh quotient lies within _WITNESS_WINDOW shifts of it.
-_WITNESS_SHIFT = 64
-_WITNESS_WINDOW = 4
-
-# Dimension from which eigvalsh costs less than eigh even when a failing
-# verdict then needs the witness's two solves: 80 + 80 us against 165 us at
-# dim 32, but 40 + 70 us against 65 us at dim 16 (numpy 2.4 with OpenBLAS
-# on 2 x86 cores).  Below it one eigh gives eigenvalues and witness.
-_EIGVALS_MIN_DIM = 32
 
 
 def as_matrix(values) -> np.ndarray:
@@ -135,8 +122,13 @@ def deviation_beyond(x, y, tol: float) -> float | None:
     return dev if dev > tol else None
 
 
+def symmetrize(h) -> np.ndarray:
+    """(H + H*)/2, the Hermitian part of H, equal to its adjoint bit for bit."""
+    return (h + h.conj().T) / 2.0
+
+
 def _hermitian_part(h, tol: float) -> np.ndarray:
-    """(H + H*)/2, after rejecting an H whose asymmetry exceeds ``tol``
+    """symmetrize(H), after rejecting an H whose asymmetry exceeds ``tol``
     relative to max(1, norm), by bounds first; rounding-level asymmetry
     never leaks into the eigendata."""
     h = require_square(h)
@@ -145,7 +137,7 @@ def _hermitian_part(h, tol: float) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian: relative asymmetry {asym:.3e} > {tol:.3e}"
         )
-    return (h + h.conj().T) / 2.0
+    return symmetrize(h)
 
 
 def hermitian_eigen(h, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,63 +147,41 @@ def hermitian_eigen(h, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_hermitian_part(h, tol))
 
 
-@quiet_overflow
-def _lowest_eigenvector(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of h for its smallest eigenvalue w[0]: two solves
-    of shifted inverse iteration (Golub & Van Loan, 8.2) from a fixed
-    Gaussian start, at the shift w[0] - delta, delta = 64 n eps ||h||_2,
-    kept when its Rayleigh quotient lies within 4 delta of w[0].  When it
-    does not, or a solve fails, the eigenvector of numpy.linalg.eigh."""
-    dim = len(w)
-    delta = _WITNESS_SHIFT * dim * np.finfo(float).eps * float(np.max(np.abs(w)))
-    x = np.random.default_rng(0).standard_normal(dim).astype(complex)
-    try:
-        shifted = h - (w[0] - delta) * np.eye(dim)
-        for _ in range(2):
-            x = np.linalg.solve(shifted, x)
-            x = x / np.linalg.norm(x)
-        if abs(np.vdot(x, h @ x).real - w[0]) <= _WITNESS_WINDOW * delta:
-            return x
-    except np.linalg.LinAlgError:
-        pass
+def lowest_eigenvector(h: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the Hermitian h for its smallest eigenvalue, from
+    one numpy.linalg.eigh: the witness of a failed verdict."""
     return np.linalg.eigh(h)[1][:, 0].copy()
-
-
-def hermitian_eigvals(h: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Eigenvalues w of the Hermitian h, ascending, and a function that
-    returns the unit eigenvector of w[0]; call it only for a witness.
-
-    Below dim 32 one numpy.linalg.eigh gives both.  From dim 32 up w comes
-    from numpy.linalg.eigvalsh, and the eigenvector, only when asked for,
-    from inverse iteration.
-    """
-    if len(h) < _EIGVALS_MIN_DIM:
-        w, v = np.linalg.eigh(h)
-        return w, lambda: v[:, 0].copy()
-    w = np.linalg.eigvalsh(h)
-    return w, lambda: _lowest_eigenvector(h, w)
 
 
 @dataclass(frozen=True)
 class PsdVerdict:
-    """Outcome of a positive-semidefiniteness test."""
+    """Outcome of a positive-semidefiniteness test.  A failing verdict holds
+    its symmetrized H, and ``witness`` computes the eigenvector when read."""
 
     is_psd: bool
     min_eigenvalue: float
-    witness: np.ndarray | None  # unit vector with <Hx, x> < 0, when not PSD
+    _h: np.ndarray | None = field(repr=False)  # symmetrized H, when not PSD
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        """Unit vector x with <Hx, x> < 0 when not PSD, else None; one eigh
+        of H per read."""
+        return None if self._h is None else lowest_eigenvector(self._h)
 
 
 def is_psd(h, tol: float) -> PsdVerdict:
     """Test H >= 0 up to a relative eigenvalue tolerance.
 
     Passes iff the smallest eigenvalue is >= -tol * max(1, ||H||_2), the
-    norm taken from the eigenvalues.  On failure the witness is the unit
-    eigenvector of the most negative eigenvalue, from hermitian_eigvals.
+    norm taken from the eigenvalues.  The verdict computes eigenvalues
+    only, with one numpy.linalg.eigvalsh; on failure the witness, the unit
+    eigenvector of the most negative eigenvalue, is an eigh when it is read.
     """
-    w, witness = hermitian_eigvals(_hermitian_part(h, tol))
+    h = _hermitian_part(h, tol)
+    w = np.linalg.eigvalsh(h)
     lo = float(w[0])
     ok = lo >= -tol * max(1.0, float(np.max(np.abs(w))))
-    return PsdVerdict(is_psd=ok, min_eigenvalue=lo, witness=None if ok else witness())
+    return PsdVerdict(ok, lo, None if ok else h)
 
 
 def svd_rank_spaces(m, tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -30,16 +30,16 @@ products twice.  ``classify_grid`` does not use the slot: it forms each
 power of T once for all its cells, and C and the eigendecomposition of A
 once per k.
 
-From dim 32 up a verdict reads the gap's eigenvalues only, and an
-eigenvector is computed for a witness, when the verdict fails; below, one
-eigh, which costs less there, gives both.  Every norm threshold is settled
-with bounds first (the largest column norm and the Frobenius norm bracket
-the spectral norm): an SVD runs only when they straddle it, so every
-verdict is the one the exact norm gives.
+A verdict computes the gap's eigenvalues only, with one eigvalsh; a
+failing report holds its gap, and its witness is an eigh of that gap when
+it is read.  Every norm threshold is settled with bounds first (the
+largest column norm and the Frobenius norm bracket the spectral norm): an
+SVD runs only when they straddle it, so every verdict is the one the exact
+norm gives.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,13 +84,19 @@ class ClassQuery:
 @dataclass(frozen=True)
 class ClassReport:
     """Outcome of one membership query: the gap's smallest eigenvalue and
-    norm, and a witness when the query fails; from dim 32 up the witness
-    is the only eigenvector computed (see linalg.hermitian_eigvals)."""
+    norm, and a witness when the query fails.  A failing report holds its
+    gap, and ``witness`` computes the eigenvector when it is read."""
 
     holds: bool
     gap_min_eigenvalue: float
     gap_norm: float
-    witness: np.ndarray | None  # unit vector certifying failure, else None
+    _gap: np.ndarray | None = field(repr=False)  # the gap, when the query fails
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        """Unit vector x with <Gx, x> < 0 for the gap G, certifying failure,
+        else None; one eigh of the gap per read."""
+        return None if self._gap is None else linalg.lowest_eigenvector(self._gap)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ def _checked_gap(p: _Pencil, lam: float):
     _check_forms_agree(gap, lam2 * p.a - p.b)
     # Symmetrize away rounding-level asymmetry; both forms are Hermitian
     # in exact arithmetic.
-    return (gap + gap.conj().T) / 2.0
+    return linalg.symmetrize(gap)
 
 
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
@@ -196,11 +202,11 @@ def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
     eigenvalue lo >= -tol * max(1, s), s = ||D||^2.  The exact s, an SVD of
     D, runs only when the bounds on ||D*D||_2 straddle the threshold."""
     # Equal to its adjoint bit for bit: no asymmetry check or copy needed.
-    w, witness = linalg.hermitian_eigvals(_checked_gap(p, lam))
+    gap = _checked_gap(p, lam)
+    w = np.linalg.eigvalsh(gap)
     lo = float(w[0])
     holds = linalg.at_most_scaled(-lo, tol, p.b, lambda: linalg.operator_norm(p.d) ** 2)
-    return ClassReport(holds, lo, float(np.max(np.abs(w))),
-                       None if holds else witness())
+    return ClassReport(holds, lo, float(np.max(np.abs(w))), None if holds else gap)
 
 
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
@@ -213,10 +219,9 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     detected for arbitrarily large lambda, and verdicts stay monotone in
     lambda and covariant under scaling of T.
 
-    An SVD of D runs only when the bounds on s cannot decide.  From dim
-    32 up a holding verdict computes eigenvalues only, and a failing one
-    adds the witness: two solves of inverse iteration, or an eigh when they
-    do not converge.  Below dim 32 one eigh gives eigenvalues and witness.
+    An SVD of D runs only when the bounds on s cannot decide.  The verdict
+    computes the gap's eigenvalues only, with one eigvalsh; a failing
+    report holds the gap, and reading its witness runs one eigh of it.
 
     The products that do not involve lambda (T^k, D, T*T, T^n T*^n, A = C*C
     and B = D*D) come from the module's one slot when it holds the same k,
@@ -275,7 +280,7 @@ def _min_lambda(a_eigen, b, tol: float) -> LambdaResult:
     v_ker = v[:, ~positive]
     if v_ker.shape[1] > 0:
         compressed = v_ker.conj().T @ b @ v_ker
-        kw, kv = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+        kw, kv = np.linalg.eigh(linalg.symmetrize(compressed))
         worst = float(kw[-1])
         if not linalg.at_most_scaled(worst, tol, b, lambda: linalg.operator_norm(b)):
             direction = v_ker @ kv[:, -1]
@@ -291,7 +296,7 @@ def _min_lambda(a_eigen, b, tol: float) -> LambdaResult:
     v_pos = v[:, positive]
     r = v_pos * (w[positive] ** -0.5)
     pencil = r.conj().T @ b @ r
-    top = float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2.0)[-1])
+    top = float(np.linalg.eigvalsh(linalg.symmetrize(pencil))[-1])
     return LambdaResult(feasible=True, lambda_min=float(np.sqrt(max(top, 0.0))),
                         kernel_obstruction=None)
 

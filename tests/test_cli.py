@@ -43,6 +43,17 @@ def test_matrix_subcommands_exit_zero(path, capsys):
     assert "holds: true" in out.splitlines()  # the tensor verdict
 
 
+def test_failing_check_prints_its_witness_from_one_eigh(capsys, monkeypatch):
+    # The verdict computes eigenvalues only; the printed witness is one eigh.
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    assert run(["check", FIXTURES / "nilpotent_shift_3.json",
+                "--k", 0, "--n", 2, "--lambda", 1.0]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "holds: false" in lines and lines[-1].startswith("witness: [")
+    assert shapes == [(3, 3)]
+
+
 @pytest.mark.parametrize("check", CONDEXP_CHECKS)
 def test_condexp_subcommands_exit_zero(check, capsys):
     assert run(["condexp", SPACE, check, "--k", 1, "--n", 2,
@@ -88,6 +99,9 @@ MALFORMED_MATRICES = [
      "entries[1]"),
     ("infinite", _mutated(_matrix_doc(), ["entries", 2, 1], [float("inf"), 0.0]),
      "entries"),
+    # an integer literal beyond the float range: a format error, not an OverflowError
+    ("huge integer", _mutated(_matrix_doc(), ["entries", 0, 0], [10 ** 400, 0.0]),
+     "entries[0][0]"),
     ("truncated", json.dumps(_matrix_doc())[:40], "document"),
     ("not an object", "[1, 2]", "document root"),
     ("huge dim_cols", json.dumps({"dim_rows": 2, "dim_cols": 10 ** 15,
@@ -99,6 +113,8 @@ MALFORMED_SPACES = [
     ("missing atoms", _mutated(_space_doc(), ["atoms"], None), "atoms"),
     ("negative mass", _mutated(_space_doc(), ["atoms", 3, "mass"], -1.0),
      "atoms[3].mass"),
+    ("huge mass", _mutated(_space_doc(), ["atoms", 1, "mass"], 10 ** 400),
+     "atoms[1].mass"),
     ("uncovered atoms", _mutated(_space_doc(), ["partition", 1], None),
      "partition"),
     ("bad index", _mutated(_space_doc(), ["partition", 0, 1], "x"),
@@ -109,6 +125,7 @@ MALFORMED_SPACES = [
      "partition[0][1]"),
     ("short w", _mutated(_space_doc(), ["w", 7], None), "w"),
     ("bad u value", _mutated(_space_doc(), ["u", 2], [1.0]), "u[2]"),
+    ("huge w value", _mutated(_space_doc(), ["w", 3], [0.0, 10 ** 400]), "w[3]"),
 ]
 
 

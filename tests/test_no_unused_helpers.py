@@ -1,6 +1,6 @@
-"""Every module-level function and class of posilab, private ones too,
-has a caller, every public method and property of its classes is read,
-and the number of defaulted parameters does not grow.
+"""Every module-level function, class and constant of posilab, private
+ones too, has a caller, every public method and property of its classes is
+read, and the number of defaulted parameters does not grow.
 
 A definition counts as used when some other top-level statement refers to
 it: inside its own module by name, elsewhere through ``from .module import
@@ -29,6 +29,18 @@ def _posilab_module(dotted: str | None, level: int) -> str | None:
     return None
 
 
+def _defined_names(statement) -> set:
+    """Names a top-level statement defines: a function, a class, or the
+    names an assignment binds (a module-level constant)."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
 def _references(path: Path) -> set:
     """(module, name) pairs that the top-level statements of a file use."""
     tree = ast.parse(path.read_text())
@@ -48,8 +60,7 @@ def _references(path: Path) -> set:
                 source = _posilab_module(alias.name, 0)
                 if source and alias.asname:
                     modules[alias.asname] = source
-    defined = {node.name for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = set().union(*map(_defined_names, tree.body))
     used = set()
     for statement in tree.body:
         found = set()
@@ -62,18 +73,17 @@ def _references(path: Path) -> set:
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules):
                 found.add((modules[node.value.id], node.attr))
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-            found.discard((own, statement.name))  # recursion is not a caller
-        used |= found
+        # Recursion is not a caller, nor is the assignment that binds a name.
+        used |= found - {(own, name) for name in _defined_names(statement)}
     return used
 
 
 def test_every_helper_has_a_caller():
     used = set().union(*(_references(path) for path in CALLERS))
-    defined = {(path.stem, node.name)
+    defined = {(path.stem, name)
                for path in SOURCES
-               for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for statement in ast.parse(path.read_text()).body
+               for name in _defined_names(statement)}
     assert sorted(defined - used) == []
 
 

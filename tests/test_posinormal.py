@@ -624,87 +624,71 @@ def test_kernel_test_svd_fallback_between_bounds(rng, monkeypatch):
 
 # --- the witness of a failing verdict ----------------------------------------------
 
-def test_eigenvectors_only_for_a_witness(rng, monkeypatch):
-    # From dim 32 up a holding verdict runs eigvalsh alone and a failing one
-    # adds two solves; below dim 32 one eigh, which costs less there, runs
-    # either way.
-    for dim in (12, 40):
+def _verdict_calls(monkeypatch, verdict):
+    """verdict() and the shapes of its eigvalsh, eigh and solve calls."""
+    calls = {name: _count_calls(monkeypatch, np.linalg, name)
+             for name in ("eigvalsh", "eigh", "solve")}
+    result = verdict()
+    monkeypatch.undo()
+    return result, calls
+
+
+def _check_witness_on_read(monkeypatch, report, holds, lowest, g, threshold):
+    """Reading the witness runs one eigh, of g, when the verdict fails, and
+    none when it holds; the witness is a unit vector whose Rayleigh quotient
+    is the smallest eigenvalue up to rounding and lies below the threshold."""
+    seen, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
+    x = report.witness
+    monkeypatch.undo()
+    if holds:
+        assert x is None and seen == []
+        return
+    assert len(seen) == 1 and np.array_equal(seen[0], g)
+    rayleigh = np.vdot(x, g @ x).real
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert abs(rayleigh - lowest) <= 16 * len(g) * np.finfo(float).eps * np.linalg.norm(g, 2)
+    assert rayleigh < threshold
+
+
+def test_a_verdict_is_one_eigvalsh_and_a_witness_one_eigh_when_read(rng, monkeypatch):
+    # Holding or failing, is_member and is_psd compute eigenvalues only;
+    # reading the witness of a failing one runs one eigh, of its matrix.
+    tol, k, n = 1e-10, 1, 2
+    for dim in (12, 40, 128):
+        only_eigvalsh = {"eigvalsh": [(dim, dim)], "eigh": [], "solve": []}
         t = kernel_case(rng, "generic", dim)
-        lam_min = posinormal.min_lambda(t, 1, 2).lambda_min
+        lam_min = posinormal.min_lambda(t, k, n).lambda_min
+        d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
         for factor, holds in ((2.0, True), (0.5, False)):
             lam = factor * lam_min
-            eigh = _count_calls(monkeypatch, np.linalg, "eigh")
-            solve = _count_calls(monkeypatch, np.linalg, "solve")
-            report = posinormal.is_member(t, ClassQuery(1, 2, lam))
-            monkeypatch.undo()
-            assert report.holds == holds
-            assert eigh == ([(dim, dim)] if dim < 32 else [])
-            assert solve == ([(dim, dim)] * 2 if dim >= 32 and not holds else [])
-            if holds:
-                assert report.witness is None
-                continue
-            gap = posinormal.gap_matrix(t, 1, 2, lam)
-            x = report.witness
-            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.vdot(x, gap @ x).real - report.gap_min_eigenvalue) <= (
-                4 * 64 * dim * np.finfo(float).eps * report.gap_norm)
-
-
-def test_witness_falls_back_to_eigh(rng, monkeypatch):
-    t = kernel_case(rng, "generic", 40)
-    lam = 0.5 * posinormal.min_lambda(t, 1, 2).lambda_min
-    v = np.linalg.eigh(posinormal.gap_matrix(t, 1, 2, lam))[1][:, 0]
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    def unconverged(a, b):  # a vector far from the eigenvector sought
-        return np.ones_like(b)
-
-    for solve in (failing, unconverged):
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
-        report = posinormal.is_member(t, ClassQuery(1, 2, lam))
-        monkeypatch.undo()
-        assert not report.holds and eigh == [(40, 40)]
-        # eigh's vector, up to phase
-        assert abs(np.vdot(v, report.witness)) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(np.abs(report.witness), np.abs(v), atol=1e-12)
-
-
-def test_witness_at_dimension_128(rng, monkeypatch):
-    # The oracle comparison above stops at dim 32; the benchmark's operators
-    # have dim 128, where eigenvalues crowd and inverse iteration is tested
-    # hardest.
-    tol, dim, k, n = 1e-10, 128, 1, 2
-    eps = np.finfo(float).eps
-    for kind in ("generic", "graded", "nilpotent_tail"):
-        t = kernel_case(rng, kind, dim)
-        result = posinormal.min_lambda(t, k, n)
-        lam = (0.5 * result.lambda_min if result.feasible
-               else np.linalg.norm(t) ** (n - 1))
-        eigh = _count_calls(monkeypatch, np.linalg, "eigh")
-        report = posinormal.is_member(t, ClassQuery(k, n, lam), tol=tol)
-        monkeypatch.undo()
-        assert not report.holds and eigh == []
-        gap = posinormal.gap_matrix(t, k, n, lam)
-        x = report.witness
-        rayleigh = np.vdot(x, gap @ x).real
-        d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
-        threshold = -tol * max(1.0, np.linalg.norm(d, 2) ** 2)
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        assert abs(rayleigh - report.gap_min_eigenvalue) <= (
-            4 * 64 * dim * eps * report.gap_norm)
-        assert rayleigh < threshold
+            report, calls = _verdict_calls(
+                monkeypatch, lambda: posinormal.is_member(t, ClassQuery(k, n, lam), tol))
+            assert calls == only_eigvalsh and report.holds == holds
+            _check_witness_on_read(monkeypatch, report, holds, report.gap_min_eigenvalue,
+                                   posinormal.gap_matrix(t, k, n, lam),
+                                   -tol * max(1.0, np.linalg.norm(d, 2) ** 2))
+        h = oracles.adj(t) + t  # Hermitian and indefinite
+        for shift, holds in ((1.0 - np.linalg.eigvalsh(h)[0], True), (0.0, False)):
+            m = h + shift * np.eye(dim)
+            verdict, calls = _verdict_calls(monkeypatch, lambda: linalg.is_psd(m, tol))
+            assert calls == only_eigvalsh and verdict.is_psd == holds
+            _check_witness_on_read(monkeypatch, verdict, holds, verdict.min_eigenvalue,
+                                   linalg.symmetrize(m), -tol * max(1.0, np.linalg.norm(m, 2)))
 
 
 # --- the slot of lambda-independent products -----------------------------------------
 
 def _bits(result):
-    """The fields of a LambdaResult or ClassReport, each float or array as
-    its bytes, for a bit-for-bit comparison."""
+    """The fields of a LambdaResult or ClassReport, and the witness of a
+    ClassReport (a property, read here), each float or array as its bytes,
+    for a bit-for-bit comparison."""
+    values = [getattr(result, f.name) for f in dataclasses.fields(result)
+              if not f.name.startswith("_")]
+    if isinstance(result, posinormal.ClassReport):
+        values.append(result.witness)
     return tuple(v if v is None or isinstance(v, bool) else np.asarray(v).tobytes()
-                 for v in dataclasses.astuple(result))
+                 for v in values)
 
 
 def _lambdas(t, n, result):
