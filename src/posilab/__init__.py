@@ -28,7 +28,6 @@ from .posinormal import (
     ClassQuery,
     ClassReport,
     LambdaResult,
-    check_norm_inequality,
     classify_grid,
     gap_matrix,
     is_member,

@@ -34,12 +34,16 @@ def _require(doc: dict, name: str):
 
 
 def _as_float(value, where: str) -> float:
-    """float(value); an integer literal beyond the float range is a
-    FileFormatError naming ``where``, not an OverflowError."""
+    """float(value), finite; anything else is a FileFormatError naming
+    ``where``: an integer literal beyond the float range (an OverflowError
+    in float) and inf or nan (json reads 1e400, Infinity and NaN as such)."""
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
-        raise FileFormatError(f"{where}: number beyond the 64-bit float range") from None
+        x = np.inf
+    if not np.isfinite(x):
+        raise FileFormatError(f"{where}: not a finite 64-bit float")
+    return x
 
 
 def _as_complex(value, where: str) -> complex:

@@ -47,11 +47,7 @@ from . import linalg
 from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_TOL
 
-# Unit vectors sampled by check_norm_inequality.
-_TRIALS = 64
-
-# Tolerance of the shifted-order checks: the PSD tolerance of the m-gap and
-# the absolute slack of the vector and operator-norm inequalities.
+# Absolute slack of both norm comparisons in operator_norm_corollary_check.
 _SHIFTED_TOL = 1e-9
 
 # Agreement required between the two algebraic forms of the gap matrix.
@@ -306,34 +302,6 @@ def _order(m, k: int) -> int:
     if not linalg.is_integer(m) or m < k:
         raise ValidationError(f"m must be an integer >= k={k}, got {m!r}")
     return int(m)
-
-
-def check_norm_inequality(t, k: int, n: int, lam: float, m: int,
-                          seed: int) -> bool:
-    """Verify the shifted-order consequence of membership.
-
-    For a member at (k, n, lam) and any m >= k, both of these hold:
-
-      (a) the m-gap T*^m (lam^2 T*T - T^n T*^n) T^m is PSD (at tolerance
-          1e-9), and
-      (b) ||T*^n T^m x|| <= lam ||T^{m+1} x|| + 1e-9 for every x.
-
-    (b) is sampled on 64 unit vectors drawn from a complex Gaussian
-    seeded with ``seed``, so the check is deterministic.
-    """
-    query = ClassQuery(k=k, n=n, lam=float(lam))
-    p = _pencil(t, _order(m, k), n)  # D = T*^n T^m, C = T^{m+1}
-    if not _verdict(p, query.lam, _SHIFTED_TOL).holds:
-        return False
-
-    rng = np.random.default_rng(seed)
-    c = p.t @ p.tk  # C = T^{m+1}, which the pencil does not hold
-    for _ in range(_TRIALS):
-        x = rng.standard_normal(len(p.t)) + 1j * rng.standard_normal(len(p.t))
-        x = x / np.linalg.norm(x)
-        if np.linalg.norm(p.d @ x) > query.lam * np.linalg.norm(c @ x) + _SHIFTED_TOL:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

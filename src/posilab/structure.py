@@ -120,8 +120,9 @@ def restrict_to_invariant(t, basis, k: int, n: int,
 
     ``basis`` is a matrix M whose columns span the subspace.  Rejected
     unless the columns are orthonormal and the invariance residual
-    ||(I - MM*)TM|| is below 1e-9 * max(1, ||T||).  For a member T the
-    compression is again a member at the same lambda.
+    ||TM - M(M*TM)||, which is ||(I - MM*)TM|| for orthonormal M, is
+    below 1e-9 * max(1, ||T||).  For a member T the compression is again
+    a member at the same lambda.
     """
     t = linalg.require_square(t)
     m = linalg.as_matrix(basis)
@@ -132,13 +133,12 @@ def restrict_to_invariant(t, basis, k: int, n: int,
     ortho = linalg.operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
     if ortho > _BASIS_TOL:
         raise ValidationError(f"subspace basis not orthonormal: residual {ortho:.3e}")
-    projector = m @ m.conj().T
-    residual = linalg.operator_norm((np.eye(t.shape[0]) - projector) @ t @ m)
+    compressed = m.conj().T @ t @ m
+    residual = linalg.operator_norm(t @ m - m @ compressed)
     if residual > _BASIS_TOL * max(1.0, linalg.operator_norm(t)):
         raise ValidationError(
             f"subspace is not invariant under T: residual {residual:.3e}"
         )
-    compressed = m.conj().T @ t @ m
     report = posinormal.is_member(compressed, ClassQuery(k=k, n=n, lam=lam))
     return compressed, report
 
@@ -162,18 +162,18 @@ def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
 
 
 def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
-    """Membership of U*TU for unitary U; the verdict matches T's."""
+    """Membership of U*TU for unitary U; the verdict matches T's.
+
+    U is rejected when ||U*U - I|| exceeds 1e-9.  For square U that is
+    max |sigma_i^2 - 1| over its singular values, so it equals ||UU* - I||.
+    """
     t = linalg.require_square(t)
     u = linalg.require_square(u)
     if t.shape != u.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs U {u.shape}")
-    eye = np.eye(u.shape[0])
-    left = linalg.operator_norm(u.conj().T @ u - eye)
-    right = linalg.operator_norm(u @ u.conj().T - eye)
-    if max(left, right) > _BASIS_TOL:
-        raise ValidationError(
-            f"U is not unitary: ||U*U - I|| = {left:.3e}, ||UU* - I|| = {right:.3e}"
-        )
+    residual = linalg.operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    if residual > _BASIS_TOL:
+        raise ValidationError(f"U is not unitary: ||U*U - I|| = {residual:.3e}")
     return posinormal.is_member(u.conj().T @ t @ u, ClassQuery(k=k, n=n, lam=lam))
 
 

@@ -87,6 +87,12 @@ def _mutated(doc, path, value):
     return json.dumps(doc)
 
 
+def _beyond_range(doc, path, value):
+    """_mutated, with each inf in ``value`` written as the literal 1e400,
+    which json reads as inf."""
+    return _mutated(doc, path, value).replace("Infinity", "1e400")
+
+
 MALFORMED_MATRICES = [
     ("missing entries", _mutated(_matrix_doc(), ["entries"], None), "entries"),
     ("row count", _mutated(_matrix_doc(), ["dim_rows"], 5), "entries"),
@@ -98,7 +104,7 @@ MALFORMED_MATRICES = [
     ("short row", _mutated(_matrix_doc(), ["entries", 1], [[0.0, 0.0]]),
      "entries[1]"),
     ("infinite", _mutated(_matrix_doc(), ["entries", 2, 1], [float("inf"), 0.0]),
-     "entries"),
+     "entries[2][1]"),
     # an integer literal beyond the float range: a format error, not an OverflowError
     ("huge integer", _mutated(_matrix_doc(), ["entries", 0, 0], [10 ** 400, 0.0]),
      "entries[0][0]"),
@@ -115,6 +121,8 @@ MALFORMED_SPACES = [
      "atoms[3].mass"),
     ("huge mass", _mutated(_space_doc(), ["atoms", 1, "mass"], 10 ** 400),
      "atoms[1].mass"),
+    ("float mass beyond range",
+     _beyond_range(_space_doc(), ["atoms", 1, "mass"], float("inf")), "atoms[1].mass"),
     ("uncovered atoms", _mutated(_space_doc(), ["partition", 1], None),
      "partition"),
     ("bad index", _mutated(_space_doc(), ["partition", 0, 1], "x"),
@@ -126,6 +134,10 @@ MALFORMED_SPACES = [
     ("short w", _mutated(_space_doc(), ["w", 7], None), "w"),
     ("bad u value", _mutated(_space_doc(), ["u", 2], [1.0]), "u[2]"),
     ("huge w value", _mutated(_space_doc(), ["w", 3], [0.0, 10 ** 400]), "w[3]"),
+    ("float w value beyond range",
+     _beyond_range(_space_doc(), ["w", 3], [0.0, float("inf")]), "w[3]"),
+    ("float u value beyond range",
+     _beyond_range(_space_doc(), ["u", 5], [float("inf"), 0.0]), "u[5]"),
 ]
 
 

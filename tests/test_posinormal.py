@@ -182,27 +182,30 @@ def test_min_lambda_diagonal_closed_form():
 
 # --- norm inequality / corollary ----------------------------------------------
 
-def test_check_norm_inequality_at_definition_order():
-    t = invariant_block_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
-    assert posinormal.check_norm_inequality(t, 1, 2, lam, m=1, seed=1729)
-
-
-def test_check_norm_inequality_vanishing_powers():
-    t = nilpotent_shift(3)
-    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=4, seed=1729)
-    assert posinormal.check_norm_inequality(t, 3, 2, 1.0, m=5, seed=1729)
-
-
-def test_check_norm_inequality_deterministic_and_validated():
-    t = invariant_block_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
-    a = posinormal.check_norm_inequality(t, 1, 2, lam, m=2, seed=7)
-    b = posinormal.check_norm_inequality(t, 1, 2, lam, m=2, seed=7)
-    assert a == b
-    for m in (0, True, 2.0):
-        with pytest.raises(ValidationError):
-            posinormal.check_norm_inequality(t, 1, 2, lam, m=m, seed=7)
+@pytest.mark.parametrize("t, n, lam, orders", [
+    # a member at (1, 2, lam), at orders m >= k = 1
+    (invariant_block_matrix(), 2,
+     posinormal.min_lambda(invariant_block_matrix(), 1, 2).lambda_min * (1 + 1e-6),
+     (1, 2, 3)),
+    # a member at (3, 2, 1), at orders m > k = 3 where T^m vanishes
+    (nilpotent_shift(3), 2, 1.0, (4, 5)),
+], ids=["invariant-block", "shift-vanishing-powers"])
+def test_vector_inequality_is_the_gap_at_order_m(t, n, lam, orders):
+    # Proposition 2.4(i): ||Dx|| <= lam ||Cx|| for every x, with C = T^{m+1}
+    # and D = T*^n T^m, is lam^2 C*C - D*D >= 0, the gap at quasi order m.
+    rng = np.random.default_rng(1729)
+    for m in orders:
+        c = np.linalg.matrix_power(t, m + 1)
+        d = np.linalg.matrix_power(t.conj().T, n) @ np.linalg.matrix_power(t, m)
+        assert posinormal.is_member(t, ClassQuery(m, n, lam)).holds
+        for _ in range(64):  # sampled unit vectors as the oracle
+            x = rng.standard_normal(len(t)) + 1j * rng.standard_normal(len(t))
+            x = x / np.linalg.norm(x)
+            assert np.linalg.norm(d @ x) <= lam * np.linalg.norm(c @ x) + 1e-9
+        lam_min = posinormal.min_lambda(t, m, n).lambda_min
+        if lam_min > 0:  # below lambda_min the witness breaks the inequality
+            x = posinormal.is_member(t, ClassQuery(m, n, 0.5 * lam_min)).witness
+            assert np.linalg.norm(d @ x) > 0.5 * lam_min * np.linalg.norm(c @ x)
 
 
 def test_operator_norm_corollary_identity():
@@ -229,6 +232,14 @@ def test_operator_norm_corollary_random_member(rng):
         lam = result.lambda_min * (1 + 1e-6)
         report = posinormal.operator_norm_corollary_check(t, 1, 2, lam, m=2)
         assert report.holds
+
+
+def test_operator_norm_corollary_validates_the_order():
+    t = invariant_block_matrix()
+    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
+    for m in (0, True, 2.0):  # below k = 1, a bool, a float
+        with pytest.raises(ValidationError, match="m must be an integer"):
+            posinormal.operator_norm_corollary_check(t, 1, 2, lam, m=m)
 
 
 def test_operator_norm_corollary_rejects_nonmember():

@@ -212,8 +212,10 @@ def test_unitary_gap_spectrum_invariant(rng):
 
 
 def test_unitary_rejects_non_unitary():
-    with pytest.raises(ValidationError, match="unitary"):
-        structure.unitary_conjugate_check(np.eye(2), np.diag([1.0, 2.0]), 0, 1, 1.0)
+    # ||U*U - I|| is 3, 3 and about 2e-6, each above the 1e-9 tolerance
+    for u in (np.diag([1.0, 2.0]), 2.0 * np.eye(2), np.diag([1.0, 1.0 + 1e-6])):
+        with pytest.raises(ValidationError, match="not unitary"):
+            structure.unitary_conjugate_check(np.eye(2), u, 0, 1, 1.0)
 
 
 # --- dense range upgrade ---------------------------------------------------------------
