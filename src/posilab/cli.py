@@ -3,9 +3,14 @@
 Subcommands: check, lambda-min, decompose, tensor, condexp, paper-verify.
 Exit codes: 0 clean run (verdicts live in the printed report, a negative
 verdict is not a failure), 1 invalid input, 2 numerical failure.
+
+The parser is built on the first ``main`` call and reused for the life of
+the process; ``parse_args`` fills a fresh namespace on every call and
+never changes the parser, so no call sees the arguments of another.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -174,6 +179,7 @@ def _cmd_paper_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posilab",
                      description="Verification lab for k-quasi n-power "

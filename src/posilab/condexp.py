@@ -23,6 +23,7 @@ reporting-first: each returns the measured evidence, and only
 implications with an actual proof behind them are asserted by callers.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -80,27 +81,40 @@ class BlockPartition:
 
     def __init__(self, blocks, atom_count: int):
         blocks = tuple(tuple(b) for b in blocks)
-        seen: set[int] = set()
-        for bi, block in enumerate(blocks):
-            if not block:
-                raise ValidationError(f"partition[{bi}] is empty")
-            for i in block:
-                if not linalg.is_integer(i):
-                    raise ValidationError(
-                        f"partition[{bi}] holds {i!r}, not an atom index")
-                if i < 0 or i >= atom_count:
-                    raise ValidationError(
-                        f"partition[{bi}] references atom {i}, "
-                        f"valid range is 0..{atom_count - 1}"
-                    )
-                if i in seen:
-                    raise ValidationError(f"atom {i} appears in two blocks")
-                seen.add(i)
-        if len(seen) != atom_count:
-            missing = sorted(set(range(atom_count)) - seen)
+        sizes = [len(b) for b in blocks]
+        if 0 in sizes:
+            raise ValidationError(f"partition[{sizes.index(0)}] is empty")
+        flat = tuple(itertools.chain.from_iterable(blocks))
+
+        def first(bad):
+            """(block number, index) of the first index for which bad holds."""
+            return next((bi, i) for bi, b in enumerate(blocks) for i in b if bad(i))
+
+        # By type, one index of each: as an array, [True, 0] reads as integers.
+        if not all(map(linalg.is_integer, dict(zip(map(type, flat), flat)).values())):
+            bi, i = first(lambda i: not linalg.is_integer(i))
+            raise ValidationError(f"partition[{bi}] holds {i!r}, not an atom index")
+        try:
+            atoms = np.array(flat, dtype=np.intp)
+            counts = np.bincount(atoms, minlength=atom_count)
+        except (OverflowError, ValueError):  # an index beyond intp, or negative
+            counts = None
+        if counts is None or counts.size > atom_count:
+            bi, i = first(lambda i: not 0 <= i < atom_count)
+            raise ValidationError(
+                f"partition[{bi}] references atom {i}, "
+                f"valid range is 0..{atom_count - 1}"
+            )
+        if counts.max(initial=0) > 1:
+            twice = np.flatnonzero(counts > 1)
+            raise ValidationError(f"atom {twice[0]} appears in two blocks")
+        if counts.min(initial=1) == 0:
+            missing = np.flatnonzero(counts == 0).tolist()
             raise ValidationError(f"partition does not cover atoms {missing}")
-        object.__setattr__(self, "blocks",
-                           tuple(tuple(int(i) for i in b) for b in blocks))
+        ends = list(itertools.accumulate(sizes))
+        ints = atoms.tolist()
+        object.__setattr__(self, "blocks", tuple(
+            tuple(ints[start:end]) for start, end in zip([0] + ends, ends)))
         object.__setattr__(self, "atom_count", int(atom_count))
 
     @property

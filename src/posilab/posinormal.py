@@ -47,7 +47,9 @@ from . import linalg
 from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_TOL
 
-# Absolute slack of both norm comparisons in operator_norm_corollary_check.
+# Relative slack of both norm comparisons in operator_norm_corollary_check:
+# lhs <= rhs + _SHIFTED_TOL * max(lhs, rhs), so scaling T scales both sides
+# and their slack alike and leaves the verdicts as they are.
 _SHIFTED_TOL = 1e-9
 
 # Agreement required between the two algebraic forms of the gap matrix.
@@ -322,7 +324,7 @@ class NormCorollaryReport:
 
 def operator_norm_corollary_check(t, k: int, n: int, lam: float,
                                   m: int) -> NormCorollaryReport:
-    """Check the operator-norm inequality, with absolute slack 1e-9, for a
+    """Check the operator-norm inequality, with relative slack 1e-9, for a
     member at (k, n, lam)."""
     query = ClassQuery(k=k, n=n, lam=float(lam))
     m = _order(m, k)
@@ -333,11 +335,11 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
-        holds=lhs <= rhs1 + _SHIFTED_TOL,
+        holds=lhs <= rhs1 + _SHIFTED_TOL * max(lhs, rhs1),
         lhs=lhs,
         rhs_first_power=rhs1,
         rhs_squared=rhs2,
-        holds_squared=lhs <= rhs2 + _SHIFTED_TOL,
+        holds_squared=lhs <= rhs2 + _SHIFTED_TOL * max(lhs, rhs2),
     )
 
 

@@ -24,6 +24,7 @@ Statuses:
   not-assertable  no sound cross-implication exists; evidence recorded
 """
 
+import functools
 import hashlib
 import json
 import time
@@ -361,27 +362,28 @@ def _claim_thm34() -> tuple:
             f"{rep.necessity_ok}", rep.necessity_ok)
 
 
-def _ex36_expectation(moment) -> np.ndarray:
-    """Blockwise E(moment(w, u)), real part, on the 4096-atom interval example."""
-    space, partition, w, u = fixtures.interval_example(4096)
+def _ex36_expectation(example, moment) -> np.ndarray:
+    """Blockwise E(moment(w, u)), real part, on ``example``, the
+    (space, partition, w, u) of the 4096-atom interval example."""
+    space, partition, w, u = example
     return condexp.block_expectations(space, partition, moment(w, u)).real
 
 
-def _claim_ex36_ew2() -> tuple:
-    e_w2 = _ex36_expectation(lambda w, u: np.abs(w) ** 2)
+def _claim_ex36_ew2(example) -> tuple:
+    e_w2 = _ex36_expectation(example, lambda w, u: np.abs(w) ** 2)
     return (f"({_fmt(e_w2[0])}, {_fmt(e_w2[1])}) at 4096 atoms (exact)",
             abs(e_w2[0] - 4.0) == 0.0 and abs(e_w2[1] - 1.0) == 0.0)
 
 
-def _claim_ex36_eu2() -> tuple:
-    e_u2 = _ex36_expectation(lambda w, u: np.abs(u) ** 2)
+def _claim_ex36_eu2(example) -> tuple:
+    e_u2 = _ex36_expectation(example, lambda w, u: np.abs(u) ** 2)
     return (f"({_fmt(e_u2[0])}, {_fmt(e_u2[1])}) at 4096 atoms "
             f"(1/12 = {_fmt(1 / 12)})",
             max(abs(e_u2[0] - 1 / 12), abs(e_u2[1] - 1 / 12)) <= 1e-6)
 
 
-def _claim_ex36_euw() -> tuple:
-    e_uw = _ex36_expectation(lambda w, u: u * w)
+def _claim_ex36_euw(example) -> tuple:
+    e_uw = _ex36_expectation(example, lambda w, u: u * w)
     # Independent block integrals: (2 * x on [0, 1/2)) and (1 - x on
     # [1/2, 1]) average to 1/2 and 1/4 respectively.
     oracle = (0.5, 0.25)
@@ -413,7 +415,12 @@ def _claim_ex36_thm35_verdicts() -> tuple:
 
 
 def _claims(seed: int) -> list:
-    """(claim_id, location, expected, compute) for every claim of the suite."""
+    """(claim_id, location, expected, compute) for every claim of the suite.
+
+    The three ex3.6 moment claims read one 4096-atom interval example,
+    built when the first of them runs and dropped with the table.
+    """
+    interval_4096 = functools.cache(lambda: fixtures.interval_example(4096))
     after26 = "Example after Proposition 2.6"
     after210 = "Example after Theorem 2.10"
     remark21 = "Remark after Definition 2.1"
@@ -512,9 +519,12 @@ def _claims(seed: int) -> list:
          "n-power membership of the matrix implies the blockwise "
          "inequality",
          _claim_thm34),
-        ("ex3.6-Ew2", ex36, "E|w|^2 = (4, 1)", _claim_ex36_ew2),
-        ("ex3.6-Eu2", ex36, "E|u|^2 = (1/12, 1/12)", _claim_ex36_eu2),
-        ("ex3.6-Euw", ex36, "E(uw) = (1/4, 1/4)", _claim_ex36_euw),
+        ("ex3.6-Ew2", ex36, "E|w|^2 = (4, 1)",
+         lambda: _claim_ex36_ew2(interval_4096())),
+        ("ex3.6-Eu2", ex36, "E|u|^2 = (1/12, 1/12)",
+         lambda: _claim_ex36_eu2(interval_4096())),
+        ("ex3.6-Euw", ex36, "E(uw) = (1/4, 1/4)",
+         lambda: _claim_ex36_euw(interval_4096())),
         ("ex3.6-criterion-arithmetic", ex36,
          "(1/4)^4 = 1/256 <= 16 (1/12)^3 (4) = 1/27",
          _claim_ex36_criterion_arithmetic),
@@ -539,6 +549,9 @@ def _input_digests() -> dict:
 
 def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
     """Evaluate every claim and assemble the deterministic report.
+
+    The 4096-atom interval example of the ex3.6 claims is built once per
+    call and shared by those claims; no call reuses another's.
 
     The output is identical for identical seeds except for the wall-clock
     timings.  Claims are sorted by id so evaluation order never shows.

@@ -138,3 +138,22 @@ def random_member(rng, dim, k, n, margin=1e-4, max_power_cond=1e4, tries=50):
             continue
         return t, lam * (1 + margin), lam
     raise RuntimeError(f"no usable sample for dim={dim}, k={k}, n={n}")
+
+
+def partition_defect(blocks, atom_count):
+    """Message for the first defect of a partition, index by index, or None."""
+    seen = set()
+    for bi, block in enumerate(blocks):
+        if len(block) == 0:
+            return f"partition[{bi}] is empty"
+        for i in block:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                return f"partition[{bi}] holds {i!r}, not an atom index"
+            if not 0 <= i < atom_count:
+                return (f"partition[{bi}] references atom {i}, "
+                        f"valid range is 0..{atom_count - 1}")
+            if i in seen:
+                return f"atom {i} appears in two blocks"
+            seen.add(i)
+    missing = sorted(set(range(atom_count)) - seen)
+    return f"partition does not cover atoms {missing}" if missing else None

@@ -3,6 +3,9 @@ fixtures, malformed documents naming their bad field, and the fixture
 files as written by fileio."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -252,6 +255,47 @@ def test_parsed_arguments_with_defaults():
         parsed = vars(parser.parse_args(argv))
         assert parsed.pop("func").__name__ == "_cmd_" + command.replace("-", "_")
         assert parsed == {"command": command, **expected}, command
+
+
+def test_importing_cli_builds_no_parser():
+    code = ("import posilab.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys):
+    """One parser serves every call of the process, and no call's flags
+    reach the next: each call prints what it prints as the first call."""
+    report = tmp_path / "report.json"
+    # At lambda = 1.9999 diag(2, 1) is a member under --tol 1e-3 only.
+    check = ["check", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2,
+             "--lambda", 1.9999]
+    calls = [check + ["--tol", "1e-3"], ["check", "--k"],
+             ["paper-verify", "--out", report, "--seed", 7],
+             check, ["check", "--k"], ["paper-verify"]]
+
+    def call(argv):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        written = report.read_text() if report.exists() else ""
+        report.unlink(missing_ok=True)
+        return [code] + [[line for line in text.splitlines()
+                          if '"elapsed_s":' not in line]
+                         for text in (out, err, written)]
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(call(argv))
+    assert [outcome[0] for outcome in first] == [0, 1, 0, 0, 1, 0]
+    assert "holds: true" in first[0][1] and "holds: false" in first[3][1]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [call(argv) for argv in calls] == first
+    assert cli.build_parser() is parser
 
 
 # --- the fixture files -----------------------------------------------------------

@@ -161,6 +161,54 @@ def test_partition_takes_integer_indices_only():
     assert all(type(i) is int for i in partition.blocks[0])
 
 
+def _one_defect(rng, atoms):
+    """A random partition of ``atoms`` atoms, its indices as Python or numpy
+    integers, with one defect: an empty block, a non-integer, an index out
+    of range, an atom in two blocks, or an atom left out (or none)."""
+    cuts = np.sort(rng.choice(np.arange(1, atoms), rng.integers(atoms), replace=False))
+    blocks = [list(b) for b in np.split(rng.permutation(atoms), cuts)]
+    if rng.integers(2):
+        blocks = [[int(i) for i in b] for b in blocks]
+    target = blocks[rng.integers(len(blocks))]
+    at = int(rng.integers(len(target) + 1))
+    kind = int(rng.integers(6))
+    if kind == 0:
+        blocks.insert(at % (len(blocks) + 1), [])
+    elif kind == 1:
+        bad = [True, False, np.True_, 1.0, np.float64(2.0), "1", None, 1j]
+        target.insert(at, bad[rng.integers(len(bad))])
+    elif kind == 2:
+        beyond = [-1, atoms, atoms + 5, np.int8(-3), np.uint64(atoms),
+                  np.uint64(2 ** 64 - 1), 10 ** 30]
+        target.insert(at, beyond[rng.integers(len(beyond))])
+    elif kind == 3:
+        target.insert(at, int(rng.integers(atoms)))
+    elif kind == 4 and len(target) > 1:
+        target.pop(at % len(target))
+    return blocks
+
+
+def test_partition_reports_each_defect_as_the_index_loop_does():
+    rng = np.random.default_rng(11)
+    messages = set()
+    for _ in range(600):
+        atoms = int(rng.integers(2, 30))
+        blocks = _one_defect(rng, atoms)
+        expected = oracles.partition_defect(blocks, atoms)
+        if expected is None:
+            partition = condexp.BlockPartition(blocks, atoms)
+            assert partition.blocks == tuple(tuple(int(i) for i in b) for b in blocks)
+            assert all(type(i) is int for b in partition.blocks for i in b)
+            continue
+        with pytest.raises(ValidationError) as info:
+            condexp.BlockPartition(blocks, atoms)
+        assert str(info.value) == expected
+        messages.add(expected)
+    for kind in ("is empty", "not an atom index", "valid range", "two blocks",
+                 "does not cover"):
+        assert any(kind in m for m in messages), kind
+
+
 def test_interval_example_validates_its_size():
     for n_atoms in (7, 0, 8.0, True):
         with pytest.raises(ValidationError):

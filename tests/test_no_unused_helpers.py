@@ -120,3 +120,39 @@ def test_defaulted_parameters_do_not_grow():
                          + sum(d is not None for d in args.kw_defaults))
                 counted += [f"{path.stem}.{getattr(node, 'name', 'lambda')}"] * count
     assert len(counted) <= MAX_DEFAULTED, sorted(counted)
+
+
+# State that lives as long as the process: functions and methods under a
+# functools.cache or lru_cache decorator, and module-level names bound to
+# None (a slot that code fills later) or to a cache.  A cache made inside a
+# function call dies with that call's objects and is not listed.  Adding one
+# means adding its name here on purpose.
+PROCESS_CACHES = {"cli.build_parser", "posinormal._slot"}
+
+
+def _is_cache(node) -> bool:
+    """cache or lru_cache, bare or as an attribute, called or not."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in {"cache", "lru_cache"}
+
+
+def test_process_level_caches_are_the_known_ones():
+    found = set()
+    for path in sorted((ROOT / "src" / "posilab").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        functions = [(path.stem, node) for node in body]
+        functions += [(f"{path.stem}.{cls.name}", node) for cls in body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for owner, node in functions:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(_is_cache, node.decorator_list))):
+                found.add(f"{owner}.{node.name}")
+        for node in body:
+            value = getattr(node, "value", None) if isinstance(
+                node, (ast.Assign, ast.AnnAssign)) else None
+            if value is not None and (_is_cache(value) or (
+                    isinstance(value, ast.Constant) and value.value is None)):
+                found |= {f"{path.stem}.{name}" for name in _defined_names(node)}
+    assert found == PROCESS_CACHES

@@ -215,6 +215,19 @@ def test_operator_norm_corollary_identity():
     assert report.rhs_first_power == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-4, 1e-6])
+def test_operator_norm_corollary_is_scale_covariant(c):
+    # Both sides scale alike, so the verdicts do not depend on c: at c = 1,
+    # lhs = 0.0625 is twice rhs_squared, and it stays twice it when c shrinks
+    # both sides far below any absolute slack.
+    t = c * np.diag([0.5, 0.25]).astype(complex)
+    lam = posinormal.min_lambda(t, 1, 2).lambda_min * 1.000001
+    report = posinormal.operator_norm_corollary_check(t, 1, 2, lam, m=2)
+    assert report.holds
+    assert not report.holds_squared
+    assert report.lhs == pytest.approx(2 * report.rhs_squared, rel=1e-5)
+
+
 def test_operator_norm_corollary_nilpotent():
     report = posinormal.operator_norm_corollary_check(
         nilpotent_shift(3), 3, 2, 1.0, m=3)

@@ -3,7 +3,7 @@ ClaimRecord, and the guard against duplicated claim ids."""
 
 import pytest
 
-from posilab import verify
+from posilab import fixtures, verify
 
 SEED = verify.DEFAULT_SEED
 TARGET = "prop2.4ii-nilpotency"
@@ -38,3 +38,14 @@ def test_duplicated_row_is_refused(monkeypatch):
     monkeypatch.setattr(verify, "_claims", lambda seed: claims(seed) + claims(seed)[:1])
     with pytest.raises(RuntimeError, match="duplicate claim ids"):
         verify.run_claim_suite(SEED)
+
+
+def test_interval_example_is_built_once_per_run(monkeypatch):
+    """The three ex3.6 moment claims share one 4096-atom example per run,
+    and no run reuses the example of another."""
+    sizes, build = [], fixtures.interval_example
+    monkeypatch.setattr(fixtures, "interval_example",
+                        lambda n_atoms: sizes.append(n_atoms) or build(n_atoms))
+    for _ in range(2):
+        verify.run_claim_suite(SEED)
+    assert sizes.count(4096) == 2
