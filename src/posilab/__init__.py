@@ -15,10 +15,7 @@ __version__ = "0.1.0"
 from .errors import FileFormatError, NumericalFailure, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    PsdVerdict,
     as_matrix,
-    hermitian_eigen,
-    is_psd,
     matpow,
     operator_norm,
     spectrum,

@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _tolerance(text: str) -> float:
+    """Type of --tol: a finite real > 0, else a usage error (exit 1)."""
+    tol = float(text)
+    if not 0.0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite real > 0, got {text!r}")
+    return tol
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "posinormal operators")
     sub = parser.add_subparsers(dest="command", required=True)
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=linalg.DEFAULT_TOL)
+    tol.add_argument("--tol", type=_tolerance, default=linalg.DEFAULT_TOL)
     query = argparse.ArgumentParser(add_help=False, parents=[tol])
     query.add_argument("--k", type=int, required=True)
     query.add_argument("--n", type=int, required=True)

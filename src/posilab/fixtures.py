@@ -57,7 +57,7 @@ def interval_example(n_atoms: int):
     mid = (np.arange(n_atoms) + 0.5) / n_atoms
     space = condexp.FiniteMeasureSpace(
         np.full(n_atoms, 1.0 / n_atoms),
-        labels=tuple(f"x={x:.6g}" for x in mid),
+        labels=tuple(f"x={x:.6g}" for x in mid.tolist()),
     )
     half = n_atoms // 2
     partition = condexp.BlockPartition([range(half), range(half, n_atoms)], n_atoms)

@@ -6,13 +6,15 @@ behind validated interfaces.  A tolerance that callers set is a
 parameter; a fixed one is a named module constant, never a literal
 inside an algorithm.
 
+A matrix a caller passes in is validated once, at entry.  A matrix the
+package forms itself (a Gram matrix C*C is Hermitian by construction) is
+checked only for overflow, never again for a property it has by design.
+
 Target dimensions are small (tens, up to the low hundreds; a weighted
 conditional operator arrives compressed to at most twice its block count,
 whatever its atom count), so robustness is preferred over speed
 throughout.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,63 +127,6 @@ def deviation_beyond(x, y, tol: float) -> float | None:
 def symmetrize(h) -> np.ndarray:
     """(H + H*)/2, the Hermitian part of H, equal to its adjoint bit for bit."""
     return (h + h.conj().T) / 2.0
-
-
-def _hermitian_part(h, tol: float) -> np.ndarray:
-    """symmetrize(H), after rejecting an H whose asymmetry exceeds ``tol``
-    relative to max(1, norm), by bounds first; rounding-level asymmetry
-    never leaks into the eigendata."""
-    h = require_square(h)
-    asym = deviation_beyond(h - h.conj().T, h, tol)
-    if asym is not None:
-        raise ValidationError(
-            f"matrix is not Hermitian: relative asymmetry {asym:.3e} > {tol:.3e}"
-        )
-    return symmetrize(h)
-
-
-def hermitian_eigen(h, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition H = V diag(w) V* of a Hermitian matrix, as the
-    pair (w, V) of ``numpy.linalg.eigh``: w ascending, V unitary.  The
-    asymmetry check and symmetrization are _hermitian_part's."""
-    return np.linalg.eigh(_hermitian_part(h, tol))
-
-
-def lowest_eigenvector(h: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the Hermitian h for its smallest eigenvalue, from
-    one numpy.linalg.eigh: the witness of a failed verdict."""
-    return np.linalg.eigh(h)[1][:, 0].copy()
-
-
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of a positive-semidefiniteness test.  A failing verdict holds
-    its symmetrized H, and ``witness`` computes the eigenvector when read."""
-
-    is_psd: bool
-    min_eigenvalue: float
-    _h: np.ndarray | None = field(repr=False)  # symmetrized H, when not PSD
-
-    @property
-    def witness(self) -> np.ndarray | None:
-        """Unit vector x with <Hx, x> < 0 when not PSD, else None; one eigh
-        of H per read."""
-        return None if self._h is None else lowest_eigenvector(self._h)
-
-
-def is_psd(h, tol: float) -> PsdVerdict:
-    """Test H >= 0 up to a relative eigenvalue tolerance.
-
-    Passes iff the smallest eigenvalue is >= -tol * max(1, ||H||_2), the
-    norm taken from the eigenvalues.  The verdict computes eigenvalues
-    only, with one numpy.linalg.eigvalsh; on failure the witness, the unit
-    eigenvector of the most negative eigenvalue, is an eigh when it is read.
-    """
-    h = _hermitian_part(h, tol)
-    w = np.linalg.eigvalsh(h)
-    lo = float(w[0])
-    ok = lo >= -tol * max(1.0, float(np.max(np.abs(w))))
-    return PsdVerdict(ok, lo, None if ok else h)
 
 
 def svd_rank_spaces(m, tol: float) -> tuple[np.ndarray, np.ndarray]:

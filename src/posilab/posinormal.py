@@ -55,9 +55,6 @@ _SHIFTED_TOL = 1e-9
 # Agreement required between the two algebraic forms of the gap matrix.
 _FORM_AGREEMENT_TOL = 1e-10
 
-# Asymmetry that min_lambda tolerates in A = C*C before eigendecomposing it.
-_GRAM_ASYMMETRY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ClassQuery:
@@ -94,7 +91,7 @@ class ClassReport:
     def witness(self) -> np.ndarray | None:
         """Unit vector x with <Gx, x> < 0 for the gap G, certifying failure,
         else None; one eigh of the gap per read."""
-        return None if self._gap is None else linalg.lowest_eigenvector(self._gap)
+        return None if self._gap is None else np.linalg.eigh(self._gap)[1][:, 0].copy()
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,10 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
 
 @linalg.quiet_overflow
 def _gram_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w ascending, V) of A = C*C, C = T^{k+1}."""
+    """Eigenpairs (w ascending, V) of A = C*C, C = T^{k+1}.  A Gram matrix
+    is Hermitian by construction, so only overflow is checked."""
     linalg.require_finite(a, "(T^{k+1})*T^{k+1}")
-    return linalg.hermitian_eigen(a, _GRAM_ASYMMETRY_TOL)
+    return np.linalg.eigh(linalg.symmetrize(a))
 
 
 @linalg.quiet_overflow

@@ -140,6 +140,26 @@ def random_member(rng, dim, k, n, margin=1e-4, max_power_cond=1e4, tries=50):
     raise RuntimeError(f"no usable sample for dim={dim}, k={k}, n={n}")
 
 
+def kronecker_pairs(seed, count):
+    """Seeded (T, S, k, n) for Theorem 2.11: complex Gaussian factors of
+    dims 2-5, each with one zero column with probability 1/3, k in 0-2 and
+    n in 1-3.  A and B of T (x) S are A_T (x) A_S and B_T (x) B_S, so the
+    product's lambda_min is lambda_min(T) lambda_min(S) when both factors
+    are feasible, at any conditioning of the product."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        dim = int(rng.integers(2, 6))
+        t = (rng.standard_normal((dim, dim))
+             + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2 * dim)
+        if rng.random() < 1 / 3:
+            t[:, int(rng.integers(dim))] = 0.0
+        return t
+
+    return [(factor(), factor(), int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+            for _ in range(count)]
+
+
 def partition_defect(blocks, atom_count):
     """Message for the first defect of a partition, index by index, or None."""
     seen = set()

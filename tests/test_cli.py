@@ -185,6 +185,20 @@ def test_bad_power_exits_one_naming_it(power, capsys):
     assert err.startswith("error: power"), err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+def test_bad_tolerance_exits_one_naming_it(tol, capsys):
+    identity = FIXTURES / "identity_2.json"
+    for argv in (["check", identity, "--k", 0, "--n", 1, "--lambda", 1],
+                 ["lambda-min", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2],
+                 ["decompose", identity, "--k", 0],
+                 ["tensor", identity, identity, "--k", 0, "--n", 1,
+                  "--lambda", 1, "--mu", 1],
+                 ["condexp", SPACE, "polar"]):
+        assert run([*argv, f"--tol={tol}"]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument --tol: " in err, err
+
+
 # --- exit code 2 on overflow ----------------------------------------------------
 
 def _overflow_cases(tmp_path):

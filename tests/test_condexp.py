@@ -130,6 +130,30 @@ def test_interval_example_at_4096_atoms_stays_compressed():
     assert peak < 16 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])
+@pytest.mark.parametrize("kind", [None, "u", "w", "conj"])
+def test_polar_modulus_is_psd_by_construction(scale_w, scale_u, kind):
+    """|T| = Y* diag(m_b) Y with m_b >= 0: its smallest eigenvalue is above
+    -1e-13 max(1, ||T||) with no asymmetry test, with u or w zero on a
+    block and with u = c conj(w) blockwise."""
+    rng = np.random.default_rng(43)
+    ops = [condexp.build_operator(*fixtures.interval_example(n)) for n in (8, 4096)]
+    for atoms, blocks in SHAPES + [(64, 16), (256, 32)]:
+        masses, parts, w, u = random_space(rng, atoms, blocks, kind == "u")
+        if kind == "w":
+            w[list(parts[-1])] = 0.0
+        elif kind == "conj":
+            for part in parts:
+                u[list(part)] = crandn(rng, 1) * np.conj(w[list(part)])
+        ops.append(condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                          condexp.BlockPartition(parts, atoms),
+                                          w * scale_w, u * scale_u))
+    for op in ops:
+        lowest = condexp.polar_decomposition_check(op).modulus_min_eigenvalue
+        t_norm = np.linalg.norm(op.compressed, 2)
+        assert -lowest <= 1e-13 * max(1.0, t_norm), (op.space.atom_count, lowest)
+
+
 @pytest.mark.parametrize("m", [0.25, 0.5, 1.5])
 def test_lemma31_holds_at_fractional_powers(m):
     # Rounding-level eigenvalues of T*T's null space must count as 0, not
@@ -216,6 +240,14 @@ def test_interval_example_validates_its_size():
     space, partition, w, u = fixtures.interval_example(np.int64(4))
     assert partition.blocks == ((0, 1), (2, 3))
     np.testing.assert_allclose(u.real, [0.125, 0.375, 0.375, 0.125])
+
+
+@pytest.mark.parametrize("n_atoms", [2, 8, 4096])
+def test_interval_example_labels_format_the_midpoints(n_atoms):
+    # Labels come from Python floats; they must read as numpy's formatting.
+    space = fixtures.interval_example(n_atoms)[0]
+    mid = (np.arange(n_atoms) + 0.5) / n_atoms
+    assert space.labels == tuple(f"x={x:.6g}" for x in mid)
 
 
 def _criterion_cases():

@@ -49,95 +49,6 @@ def test_matpow_rejects():
     np.testing.assert_allclose(linalg.matpow(np.eye(2), np.int64(3)), np.eye(2))
 
 
-# --- hermitian eigensolver ---------------------------------------------------
-
-def test_hermitian_eigen_diagonal():
-    w, _ = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]), tol=1e-10)
-    np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
-
-
-def test_hermitian_eigen_2x2_characteristic_polynomial():
-    # roots of x^2 - 6x + 4: 3 +- sqrt(5)
-    w, _ = linalg.hermitian_eigen(np.array([[1.0, 1.0], [1.0, 5.0]]), tol=1e-10)
-    np.testing.assert_allclose(w,
-                               [3 - np.sqrt(5), 3 + np.sqrt(5)], atol=1e-12)
-
-
-def test_hermitian_eigen_zero():
-    w, _ = linalg.hermitian_eigen(np.zeros((4, 4)), tol=1e-10)
-    np.testing.assert_allclose(w, np.zeros(4))
-
-
-def test_hermitian_eigen_invariants(rng):
-    for _ in range(20):
-        dim = int(rng.integers(1, 9))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        w, v = linalg.hermitian_eigen(h, tol=1e-10)
-        assert linalg.operator_norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
-        recon = v @ np.diag(w) @ v.conj().T
-        assert (linalg.operator_norm(h - recon)
-                <= 1e-10 * max(1.0, linalg.operator_norm(h)))
-        assert np.all(np.diff(w) >= -1e-14)
-
-
-def test_hermitian_eigen_rejects_asymmetric():
-    with pytest.raises(ValidationError, match="asymmetry"):
-        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
-
-
-def test_hermitian_eigen_checks_symmetry_without_svd(rng, monkeypatch):
-    calls = []
-    exact = linalg.operator_norm
-    monkeypatch.setattr(linalg, "operator_norm",
-                        lambda m: calls.append(1) or exact(m))
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (g + g.conj().T) / 2
-    assert np.array_equal(h, h.conj().T)  # equal to its adjoint bit for bit
-    linalg.hermitian_eigen(h, tol=1e-10)
-    linalg.hermitian_eigen(g.conj().T @ g, tol=1e-10)  # rounding-level asymmetry
-    assert calls == []
-    with pytest.raises(ValidationError, match="asymmetry"):
-        linalg.hermitian_eigen(h + 1e-6 * g, tol=1e-10)
-
-
-# --- PSD test ----------------------------------------------------------------
-
-def test_is_psd_with_kernel():
-    verdict = linalg.is_psd(np.diag([1.0, 0.0]), tol=1e-10)
-    assert verdict.is_psd and verdict.witness is None
-
-
-def test_is_psd_explicit_negative_direction():
-    verdict = linalg.is_psd(np.diag([1.0, -1e-3]), tol=1e-10)
-    assert not verdict.is_psd
-    np.testing.assert_allclose(np.abs(verdict.witness), [0.0, 1.0], atol=1e-12)
-
-
-def test_is_psd_indefinite_from_negative_diagonal():
-    # a negative diagonal entry forces indefiniteness
-    verdict = linalg.is_psd(np.array([[-1.0, -7.0], [-7.0, 103.0]]), tol=1e-10)
-    assert not verdict.is_psd
-    x = verdict.witness
-    assert np.vdot(x, np.array([[-1.0, -7.0], [-7.0, 103.0]]) @ x).real < 0
-
-
-def test_is_psd_shift_properties(rng):
-    for _ in range(20):
-        dim = int(rng.integers(1, 7))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        norm = linalg.operator_norm(h)
-        assert linalg.is_psd(h + (norm + 1e-3) * np.eye(dim), tol=1e-10).is_psd
-        lo = float(np.linalg.eigvalsh(h)[0])
-        assert not linalg.is_psd(h - (abs(lo) + 1.0) * np.eye(dim), tol=1e-10).is_psd
-
-
-def test_is_psd_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        linalg.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
-
-
 # --- rank spaces -------------------------------------------------------------
 
 def _projector(basis):

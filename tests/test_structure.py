@@ -301,3 +301,37 @@ def test_tensor_preservation_random(rng):
         assert report.holds
         hits += 1
     assert hits >= 5
+
+
+# --- Theorem 2.11 as an exact oracle for min_lambda --------------------------------
+
+KRONECKER_PAIRS = oracles.kronecker_pairs(2507, 300)
+
+# Pairs on which min_lambda(T (x) S) calls a product of two feasible factors
+# infeasible, all at k >= 1: the Gram pencil squares the conditioning of
+# C = (T (x) S)^{k+1}, which ROADMAP item 1 replaces by a CS decomposition.
+# The same pairs fail with one BLAS thread and with the default count.
+KRONECKER_DEFECTS = {22, 32, 179, 268}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: min_lambda calls T (x) S infeasible although both "
+        "factors are feasible")) if i in KRONECKER_DEFECTS else ())
+    for i in range(len(KRONECKER_PAIRS))])
+def test_kronecker_min_lambda_is_the_product(case):
+    t, s, k, n = KRONECKER_PAIRS[case]
+    lt, ls = posinormal.min_lambda(t, k, n), posinormal.min_lambda(s, k, n)
+    product = posinormal.min_lambda(np.kron(t, s), k, n)
+    if lt.feasible and ls.feasible:
+        assert product.feasible
+        assert product.lambda_min == pytest.approx(lt.lambda_min * ls.lambda_min, rel=1e-6)
+        return
+
+    def d_nonzero(m):
+        return bool(np.any(oracles.adj(oracles.mpow(m, n)) @ oracles.mpow(m, k)))
+
+    # Infeasible iff a factor has a null direction of C that D sees, and the
+    # other factor's B = D*D does not vanish (an infeasible factor has B != 0).
+    assert product.feasible == (not ((not lt.feasible and d_nonzero(s))
+                                     or (not ls.feasible and d_nonzero(t))))
