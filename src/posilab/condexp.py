@@ -450,8 +450,9 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
 
     Checks: U |T| reassembles T; |T| is PSD and squares to T*T; U*U is the
     orthogonal projector onto the range of |T| (U is a partial isometry).
-    |T| = Y* diag(m_b) Y with m_b >= 0 is Hermitian by construction, so its
-    eigenvalues come from one eigvalsh with no asymmetry test.
+    |T| = Y* diag(m_b) Y with m_b >= 0 is Hermitian by construction, so one
+    eigh of it, with no asymmetry test, gives both its smallest eigenvalue
+    and its range: the eigenvectors of the significant eigenvalues.
     """
     v, q, t = op.indicators, op.basis, op.compressed
     eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
@@ -468,8 +469,8 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     t_norm = linalg.operator_norm(t)
     factor_residual = residual(partial_iso @ modulus, t, "U |T|")
     sq_residual = residual(modulus @ modulus, t.conj().T @ t, "|T|^2")
-    w = np.linalg.eigvalsh(linalg.symmetrize(modulus))
-    range_basis, _ = linalg.svd_rank_spaces(modulus, DEFAULT_TOL)
+    w, vecs = np.linalg.eigh(linalg.symmetrize(modulus))
+    range_basis = vecs[:, linalg.significant(w, DEFAULT_TOL)]
     range_proj = range_basis @ range_basis.conj().T
     iso_residual = residual(partial_iso.conj().T @ partial_iso, range_proj, "U*U")
     scale = max(1.0, t_norm)

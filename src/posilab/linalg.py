@@ -7,7 +7,7 @@ parameter; a fixed one is a named module constant, never a literal
 inside an algorithm.
 
 A matrix a caller passes in is validated once, at entry.  A matrix the
-package forms itself (a Gram matrix C*C is Hermitian by construction) is
+package forms itself (a symmetrized gap is Hermitian by construction) is
 checked only for overflow, never again for a property it has by design.
 
 Target dimensions are small (tens, up to the low hundreds; a weighted
@@ -21,7 +21,8 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 
 # Relative eigenvalue / singular-value cutoff of the membership, PSD and
-# rank decisions when a caller (or the CLI's --tol) sets no other.
+# rank decisions when a caller (or the CLI's --tol) sets no other, and the
+# fixed rank cut of every rung of posinormal's range ladder.
 DEFAULT_TOL = 1e-10
 
 # Dimension up to which spectrum() cross-checks the eigenvalue product
@@ -103,25 +104,22 @@ def norm_bounds(m) -> tuple[float, float]:
     return float(np.sqrt(columns.max()) * (1.0 - slack)), hi
 
 
-def at_most_scaled(x: float, tol: float, m, exact_norm) -> bool:
-    """x <= tol * max(1, s) with s = ||m||_2, settled by norm_bounds(m)
-    first; exact_norm() gives s (an SVD) and runs only when the bounds
-    straddle the threshold."""
-    lo, hi = norm_bounds(m)
-    if x <= tol * max(1.0, lo):
+def at_most_scaled(x: float, tol: float, floor: float, form) -> bool:
+    """x <= tol * max(floor, s) with s = ||m||_2^2, m = form(): m is formed
+    only when x > tol * floor, and its SVD runs only when norm_bounds(m)
+    straddle the threshold; NumericalFailure when s overflows."""
+    if x <= tol * floor:
         return True
-    if x > tol * max(1.0, hi):
-        return False
-    return x <= tol * max(1.0, exact_norm())
-
-
-def deviation_beyond(x, y, tol: float) -> float | None:
-    """||x||_2 / max(1, ||y||_2) if it exceeds tol, else None; an SVD runs
-    only when norm_bounds cannot settle it."""
-    if norm_bounds(x)[1] <= tol * max(1.0, norm_bounds(y)[0]):
-        return None
-    dev = operator_norm(x) / max(1.0, operator_norm(y))
-    return dev if dev > tol else None
+    m = form()
+    lo, hi = norm_bounds(m)
+    if hi * hi < np.inf:
+        if x <= tol * max(floor, lo * lo):
+            return True
+        if x > tol * max(floor, hi * hi):
+            return False
+    s = operator_norm(m)
+    s = require_finite(s * s, "squared norm of the threshold scale")
+    return x <= tol * max(floor, s)
 
 
 def symmetrize(h) -> np.ndarray:
@@ -129,16 +127,24 @@ def symmetrize(h) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+def significant(values, tol: float) -> np.ndarray:
+    """Mask of the values with |v| > tol * max|v|, none when all vanish: the
+    one rank rule, for singular values and for the eigenvalues of a PSD
+    matrix.  A caller's tol is a parameter (decompose's --tol); the range
+    ladder of posinormal cuts every rung at DEFAULT_TOL, a fixed rule."""
+    mags = np.abs(np.asarray(values))
+    return mags > tol * mags.max(initial=0.0)
+
+
 def svd_rank_spaces(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (range, cokernel) of a matrix: the column space
     and its orthogonal complement ker(M*), together a unitary of the
     codomain; the numerical rank is the range basis's column count.
 
-    Singular values <= tol * sigma_max count as zero.
+    The rank is the count of significant(s, tol) over the singular values.
     """
     u, s, _ = np.linalg.svd(as_matrix(m))
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(significant(s, tol)))
     return u[:, :rank], u[:, rank:]
 
 

@@ -9,32 +9,35 @@ is positive semidefinite.  The k = 0, n = 1 case is posinormality in the
 Rhaly sense (lambda^2 T*T >= TT*); k = 0 with general n is n-power
 posinormality (T^n T*^n <= lambda^2 T*T).
 
-Every query runs on one pencil: with C = T^{k+1} and D = T*^n T^k the
-gap is also lambda^2 A - B, A = C*C and B = D*D, and the minimal lambda is
-the root of the top eigenvalue of the pencil (B, A), found by
-``min_lambda`` without search.
+The gap tests H = lambda^2 T*T - T^n T*^n on ran T^k only: for Q an
+orthonormal basis of ran T^k it is PSD iff Q*HQ = lambda^2 C'*C' - D'*D'
+is, with C' = TQ and D' = T*^n Q (Proposition 2.9 is the case
+ran T^k = H).  ``min_lambda`` decides that pencil from the thin SVD of C',
+so neither T^{k+1} nor a Gram matrix C*C is formed, and the conditioning
+that enters is that of T on ran T^k.  Q comes from a *range ladder*, as
+ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T (Q_0 = I), rung j+1
+the thin SVD of T Q_{j+1}, Q_{j+1} the left singular vectors of rung j
+above the rank cut (linalg.significant at DEFAULT_TOL).  A rung that keeps
+its full rank has found a T-invariant range and is every later rung too:
+for invertible T the whole ladder is one SVD of T.
 
-lambda only scales one term, so every other product depends on (T, k, n)
-alone.  The module holds exactly one slot: for the last (T, k, n)
-queried, its own copy of T and the products T^k, D, T*T, T^n T*^n, A and
-B.  Its key is (k, n) and the bit pattern of T (so -0.0 and 0.0 differ);
-a caller that changes its T in place therefore gets fresh products.
-``min_lambda``, ``is_member`` and ``gap_matrix`` on one (T, k, n) form
-these products once and then do only the lambda-dependent work, with the
-same expressions in the same order, so a verdict is bit for bit the one a
-cold call gives.  No held array is returned to a caller.  A new
-(T, k, n) releases the slot before forming its products, and a formation
-that raises leaves no slot.  Each call reads the slot once and replaces
-it with one assignment, so concurrent callers at worst form the same
-products twice.  ``classify_grid`` does not use the slot: it forms each
-power of T once for all its cells, and C and the eigendecomposition of A
-once per k.
+The module holds one slot, keyed on the bit pattern of T alone (so -0.0
+and 0.0 differ, and a caller that changes its T in place gets fresh
+products): its own copy of T and, each formed when first asked for, the
+powers T^j, T*T, T^n T*^n per n and the rungs.  min_lambda at (k, n) reads
+rungs 0..k and T^n, and classify_grid is min_lambda over its grid;
+is_member and gap_matrix read T^k, T*T and T^n T*^n and form only
+lambda^2 T*T - T^n T*^n, its products with T^k and the eigenvalues.  Each
+product has one expression, so a warm call gives the cold result bit for
+bit, and no held array is returned to a caller.  A new T releases the slot
+before anything is formed; a product is published once formed, in a new
+slot assigned in one step, so a formation that raises leaves nothing of it
+held and concurrent callers at worst form a product twice.
 
 A verdict computes the gap's eigenvalues only, with one eigvalsh; a
 failing report holds its gap, and its witness is an eigh of that gap when
-it is read.  Every norm threshold is settled with bounds first (the
-largest column norm and the Frobenius norm bracket the spectral norm): an
-SVD runs only when they straddle it, so every verdict is the one the exact
+it is read.  Its threshold and min_lambda's obstruction test are settled
+by linalg.at_most_scaled, norm bounds first, so each is the one the exact
 norm gives.
 """
 
@@ -51,9 +54,6 @@ from .linalg import DEFAULT_TOL
 # lhs <= rhs + _SHIFTED_TOL * max(lhs, rhs), so scaling T scales both sides
 # and their slack alike and leaves the verdicts as they are.
 _SHIFTED_TOL = 1e-9
-
-# Agreement required between the two algebraic forms of the gap matrix.
-_FORM_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,14 @@ class ClassReport:
 class LambdaResult:
     """Minimal feasible lambda for fixed (k, n), or an obstruction.
 
-    Infeasible means no lambda > 0 works: some unit x has T^{k+1} x ~ 0
-    while T*^n T^k x is not negligible; that x is the kernel_obstruction.
+    Feasible: T is a member at (k, n, lambda) for every lambda >=
+    lambda_min, read from rung k of the range ladder (0.0 when T vanishes
+    on ran T^k).  Infeasible: no lambda > 0 works, because some unit x has
+    T^{k+1} x ~ 0 while T*^n T^k x is not negligible: y = T^k x, scaled to
+    a unit vector, has ||T*^n y||^2 > tol * ||T*^n P||^2, P the orthogonal
+    projector onto ran T^k.  That x is the kernel_obstruction, pulled back
+    from ran T^k through the held rungs, with the phase that makes its
+    largest entry real and positive.
     """
 
     feasible: bool
@@ -107,124 +113,109 @@ class LambdaResult:
     kernel_obstruction: np.ndarray | None
 
 
-# The products of one (T, k, n) that do not depend on lambda: T (the slot's
-# own copy), T^k, D = T*^n T^k, T*T, T^n T*^n, A = C*C and B = D*D, with
-# C = T^{k+1}.  Neither T^n nor C is kept.
-_Pencil = namedtuple("_Pencil", "k n t tk d tt tntn a b")
+# The slot: its own copy of T, and the products of T that depend on neither
+# lambda nor tol, by key: ("power", j) for T^j, "tt" for T*T, ("tntn", n)
+# for T^n T*^n and ("rung", j) for rung j of the range ladder.
+_Slot = namedtuple("_Slot", "t held")
 
-# The _Pencil of the last (T, k, n) queried, or None.
+# Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
+# at rung 0, where Q = I), from the thin SVD TQ = U S W*: wps = W+ S+^-1
+# over the singular values above the rank cut, w0 the right singular
+# vectors below it, and next = U+, the basis of ran T^{j+1}; next is None
+# when no singular value fell below the cut, since rung j+1 is then rung j.
+_Rung = namedtuple("_Rung", "q wps w0 next")
+
+# The _Slot of the last T queried, or None.
 _slot = None
 
 
-def _pencil(t, k: int, n: int) -> _Pencil:
-    """Validate T, k, n; the slot's products when it holds this (T, k, n),
-    else the products formed anew, which then replace the slot."""
+def _slot_for(t) -> _Slot:
+    """Validate T; the slot when it holds T's bit pattern, else a new slot
+    with its own copy of T and nothing formed, published with its first
+    product."""
     global _slot
     t = linalg.require_square(t)
-    ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     held = _slot
-    if (held is not None and (held.k, held.n) == (k, n)
-            and np.array_equal(held.t.view(np.uint64),
-                               np.ascontiguousarray(t).view(np.uint64))):
+    if held is not None and np.array_equal(held.t.view(np.uint64),
+                                           np.ascontiguousarray(t).view(np.uint64)):
         return held
-    held = _slot = None  # release the old products before forming new ones
-    held = _form_pencil(np.array(t, order="C"), int(k), int(n))  # own copy of T
-    _slot = held
-    return held
+    _slot = None  # release the old products before forming new ones
+    return _Slot(np.array(t, order="C"), {})
+
+
+def _held(slot: _Slot, key, form) -> tuple[_Slot, object]:
+    """(slot, product under key): the held one, else form() published in a
+    new slot that holds it too, with one assignment."""
+    global _slot
+    value = slot.held.get(key)
+    if value is None:
+        value = form()
+        slot = _slot = _Slot(slot.t, {**slot.held, key: value})
+    return slot, value
+
+
+def _power(slot: _Slot, j: int) -> tuple[_Slot, np.ndarray]:
+    """(slot, T^j), by the one expression every caller uses."""
+    return _held(slot, ("power", j), lambda: linalg.matpow(slot.t, j))
+
+
+def _gap_terms(t, k: int, n: int):
+    """T^k, T^n, T*T and T^n T*^n of T, from the slot."""
+    slot, tk = _power(_slot_for(t), k)
+    slot, tn = _power(slot, n)
+    slot, tt = _held(slot, "tt", lambda: _product(slot.t.conj().T, slot.t, "T*T"))
+    slot, tntn = _held(slot, ("tntn", n), lambda: _product(tn, tn.conj().T, "T^n T*^n"))
+    return tk, tn, tt, tntn
 
 
 @linalg.quiet_overflow
-def _form_pencil(t, k: int, n: int) -> _Pencil:
-    """The products of (T, k, n) from one T^k and one T^n.  Only C and D
-    are checked for overflow here; A, B and the gap are checked where
-    they are read."""
-    tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
-    c, d = _power_c(t, tk), _power_d(tk, tn)
-    return _Pencil(k, n, t, tk, d, t.conj().T @ t, tn @ tn.conj().T, _gram(c), _gram(d))
+def _product(a, b, what: str) -> np.ndarray:
+    """a @ b, named ``what`` in the NumericalFailure when it overflows."""
+    return linalg.require_finite(a @ b, what)
 
 
-@linalg.quiet_overflow
-def _power_c(t, tk):
-    """C = T^{k+1} from T and T^k."""
-    return linalg.require_finite(t @ tk, "T^{k+1}")
-
-
-@linalg.quiet_overflow
 def _power_d(tk, tn):
     """D = T*^n T^k from T^k and T^n."""
-    return linalg.require_finite(tn.conj().T @ tk, "T*^n T^k")
+    return _product(tn.conj().T, tk, "T*^n T^k")
 
 
 @linalg.quiet_overflow
-def _gram(m):
-    """m*m; overflow is checked where it is read."""
-    return m.conj().T @ m
-
-
-def _check_forms_agree(gap, gram) -> None:
-    """Raise NumericalFailure if the gap forms overflow or differ beyond
-    1e-10 relative."""
-    diff = linalg.require_finite(gap - gram, "gap matrix")
-    dev = linalg.deviation_beyond(diff, gap, _FORM_AGREEMENT_TOL)
-    if dev is not None:
-        raise NumericalFailure(f"gap-matrix forms disagree: relative deviation {dev:.3e}")
-
-
-@linalg.quiet_overflow
-def _checked_gap(p: _Pencil, lam: float):
-    """The symmetrized gap at lam, from the definition form checked against
-    the Gram form lam^2 A - B; of the products, only those that involve
-    lam are formed here."""
+def _gap(tk, tt, tntn, lam: float):
+    """The gap T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized: Hermitian in
+    exact arithmetic, and equal to its adjoint bit for bit after."""
     lam2 = float(lam) ** 2
-    gap = p.tk.conj().T @ (lam2 * p.tt - p.tntn) @ p.tk
-    _check_forms_agree(gap, lam2 * p.a - p.b)
-    # Symmetrize away rounding-level asymmetry; both forms are Hermitian
-    # in exact arithmetic.
-    return linalg.symmetrize(gap)
+    gap = tk.conj().T @ (lam2 * tt - tntn) @ tk
+    return linalg.require_finite(linalg.symmetrize(gap), "gap matrix")
 
 
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
-    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized.
-
-    Cross-checked against the Gram form lam^2 C*C - D*D, bounds first;
-    forms differing beyond 1e-10 relative raise NumericalFailure.
-    """
-    return _checked_gap(_pencil(t, k, n), ClassQuery(k=k, n=n, lam=float(lam)).lam)
-
-
-def _verdict(p: _Pencil, lam: float, tol: float) -> ClassReport:
-    """Membership of the pencil's gap at lam: PSD when the smallest
-    eigenvalue lo >= -tol * max(1, s), s = ||D||^2.  The exact s, an SVD of
-    D, runs only when the bounds on ||D*D||_2 straddle the threshold."""
-    # Equal to its adjoint bit for bit: no asymmetry check or copy needed.
-    gap = _checked_gap(p, lam)
-    w = np.linalg.eigvalsh(gap)
-    lo = float(w[0])
-    holds = linalg.at_most_scaled(-lo, tol, p.b, lambda: linalg.operator_norm(p.d) ** 2)
-    return ClassReport(holds, lo, float(np.max(np.abs(w))), None if holds else gap)
+    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized."""
+    lam = ClassQuery(k=k, n=n, lam=float(lam)).lam
+    tk, _, tt, tntn = _gap_terms(t, k, n)
+    return _gap(tk, tt, tntn, lam)
 
 
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     """Decide membership at ``query``; carries the gap's smallest eigenvalue
     and norm, and a witness when it fails.
 
-    The PSD threshold is -tol * max(1, s) with s = ||D||^2, the norm of
-    the subtracted Gram term (T*^n T^k)*(T*^n T^k).  Unlike the full gap
-    norm s does not grow with lambda, so a fixed negative direction stays
-    detected for arbitrarily large lambda, and verdicts stay monotone in
-    lambda and covariant under scaling of T.
+    The PSD threshold is -tol * max(1, s) with s = ||D||^2, D = T*^n T^k,
+    the norm of the subtracted term (T*^n T^k)*(T*^n T^k).  Unlike the full
+    gap norm s does not grow with lambda, so a fixed negative direction
+    stays detected for arbitrarily large lambda, and verdicts stay monotone
+    in lambda and covariant under scaling of T.
 
-    An SVD of D runs only when the bounds on s cannot decide.  The verdict
+    D is formed only when the smallest eigenvalue is below -tol, and an SVD
+    of D runs only when its norm bounds cannot decide.  The verdict
     computes the gap's eigenvalues only, with one eigvalsh; a failing
     report holds the gap, and reading its witness runs one eigh of it.
-
-    The products that do not involve lambda (T^k, D, T*T, T^n T*^n, A = C*C
-    and B = D*D) come from the module's one slot when it holds the same k,
-    n and bit pattern of T, and are formed anew into it otherwise.  A call
-    then forms lam^2 T*T - T^n T*^n, its two products with T^k and
-    lam^2 A - B, cross-checks the two forms and computes the eigenvalues.
     """
-    return _verdict(_pencil(t, query.k, query.n), query.lam, tol)
+    tk, tn, tt, tntn = _gap_terms(t, query.k, query.n)
+    gap = _gap(tk, tt, tntn, query.lam)
+    w = np.linalg.eigvalsh(gap)
+    lo = float(w[0])
+    holds = linalg.at_most_scaled(-lo, tol, 1.0, lambda: _power_d(tk, tn))
+    return ClassReport(holds, lo, float(np.max(np.abs(w))), None if holds else gap)
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -235,64 +226,64 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
                               f"gap min eigenvalue {report.gap_min_eigenvalue:.3e}")
 
 
+@linalg.quiet_overflow
+def _rung(t, q) -> _Rung:
+    """The rung of the range ladder on basis q (None: the identity)."""
+    c = t if q is None else _product(t, q, "T on ran T^j")
+    u, s, vh = np.linalg.svd(c, full_matrices=False)
+    rank = int(np.count_nonzero(linalg.significant(s, DEFAULT_TOL)))
+    w = vh.conj().T
+    return _Rung(q, w[:, :rank] / s[:rank], w[:, rank:].copy(),
+                 None if rank == s.size else u[:, :rank].copy())
+
+
+def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
+    """(slot, rungs 0..k), shorter when a rung keeps its full rank: the
+    last rung returned is rung k."""
+    rungs, q = [], None
+    for j in range(k + 1):
+        slot, rung = _held(slot, ("rung", j), lambda: _rung(slot.t, q))
+        rungs.append(rung)
+        if rung.next is None:
+            break
+        q = rung.next
+    return slot, rungs
+
+
+@linalg.quiet_overflow
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
-    """Minimal lambda making T a member at (k, n), by pencil compression.
+    """Minimal lambda making T a member at (k, n), from rung k of the range
+    ladder, TQ = U S W*, and D' = T*^n Q.
 
-    With A = (T^{k+1})*(T^{k+1}) and B = (T*^n T^k)*(T*^n T^k), membership
-    at lambda is lambda^2 A >= B.  Feasibility is the kernel inclusion
-    ker A subset ker B (numerically: B-energy of A's null directions below
-    tol relative).  When feasible, the minimal lambda is
-
-        lambda_min = sqrt( max eigenvalue of R* B R ),
-
-    where R maps onto A's positive eigenspace and scales it to identity.
-    ||B||_2 (an SVD) is computed only when its bounds cannot settle the
-    kernel test.
-
-    A and B come from the module's one slot, keyed by k, n and the bit
-    pattern of T, which is_member on the same (T, k, n) reads too; a
-    different (T, k, n) forms them anew and replaces the slot.
+    Infeasible iff D' is not negligible on the rung's numerical kernel W0:
+    ||D' W0||^2 > tol * ||D'||^2, norm bounds of D' first.  The top
+    direction a of D' W0 gives y = Q W0 a, and the obstruction x is pulled
+    back from it through the wps of the rungs below (T^k x is parallel to
+    y).  Otherwise lambda_min = ||D' W+ S+^-1||_2, the root of the top
+    eigenvalue of its Gram matrix, and 0.0 when T vanishes on ran T^k.
+    Both tests are relative, so scaling T by c scales lambda_min by
+    |c|^(n-1) and keeps feasibility.  The rank cut is fixed; tol decides
+    the obstruction only.
     """
-    p = _pencil(t, k, n)
-    return _min_lambda(_gram_eigen(p.a), p.b, tol)
-
-
-@linalg.quiet_overflow
-def _gram_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w ascending, V) of A = C*C, C = T^{k+1}.  A Gram matrix
-    is Hermitian by construction, so only overflow is checked."""
-    linalg.require_finite(a, "(T^{k+1})*T^{k+1}")
-    return np.linalg.eigh(linalg.symmetrize(a))
-
-
-@linalg.quiet_overflow
-def _min_lambda(a_eigen, b, tol: float) -> LambdaResult:
-    """min_lambda from A's eigenpairs (_gram_eigen) and B = D*D."""
-    w, v = a_eigen
-    linalg.require_finite(b, "(T*^n T^k)*T*^n T^k")
-    a_max = float(w[-1])
-    positive = w > tol * a_max if a_max > 0 else np.zeros_like(w, dtype=bool)
-
-    v_ker = v[:, ~positive]
-    if v_ker.shape[1] > 0:
-        compressed = v_ker.conj().T @ b @ v_ker
-        kw, kv = np.linalg.eigh(linalg.symmetrize(compressed))
-        worst = float(kw[-1])
-        if not linalg.at_most_scaled(worst, tol, b, lambda: linalg.operator_norm(b)):
-            direction = v_ker @ kv[:, -1]
-            direction = direction / np.linalg.norm(direction)
-            return LambdaResult(feasible=False, lambda_min=None,
-                                kernel_obstruction=direction)
-
-    if not positive.any():
-        # A vanishes and B passed the kernel test, so B vanishes too:
-        # every lambda works.
+    slot = _slot_for(t)
+    ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
+    slot, rungs = _ladder(slot, k)
+    rung, tn = rungs[-1], _power(slot, n)[1]
+    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q  # D'
+    if rung.w0.shape[1]:
+        dw = dq @ rung.w0
+        kw, kv = np.linalg.eigh(dw.conj().T @ dw)
+        if not linalg.at_most_scaled(float(kw[-1]), tol, 0.0, lambda: dq):
+            x = rung.w0 @ kv[:, -1]
+            for below in reversed(rungs[:-1]):  # T^k x = y, up to scale
+                x = below.wps @ x
+            top = x[np.argmax(np.abs(x))]  # phase: largest entry real > 0
+            x = x * (abs(top) / (top * np.linalg.norm(x))) + 0.0  # no -0.0
+            return LambdaResult(feasible=False, lambda_min=None, kernel_obstruction=x)
+    if rung.wps.shape[1] == 0:  # T vanishes on ran T^k: every lambda works
         return LambdaResult(feasible=True, lambda_min=0.0, kernel_obstruction=None)
-
-    v_pos = v[:, positive]
-    r = v_pos * (w[positive] ** -0.5)
-    pencil = r.conj().T @ b @ r
-    top = float(np.linalg.eigvalsh(linalg.symmetrize(pencil))[-1])
+    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
+    top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
     return LambdaResult(feasible=True, lambda_min=float(np.sqrt(max(top, 0.0))),
                         kernel_obstruction=None)
 
@@ -327,9 +318,11 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     query = ClassQuery(k=k, n=n, lam=float(lam))
     m = _order(m, k)
     require_member(t, query, DEFAULT_TOL, "operator")
-    p = _pencil(t, m, n)
-    lhs = linalg.operator_norm(p.d)
-    base = linalg.operator_norm(p.t @ p.tk)  # ||T^{m+1}||
+    slot = _slot_for(t)
+    slot, tm = _power(slot, m)
+    slot, tn = _power(slot, n)
+    lhs = linalg.operator_norm(_power_d(tm, tn))
+    base = linalg.operator_norm(slot.t @ tm)  # ||T^{m+1}||
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
@@ -360,16 +353,18 @@ class NilpotencyReport:
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
     "zero" means at most DEFAULT_TOL * max(1, ||T||)^power."""
-    p = _pencil(t, k, n)
-    t_norm = linalg.operator_norm(p.t)
+    slot = _slot_for(t)
+    ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
+    slot, tk = _power(slot, k)
+    t_norm = linalg.operator_norm(slot.t)
     power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
-    if linalg.operator_norm(p.t @ p.tk) > power_bound:
+    if linalg.operator_norm(slot.t @ tk) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
     if not min_lambda(t, k, n).feasible:
         raise ValidationError(
             "operator is not a member at (k, n) for any lambda"
         )
-    measured = linalg.operator_norm(p.tk)
+    measured = linalg.operator_norm(tk)
     bound = DEFAULT_TOL * max(1.0, t_norm) ** k
     return NilpotencyReport(
         asserted=k >= n,
@@ -382,18 +377,9 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
 def classify_grid(t, k_max: int,
                   n_max: int) -> dict[tuple[int, int], LambdaResult]:
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
-    1 <= n <= n_max, without the slot: each power of T is formed once, and
-    C = T^{k+1} and the eigendecomposition of A = C*C, which depend on k
-    only, once per k."""
-    t = linalg.require_square(t)
+    1 <= n <= n_max, on the one slot: the ladder up to rung k_max and each
+    power T^n are formed once for the whole grid."""
+    linalg.require_square(t)
     ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max
-    powers = [linalg.matpow(t, j) for j in range(max(k_max, n_max) + 1)]
-    grid = {}
-    for k in range(k_max + 1):
-        c, a_eigen = _power_c(t, powers[k]), None
-        for n in range(1, n_max + 1):
-            d = _power_d(powers[k], powers[n])
-            if a_eigen is None:  # after D's check, in min_lambda's order
-                a_eigen = _gram_eigen(_gram(c))
-            grid[(k, n)] = _min_lambda(a_eigen, _gram(d), DEFAULT_TOL)
-    return grid
+    return {(k, n): min_lambda(t, k, n)
+            for k in range(k_max + 1) for n in range(1, n_max + 1)}

@@ -1,12 +1,14 @@
 """Independent oracle implementations used to cross-check the package.
 
-Everything here is deliberately written against raw numpy, with different
-algorithms than the library (bisection instead of pencil compression,
-explicit loops instead of projector algebra), so agreement between the
-two is meaningful.
+Everything here is deliberately written against raw numpy and scipy, with
+different algorithms than the library (bisection instead of the SVD
+formula, pivoted QR instead of SVDs for the range of T^k, explicit loops
+instead of projector algebra), so agreement between the two is
+meaningful.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def adj(m):
@@ -39,48 +41,79 @@ def member_oracle(t, k, n, lam, tol=1e-10):
     return min_eig(gap_oracle(t, k, n, lam)) >= -tol * max(1.0, scale)
 
 
-def kernel_feasible(t, k, n, tol=1e-10):
-    """Feasibility of the pencil from SVDs alone: the right singular
-    vectors of C = T^{k+1} with sigma^2 <= tol * sigma_max^2 span its
-    numerical kernel, and D = T*^n T^k must keep their energy within
-    tol * max(1, ||D||^2).
+def range_basis(t, k, tol=1e-10):
+    """Orthonormal basis of ran T^k from k steps of ran T^{j+1} = T ran T^j,
+    each orthonormalized by a QR with column pivoting whose rank counts
+    |R_ii| > tol |R_00| (the library uses SVDs).  T^k itself is never
+    formed, so its conditioning, cond(T)^k, does not enter."""
+    t = np.asarray(t, dtype=complex)
+    q = np.eye(t.shape[0], dtype=complex)
+    for _ in range(k):
+        if q.shape[1] == 0:
+            break
+        qr, r, _ = scipy.linalg.qr(t @ q, mode="economic", pivoting=True)
+        d = np.abs(np.diag(r))
+        q = qr[:, :int(np.sum(d > tol * d[0])) if d[0] > 0 else 0]
+    return q
 
-    Bisection alone cannot decide feasibility where C is exactly
-    singular: at lambda ~ 1e8 the rounding of lambda^2 C*C already
+
+def compressed_pencil(t, k, n):
+    """(C', D') = (TQ, T*^n Q) for Q = range_basis(t, k): the gap is PSD iff
+    lambda^2 C'*C' - D'*D' is, since it tests the core on ran T^k only."""
+    q = range_basis(t, k)
+    return np.asarray(t, dtype=complex) @ q, adj(mpow(t, n)) @ q
+
+
+def kernel_feasible(t, k, n, tol=1e-10):
+    """Feasibility of the pencil on ran T^k: the right singular vectors of
+    C' with sigma <= 1e-10 sigma_max span its numerical kernel, and D' must
+    keep its energy there within tol * ||D'||^2.
+
+    Bisection alone cannot decide feasibility where C' is exactly
+    singular: at lambda ~ 1e8 the rounding of lambda^2 C'*C' already
     outweighs the tolerance, so it would find a lambda where none exists;
     bisect_min_lambda asks this test first.
     """
-    c = mpow(t, k + 1)
-    d = adj(mpow(t, n)) @ mpow(t, k)
+    c, d = compressed_pencil(t, k, n)
+    if c.shape[1] == 0:
+        return True
     _, s, vh = np.linalg.svd(c)
-    kernel = adj(vh[s ** 2 <= tol * s[0] ** 2])
+    kernel = adj(vh[s <= 1e-10 * s[0]]) if s[0] > 0 else np.eye(c.shape[1])
     if kernel.shape[1] == 0:
         return True
-    energy = np.linalg.norm(d @ kernel, 2) ** 2
-    return energy <= tol * max(1.0, np.linalg.norm(d, 2) ** 2)
+    return np.linalg.norm(d @ kernel, 2) ** 2 <= tol * np.linalg.norm(d, 2) ** 2
 
 
 def bisect_min_lambda(t, k, n, tol=1e-10, iters=120):
-    """Minimal feasible lambda by pure bisection on membership.
+    """Minimal feasible lambda by pure bisection on membership of the
+    compressed pencil lambda^2 C'*C' - D'*D' >= -tol * max(1, ||D'||^2).
 
     Returns None when kernel_feasible calls the pencil infeasible, or when
     no lambda up to 2^60 is feasible.
     """
     if not kernel_feasible(t, k, n, tol):
         return None
+    c, d = compressed_pencil(t, k, n)
+    if c.shape[1] == 0:
+        return 0.0
+    threshold = -tol * max(1.0, np.linalg.norm(d, 2) ** 2)
+
+    def member(lam):
+        return min_eig(lam ** 2 * adj(c) @ c - adj(d) @ d) >= threshold
+
     hi = 1.0
     for _ in range(60):
-        if member_oracle(t, k, n, hi, tol):
+        if member(hi):
             break
         hi *= 2.0
     else:
         return None
-    if member_oracle(t, k, n, 1e-14, tol):
+    if member(1e-14):
         return 0.0
     lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if member_oracle(t, k, n, mid, tol):
+        if member(mid):
             hi = mid
         else:
             lo = mid
@@ -118,26 +151,67 @@ def weighted_operator_matrix_oracle(masses, blocks, w, u):
     return out
 
 
-def random_member(rng, dim, k, n, margin=1e-4, max_power_cond=1e4, tries=50):
+def random_member(rng, dim, k, n, margin=1e-4, tries=50):
     """Seeded random matrix plus a lambda at which it is a member.
 
     Draws complex Gaussian matrices until the pencil is feasible with a
-    positive lambda and the relevant power is not too ill-conditioned,
-    then returns (t, lambda_min * (1 + margin), lambda_min) where
-    lambda_min comes from the bisection oracle.
+    positive lambda, then returns (t, lambda_min * (1 + margin),
+    lambda_min) where lambda_min comes from the bisection oracle.  No draw
+    is rejected for the conditioning of a power of T.
     """
     for _ in range(tries):
         t = (rng.standard_normal((dim, dim))
              + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
-        power = mpow(t, k + 1)
-        s = np.linalg.svd(power, compute_uv=False)
-        if s[0] <= 0 or s[-1] <= 0 or s[0] / s[-1] > max_power_cond:
-            continue
         lam = bisect_min_lambda(t, k, n)
         if lam is None or lam <= 1e-8:
             continue
         return t, lam * (1 + margin), lam
     raise RuntimeError(f"no usable sample for dim={dim}, k={k}, n={n}")
+
+
+def ginibre(rng, dim):
+    """Complex Ginibre matrix, entries of variance 1/dim."""
+    return (rng.standard_normal((dim, dim))
+            + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2 * dim)
+
+
+def haar_unitary(rng, dim):
+    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def nilpotent_tail(rng, dim, m):
+    """(T, Q_head) with T = V [[G, X], [0, J]] V*: a Ginibre head G of size
+    dim - m, a Ginibre coupling X, the nilpotent shift J of the recorded
+    size m, V Haar and Q_head its first dim - m columns.
+
+    ran T^k is span(Q_head) plus J^k's range, and the kernel of T is the
+    direction of the tail's first vector, which T*^n does not annihilate
+    (X couples it to the head).  So (k, n) is feasible iff m <= k, and then
+    ran T^k = span(Q_head), T acts there as G = Q_head* T Q_head, and
+    lambda_min = ||T*^n Q_head G^{-1}||_2.
+    """
+    head = dim - m
+    t = ginibre(rng, dim)
+    t[head:, :] = 0.0
+    t[head:, head:] = np.eye(m, k=1)
+    v = haar_unitary(rng, dim)
+    return v @ t @ adj(v), v[:, :head]
+
+
+def inverse_lambda_min(t, n):
+    """||T*^n T^{-1}||_2, lambda_min at every k for invertible T, whose
+    ran T^k is the whole space: T*^n T^{-1} is (T^{-*} T^n)*."""
+    return np.linalg.norm(np.linalg.solve(adj(t), mpow(t, n)), 2)
+
+
+def head_lambda_min(t, n, q_head):
+    """lambda_min on the invariant range span(q_head), on which T acts
+    invertibly as G = q_head* T q_head: ||T*^n q_head G^{-1}||_2."""
+    g = adj(q_head) @ np.asarray(t, dtype=complex) @ q_head
+    return np.linalg.norm(np.linalg.solve(adj(g), adj(adj(mpow(t, n)) @ q_head)), 2)
 
 
 def kronecker_pairs(seed, count):

@@ -216,11 +216,12 @@ def _overflow_cases(tmp_path):
     tall.write_text(fileio.dumps_space(space, partition, np.full(8, 1e100), u))
     identity = FIXTURES / "identity_2.json"
     return [
-        ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # T^{k+1}
-        ["lambda-min", big, "--k", 2, "--n", 1],
+        ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # the gap
+        ["lambda-min", big, "--k", 2, "--n", 1],               # certificate gap
+        ["lambda-min", big, "--k", 0, "--n", 3],               # T^n
         ["decompose", big, "--k", 3],                          # T^k
-        ["check", large, "--k", 2, "--n", 1, "--lambda", 1.0],  # the gap
-        ["lambda-min", large, "--k", 2, "--n", 1],             # C*C
+        ["check", large, "--k", 2, "--n", 1, "--lambda", 1.0],  # ||D||^2
+        ["lambda-min", large, "--k", 2, "--n", 1],             # certificate gap
         ["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200],  # lambda^2
         ["condexp", SPACE, "thm33", "--lambda", 1e200],
         ["condexp", SPACE, "thm34", "--lambda", 1e200],

@@ -153,25 +153,49 @@ def test_norm_bounds_bracket_operator_norm(rng):
     assert linalg.norm_bounds(np.full((2, 2), 1e300)) == (0.0, float("inf"))
 
 
-def test_deviation_beyond_agrees_with_exact(rng, monkeypatch):
-    calls = []
+def test_at_most_scaled_agrees_with_exact(rng, monkeypatch):
+    # x <= tol * max(floor, ||m||^2): m is formed only when x > tol * floor,
+    # and the SVD runs only when the bounds straddle the threshold.
+    calls, formed = [], []
     exact = linalg.operator_norm
     monkeypatch.setattr(linalg, "operator_norm",
                         lambda m: calls.append(1) or exact(m))
-    y = np.diag([100.0, 1.0, 1.0])
-    assert linalg.deviation_beyond(1e-9 * np.eye(3), y, 1e-10) is None
-    assert calls == []  # Frobenius 1.7e-9 <= 1e-10 * 100 settles it
-    # Frobenius 1.4e-8 > 1e-8, spectral 0.8e-8 <= 1e-8: the SVD decides
-    assert linalg.deviation_beyond(0.8e-8 * np.eye(3), y, 1e-10) is None
-    assert calls == [1, 1]
-    dev = linalg.deviation_beyond(3e-8 * np.eye(3), y, 1e-10)
-    assert dev == pytest.approx(3e-10)
-    for _ in range(20):
-        x = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-12, 0)
-        tol = 10.0 ** rng.uniform(-10, -1)
-        dev = exact(x) / max(1.0, exact(y))
-        got = linalg.deviation_beyond(x, y, tol)
-        assert got == (dev if dev > tol else None)
+    m = np.diag([10.0, 1.0, 1.0])  # ||m||^2 = 100, Frobenius^2 = 102
+
+    def form():
+        formed.append(1)
+        return m
+
+    assert linalg.at_most_scaled(0.9e-10, 1e-10, 1.0, form)
+    assert formed == [] and calls == []  # x <= tol settles it
+    assert linalg.at_most_scaled(0.99e-8, 1e-10, 1.0, form)
+    assert linalg.at_most_scaled(1.03e-8, 1e-10, 1.0, form) is False
+    assert calls == []  # column norm 10 and Frobenius sqrt(102) settle both
+    # 101e-10 lies between the bounds 100e-10 and 102e-10: the SVD decides
+    assert linalg.at_most_scaled(1.01e-8, 1e-10, 1.0, form) is False
+    assert calls == [1]
+    # floor 0: a relative test, so scaling m and x together changes nothing
+    for c in (1e-6, 1.0, 1e6):
+        assert linalg.at_most_scaled(0.99e-8 * c * c, 1e-10, 0.0, lambda: c * m)
+        assert not linalg.at_most_scaled(1.01e-8 * c * c, 1e-10, 0.0, lambda: c * m)
+    with pytest.raises(NumericalFailure, match="overflows"):
+        linalg.at_most_scaled(1.0, 1e-10, 1.0, lambda: 1e200 * m)
+    for _ in range(40):
+        x = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-6, 3)
+        tol, floor = 10.0 ** rng.uniform(-10, -1), float(rng.choice([0.0, 1.0]))
+        s = exact(x) ** 2
+        value = tol * max(floor, s) * 10.0 ** rng.uniform(-0.2, 0.2)
+        assert linalg.at_most_scaled(value, tol, floor, lambda: x) == (
+            value <= tol * max(floor, s))
+
+
+def test_significant_is_the_one_rank_rule():
+    assert linalg.significant([3.0, 1e-9, 2e-10, 0.0], 1e-10).tolist() == [
+        True, True, False, False]
+    # magnitudes, in any order: the eigenvalues of a PSD matrix ascend
+    assert linalg.significant([-1e-17, 1e-3, 5.0], 1e-10).tolist() == [False, True, True]
+    assert not linalg.significant(np.zeros(3), 1e-10).any()
+    assert linalg.significant(np.array([]), 1e-10).shape == (0,)
 
 
 # --- distinct values / hausdorff ---------------------------------------------

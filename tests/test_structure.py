@@ -7,12 +7,7 @@ from posilab.fixtures import invariant_block_matrix, nilpotent_shift, split_rang
 from posilab.posinormal import ClassQuery
 
 import oracles
-
-
-def haar_unitary(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from oracles import haar_unitary
 
 
 def random_rank_deficient(rng, dim, corank=1):
@@ -307,18 +302,10 @@ def test_tensor_preservation_random(rng):
 
 KRONECKER_PAIRS = oracles.kronecker_pairs(2507, 300)
 
-# Pairs on which min_lambda(T (x) S) calls a product of two feasible factors
-# infeasible, all at k >= 1: the Gram pencil squares the conditioning of
-# C = (T (x) S)^{k+1}, which ROADMAP item 1 replaces by a CS decomposition.
-# The same pairs fail with one BLAS thread and with the default count.
-KRONECKER_DEFECTS = {22, 32, 179, 268}
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(i, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: min_lambda calls T (x) S infeasible although both "
-        "factors are feasible")) if i in KRONECKER_DEFECTS else ())
-    for i in range(len(KRONECKER_PAIRS))])
+# Pairs 22, 32, 179 and 268 are products of two feasible factors that a
+# Gram pencil on C = (T (x) S)^{k+1}, whose conditioning is squared, called
+# infeasible; the range ladder decides them on ran (T (x) S)^k.
+@pytest.mark.parametrize("case", range(len(KRONECKER_PAIRS)))
 def test_kronecker_min_lambda_is_the_product(case):
     t, s, k, n = KRONECKER_PAIRS[case]
     lt, ls = posinormal.min_lambda(t, k, n), posinormal.min_lambda(s, k, n)
