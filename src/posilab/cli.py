@@ -65,21 +65,22 @@ def _cmd_check(args) -> int:
 def _cmd_lambda_min(args) -> int:
     t = fileio.load_matrix(args.matrix_file)
     result = posinormal.min_lambda(t, args.k, args.n, tol=args.tol)
-    print(f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})")
-    print(f"query: k={args.k} n={args.n}")
-    print(f"feasible: {str(result.feasible).lower()}")
+    lines = [f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})",
+             f"query: k={args.k} n={args.n}",
+             f"feasible: {str(result.feasible).lower()}"]
     if result.feasible:
         lam = result.lambda_min
-        print(f"lambda_min: {_fmt(lam)}")
-        if lam > 0:
+        lines.append(f"lambda_min: {_fmt(lam)}")
+        if lam > 0:  # both verdicts run before anything is printed
             upper = posinormal.is_member(
                 t, ClassQuery(args.k, args.n, lam * (1 + 1e-8)), tol=args.tol)
             lower = posinormal.is_member(
                 t, ClassQuery(args.k, args.n, lam * (1 - 1e-6)), tol=args.tol)
-            print(f"certificate_holds_above: {str(upper.holds).lower()}")
-            print(f"certificate_fails_below: {str(not lower.holds).lower()}")
+            lines += [f"certificate_holds_above: {str(upper.holds).lower()}",
+                      f"certificate_fails_below: {str(not lower.holds).lower()}"]
     else:
-        print(f"kernel_obstruction: {_fmt_vector(result.kernel_obstruction)}")
+        lines.append(f"kernel_obstruction: {_fmt_vector(result.kernel_obstruction)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -120,51 +121,52 @@ def _cmd_tensor(args) -> int:
 def _cmd_condexp(args) -> int:
     space, partition, w, u = fileio.load_space(args.space_file)
     op = condexp.build_operator(space, partition, w, u)
-    print(f"space: {args.space_file} ({space.atom_count} atoms, "
-          f"{partition.block_count} blocks)")
+    lines = [f"space: {args.space_file} ({space.atom_count} atoms, "
+             f"{partition.block_count} blocks)"]  # printed once the check ran
     sub = args.check
     if sub == "norm":
         rep = condexp.norm_formula_check(op, tol=args.tol)
-        print(f"matrix_norm: {_fmt(rep.matrix_norm)}")
-        print(f"blockwise_norm: {_fmt(rep.blockwise_norm)}")
-        print(f"deviation: {_fmt(rep.deviation)}")
-        print(f"passed: {str(rep.passed).lower()}")
+        lines.append(f"matrix_norm: {_fmt(rep.matrix_norm)}")
+        lines.append(f"blockwise_norm: {_fmt(rep.blockwise_norm)}")
+        lines.append(f"deviation: {_fmt(rep.deviation)}")
+        lines.append(f"passed: {str(rep.passed).lower()}")
     elif sub == "lemma31":
         rep = condexp.lemma31_check(op, args.power, tol=args.tol)
-        print(f"power: {_fmt(rep.power)}")
-        print(f"deviation_t_star_t: {_fmt(rep.deviation_t_star_t)}")
-        print(f"deviation_t_t_star: {_fmt(rep.deviation_t_t_star)}")
-        print(f"passed: {str(rep.passed).lower()}")
+        lines.append(f"power: {_fmt(rep.power)}")
+        lines.append(f"deviation_t_star_t: {_fmt(rep.deviation_t_star_t)}")
+        lines.append(f"deviation_t_t_star: {_fmt(rep.deviation_t_t_star)}")
+        lines.append(f"passed: {str(rep.passed).lower()}")
     elif sub == "polar":
         rep = condexp.polar_decomposition_check(op, tol=args.tol)
-        print(f"factor_residual: {_fmt(rep.factor_residual)}")
-        print(f"modulus_min_eigenvalue: {_fmt(rep.modulus_min_eigenvalue)}")
-        print(f"modulus_squared_residual: {_fmt(rep.modulus_squared_residual)}")
-        print(f"partial_isometry_residual: {_fmt(rep.partial_isometry_residual)}")
-        print(f"passed: {str(rep.passed).lower()}")
+        lines.append(f"factor_residual: {_fmt(rep.factor_residual)}")
+        lines.append(f"modulus_min_eigenvalue: {_fmt(rep.modulus_min_eigenvalue)}")
+        lines.append(f"modulus_squared_residual: {_fmt(rep.modulus_squared_residual)}")
+        lines.append(f"partial_isometry_residual: {_fmt(rep.partial_isometry_residual)}")
+        lines.append(f"passed: {str(rep.passed).lower()}")
     elif sub == "thm33":
         rep = condexp.thm33_check(op, args.lam, tol=args.tol)
-        print(f"lambda: {_fmt(rep.lam)}")
-        print(f"supports_match: {str(rep.supports_match).lower()}")
-        print(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
-        print(f"matrix_holds: {str(rep.matrix_holds).lower()}")
+        lines.append(f"lambda: {_fmt(rep.lam)}")
+        lines.append(f"supports_match: {str(rep.supports_match).lower()}")
+        lines.append(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
+        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
         agree = "n/a" if rep.agree is None else str(rep.agree).lower()
-        print(f"agree: {agree}")
+        lines.append(f"agree: {agree}")
     elif sub == "thm34":
         rep = condexp.thm34_check(op, args.n, args.lam, tol=args.tol)
-        print(f"query: n={rep.n} lambda={_fmt(rep.lam)}")
-        print(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
-        print(f"matrix_holds: {str(rep.matrix_holds).lower()}")
-        print(f"necessity_ok: {str(rep.necessity_ok).lower()}")
+        lines.append(f"query: n={rep.n} lambda={_fmt(rep.lam)}")
+        lines.append(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
+        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
+        lines.append(f"necessity_ok: {str(rep.necessity_ok).lower()}")
     elif sub == "thm35":
         rep = condexp.thm35_check(op, args.k, args.n, args.lam, tol=args.tol)
-        print(f"query: k={rep.k} n={rep.n} lambda={_fmt(rep.lam)}")
-        print(f"stated_holds: {str(rep.stated_holds).lower()}")
-        print(f"proof_form_holds: {str(rep.proof_form_holds).lower()}")
-        print(f"matrix_holds: {str(rep.matrix_holds).lower()}")
-        print(f"all_agree: {str(rep.all_agree).lower()}")
+        lines.append(f"query: k={rep.k} n={rep.n} lambda={_fmt(rep.lam)}")
+        lines.append(f"stated_holds: {str(rep.stated_holds).lower()}")
+        lines.append(f"proof_form_holds: {str(rep.proof_form_holds).lower()}")
+        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
+        lines.append(f"all_agree: {str(rep.all_agree).lower()}")
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown condexp check {sub!r}")
+    print("\n".join(lines))
     return 0
 
 

@@ -130,8 +130,8 @@ def symmetrize(h) -> np.ndarray:
 def significant(values, tol: float) -> np.ndarray:
     """Mask of the values with |v| > tol * max|v|, none when all vanish: the
     one rank rule, for singular values and for the eigenvalues of a PSD
-    matrix.  A caller's tol is a parameter (decompose's --tol); the range
-    ladder of posinormal cuts every rung at DEFAULT_TOL, a fixed rule."""
+    matrix.  A caller's tol is a parameter (decompose's --tol); posinormal's
+    range ladder cuts every rung T Q at DEFAULT_TOL * ||T||, a fixed rule."""
     mags = np.abs(np.asarray(values))
     return mags > tol * mags.max(initial=0.0)
 

@@ -17,9 +17,9 @@ so neither T^{k+1} nor a Gram matrix C*C is formed, and the conditioning
 that enters is that of T on ran T^k.  Q comes from a *range ladder*, as
 ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T (Q_0 = I), rung j+1
 the thin SVD of T Q_{j+1}, Q_{j+1} the left singular vectors of rung j
-above the rank cut (linalg.significant at DEFAULT_TOL).  A rung that keeps
-its full rank has found a T-invariant range and is every later rung too:
-for invertible T the whole ladder is one SVD of T.
+above the cut DEFAULT_TOL * ||T||, the scale of the rounding in T Q.  A
+rung that keeps its full rank has found a T-invariant range and is every
+later rung too: for invertible T the whole ladder is one SVD of T.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
@@ -103,9 +103,9 @@ class LambdaResult:
     on ran T^k).  Infeasible: no lambda > 0 works, because some unit x has
     T^{k+1} x ~ 0 while T*^n T^k x is not negligible: y = T^k x, scaled to
     a unit vector, has ||T*^n y||^2 > tol * ||T*^n P||^2, P the orthogonal
-    projector onto ran T^k.  That x is the kernel_obstruction, pulled back
-    from ran T^k through the held rungs, with the phase that makes its
-    largest entry real and positive.
+    projector onto ran T^k, and ||T*^n y|| > DEFAULT_TOL * ||T||^n.  That x
+    is the kernel_obstruction, pulled back from ran T^k through the held
+    rungs, with the phase that makes its largest entry real and positive.
     """
 
     feasible: bool
@@ -120,10 +120,10 @@ _Slot = namedtuple("_Slot", "t held")
 
 # Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
 # at rung 0, where Q = I), from the thin SVD TQ = U S W*: wps = W+ S+^-1
-# over the singular values above the rank cut, w0 the right singular
-# vectors below it, and next = U+, the basis of ran T^{j+1}; next is None
-# when no singular value fell below the cut, since rung j+1 is then rung j.
-_Rung = namedtuple("_Rung", "q wps w0 next")
+# over the singular values above the cut DEFAULT_TOL * top, top = ||T||,
+# w0 the right singular vectors below it, and next = U+, the basis of
+# ran T^{j+1}, or None when none fell below the cut (rung j+1 is rung j).
+_Rung = namedtuple("_Rung", "q wps w0 next top")
 
 # The _Slot of the last T queried, or None.
 _slot = None
@@ -227,26 +227,26 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
 
 
 @linalg.quiet_overflow
-def _rung(t, q) -> _Rung:
-    """The rung of the range ladder on basis q (None: the identity)."""
+def _rung(t, below: _Rung | None) -> _Rung:
+    """The rung of the range ladder above rung ``below`` (None: rung 0)."""
+    q = None if below is None else below.next
     c = t if q is None else _product(t, q, "T on ran T^j")
     u, s, vh = np.linalg.svd(c, full_matrices=False)
-    rank = int(np.count_nonzero(linalg.significant(s, DEFAULT_TOL)))
+    top = float(s.max(initial=0.0)) if below is None else below.top
+    rank = int(np.count_nonzero(s > DEFAULT_TOL * top))
     w = vh.conj().T
     return _Rung(q, w[:, :rank] / s[:rank], w[:, rank:].copy(),
-                 None if rank == s.size else u[:, :rank].copy())
+                 None if rank == s.size else u[:, :rank].copy(), top)
 
 
 def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
-    """(slot, rungs 0..k), shorter when a rung keeps its full rank: the
-    last rung returned is rung k."""
-    rungs, q = [], None
+    """(slot, rungs 0..k); a rung of full rank ends it and is rung k."""
+    rungs, below = [], None
     for j in range(k + 1):
-        slot, rung = _held(slot, ("rung", j), lambda: _rung(slot.t, q))
-        rungs.append(rung)
-        if rung.next is None:
+        slot, below = _held(slot, ("rung", j), lambda: _rung(slot.t, below))
+        rungs.append(below)
+        if below.next is None:
             break
-        q = rung.next
     return slot, rungs
 
 
@@ -256,7 +256,9 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     ladder, TQ = U S W*, and D' = T*^n Q.
 
     Infeasible iff D' is not negligible on the rung's numerical kernel W0:
-    ||D' W0||^2 > tol * ||D'||^2, norm bounds of D' first.  The top
+    ||D' W0||^2 > tol * ||D'||^2, norm bounds of D' first, and ||D' W0||
+    above DEFAULT_TOL * ||T||^n, the fixed cut of the ladder applied to
+    T^n, whose rounding is on the scale of ||T||^n.  The top
     direction a of D' W0 gives y = Q W0 a, and the obstruction x is pulled
     back from it through the wps of the rungs below (T^k x is parallel to
     y).  Otherwise lambda_min = ||D' W+ S+^-1||_2, the root of the top
@@ -273,7 +275,9 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
         kw, kv = np.linalg.eigh(dw.conj().T @ dw)
-        if not linalg.at_most_scaled(float(kw[-1]), tol, 0.0, lambda: dq):
+        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
+        if kw[-1] > rounding and not linalg.at_most_scaled(
+                float(kw[-1]), tol, 0.0, lambda: dq):
             x = rung.w0 @ kv[:, -1]
             for below in reversed(rungs[:-1]):  # T^k x = y, up to scale
                 x = below.wps @ x

@@ -242,6 +242,7 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
         assert err.startswith("numerical failure:") and "overflows" in err, err
+        assert out == "", (argv, out)  # no half report before the failure
 
 
 # --- the parser ------------------------------------------------------------------
