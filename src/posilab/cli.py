@@ -196,7 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "posinormal operators")
     sub = parser.add_subparsers(dest="command", required=True)
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=linalg.DEFAULT_TOL)
+    tol.add_argument("--tol", type=_tolerance, default=linalg.DEFAULT_TOL,
+                     help="relative tolerance (default %(default)g).  A verdict "
+                          "reads the normal form lambda^2 - mu_i of its pencil on "
+                          "ran T^k: it holds iff lambda^2 - lambda_min^2 >= "
+                          "-tol * lambda_min^2, and fails at every lambda when "
+                          "T*^n keeps more than tol of its squared norm on a "
+                          "kernel direction of T there.  decompose cuts the rank "
+                          "of T^k at tol * sigma_max; condexp bounds its "
+                          "relative deviations and blockwise margins by tol")
     query = argparse.ArgumentParser(add_help=False, parents=[tol])
     query.add_argument("--k", type=int, required=True)
     query.add_argument("--n", type=int, required=True)

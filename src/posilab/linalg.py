@@ -104,22 +104,22 @@ def norm_bounds(m) -> tuple[float, float]:
     return float(np.sqrt(columns.max()) * (1.0 - slack)), hi
 
 
-def at_most_scaled(x: float, tol: float, floor: float, form) -> bool:
-    """x <= tol * max(floor, s) with s = ||m||_2^2, m = form(): m is formed
-    only when x > tol * floor, and its SVD runs only when norm_bounds(m)
-    straddle the threshold; NumericalFailure when s overflows."""
-    if x <= tol * floor:
+def at_most_scaled(x: float, tol: float, form) -> bool:
+    """x <= tol * s with s = ||m||_2^2, m = form(): a relative test, so
+    scaling x by c^2 and m by c leaves it as it is.  m is formed only when
+    x > 0, and its SVD runs only when norm_bounds(m) straddle the threshold;
+    NumericalFailure when s overflows."""
+    if x <= 0.0:
         return True
     m = form()
     lo, hi = norm_bounds(m)
     if hi * hi < np.inf:
-        if x <= tol * max(floor, lo * lo):
+        if x <= tol * lo * lo:
             return True
-        if x > tol * max(floor, hi * hi):
+        if x > tol * hi * hi:
             return False
     s = operator_norm(m)
-    s = require_finite(s * s, "squared norm of the threshold scale")
-    return x <= tol * max(floor, s)
+    return x <= tol * require_finite(s * s, "squared norm of the threshold scale")
 
 
 def symmetrize(h) -> np.ndarray:

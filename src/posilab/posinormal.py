@@ -12,33 +12,50 @@ posinormality (T^n T*^n <= lambda^2 T*T).
 The gap tests H = lambda^2 T*T - T^n T*^n on ran T^k only: for Q an
 orthonormal basis of ran T^k it is PSD iff Q*HQ = lambda^2 C'*C' - D'*D'
 is, with C' = TQ and D' = T*^n Q (Proposition 2.9 is the case
-ran T^k = H).  ``min_lambda`` decides that pencil from the thin SVD of C',
-so neither T^{k+1} nor a Gram matrix C*C is formed, and the conditioning
-that enters is that of T on ran T^k.  Q comes from a *range ladder*, as
-ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T (Q_0 = I), rung j+1
-the thin SVD of T Q_{j+1}, Q_{j+1} the left singular vectors of rung j
-above the cut DEFAULT_TOL * ||T||, the scale of the rounding in T Q.  A
-rung that keeps its full rank has found a T-invariant range and is every
-later rung too: for invertible T the whole ladder is one SVD of T.
+ran T^k = H).  This *pencil* is decided from the thin SVD
+C' = U S W*, so neither T^{k+1} nor a Gram matrix C*C is formed, and the
+conditioning that enters is that of T on ran T^k.  Q comes from a *range
+ladder*, as ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T
+(Q_0 = I), rung j+1 the thin SVD of T Q_{j+1}, Q_{j+1} the left singular
+vectors of rung j above the cut DEFAULT_TOL * ||T||, the scale of the
+rounding in T Q.  A rung that keeps its full rank has found a
+T-invariant range and is every later rung too: for invertible T the whole
+ladder is one SVD of T.
+
+The pencil is *obstructed* when D' is not negligible on the kernel W0 of
+C' (see LambdaResult): the gap then fails at every lambda.  Otherwise, in
+the coordinates a = S+ W+* z of a vector Qz of ran T^k, the pencil has
+the *normal form* lambda^2 I - M*M with M = D' W+ S+^-1: its eigenvalues
+lambda^2 - mu_i, mu_i those of M*M, are the generalized eigenvalues of
+(Q*HQ, C'*C') off the kernel of C', and lambda_min^2 = max mu_i (0 when T
+vanishes on ran T^k, where the form is empty).  A verdict reads this
+form.  Its ``gap_min_eigenvalue`` is lambda^2 - lambda_min^2, its
+``gap_norm`` max_i |lambda^2 - mu_i|, and it holds iff
+lambda^2 - lambda_min^2 >= -tol * lambda_min^2; an empty form reports 0
+and 0 and holds.  An obstructed pencil reports -inf and inf: on W0, C'
+vanishes and D' does not, so the generalized eigenvalue there is -inf.
+The threshold scales with the form, so verdicts are monotone in lambda and
+covariant under T -> cT, lambda -> |c|^(n-1) lambda.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
 products): its own copy of T and, each formed when first asked for, the
-powers T^j, T*T, T^n T*^n per n and the rungs.  min_lambda at (k, n) reads
-rungs 0..k and T^n, and classify_grid is min_lambda over its grid;
-is_member and gap_matrix read T^k, T*T and T^n T*^n and form only
-lambda^2 T*T - T^n T*^n, its products with T^k and the eigenvalues.  Each
-product has one expression, so a warm call gives the cold result bit for
-bit, and no held array is returned to a caller.  A new T releases the slot
-before anything is formed; a product is published once formed, in a new
-slot assigned in one step, so a formation that raises leaves nothing of it
-held and concurrent callers at worst form a product twice.
+powers T^j, the rungs and the pencil per (k, n, tol): its obstruction, or
+the eigenvalues mu.  min_lambda, classify_grid and is_member read the
+pencil, so at a (T, k, n, tol) seen before none of them makes a LAPACK
+call; gap_matrix forms its products itself.  Each product has one
+expression, so a warm call gives the cold result bit for bit, and no held
+array is returned to a caller.  A new T releases the slot before anything
+is formed; a product is published once formed, in a new slot assigned in
+one step, so a formation that raises leaves nothing of it held and
+concurrent callers at worst form a product twice.
 
-A verdict computes the gap's eigenvalues only, with one eigvalsh; a
-failing report holds its gap, and its witness is an eigh of that gap when
-it is read.  Its threshold and min_lambda's obstruction test are settled
-by linalg.at_most_scaled, norm bounds first, so each is the one the exact
-norm gives.
+The witness of a failing verdict is computed when it is read: the kernel
+obstruction of an obstructed pencil, else the top eigenvector of M*M (one
+eigh), each pulled back through the rungs to a unit x whose T^k x is the
+failing direction of ran T^k.
+The obstruction test is settled by linalg.at_most_scaled, norm bounds
+first, so it is the one the exact norm gives.
 """
 
 from collections import namedtuple
@@ -78,20 +95,23 @@ class ClassQuery:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Outcome of one membership query: the gap's smallest eigenvalue and
-    norm, and a witness when the query fails.  A failing report holds its
-    gap, and ``witness`` computes the eigenvector when it is read."""
+    """Outcome of one membership query, read from the normal form of its
+    pencil on ran T^k (module docstring): the smallest eigenvalue
+    lambda^2 - lambda_min^2 and the norm max_i |lambda^2 - mu_i| of the
+    form, both 0 when T vanishes on ran T^k and -inf and inf when the
+    pencil is obstructed, and a witness when the query fails."""
 
     holds: bool
     gap_min_eigenvalue: float
     gap_norm: float
-    _gap: np.ndarray | None = field(repr=False)  # the gap, when the query fails
+    _witness: object = field(repr=False)  # computes the witness, when the query fails
 
     @property
     def witness(self) -> np.ndarray | None:
         """Unit vector x with <Gx, x> < 0 for the gap G, certifying failure,
-        else None; one eigh of the gap per read."""
-        return None if self._gap is None else np.linalg.eigh(self._gap)[1][:, 0].copy()
+        else None: the kernel obstruction, or the top eigenvector of M*M
+        pulled back to x (one eigh per read)."""
+        return None if self._witness is None else self._witness()
 
 
 @dataclass(frozen=True)
@@ -113,17 +133,23 @@ class LambdaResult:
     kernel_obstruction: np.ndarray | None
 
 
-# The slot: its own copy of T, and the products of T that depend on neither
-# lambda nor tol, by key: ("power", j) for T^j, "tt" for T*T, ("tntn", n)
-# for T^n T*^n and ("rung", j) for rung j of the range ladder.
+# The slot: its own copy of T, and the products of T that do not depend on
+# lambda, by key: ("power", j) for T^j, ("rung", j) for rung j of the range
+# ladder and ("pencil", k, n, tol) for a _Pencil.
 _Slot = namedtuple("_Slot", "t held")
 
 # Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
 # at rung 0, where Q = I), from the thin SVD TQ = U S W*: wps = W+ S+^-1
 # over the singular values above the cut DEFAULT_TOL * top, top = ||T||,
 # w0 the right singular vectors below it, and next = U+, the basis of
-# ran T^{j+1}, or None when none fell below the cut (rung j+1 is rung j).
+# ran T^{j+1}.  A rung with an empty w0 keeps its full rank: ran T^{j+1}
+# is ran T^j, and rung j+1 is rung j.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
+
+# The pencil at (k, n, tol): the kernel obstruction x when it is
+# obstructed, else None and the eigenvalues mu of M*M, ascending; witness()
+# gives a fresh witness of a failing verdict.
+_Pencil = namedtuple("_Pencil", "obstruction mu witness")
 
 # The _Slot of the last T queried, or None.
 _slot = None
@@ -159,63 +185,49 @@ def _power(slot: _Slot, j: int) -> tuple[_Slot, np.ndarray]:
     return _held(slot, ("power", j), lambda: linalg.matpow(slot.t, j))
 
 
-def _gap_terms(t, k: int, n: int):
-    """T^k, T^n, T*T and T^n T*^n of T, from the slot."""
-    slot, tk = _power(_slot_for(t), k)
-    slot, tn = _power(slot, n)
-    slot, tt = _held(slot, "tt", lambda: _product(slot.t.conj().T, slot.t, "T*T"))
-    slot, tntn = _held(slot, ("tntn", n), lambda: _product(tn, tn.conj().T, "T^n T*^n"))
-    return tk, tn, tt, tntn
-
-
 @linalg.quiet_overflow
 def _product(a, b, what: str) -> np.ndarray:
     """a @ b, named ``what`` in the NumericalFailure when it overflows."""
     return linalg.require_finite(a @ b, what)
 
 
-def _power_d(tk, tn):
-    """D = T*^n T^k from T^k and T^n."""
-    return _product(tn.conj().T, tk, "T*^n T^k")
-
-
 @linalg.quiet_overflow
-def _gap(tk, tt, tntn, lam: float):
-    """The gap T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized: Hermitian in
-    exact arithmetic, and equal to its adjoint bit for bit after."""
-    lam2 = float(lam) ** 2
-    gap = tk.conj().T @ (lam2 * tt - tntn) @ tk
-    return linalg.require_finite(linalg.symmetrize(gap), "gap matrix")
-
-
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
-    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k, symmetrized."""
+    """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k of the definition,
+    symmetrized: Hermitian in exact arithmetic, and equal to its adjoint
+    bit for bit after.  It is formed here, from powers of T of its own;
+    verdicts read the pencil's normal form instead."""
     lam = ClassQuery(k=k, n=n, lam=float(lam)).lam
-    tk, _, tt, tntn = _gap_terms(t, k, n)
-    return _gap(tk, tt, tntn, lam)
+    t = linalg.require_square(t)
+    tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
+    core = (lam ** 2 * _product(t.conj().T, t, "T*T")
+            - _product(tn, tn.conj().T, "T^n T*^n"))
+    return linalg.require_finite(linalg.symmetrize(tk.conj().T @ core @ tk),
+                                 "gap matrix")
 
 
 def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
-    """Decide membership at ``query``; carries the gap's smallest eigenvalue
-    and norm, and a witness when it fails.
+    """Decide membership at ``query`` from the normal form of the held
+    pencil (module docstring): fails at every lambda when the pencil is
+    obstructed, else holds iff lambda^2 - lambda_min^2 >= -tol *
+    lambda_min^2, and always when T vanishes on ran T^k.
 
-    The PSD threshold is -tol * max(1, s) with s = ||D||^2, D = T*^n T^k,
-    the norm of the subtracted term (T*^n T^k)*(T*^n T^k).  Unlike the full
-    gap norm s does not grow with lambda, so a fixed negative direction
-    stays detected for arbitrarily large lambda, and verdicts stay monotone
-    in lambda and covariant under scaling of T.
-
-    D is formed only when the smallest eigenvalue is below -tol, and an SVD
-    of D runs only when its norm bounds cannot decide.  The verdict
-    computes the gap's eigenvalues only, with one eigvalsh; a failing
-    report holds the gap, and reading its witness runs one eigh of it.
+    The first verdict or min_lambda at (T, k, n, tol) forms the pencil:
+    the ladder's SVDs, T^n and one eigvalsh of M*M (with an eigh on the
+    rung's kernel when it has one); later verdicts there make no LAPACK
+    call.
+    Reading the witness of a failing report runs one eigh of M*M.
     """
-    tk, tn, tt, tntn = _gap_terms(t, query.k, query.n)
-    gap = _gap(tk, tt, tntn, query.lam)
-    w = np.linalg.eigvalsh(gap)
-    lo = float(w[0])
-    holds = linalg.at_most_scaled(-lo, tol, 1.0, lambda: _power_d(tk, tn))
-    return ClassReport(holds, lo, float(np.max(np.abs(w))), None if holds else gap)
+    pencil = _pencil(_slot_for(t), query.k, query.n, tol)
+    if pencil.obstruction is not None:
+        return ClassReport(False, -np.inf, np.inf, pencil.witness)
+    if not pencil.mu.size:  # T vanishes on ran T^k: the form is empty
+        return ClassReport(True, 0.0, 0.0, None)
+    lam2, top = float(query.lam) ** 2, _top(pencil.mu)
+    lo = lam2 - top
+    holds = lo >= -tol * top
+    return ClassReport(holds, lo, float(np.max(np.abs(lam2 - pencil.mu))),
+                       None if holds else pencil.witness)
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -236,7 +248,7 @@ def _rung(t, below: _Rung | None) -> _Rung:
     rank = int(np.count_nonzero(s > DEFAULT_TOL * top))
     w = vh.conj().T
     return _Rung(q, w[:, :rank] / s[:rank], w[:, rank:].copy(),
-                 None if rank == s.size else u[:, :rank].copy(), top)
+                 u if rank == s.size else u[:, :rank].copy(), top)
 
 
 def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
@@ -245,15 +257,91 @@ def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
     for j in range(k + 1):
         slot, below = _held(slot, ("rung", j), lambda: _rung(slot.t, below))
         rungs.append(below)
-        if below.next is None:
+        if not below.w0.shape[1]:
             break
     return slot, rungs
 
 
+def range_rank(t, k: int) -> int:
+    """dim ran T^k, read from the held ladder: the size of the basis at
+    rung k, all of the space at k = 0 or when rung 0 keeps its full rank."""
+    slot = _slot_for(t)
+    ClassQuery(k=k, n=1, lam=1.0)  # validates k
+    q = _ladder(slot, k)[1][-1].q
+    return slot.t.shape[0] if q is None else q.shape[1]
+
+
+def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
+    """Unit x with T^k x parallel to Q z, Q the basis of ran T^k at the
+    last rung and z in its coordinates, with the phase that makes its
+    largest entry real and positive.  A ladder that ended at a full rung
+    j < k first takes z back through T on the invariant ran T^j, k - j
+    times (U+* Q maps Q's coordinates to those of U+)."""
+    last = rungs[-1]
+    if len(rungs) <= k:
+        to_u = last.next.conj().T if last.q is None else last.next.conj().T @ last.q
+        for _ in range(k + 1 - len(rungs)):
+            z = last.wps @ (to_u @ z)
+    for below in reversed(rungs[:-1]):  # T^k x = Q z, up to scale
+        z = below.wps @ z
+    top = z[np.argmax(np.abs(z))]
+    return z * (abs(top) / (top * np.linalg.norm(z))) + 0.0  # no -0.0
+
+
+def _d_prime(tn, rung: _Rung) -> np.ndarray:
+    """D' = T*^n Q on the rung's basis Q."""
+    return tn.conj().T if rung.q is None else tn.conj().T @ rung.q
+
+
 @linalg.quiet_overflow
+def _normal_gram(dq, rung: _Rung) -> np.ndarray:
+    """M*M for M = D' W+ S+^-1, the pencil's normal form lambda^2 I - M*M."""
+    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
+    return _product(m.conj().T, m, "M*M")
+
+
+def _top(mu) -> float:
+    """lambda_min^2 = max mu_i of a nonempty normal form, clipped at 0."""
+    return max(float(mu[-1]), 0.0)
+
+
+@linalg.quiet_overflow
+def _form_pencil(t, k: int, n: int, tol: float, rungs: list, tn) -> _Pencil:
+    """The pencil at (k, n, tol) from rungs 0..k and T^n (see min_lambda)."""
+    rung = rungs[-1]
+    dq = _d_prime(tn, rung)
+    if rung.w0.shape[1]:
+        dw = dq @ rung.w0
+        kw, kv = np.linalg.eigh(dw.conj().T @ dw)
+        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
+        if kw[-1] > rounding and not linalg.at_most_scaled(float(kw[-1]), tol,
+                                                           lambda: dq):
+            x = _pull_back(t, rungs, k, rung.w0 @ kv[:, -1])
+            return _Pencil(x, None, x.copy)
+    if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
+        return _Pencil(None, np.zeros(0), None)
+
+    def witness():  # the top eigenvector of M*M, pulled back to x; D' is
+        # formed again on read, so a pencil holds no N x r array
+        v = np.linalg.eigh(_normal_gram(_d_prime(tn, rung), rung))[1][:, -1]
+        return _pull_back(t, rungs, k, rung.wps @ v)
+
+    return _Pencil(None, np.linalg.eigvalsh(_normal_gram(dq, rung)), witness)
+
+
+def _pencil(slot: _Slot, k: int, n: int, tol: float) -> _Pencil:
+    """The held pencil at (k, n, tol), else formed and published into the
+    slot that holds the rungs and T^n formed for it (when the pencil is
+    held, so are they, and reading them makes no call)."""
+    slot, rungs = _ladder(slot, k)
+    slot, tn = _power(slot, n)
+    return _held(slot, ("pencil", k, n, tol),
+                 lambda: _form_pencil(slot.t, k, n, tol, rungs, tn))[1]
+
+
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
-    """Minimal lambda making T a member at (k, n), from rung k of the range
-    ladder, TQ = U S W*, and D' = T*^n Q.
+    """Minimal lambda making T a member at (k, n), from the pencil on rung
+    k of the range ladder, TQ = U S W*, and D' = T*^n Q.
 
     Infeasible iff D' is not negligible on the rung's numerical kernel W0:
     ||D' W0||^2 > tol * ||D'||^2, norm bounds of D' first, and ||D' W0||
@@ -269,27 +357,12 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    slot, rungs = _ladder(slot, k)
-    rung, tn = rungs[-1], _power(slot, n)[1]
-    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q  # D'
-    if rung.w0.shape[1]:
-        dw = dq @ rung.w0
-        kw, kv = np.linalg.eigh(dw.conj().T @ dw)
-        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
-        if kw[-1] > rounding and not linalg.at_most_scaled(
-                float(kw[-1]), tol, 0.0, lambda: dq):
-            x = rung.w0 @ kv[:, -1]
-            for below in reversed(rungs[:-1]):  # T^k x = y, up to scale
-                x = below.wps @ x
-            top = x[np.argmax(np.abs(x))]  # phase: largest entry real > 0
-            x = x * (abs(top) / (top * np.linalg.norm(x))) + 0.0  # no -0.0
-            return LambdaResult(feasible=False, lambda_min=None, kernel_obstruction=x)
-    if rung.wps.shape[1] == 0:  # T vanishes on ran T^k: every lambda works
-        return LambdaResult(feasible=True, lambda_min=0.0, kernel_obstruction=None)
-    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
-    top = float(np.linalg.eigvalsh(m.conj().T @ m)[-1])
-    return LambdaResult(feasible=True, lambda_min=float(np.sqrt(max(top, 0.0))),
-                        kernel_obstruction=None)
+    pencil = _pencil(slot, k, n, tol)
+    if pencil.obstruction is not None:
+        return LambdaResult(feasible=False, lambda_min=None,
+                            kernel_obstruction=pencil.obstruction.copy())
+    lam_min = float(np.sqrt(_top(pencil.mu))) if pencil.mu.size else 0.0
+    return LambdaResult(feasible=True, lambda_min=lam_min, kernel_obstruction=None)
 
 
 def _order(m, k: int) -> int:
@@ -325,7 +398,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     slot = _slot_for(t)
     slot, tm = _power(slot, m)
     slot, tn = _power(slot, n)
-    lhs = linalg.operator_norm(_power_d(tm, tn))
+    lhs = linalg.operator_norm(_product(tn.conj().T, tm, "T*^n T^m"))
     base = linalg.operator_norm(slot.t @ tm)  # ||T^{m+1}||
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base

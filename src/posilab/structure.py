@@ -181,12 +181,14 @@ def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
     """Upgrade a member with full-rank T^k to the k = 0 class.
 
     When T^k has dense range the quasi layer carries no information and
-    the bare inequality T^n T*^n <= lam^2 T*T holds outright.  Rank and
-    both verdicts use DEFAULT_TOL.
+    the bare inequality T^n T*^n <= lam^2 T*T holds outright.  The rank is
+    read from posinormal's range ladder, whose rungs never form T^k: ran T^k
+    is the whole space iff k = 0 or T keeps its full rank at rung 0, at any
+    conditioning of T^k.  Both verdicts use DEFAULT_TOL.
     """
     t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=lam)
-    rank = linalg.svd_rank_spaces(linalg.matpow(t, k), DEFAULT_TOL)[0].shape[1]
+    rank = posinormal.range_rank(t, k)
     if rank < t.shape[0]:
         raise ValidationError(
             f"T^{k} is rank deficient (rank {rank} of {t.shape[0]}); "

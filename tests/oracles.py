@@ -35,10 +35,13 @@ def min_eig(h):
 
 
 def member_oracle(t, k, n, lam, tol=1e-10):
-    """Membership decision with the lambda-independent tolerance scale."""
-    d = adj(mpow(t, n)) @ mpow(t, k)
-    scale = np.linalg.norm(d, 2) ** 2
-    return min_eig(gap_oracle(t, k, n, lam)) >= -tol * max(1.0, scale)
+    """Membership decision on the normal form: infeasible pencils fail,
+    else the smallest eigenvalue lam^2 - lambda_min^2 must be at least
+    -tol * lambda_min^2."""
+    if not kernel_feasible(t, k, n, tol):
+        return False
+    w = normal_form(t, k, n, lam)
+    return not w.size or w[0] >= -tol * (lam ** 2 - w[0])
 
 
 def range_basis(t, k, tol=1e-10):
@@ -62,6 +65,25 @@ def compressed_pencil(t, k, n):
     lambda^2 C'*C' - D'*D' is, since it tests the core on ran T^k only."""
     q = range_basis(t, k)
     return np.asarray(t, dtype=complex) @ q, adj(mpow(t, n)) @ q
+
+
+def normal_form(t, k, n, lam):
+    """Eigenvalues, ascending, of the gap in the normal form of its pencil
+    on ran T^k: the generalized eigenvalues of lam^2 C'*C' - D'*D' against
+    C'*C' (scipy's generalized eigh), for (C', D') = compressed_pencil
+    restricted to the complement of ker C', whose basis comes from a QR of
+    C'* with column pivoting and range_basis's cut.  Empty when C'
+    vanishes.  They are lam^2 - mu_i, lambda_min^2 the largest mu_i."""
+    c, d = compressed_pencil(t, k, n)
+    if c.shape[1]:
+        qr, r, _ = scipy.linalg.qr(adj(c), mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > 1e-10 * diag[0])) if diag[0] > 0 else 0
+        c, d = c @ qr[:, :rank], d @ qr[:, :rank]
+    if not c.shape[1]:
+        return np.zeros(0)
+    mu = scipy.linalg.eigh(adj(d) @ d, adj(c) @ c, eigvals_only=True)
+    return lam ** 2 - mu[::-1]
 
 
 def kernel_feasible(t, k, n, tol=1e-10):

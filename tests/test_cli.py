@@ -14,6 +14,8 @@ import pytest
 
 from posilab import cli, condexp, fileio, fixtures
 
+import oracles
+
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SPACE = FIXTURES / "interval_two_block_8.json"
 MATRICES = sorted(p for p in FIXTURES.glob("*.json") if p != SPACE)
@@ -46,15 +48,34 @@ def test_matrix_subcommands_exit_zero(path, capsys):
     assert "holds: true" in out.splitlines()  # the tensor verdict
 
 
+def _printed_witness(lines) -> np.ndarray:
+    text = lines[-1].removeprefix("witness: [").removesuffix("]")
+    return np.array([complex(z) for z in text.split(", ")])
+
+
 def test_failing_check_prints_its_witness_from_one_eigh(capsys, monkeypatch):
-    # The verdict computes eigenvalues only; the printed witness is one eigh.
+    # A feasible pencil: the verdict computes eigenvalues only, and the
+    # printed witness is one eigh of the 2x2 Gram matrix M*M of its normal
+    # form, pulled back to an x on which the definition's gap is negative.
+    # diag(2, 1) at (0, 2) has lambda_min = 2, so lambda = 1 fails.
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    assert run(["check", FIXTURES / "diag_2_1.json",
+                "--k", 0, "--n", 2, "--lambda", 1.0]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "holds: false" in lines and "gap_min_eigenvalue: -3" in lines
+    assert lines[-1].startswith("witness: [") and shapes == [(2, 2)]
+    x = _printed_witness(lines)
+    gap = oracles.gap_oracle(np.diag([2.0, 1.0]), 0, 2, 1.0)
+    assert np.vdot(x, gap @ x).real < 0
+    # An obstructed pencil fails at every lambda: its witness is the kernel
+    # obstruction e1, found by the one eigh on the kernel of rung 0.
+    shapes.clear()
     assert run(["check", FIXTURES / "nilpotent_shift_3.json",
                 "--k", 0, "--n", 2, "--lambda", 1.0]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "holds: false" in lines and lines[-1].startswith("witness: [")
-    assert shapes == [(3, 3)]
+    assert "holds: false" in lines and "gap_min_eigenvalue: -inf" in lines
+    assert lines[-1] == "witness: [1+0j, 0+0j, 0+0j]" and shapes == [(1, 1)]
 
 
 @pytest.mark.parametrize("check", CONDEXP_CHECKS)
@@ -202,9 +223,10 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
 # --- exit code 2 on overflow ----------------------------------------------------
 
 def _overflow_cases(tmp_path):
-    big, large = tmp_path / "big.json", tmp_path / "large.json"
+    big, steep = tmp_path / "big.json", tmp_path / "steep.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
-    large.write_text(fileio.dumps_matrix(np.array([[1e100, 1.0], [0.0, 1.0]])))
+    # T^2 is finite, M = T*^2 T^-1 of the normal form is about 1e158
+    steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
     space, partition, _, u = fixtures.interval_example(8)
     heavy.write_text(fileio.dumps_space(space, partition, np.full(8, 1e200), u))
@@ -216,12 +238,13 @@ def _overflow_cases(tmp_path):
     tall.write_text(fileio.dumps_space(space, partition, np.full(8, 1e100), u))
     identity = FIXTURES / "identity_2.json"
     return [
-        ["check", big, "--k", 2, "--n", 1, "--lambda", 1.0],   # the gap
-        ["lambda-min", big, "--k", 2, "--n", 1],               # certificate gap
+        ["check", big, "--k", 2, "--n", 3, "--lambda", 1.0],   # T^n
         ["lambda-min", big, "--k", 0, "--n", 3],               # T^n
         ["decompose", big, "--k", 3],                          # T^k
-        ["check", large, "--k", 2, "--n", 1, "--lambda", 1.0],  # ||D||^2
-        ["lambda-min", large, "--k", 2, "--n", 1],             # certificate gap
+        ["check", steep, "--k", 0, "--n", 2, "--lambda", 1.0],  # M*M
+        ["lambda-min", steep, "--k", 1, "--n", 2],             # M*M
+        ["tensor", steep, identity, "--k", 0, "--n", 2,        # M*M of a factor
+         "--lambda", 1.0, "--mu", 1.0],
         ["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200],  # lambda^2
         ["condexp", SPACE, "thm33", "--lambda", 1e200],
         ["condexp", SPACE, "thm34", "--lambda", 1e200],

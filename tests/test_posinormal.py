@@ -3,11 +3,12 @@ import functools
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from posilab import linalg, posinormal
+from posilab import fileio, linalg, posinormal
 from posilab.errors import NumericalFailure, ValidationError
 from posilab.fixtures import (
     clipped_shift,
@@ -82,12 +83,20 @@ def test_member_shift_quasi_class():
 
 
 def test_member_shift_fails_without_quasi_layer():
-    # gap(1,1) entry is -1 whatever lambda is
+    # T e1 = 0 while T*^2 e1 = e3: the pencil at (0, 2) is obstructed, so
+    # the verdict fails at every lambda with a normal form unbounded below,
+    # and its witness is the kernel obstruction e1, where the definition's
+    # gap is -1 whatever lambda is.
+    t = nilpotent_shift(3)
+    obstruction = posinormal.min_lambda(t, 0, 2).kernel_obstruction
     for lam in (1.0, 1e3, 1e6):
-        report = posinormal.is_member(nilpotent_shift(3), ClassQuery(0, 2, lam))
+        report = posinormal.is_member(t, ClassQuery(0, 2, lam))
         assert not report.holds
-        np.testing.assert_allclose(np.abs(report.witness), [1, 0, 0], atol=1e-9)
-        assert report.gap_min_eigenvalue == pytest.approx(-1.0, abs=1e-9)
+        assert (report.gap_min_eigenvalue, report.gap_norm) == (-np.inf, np.inf)
+        x = report.witness
+        assert np.array_equal(x, obstruction) and np.array_equal(x, [1, 0, 0])
+        gap = oracles.gap_oracle(t, 0, 2, lam)
+        assert np.vdot(x, gap @ x).real == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_member_unitary_zero_gap(rng):
@@ -313,6 +322,42 @@ def test_kernel_obstruction_is_a_kernel_direction_that_t_star_n_sees(rng):
     assert seen >= 30
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+MATRIX_FIXTURES = sorted(p for p in FIXTURES.glob("*.json")
+                         if p.stem != "interval_two_block_8")
+
+
+def test_certificates_on_the_fixtures_hold_on_the_definition():
+    # On every matrix fixture at k 0-3 and n 1-3, each certificate holds on
+    # the definition's gap as gap_matrix forms it: at lambda_min (1 - 1e-6)
+    # the verdict fails with a witness x with x*Gx < 0, and an infeasible
+    # pair fails at 1, 1e3 and 1e6 x ||T||^(n-1) with the kernel obstruction
+    # as its witness.
+    seen = {True: 0, False: 0}
+    for path in MATRIX_FIXTURES:
+        t = fileio.load_matrix(path)
+        for k in range(4):
+            for n in (1, 2, 3):
+                result = posinormal.min_lambda(t, k, n)
+                if result.feasible and result.lambda_min == 0.0:
+                    continue  # every lambda > 0 holds
+                if result.feasible:
+                    lams = [result.lambda_min * (1 - 1e-6)]
+                else:
+                    unit = np.linalg.norm(t, 2) ** (n - 1)
+                    lams = [unit * f for f in (1.0, 1e3, 1e6)]
+                for lam in lams:
+                    report = posinormal.is_member(t, ClassQuery(k, n, lam))
+                    assert not report.holds, (path.stem, k, n, lam)
+                    x = report.witness
+                    if not result.feasible:
+                        assert np.array_equal(x, result.kernel_obstruction)
+                    gap = posinormal.gap_matrix(t, k, n, lam)
+                    assert np.vdot(x, gap @ x).real < 0, (path.stem, k, n, lam)
+                seen[result.feasible] += 1
+    assert seen[True] >= 20 and seen[False] >= 10, seen
+
+
 # --- norm inequality / corollary ----------------------------------------------
 
 @pytest.mark.parametrize("t, n, lam, orders", [
@@ -337,8 +382,10 @@ def test_vector_inequality_is_the_gap_at_order_m(t, n, lam, orders):
             assert np.linalg.norm(d @ x) <= lam * np.linalg.norm(c @ x) + 1e-9
         lam_min = posinormal.min_lambda(t, m, n).lambda_min
         if lam_min > 0:  # below lambda_min the witness breaks the inequality
-            x = posinormal.is_member(t, ClassQuery(m, n, 0.5 * lam_min)).witness
+            report = posinormal.is_member(t, ClassQuery(m, n, 0.5 * lam_min))
+            x = report.witness
             assert np.linalg.norm(d @ x) > 0.5 * lam_min * np.linalg.norm(c @ x)
+            _check_witness(t, m, n, 0.5 * lam_min, report, True)
 
 
 def test_operator_norm_corollary_identity():
@@ -563,18 +610,7 @@ def test_scaling_covariance_widened():
     assert infeasible > 0 and checked > 60
 
 
-# Widened draws on which is_member holds at 0.5 lambda_min, on T or on cT:
-# its x-space threshold -tol max(1, ||D||^2) misses a negative eigenvalue
-# that sits about cond(T^k)^2 below ||D||^2, and its floor of 1 breaks
-# scaling covariance when ||D|| < 1.  ROADMAP item 1 ("is_member still
-# works in x-space") and the FOUND line on is_member in CHANGES.md.
-_IS_MEMBER_X_SPACE_FAULTS = (1, 10, 22, 28, 31, 32, 40, 48)
-
-
-@pytest.mark.parametrize("draw", [
-    pytest.param(i, marks=pytest.mark.xfail(
-        strict=True, reason="is_member decides in x-space (ROADMAP item 1)"))
-    if i in _IS_MEMBER_X_SPACE_FAULTS else i for i in range(60)])
+@pytest.mark.parametrize("draw", range(60))
 def test_is_member_scaling_covariance_widened(draw):
     # is_member holds at 1.5 lambda_min and fails at 0.5 lambda_min on T and
     # on cT, with lambda scaled by |c|^(n-1); an infeasible T fails at
@@ -620,22 +656,31 @@ def kernel_case(rng, kind, dim):
     return t * 10.0 ** rng.uniform(-1.0, 1.0)
 
 
-def oracle_member(t, k, n, lam, tol=1e-10):
-    """(gap, eigenvalues, eigenvectors, threshold, rounding margin) from the
-    definition-form gap, numpy's eigh and the exact ||D||_2^2 scale."""
+def _check_witness(t, k, n, lam, report, feasible):
+    """The witness of a failing report is a unit x on which the
+    definition's gap (the oracle's) is negative.  On a feasible pencil
+    y = T^k x is the top generalized eigenvector of the normal form: its
+    Rayleigh quotient lam^2 - ||T*^n y||^2 / ||T y||^2 is
+    gap_min_eigenvalue."""
+    x = report.witness
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     gap = oracles.gap_oracle(t, k, n, lam)
-    w, v = np.linalg.eigh((gap + oracles.adj(gap)) / 2.0)
-    d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
-    threshold = -tol * max(1.0, np.linalg.norm(d, 2) ** 2)
-    # Rounding of the gap is relative to the terms it subtracts.
-    terms = (np.linalg.norm(oracles.mpow(t, k), 2) ** 2
-             * (lam ** 2 * np.linalg.norm(t, 2) ** 2
-                + np.linalg.norm(oracles.mpow(t, n), 2) ** 2))
-    margin = 1e3 * t.shape[0] * np.finfo(float).eps * terms
-    return gap, w, v, threshold, margin
+    assert np.vdot(x, gap @ x).real < 0
+    if feasible:
+        y = oracles.mpow(t, k) @ x
+        ratio = (np.linalg.norm(oracles.adj(oracles.mpow(t, n)) @ y)
+                 / np.linalg.norm(t @ y)) ** 2
+        assert lam ** 2 - ratio == pytest.approx(report.gap_min_eigenvalue, rel=1e-8)
 
 
 def test_is_member_matches_oracle_across_regimes(rng):
+    # Against the oracle's normal form, from its pivoted-QR basis of
+    # ran T^k and scipy's generalized eigh: an obstructed pencil fails
+    # with -inf and inf, else gap_min_eigenvalue and gap_norm are the
+    # smallest and largest magnitude of lam^2 - mu_i, and the verdict is
+    # the oracle's threshold -tol lambda_min^2 wherever rounding cannot
+    # decide it.
+    tol = 1e-10
     compared = checked = 0
     for kind in ("generic", "graded", "nilpotent_tail"):
         for _ in range(4):
@@ -648,26 +693,34 @@ def test_is_member_matches_oracle_across_regimes(rng):
                 else:
                     base = np.linalg.norm(t) ** (n - 1)
                     lams = [base * f for f in (1.0, 1e3)]
+                feasible = oracles.kernel_feasible(t, k, n, tol)
+                assert result.feasible == feasible
                 for lam in lams:
-                    report = posinormal.is_member(t, ClassQuery(k, n, lam))
-                    gap, w, v, threshold, margin = oracle_member(t, k, n, lam)
+                    report = posinormal.is_member(t, ClassQuery(k, n, lam), tol)
                     checked += 1
                     assert isinstance(report.holds, bool)  # not numpy.bool_
-                    assert abs(report.gap_min_eigenvalue - w[0]) <= margin
-                    assert report.gap_norm == pytest.approx(
-                        np.max(np.abs(w)), rel=1e-12, abs=margin)
-                    if abs(w[0] - threshold) > margin:
+                    w = oracles.normal_form(t, k, n, lam)
+                    if not feasible:
                         compared += 1
-                        assert report.holds == (w[0] >= threshold)
+                        assert not report.holds
+                        assert (report.gap_min_eigenvalue, report.gap_norm) == (
+                            -np.inf, np.inf)
+                    elif not w.size:  # T vanishes on ran T^k
+                        compared += 1
+                        assert report.holds
+                        assert report.gap_min_eigenvalue == report.gap_norm == 0.0
+                    else:
+                        lam2_min = lam ** 2 - w[0]
+                        margin = 1e-8 * (lam ** 2 + lam2_min)
+                        assert abs(report.gap_min_eigenvalue - w[0]) <= margin
+                        assert abs(report.gap_norm - np.max(np.abs(w))) <= margin
+                        if abs(w[0] + tol * lam2_min) > margin:
+                            compared += 1
+                            assert report.holds == (w[0] >= -tol * lam2_min)
                     if report.holds:
                         assert report.witness is None
-                        continue
-                    x = report.witness
-                    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-                    rayleigh = float(np.real(x.conj() @ gap @ x))
-                    assert abs(rayleigh - w[0]) <= 2 * margin
-                    assert abs(abs(x.conj() @ v[:, 0]) - 1.0) <= 1e-6 or (
-                        len(w) > 1 and abs(w[1] - w[0]) <= 1e3 * margin)
+                    else:
+                        _check_witness(t, k, n, lam, report, feasible)
     # Near-threshold verdicts are rounding-sensitive and skipped above,
     # but they must stay the exception.
     assert compared >= 0.8 * checked
@@ -687,22 +740,10 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _lambda_at(t, k, n, target):
-    """lambda at which the oracle's smallest gap eigenvalue equals target,
-    by bisection (it increases with lambda)."""
-    lo, hi = 0.0, 1.0
-    while oracles.min_eig(oracles.gap_oracle(t, k, n, hi)) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if oracles.min_eig(oracles.gap_oracle(t, k, n, mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_verdict_settled_by_bounds_without_svd(rng, monkeypatch):
+    # The normal form's threshold -tol lambda_min^2 is read off the held
+    # pencil, so no norm of D is bounded or taken, and the verdicts agree
+    # with the oracle's normal form.
     t = 3.0 * kernel_case(rng, "generic", 12)
     result = posinormal.min_lambda(t, 1, 2)
     calls = _count_calls(monkeypatch, linalg, "operator_norm")
@@ -714,28 +755,29 @@ def test_verdict_settled_by_bounds_without_svd(rng, monkeypatch):
 
 
 def test_verdict_svd_fallback_between_bounds(rng, monkeypatch):
-    # Place the smallest gap eigenvalue between the thresholds given by the
-    # column-norm and Frobenius bounds on s = ||D*D||_2, on both sides of
-    # the exact threshold, so only the SVD of D can decide.
-    tol = 1e-10
+    # The normal form's threshold needs no norm bounds and no SVD fallback:
+    # it is exact, and lambda a quarter of the tolerance on either side of it,
+    # lambda^2 = (1 - f tol) lambda_min^2 with f = 3/4 or 5/4, is decided
+    # as the oracle's exact lambda_min = ||T*^n T^-1|| of an invertible T
+    # says, with no SVD, and gap_min_eigenvalue is -f tol lambda_min^2.
+    tol = 1e-6
     for trial in range(4):
         dim = int(rng.integers(6, 17))
-        t = 3.0 * (rng.standard_normal((dim, dim))
-                   + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2 * dim)
+        t = 3.0 * kernel_case(rng, "generic", dim)
         k, n = (0, 1) if trial % 2 else (1, 2)
-        d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
-        b = oracles.adj(d) @ d
-        s_exact = np.linalg.norm(d, 2) ** 2
-        s_lo, s_hi = np.max(np.linalg.norm(b, axis=0)), np.linalg.norm(b)
-        assert 1.0 < s_lo < s_exact < s_hi
-        for s_target, expect in (((s_lo + s_exact) / 2, True),
-                                 ((s_exact + s_hi) / 2, False)):
-            lam = _lambda_at(t, k, n, -tol * s_target)
-            calls = _count_calls(monkeypatch, linalg, "operator_norm")
+        exact = oracles.inverse_lambda_min(t, n)
+        lam_min = posinormal.min_lambda(t, k, n, tol).lambda_min
+        assert lam_min == pytest.approx(exact, rel=1e-9)
+        for f, expect in ((0.75, True), (1.25, False)):
+            lam = lam_min * np.sqrt(1.0 - f * tol)
+            svds = _count_calls(monkeypatch, np.linalg, "svd")
             report = posinormal.is_member(t, ClassQuery(k, n, lam), tol=tol)
-            assert report.holds == expect == oracles.member_oracle(t, k, n, lam, tol)
-            assert calls == [d.shape]  # exactly one SVD, of D
             monkeypatch.undo()
+            assert report.holds == expect == (lam ** 2 >= (1.0 - tol) * exact ** 2)
+            assert report.holds == oracles.member_oracle(t, k, n, lam, tol)
+            assert svds == []
+            assert report.gap_min_eigenvalue == pytest.approx(-f * tol * lam_min ** 2,
+                                                              rel=1e-6)
 
 
 def test_classify_grid_forms_each_power_once(rng, monkeypatch):
@@ -880,58 +922,55 @@ def test_kernel_test_svd_fallback_between_bounds(rng, monkeypatch):
 
 # --- the witness of a failing verdict ----------------------------------------------
 
-def _verdict_calls(monkeypatch, verdict):
-    """verdict() and the shapes of its eigvalsh, eigh and solve calls."""
-    calls = {name: _count_calls(monkeypatch, np.linalg, name)
-             for name in ("eigvalsh", "eigh", "solve")}
-    result = verdict()
-    monkeypatch.undo()
-    return result, calls
+# Every numpy.linalg routine posilab calls, and solve.
+_LINALG = ("eigh", "eigvalsh", "eigvals", "svd", "norm", "matrix_power", "det",
+           "qr", "solve")
 
 
-def _check_witness_on_read(monkeypatch, report, holds, lowest, g, threshold):
-    """Reading the witness runs one eigh, of g, when the verdict fails, and
-    none when it holds; the witness is a unit vector whose Rayleigh quotient
-    is the smallest eigenvalue up to rounding and lies below the threshold."""
-    seen, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.copy()) or eigh(a))
-    x = report.witness
+def _linalg_calls(monkeypatch, call):
+    """call() and the shapes of the numpy.linalg calls it made, by name,
+    the names without calls left out."""
+    calls = {name: _count_calls(monkeypatch, np.linalg, name) for name in _LINALG}
+    result = call()
     monkeypatch.undo()
-    if holds:
-        assert x is None and seen == []
-        return
-    assert len(seen) == 1 and np.array_equal(seen[0], g)
-    rayleigh = np.vdot(x, g @ x).real
-    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-    assert abs(rayleigh - lowest) <= 16 * len(g) * np.finfo(float).eps * np.linalg.norm(g, 2)
-    assert rayleigh < threshold
+    return result, {name: shapes for name, shapes in calls.items() if shapes}
 
 
 def _check_verdicts_at(rng, monkeypatch, dim, kinds=("generic",)):
-    """Holding or failing, is_member computes eigenvalues only; reading the
-    witness of a failing report runs one eigh, of its gap."""
+    """After min_lambda, a verdict, holding or failing, makes no LAPACK
+    call.  Reading the witness of a failing report runs one eigh, of the
+    r x r Gram matrix M*M of the normal form, r = dim ran T^{k+1} (and,
+    to normalize it, one norm); an obstructed pencil's witness is its
+    kernel obstruction, held since min_lambda.  The witness certifies the
+    failure on the definition's gap (_check_witness)."""
     tol, k, n = 1e-10, 1, 2
-    only_eigvalsh = {"eigvalsh": [(dim, dim)], "eigh": [], "solve": []}
     for kind in kinds:
         t = kernel_case(rng, kind, dim)
         result = posinormal.min_lambda(t, k, n)
-        d = oracles.adj(oracles.mpow(t, n)) @ oracles.mpow(t, k)
         if result.feasible and result.lambda_min > 0:
             cases = ((2.0 * result.lambda_min, True), (0.5 * result.lambda_min, False))
         else:
             cases = ((np.linalg.norm(t) ** (n - 1), False),)
         for lam, holds in cases:
-            report, calls = _verdict_calls(
+            report, calls = _linalg_calls(
                 monkeypatch, lambda: posinormal.is_member(t, ClassQuery(k, n, lam), tol))
-            assert calls == only_eigvalsh and report.holds == holds
-            _check_witness_on_read(monkeypatch, report, holds, report.gap_min_eigenvalue,
-                                   posinormal.gap_matrix(t, k, n, lam),
-                                   -tol * max(1.0, np.linalg.norm(d, 2) ** 2))
+            assert calls == {} and report.holds == holds
+            x, calls = _linalg_calls(monkeypatch, lambda: report.witness)
+            if holds:
+                assert x is None and calls == {}
+                continue
+            if result.feasible:
+                r = oracles.range_basis(t, k + 1).shape[1]
+                assert calls == {"eigh": [(r, r)], "norm": [(dim,)]}
+            else:
+                assert calls == {}
+                assert np.array_equal(x, result.kernel_obstruction)
+            _check_witness(t, k, n, lam, report, result.feasible)
 
 
 def test_eigenvectors_only_for_a_witness(rng, monkeypatch):
-    # At every size a verdict is one eigvalsh; the eigenvector comes only
-    # when a failing verdict's witness is read.
+    # At every size the verdicts after min_lambda make no LAPACK call; the
+    # eigenvector comes only when a failing verdict's witness is read.
     for dim in (12, 40):
         _check_verdicts_at(rng, monkeypatch, dim)
 
@@ -1022,29 +1061,34 @@ def test_slot_sees_in_place_changes(rng, monkeypatch):
 
 def test_overflow_leaves_nothing_held(rng, monkeypatch):
     posinormal.min_lambda(kernel_case(rng, "generic", 3), 1, 1)
-    # T*T overflows: a new T releases the old slot first, and the failed
-    # formation publishes nothing, so only the finite T^1 is held; the
-    # identical next call raises again.
+    # M*M overflows, T^2 does not: a new T releases the old slot first, and
+    # the failed formation publishes no pencil, so only the finite rung 0
+    # and T^2 are held; the identical next call raises again.
+    steep = np.array([[1e146, 1e150], [0.0, 1e146]])
     for _ in range(2):
-        with pytest.raises(NumericalFailure, match=re.escape("T*T overflows")):
-            posinormal.is_member(1e200 * np.eye(3), ClassQuery(1, 1, 1.0))
-        assert set(posinormal._slot.held) == {("power", 1)}
-        assert np.isfinite(posinormal._slot.held[("power", 1)]).all()
-    # min_lambda forms neither T*T nor a Gram matrix C*C, so it is exact
-    # where both overflow; the verdict at the same T is not.
+        with pytest.raises(NumericalFailure, match=re.escape("M*M overflows")):
+            posinormal.is_member(steep, ClassQuery(0, 2, 1.0))
+        assert set(posinormal._slot.held) == {("rung", 0), ("power", 2)}
+        assert np.isfinite(posinormal._slot.held[("power", 2)]).all()
+    # The verdict and min_lambda form neither T*T nor a Gram matrix C*C, so
+    # they are exact where both overflow; gap_matrix, which forms T*T, is
+    # not, and it leaves the slot as it was.
     for _ in range(2):
         assert posinormal.min_lambda(1e160 * np.eye(3), 0, 1).lambda_min == 1.0
+        report = posinormal.is_member(1e200 * np.eye(3), ClassQuery(1, 1, 1.0))
+        assert report.holds and report.gap_norm <= 1e-12
+        held = posinormal._slot
         with pytest.raises(NumericalFailure, match=re.escape("T*T overflows")):
-            posinormal.is_member(1e160 * np.eye(3), ClassQuery(0, 1, 1.0))
-        assert "tt" not in posinormal._slot.held
+            posinormal.gap_matrix(1e160 * np.eye(3), 0, 1, 1.0)
+        assert posinormal._slot is held
     # T^n overflows before any rung is read.
     with pytest.raises(NumericalFailure, match="matrix power 3 overflows"):
         posinormal.min_lambda(1e120 * np.eye(3), 0, 3)
 
 
 def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
-    # One slot serves every (k, n) on T: min_lambda forms T^n, is_member
-    # T^k, and no power is formed twice.
+    # One slot serves every (k, n) on T: min_lambda forms T^n once per n,
+    # and is_member, which reads the held pencil, forms no power.
     t = kernel_case(rng, "generic", 16)
     monkeypatch.setattr(posinormal, "_slot", None)
     powers = []
@@ -1056,7 +1100,38 @@ def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
         for lam in _lambdas(t, n, result):
             posinormal.is_member(t, ClassQuery(k, n, lam))
     monkeypatch.setattr(linalg, "matpow", exact)
-    assert powers == [2, 1, 3, 0]
+    assert powers == [2, 3]
+
+
+def test_verdicts_read_the_held_pencil(rng, monkeypatch):
+    # After min_lambda(T, k, n), the three verdicts a benchmark query makes
+    # at the same (T, k, n) make no numpy.linalg call.  On a fresh T a cold
+    # verdict makes the ladder's SVDs, T^n and one eigvalsh, of the Gram
+    # matrix M*M of the normal form, only: one SVD for an invertible T; a
+    # nilpotent tail adds a rung per k and an eigh on the rung's kernel.
+    for kind in ("generic", "graded", "nilpotent_tail"):
+        t = kernel_case(rng, kind, 16)
+        for k, n in ((0, 1), (1, 2), (3, 3)):
+            monkeypatch.setattr(posinormal, "_slot", None)
+            result = posinormal.min_lambda(t, k, n)
+            queries = [ClassQuery(k, n, lam) for lam in _lambdas(t, n, result)]
+            _, calls = _linalg_calls(
+                monkeypatch, lambda: [posinormal.is_member(t, q) for q in queries])
+            assert calls == {}, (kind, k, n)
+            monkeypatch.setattr(posinormal, "_slot", None)
+            _, calls = _linalg_calls(monkeypatch, lambda: posinormal.is_member(t, queries[0]))
+            if kind != "nilpotent_tail":
+                r = len(t)
+                assert calls == {"svd": [t.shape], "matrix_power": [t.shape],
+                                 "eigvalsh": [(r, r)]}, (kind, k, n)
+            elif result.feasible:  # tail size at most k = 3
+                r = oracles.range_basis(t, k + 1).shape[1]
+                assert calls["eigvalsh"] == [(r, r)] and set(calls) == {
+                    "svd", "matrix_power", "eigh", "eigvalsh"}, (k, n)
+                assert 2 <= len(calls["svd"]) <= k + 1
+            else:
+                # the obstruction is pulled back and normalized
+                assert set(calls) == {"svd", "matrix_power", "eigh", "norm"}, (k, n)
 
 
 def test_concurrent_callers_get_their_own_results(rng, monkeypatch):

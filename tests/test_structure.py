@@ -238,6 +238,22 @@ def test_dense_range_upgrade_unitary(rng):
     assert report.gap_norm <= 1e-10
 
 
+def test_dense_range_upgrade_reads_the_ladder(rng):
+    # An invertible graded T with cond(T) = 1e4: cond(T^3) = 1e12, so an SVD
+    # of T^3 cut at DEFAULT_TOL calls it rank deficient, but ran T^3 is the
+    # whole space, which rung 0 of the ladder sees.  The upgrade applies,
+    # and lambda_min is ||T*^n T^-1|| at k = 3 and at k = 0 alike.
+    s = np.logspace(0.0, -4.0, 6)
+    t = haar_unitary(rng, 6) @ (s[:, None] * haar_unitary(rng, 6).conj().T)
+    t3 = linalg.matpow(t, 3)
+    assert np.linalg.cond(t3) > 1e10
+    assert linalg.svd_rank_spaces(t3, linalg.DEFAULT_TOL)[0].shape[1] < 6
+    assert posinormal.range_rank(t, 3) == 6
+    lam_min = posinormal.min_lambda(t, 3, 2).lambda_min
+    assert lam_min == pytest.approx(oracles.inverse_lambda_min(t, 2), rel=1e-8)
+    assert structure.dense_range_upgrade(t, 3, 2, lam_min * (1 + 1e-8)).holds
+
+
 def test_dense_range_upgrade_rejects_rank_deficient():
     with pytest.raises(ValidationError, match="rank deficient"):
         structure.dense_range_upgrade(nilpotent_shift(3), 3, 2, 1.0)
