@@ -19,7 +19,6 @@ from .linalg import (
     matpow,
     operator_norm,
     spectrum,
-    svd_rank_spaces,
 )
 from .posinormal import (
     ClassQuery,

@@ -86,7 +86,7 @@ def _cmd_lambda_min(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t = fileio.load_matrix(args.matrix_file)
-    decomp = structure.decompose(t, args.k, args.n, tol=args.tol)
+    decomp = structure.decompose(t, args.k, args.n)
     print(f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})")
     print(f"k: {args.k}")
     print(f"full_range: {str(decomp.full_range).lower()}")
@@ -202,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "ran T^k: it holds iff lambda^2 - lambda_min^2 >= "
                           "-tol * lambda_min^2, and fails at every lambda when "
                           "T*^n keeps more than tol of its squared norm on a "
-                          "kernel direction of T there.  decompose cuts the rank "
-                          "of T^k at tol * sigma_max; condexp bounds its "
+                          "kernel direction of T there.  condexp bounds its "
                           "relative deviations and blockwise margins by tol")
     query = argparse.ArgumentParser(add_help=False, parents=[tol])
     query.add_argument("--k", type=int, required=True)
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix_file")
     p.set_defaults(func=_cmd_lambda_min)
 
-    p = sub.add_parser("decompose", parents=[tol], help="range/kernel block splitting")
+    p = sub.add_parser("decompose", help="range/kernel block splitting")
     p.add_argument("matrix_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=1)

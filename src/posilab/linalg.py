@@ -129,23 +129,10 @@ def symmetrize(h) -> np.ndarray:
 
 def significant(values, tol: float) -> np.ndarray:
     """Mask of the values with |v| > tol * max|v|, none when all vanish: the
-    one rank rule, for singular values and for the eigenvalues of a PSD
-    matrix.  A caller's tol is a parameter (decompose's --tol); posinormal's
-    range ladder cuts every rung T Q at DEFAULT_TOL * ||T||, a fixed rule."""
+    rank rule for the eigenvalues of a PSD matrix.  posinormal's range
+    ladder cuts every rung T Q at DEFAULT_TOL * ||T||, a fixed rule."""
     mags = np.abs(np.asarray(values))
     return mags > tol * mags.max(initial=0.0)
-
-
-def svd_rank_spaces(m, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (range, cokernel) of a matrix: the column space
-    and its orthogonal complement ker(M*), together a unitary of the
-    codomain; the numerical rank is the range basis's column count.
-
-    The rank is the count of significant(s, tol) over the singular values.
-    """
-    u, s, _ = np.linalg.svd(as_matrix(m))
-    rank = int(np.count_nonzero(significant(s, tol)))
-    return u[:, :rank], u[:, rank:]
 
 
 def spectrum(m) -> np.ndarray:

@@ -40,24 +40,27 @@ covariant under T -> cT, lambda -> |c|^(n-1) lambda.
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
 products): its own copy of T and, each formed when first asked for, the
-powers T^j, the rungs and the pencil per (k, n, tol): its obstruction, or
-the eigenvalues mu.  min_lambda, classify_grid and is_member read the
-pencil, so at a (T, k, n, tol) seen before none of them makes a LAPACK
-call; gap_matrix forms its products itself.  Each product has one
+powers T^j, the rungs and one pencil per rung and (n, tol), its
+obstruction or the eigenvalues mu, which every k at or past the rung where
+the ladder ends reads (for invertible T, rung 0's).  min_lambda,
+classify_grid and is_member read the pencil, so on a (T, rung, n, tol)
+seen before none of them makes a LAPACK call; gap_matrix forms its
+products itself.  Each product has one
 expression, so a warm call gives the cold result bit for bit, and no held
 array is returned to a caller.  A new T releases the slot before anything
 is formed; a product is published once formed, in a new slot assigned in
 one step, so a formation that raises leaves nothing of it held and
 concurrent callers at worst form a product twice.
 
-The witness of a failing verdict is computed when it is read: the kernel
-obstruction of an obstructed pencil, else the top eigenvector of M*M (one
-eigh), each pulled back through the rungs to a unit x whose T^k x is the
-failing direction of ran T^k.
+The witness of a failing verdict is computed when it is read, at the
+verdict's own k: the kernel obstruction of an obstructed pencil, else the
+top eigenvector of M*M (one eigh), each pulled back through the rungs to
+a unit x whose T^k x is the failing direction of ran T^k.
 The obstruction test is settled by linalg.at_most_scaled, norm bounds
 first, so it is the one the exact norm gives.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -135,7 +138,8 @@ class LambdaResult:
 
 # The slot: its own copy of T, and the products of T that do not depend on
 # lambda, by key: ("power", j) for T^j, ("rung", j) for rung j of the range
-# ladder and ("pencil", k, n, tol) for a _Pencil.
+# ladder and ("pencil", j, n, tol) for the _Pencil on rung j, which every
+# k >= j whose ladder ends at rung j reads.
 _Slot = namedtuple("_Slot", "t held")
 
 # Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
@@ -146,9 +150,9 @@ _Slot = namedtuple("_Slot", "t held")
 # is ran T^j, and rung j+1 is rung j.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
 
-# The pencil at (k, n, tol): the kernel obstruction x when it is
-# obstructed, else None and the eigenvalues mu of M*M, ascending; witness()
-# gives a fresh witness of a failing verdict.
+# The pencil on one rung at (n, tol): the kernel obstruction x when it is
+# obstructed, else None and the eigenvalues mu of M*M, ascending;
+# witness(k) gives a fresh witness of a failing verdict at quasi order k.
 _Pencil = namedtuple("_Pencil", "obstruction mu witness")
 
 # The _Slot of the last T queried, or None.
@@ -212,22 +216,23 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     obstructed, else holds iff lambda^2 - lambda_min^2 >= -tol *
     lambda_min^2, and always when T vanishes on ran T^k.
 
-    The first verdict or min_lambda at (T, k, n, tol) forms the pencil:
+    The first verdict or min_lambda on (T, rung, n, tol) forms the pencil:
     the ladder's SVDs, T^n and one eigvalsh of M*M (with an eigh on the
-    rung's kernel when it has one); later verdicts there make no LAPACK
+    rung's kernel when it has one); later verdicts on it make no LAPACK
     call.
     Reading the witness of a failing report runs one eigh of M*M.
     """
     pencil = _pencil(_slot_for(t), query.k, query.n, tol)
     if pencil.obstruction is not None:
-        return ClassReport(False, -np.inf, np.inf, pencil.witness)
+        return ClassReport(False, -np.inf, np.inf,
+                           functools.partial(pencil.witness, query.k))
     if not pencil.mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
     lam2, top = float(query.lam) ** 2, _top(pencil.mu)
     lo = lam2 - top
     holds = lo >= -tol * top
     return ClassReport(holds, lo, float(np.max(np.abs(lam2 - pencil.mu))),
-                       None if holds else pencil.witness)
+                       None if holds else functools.partial(pencil.witness, query.k))
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -262,13 +267,14 @@ def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
     return slot, rungs
 
 
-def range_rank(t, k: int) -> int:
-    """dim ran T^k, read from the held ladder: the size of the basis at
-    rung k, all of the space at k = 0 or when rung 0 keeps its full rank."""
+def range_basis(t, k: int) -> np.ndarray:
+    """Orthonormal basis of ran T^k, a copy of the held ladder's: the
+    identity at k = 0, else the ``next`` basis of the last rung up to k - 1."""
     slot = _slot_for(t)
     ClassQuery(k=k, n=1, lam=1.0)  # validates k
-    q = _ladder(slot, k)[1][-1].q
-    return slot.t.shape[0] if q is None else q.shape[1]
+    if k == 0:
+        return np.eye(slot.t.shape[0], dtype=complex)
+    return _ladder(slot, k - 1)[1][-1].next.copy()
 
 
 def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
@@ -306,8 +312,9 @@ def _top(mu) -> float:
 
 
 @linalg.quiet_overflow
-def _form_pencil(t, k: int, n: int, tol: float, rungs: list, tn) -> _Pencil:
-    """The pencil at (k, n, tol) from rungs 0..k and T^n (see min_lambda)."""
+def _form_pencil(t, n: int, tol: float, rungs: list, tn) -> _Pencil:
+    """The pencil at (n, tol) on the last of ``rungs``, from T^n (see
+    min_lambda); a rung with a kernel ends no ladder, so it is rung k."""
     rung = rungs[-1]
     dq = _d_prime(tn, rung)
     if rung.w0.shape[1]:
@@ -316,12 +323,12 @@ def _form_pencil(t, k: int, n: int, tol: float, rungs: list, tn) -> _Pencil:
         rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
         if kw[-1] > rounding and not linalg.at_most_scaled(float(kw[-1]), tol,
                                                            lambda: dq):
-            x = _pull_back(t, rungs, k, rung.w0 @ kv[:, -1])
-            return _Pencil(x, None, x.copy)
+            x = _pull_back(t, rungs, len(rungs) - 1, rung.w0 @ kv[:, -1])
+            return _Pencil(x, None, lambda k: x.copy())
     if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
         return _Pencil(None, np.zeros(0), None)
 
-    def witness():  # the top eigenvector of M*M, pulled back to x; D' is
+    def witness(k):  # the top eigenvector of M*M, pulled back to x; D' is
         # formed again on read, so a pencil holds no N x r array
         v = np.linalg.eigh(_normal_gram(_d_prime(tn, rung), rung))[1][:, -1]
         return _pull_back(t, rungs, k, rung.wps @ v)
@@ -330,13 +337,13 @@ def _form_pencil(t, k: int, n: int, tol: float, rungs: list, tn) -> _Pencil:
 
 
 def _pencil(slot: _Slot, k: int, n: int, tol: float) -> _Pencil:
-    """The held pencil at (k, n, tol), else formed and published into the
-    slot that holds the rungs and T^n formed for it (when the pencil is
-    held, so are they, and reading them makes no call)."""
+    """The held pencil at (n, tol) on the last rung up to k, else formed and
+    published into the slot that holds the rungs and T^n formed for it
+    (when the pencil is held, so are they, and reading them makes no call)."""
     slot, rungs = _ladder(slot, k)
     slot, tn = _power(slot, n)
-    return _held(slot, ("pencil", k, n, tol),
-                 lambda: _form_pencil(slot.t, k, n, tol, rungs, tn))[1]
+    return _held(slot, ("pencil", len(rungs) - 1, n, tol),
+                 lambda: _form_pencil(slot.t, n, tol, rungs, tn))[1]
 
 
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
@@ -455,7 +462,8 @@ def classify_grid(t, k_max: int,
                   n_max: int) -> dict[tuple[int, int], LambdaResult]:
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
     1 <= n <= n_max, on the one slot: the ladder up to rung k_max and each
-    power T^n are formed once for the whole grid."""
+    power T^n are formed once for the whole grid, and one pencil per rung
+    and n (for invertible T, one per n: every k reads rung 0)."""
     linalg.require_square(t)
     ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max
     return {(k, n): min_lambda(t, k, n)

@@ -64,25 +64,30 @@ class Decomposition:
         return q @ np.vstack([upper, lower]) @ q.conj().T
 
 
-def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
+def decompose(t, k: int, n: int) -> Decomposition:
     """Split T along closure(T^k H) + ker(T*^k) and extract the blocks.
+
+    The range basis is posinormal's range ladder's (the identity at k = 0),
+    cut at DEFAULT_TOL * ||T|| on every rung without forming T^k, so at any
+    conditioning of T^k; ker(T*^k) comes from one complete QR of it.
 
     Works for arbitrary square T; the membership-dependent facts (A in the
     k = 0 class, spectrum union) are contracts on the output checked by
-    the caller or the test-suite, not preconditions here.  When T^k has
-    full numerical rank the degenerate splitting is returned with
+    the caller or the test-suite, not preconditions here.  When ran T^k is
+    the whole space the degenerate splitting is returned with
     ``full_range`` set instead of failing, so pipelines can branch.
     """
     t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    # ker(T*^k) is the orthogonal complement of range(T^k)
-    q_range, q_kernel = linalg.svd_rank_spaces(linalg.matpow(t, k), tol)
+    q_range = posinormal.range_basis(t, k)
+    rank, dim = q_range.shape[1], t.shape[0]
+    q_kernel = (np.linalg.qr(q_range, mode="complete")[0][:, rank:] if rank < dim
+                else np.zeros((dim, 0), dtype=complex))
     block_a = q_range.conj().T @ t @ q_range
     block_b = q_range.conj().T @ t @ q_kernel
     block_c = q_kernel.conj().T @ t @ q_kernel
     residual = linalg.operator_norm(q_kernel.conj().T @ t @ q_range)
-    # An empty kernel block has norm 0 (operator_norm of a 0x0 power).
-    nilp = linalg.operator_norm(np.linalg.matrix_power(block_c, k))
+    nilp = 0.0 if rank == dim else linalg.operator_norm(linalg.matpow(block_c, k))
     return Decomposition(
         range_basis=q_range,
         kernel_basis=q_kernel,
@@ -91,7 +96,7 @@ def decompose(t, k: int, n: int, tol: float = DEFAULT_TOL) -> Decomposition:
         block_c=block_c,
         residual_lower_left=residual,
         nilpotency_residual=nilp,
-        full_range=q_range.shape[1] == t.shape[0],
+        full_range=rank == dim,
     )
 
 
@@ -188,7 +193,7 @@ def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
     """
     t = linalg.require_square(t)
     query = ClassQuery(k=k, n=n, lam=lam)
-    rank = posinormal.range_rank(t, k)
+    rank = posinormal.range_basis(t, k).shape[1]
     if rank < t.shape[0]:
         raise ValidationError(
             f"T^{k} is rank deficient (rank {rank} of {t.shape[0]}); "

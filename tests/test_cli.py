@@ -211,13 +211,16 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
     identity = FIXTURES / "identity_2.json"
     for argv in (["check", identity, "--k", 0, "--n", 1, "--lambda", 1],
                  ["lambda-min", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2],
-                 ["decompose", identity, "--k", 0],
                  ["tensor", identity, identity, "--k", 0, "--n", 1,
                   "--lambda", 1, "--mu", 1],
                  ["condexp", SPACE, "polar"]):
         assert run([*argv, f"--tol={tol}"]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "error: argument --tol: " in err, err
+    # decompose takes its rank from the range ladder's fixed cut: no --tol
+    assert run(["decompose", identity, "--k", 0, f"--tol={tol}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: unrecognized arguments: --tol={tol}" in err, err
 
 
 # --- exit code 2 on overflow ----------------------------------------------------
@@ -225,6 +228,8 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
 def _overflow_cases(tmp_path):
     big, steep = tmp_path / "big.json", tmp_path / "steep.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
+    shift = tmp_path / "shift.json"  # ran T^3 = 0, so C = T and C^2 overflows
+    shift.write_text(fileio.dumps_matrix(1e200 * np.eye(3, k=1)))
     # T^2 is finite, M = T*^2 T^-1 of the normal form is about 1e158
     steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
@@ -240,7 +245,7 @@ def _overflow_cases(tmp_path):
     return [
         ["check", big, "--k", 2, "--n", 3, "--lambda", 1.0],   # T^n
         ["lambda-min", big, "--k", 0, "--n", 3],               # T^n
-        ["decompose", big, "--k", 3],                          # T^k
+        ["decompose", shift, "--k", 3],                        # C^k
         ["check", steep, "--k", 0, "--n", 2, "--lambda", 1.0],  # M*M
         ["lambda-min", steep, "--k", 1, "--n", 2],             # M*M
         ["tensor", steep, identity, "--k", 0, "--n", 2,        # M*M of a factor
@@ -278,7 +283,7 @@ def test_parsed_arguments_with_defaults():
         "lambda-min": (["lambda-min", "m.json", "--k", "0", "--n", "1"],
                        {"matrix_file": "m.json", "k": 0, "n": 1, **tol}),
         "decompose": (["decompose", "m.json", "--k", "2"],
-                      {"matrix_file": "m.json", "k": 2, "n": 1, **tol}),
+                      {"matrix_file": "m.json", "k": 2, "n": 1}),
         "tensor": (["tensor", "a.json", "b.json", "--k", "1", "--n", "1",
                     "--lambda", "2", "--mu", "3", "--tol", "1e-9"],
                    {"matrix_file_a": "a.json", "matrix_file_b": "b.json",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posilab import linalg
+from posilab import linalg, structure
 from posilab.errors import NumericalFailure, ValidationError
 from posilab.fixtures import nilpotent_shift, split_range_matrix
 
@@ -49,46 +49,50 @@ def test_matpow_rejects():
     np.testing.assert_allclose(linalg.matpow(np.eye(2), np.int64(3)), np.eye(2))
 
 
-# --- rank spaces -------------------------------------------------------------
+# --- range spaces --------------------------------------------------------------
+# The range of T and its complement ker T*, as decompose takes them at k = 1:
+# the basis of the range ladder's rung 0 and one complete QR of it.
 
 def _projector(basis):
     return basis @ basis.conj().T
 
 
 def test_rank_spaces_zero_matrix():
-    range_basis, cokernel = linalg.svd_rank_spaces(np.zeros((3, 3)), tol=1e-10)
-    assert range_basis.shape == (3, 0)
-    np.testing.assert_allclose(_projector(cokernel), np.eye(3))
+    decomp = structure.decompose(np.zeros((3, 3)), 1, 1)
+    assert decomp.range_basis.shape == (3, 0)
+    np.testing.assert_allclose(_projector(decomp.kernel_basis), np.eye(3))
 
 
 def test_rank_spaces_identity():
-    range_basis, cokernel = linalg.svd_rank_spaces(np.eye(4), tol=1e-10)
-    assert range_basis.shape == (4, 4)
-    assert cokernel.shape == (4, 0)
+    decomp = structure.decompose(np.eye(4), 1, 1)
+    assert decomp.range_basis.shape == (4, 4)
+    assert decomp.kernel_basis.shape == (4, 0)
 
 
 def test_rank_spaces_split_range_matrix():
     # column-space oracle: columns of T span {e1, e2, e3}
-    range_basis, cokernel = linalg.svd_rank_spaces(split_range_matrix(), tol=1e-10)
-    assert range_basis.shape[1] == 3
-    np.testing.assert_allclose(_projector(range_basis), np.diag([1.0, 1.0, 1.0, 0.0]),
-                               atol=1e-12)
-    np.testing.assert_allclose(_projector(cokernel), np.diag([0.0, 0.0, 0.0, 1.0]),
-                               atol=1e-12)
+    decomp = structure.decompose(split_range_matrix(), 1, 1)
+    assert decomp.range_basis.shape[1] == 3
+    np.testing.assert_allclose(_projector(decomp.range_basis),
+                               np.diag([1.0, 1.0, 1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(_projector(decomp.kernel_basis),
+                               np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
 
 
 def test_rank_nullity_and_kernel_annihilation(rng):
     for _ in range(25):
-        rows = int(rng.integers(1, 11))
-        cols = int(rng.integers(1, 11))
-        inner = int(rng.integers(1, min(rows, cols) + 1))
-        m = ((rng.standard_normal((rows, inner)) + 1j * rng.standard_normal((rows, inner)))
-             @ (rng.standard_normal((inner, cols)) + 1j * rng.standard_normal((inner, cols))))
-        range_basis, cokernel = linalg.svd_rank_spaces(m, tol=1e-10)
-        assert range_basis.shape == (rows, inner)
-        assert cokernel.shape == (rows, rows - inner)
+        dim = int(rng.integers(1, 11))
+        inner = int(rng.integers(1, dim + 1))
+        m = ((rng.standard_normal((dim, inner)) + 1j * rng.standard_normal((dim, inner)))
+             @ (rng.standard_normal((inner, dim)) + 1j * rng.standard_normal((inner, dim))))
+        decomp = structure.decompose(m, 1, 1)
+        assert decomp.range_basis.shape == (dim, inner)
+        assert decomp.kernel_basis.shape == (dim, dim - inner)
+        # the range basis spans the column space of M
+        assert linalg.operator_norm(_projector(decomp.range_basis) @ m - m) <= (
+            1e-9 * linalg.operator_norm(m))
         # the cokernel is ker(M*): it annihilates M from the left
-        assert (linalg.operator_norm(cokernel.conj().T @ m)
+        assert (linalg.operator_norm(decomp.kernel_basis.conj().T @ m)
                 <= 1e-9 * max(1.0, linalg.operator_norm(m)))
 
 

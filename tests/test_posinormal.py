@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posilab import fileio, linalg, posinormal
+from posilab import fileio, linalg, posinormal, structure
 from posilab.errors import NumericalFailure, ValidationError
 from posilab.fixtures import (
     clipped_shift,
@@ -1132,6 +1132,43 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
             else:
                 # the obstruction is pulled back and normalized
                 assert set(calls) == {"svd", "matrix_power", "eigh", "norm"}, (k, n)
+
+
+def test_pencils_are_shared_past_the_ladders_end(rng, monkeypatch):
+    # The slot holds one pencil per rung and n: every k at or past the rung
+    # where the ladder ends reads it.  For invertible T that is rung 0, so
+    # after min_lambda at (0, n), n = 1..3, the (3, 3) grid and the split at
+    # k = 2 make no numpy.linalg call.  Beside a nilpotent tail of size 2
+    # the ladder ends at rung 2, and k = 3 reads k = 2's pencils.  The
+    # witness of a failing verdict is pulled back at the verdict's own k.
+    for tail in (0, 2):
+        t = (kernel_case(rng, "generic", 12) if not tail
+             else oracles.nilpotent_tail(rng, 12, tail)[0])
+        monkeypatch.setattr(posinormal, "_slot", None)
+        for n in (1, 2, 3):
+            posinormal.min_lambda(t, tail, n)
+        if tail:  # the rungs below rung 2 and the pencils on them
+            posinormal.classify_grid(t, 1, 3)
+        (grid, split), calls = _linalg_calls(monkeypatch, lambda: (
+            posinormal.classify_grid(t, 3, 3),
+            None if tail else structure.decompose(t, 2, 1)))
+        assert calls == {}, tail
+        assert tail or split.full_range
+        for k, n in grid:
+            if k > tail:
+                assert _bits(grid[k, n]) == _bits(grid[tail, n]), (tail, k, n)
+        for n in (1, 2, 3):
+            lam = 0.5 * grid[tail, n].lambda_min
+            witnesses = []
+            for k in (tail, 3):
+                report = posinormal.is_member(t, ClassQuery(k, n, lam))
+                assert not report.holds
+                x = report.witness
+                gap = posinormal.gap_matrix(t, k, n, lam)
+                assert np.vdot(x, gap @ x).real < 0, (tail, k, n)
+                _check_witness(t, k, n, lam, report, True)
+                witnesses.append(x)
+            assert not np.allclose(*witnesses)
 
 
 def test_concurrent_callers_get_their_own_results(rng, monkeypatch):

@@ -69,6 +69,83 @@ def test_decompose_reconstruction_random(rng):
         assert decomp.nilpotency_residual <= 1e-8 * t_norm_k
 
 
+def test_decompose_keeps_a_graded_invertible_operator_whole(rng):
+    # ran T^3 of an invertible T is the whole space.  An SVD of T^3, whose
+    # cond is 1e12, cut at DEFAULT_TOL split this T 5+1 with a lower-left
+    # residual of 7e-5; the range ladder's rung 0 keeps its full rank.
+    s = np.logspace(0.0, -4.0, 6)
+    t = haar_unitary(rng, 6) @ (s[:, None] * haar_unitary(rng, 6).conj().T)
+    decomp = structure.decompose(t, 3, 1)
+    assert decomp.full_range
+    assert (decomp.range_basis.shape[1], decomp.kernel_basis.shape[1]) == (6, 0)
+    assert decomp.residual_lower_left == 0.0
+
+
+def _check_split(t, k, dim_c, same_range=True):
+    """decompose at k against the recorded size dim_c of its kernel block:
+    a unitary [range | kernel], both residuals within 1e-8 of their scale
+    (the lower left within the invariance residual of the oracle's
+    pivoted-QR basis of ran T^k where that is larger) and, with
+    ``same_range``, the range projector of that basis."""
+    decomp = structure.decompose(t, k, 1)
+    dim = len(t)
+    assert decomp.kernel_basis.shape[1] == dim_c, (dim, k)
+    assert decomp.full_range == (dim_c == 0)
+    q = oracles.range_basis(t, k)
+    assert not same_range or linalg.operator_norm(
+        decomp.range_basis @ decomp.range_basis.conj().T - q @ q.conj().T) <= 1e-8
+    basis = np.hstack([decomp.range_basis, decomp.kernel_basis])
+    assert linalg.operator_norm(basis.conj().T @ basis - np.eye(dim)) <= 1e-12
+    norm = linalg.operator_norm(t)
+    oracle = linalg.operator_norm(t @ q - q @ (q.conj().T @ t @ q))
+    assert decomp.residual_lower_left <= max(1e-8 * norm, oracle), (dim, k)
+    assert decomp.nilpotency_residual <= 1e-8 * norm ** k, (dim, k)
+
+
+def test_decompose_splits_off_a_nilpotent_tail_of_recorded_size():
+    # ran T^k is the head plus J^k's range, so C has size min(k, m).
+    rng = np.random.default_rng(2511)
+    for _ in range(40):
+        dim, m = int(rng.integers(5, 17)), int(rng.integers(1, 5))
+        t, _ = oracles.nilpotent_tail(rng, dim, m)
+        t = t * 10.0 ** rng.uniform(-1.0, 1.0)
+        for k in range(5):
+            _check_split(t, k, min(k, m))
+
+
+def test_decompose_direct_sum_splits_off_the_tail_only():
+    # T + cS with S invertible: the tail of T of recorded size m is split
+    # off, and cS stays whole down to |c| = 1e-6.  Rounding moves the range
+    # of a tail of size m by about eps^(1/m), which beside |c| <= 1e-4
+    # reaches cS: the two ladders' projectors then differ by up to 0.3, so
+    # there the range is checked by its invariance only, and beside a tail
+    # of size 3 at |c| = 1e-6 both ranges are invariant to only 2.5e-8 ||T||.
+    rng = np.random.default_rng(2512)
+    for i in range(60):
+        c = (1e-2, 1e-4, 1e-6)[i % 3] * np.exp(2j * np.pi * rng.uniform())
+        m = int(rng.integers(0, 4))
+        d1, d2 = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        t = oracles.nilpotent_tail(rng, d1 + m, m)[0] if m else oracles.ginibre(rng, d1)
+        total = np.zeros((len(t) + d2, len(t) + d2), dtype=complex)
+        total[:len(t), :len(t)] = t
+        total[len(t):, len(t):] = c * oracles.ginibre(rng, d2)
+        for k in range(5):
+            _check_split(total, k, min(k, m), same_range=not m or abs(c) > 1e-3)
+
+
+def test_decompose_keeps_graded_invertible_operators_whole():
+    # U diag(s) V* with cond(T)^k up to 1e12, and V = U in every second
+    # draw, where cond(T^k) is cond(T)^k: ran T^k is the whole space.
+    rng = np.random.default_rng(2513)
+    for i in range(40):
+        dim, k = int(rng.integers(3, 17)), int(rng.integers(0, 5))
+        s = np.logspace(0.0, -rng.uniform(1.0, 12.0 / max(k, 3)), dim)
+        u = haar_unitary(rng, dim)
+        v = u if i % 2 else haar_unitary(rng, dim)
+        t = u @ (s[:, None] * v.conj().T)
+        _check_split(t * 10.0 ** rng.uniform(-1.0, 1.0), k, 0)
+
+
 # --- restriction -----------------------------------------------------------------
 
 def test_restrict_full_space_is_unitary_conjugation():
@@ -247,8 +324,9 @@ def test_dense_range_upgrade_reads_the_ladder(rng):
     t = haar_unitary(rng, 6) @ (s[:, None] * haar_unitary(rng, 6).conj().T)
     t3 = linalg.matpow(t, 3)
     assert np.linalg.cond(t3) > 1e10
-    assert linalg.svd_rank_spaces(t3, linalg.DEFAULT_TOL)[0].shape[1] < 6
-    assert posinormal.range_rank(t, 3) == 6
+    s3 = np.linalg.svd(t3, compute_uv=False)
+    assert np.count_nonzero(s3 > linalg.DEFAULT_TOL * s3[0]) < 6
+    assert posinormal.range_basis(t, 3).shape[1] == 6
     lam_min = posinormal.min_lambda(t, 3, 2).lambda_min
     assert lam_min == pytest.approx(oracles.inverse_lambda_min(t, 2), rel=1e-8)
     assert structure.dense_range_upgrade(t, 3, 2, lam_min * (1 + 1e-8)).holds
