@@ -104,14 +104,11 @@ def norm_bounds(m) -> tuple[float, float]:
     return float(np.sqrt(columns.max()) * (1.0 - slack)), hi
 
 
-def at_most_scaled(x: float, tol: float, form) -> bool:
-    """x <= tol * s with s = ||m||_2^2, m = form(): a relative test, so
-    scaling x by c^2 and m by c leaves it as it is.  m is formed only when
-    x > 0, and its SVD runs only when norm_bounds(m) straddle the threshold;
-    NumericalFailure when s overflows."""
-    if x <= 0.0:
-        return True
-    m = form()
+def at_most_scaled(x: float, tol: float, m) -> bool:
+    """x <= tol * s with s = ||m||_2^2: a relative test, so scaling x by
+    c^2 and m by c leaves it as it is.  The SVD of m runs only when
+    norm_bounds(m) straddle the threshold; NumericalFailure when s
+    overflows."""
     lo, hi = norm_bounds(m)
     if hi * hi < np.inf:
         if x <= tol * lo * lo:

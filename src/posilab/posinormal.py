@@ -40,24 +40,26 @@ covariant under T -> cT, lambda -> |c|^(n-1) lambda.
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
 products): its own copy of T and, each formed when first asked for, the
-powers T^j, the rungs and one pencil per rung and (n, tol), its
-obstruction or the eigenvalues mu, which every k at or past the rung where
-the ladder ends reads (for invertible T, rung 0's).  min_lambda,
-classify_grid and is_member read the pencil, so on a (T, rung, n, tol)
-seen before none of them makes a LAPACK call; gap_matrix forms its
-products itself.  Each product has one
-expression, so a warm call gives the cold result bit for bit, and no held
-array is returned to a caller.  A new T releases the slot before anything
-is formed; a product is published once formed, in a new slot assigned in
-one step, so a formation that raises leaves nothing of it held and
+powers T^n, the rungs and one pencil per rung and (n, tol), which every
+k at or past the rung where the ladder ends reads (for invertible T, rung
+0's).  A pencil is held as data: the eigenvalues mu of M*M, or the marker
+_OBSTRUCTED.  min_lambda, classify_grid and is_member read the pencil, so
+on a (T, rung, n, tol) seen before none of them makes a LAPACK call;
+gap_matrix and the claim checks form their powers themselves.  Each
+product has one expression, so a warm call gives the cold result bit for
+bit, and no held array is returned to a caller.  A new T replaces the
+slot before anything is formed; a product is stored into the slot's dict
+once formed, so a formation that raises leaves nothing of it held and
 concurrent callers at worst form a product twice.
 
-The witness of a failing verdict is computed when it is read, at the
-verdict's own k: the kernel obstruction of an obstructed pencil, else the
-top eigenvector of M*M (one eigh), each pulled back through the rungs to
-a unit x whose T^k x is the failing direction of ran T^k.
-The obstruction test is settled by linalg.at_most_scaled, norm bounds
-first, so it is the one the exact norm gives.
+Both failure certificates are computed when read, by _witness, from the
+held rungs and T^n: the kernel obstruction of an obstructed pencil (the
+top eigenvector of (D'W0)*(D'W0)), else the top eigenvector of M*M, each
+from one eigh and pulled back through the rungs to a unit x whose T^k x
+is the failing direction of ran T^k, at the verdict's own k.  A cold
+verdict runs eigvalsh only.  The obstruction test reads the top
+eigenvalue of (D'W0)*(D'W0) and is settled by linalg.at_most_scaled,
+norm bounds first, so it is the one the exact norm gives.
 """
 
 import functools
@@ -113,7 +115,7 @@ class ClassReport:
     def witness(self) -> np.ndarray | None:
         """Unit vector x with <Gx, x> < 0 for the gap G, certifying failure,
         else None: the kernel obstruction, or the top eigenvector of M*M
-        pulled back to x (one eigh per read)."""
+        pulled back to x (one eigh and one norm per read)."""
         return None if self._witness is None else self._witness()
 
 
@@ -127,19 +129,27 @@ class LambdaResult:
     T^{k+1} x ~ 0 while T*^n T^k x is not negligible: y = T^k x, scaled to
     a unit vector, has ||T*^n y||^2 > tol * ||T*^n P||^2, P the orthogonal
     projector onto ran T^k, and ||T*^n y|| > DEFAULT_TOL * ||T||^n.  That x
-    is the kernel_obstruction, pulled back from ran T^k through the held
-    rungs, with the phase that makes its largest entry real and positive.
+    is the kernel_obstruction, computed when read and pulled back from
+    ran T^k through the held rungs, with the phase that makes its largest
+    entry real and positive.
     """
 
     feasible: bool
     lambda_min: float | None
-    kernel_obstruction: np.ndarray | None
+    _obstruction: object = field(repr=False)  # computes it, when infeasible
+
+    @property
+    def kernel_obstruction(self) -> np.ndarray | None:
+        """The unit x above when infeasible, else None (one eigh and one
+        norm per read)."""
+        return None if self._obstruction is None else self._obstruction()
 
 
 # The slot: its own copy of T, and the products of T that do not depend on
-# lambda, by key: ("power", j) for T^j, ("rung", j) for rung j of the range
-# ladder and ("pencil", j, n, tol) for the _Pencil on rung j, which every
-# k >= j whose ladder ends at rung j reads.
+# lambda, by key: ("power", n) for T^n, ("rung", j) for rung j of the range
+# ladder and ("pencil", j, n, tol) for the pencil on rung j, which every
+# k >= j whose ladder ends at rung j reads: _OBSTRUCTED, or the eigenvalues
+# mu of M*M, ascending.
 _Slot = namedtuple("_Slot", "t held")
 
 # Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
@@ -150,10 +160,8 @@ _Slot = namedtuple("_Slot", "t held")
 # is ran T^j, and rung j+1 is rung j.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
 
-# The pencil on one rung at (n, tol): the kernel obstruction x when it is
-# obstructed, else None and the eigenvalues mu of M*M, ascending;
-# witness(k) gives a fresh witness of a failing verdict at quasi order k.
-_Pencil = namedtuple("_Pencil", "obstruction mu witness")
+# The held pencil of an obstructed rung, in place of mu.
+_OBSTRUCTED = "obstructed"
 
 # The _Slot of the last T queried, or None.
 _slot = None
@@ -161,32 +169,25 @@ _slot = None
 
 def _slot_for(t) -> _Slot:
     """Validate T; the slot when it holds T's bit pattern, else a new slot
-    with its own copy of T and nothing formed, published with its first
-    product."""
+    with its own copy of T and nothing formed, in place of the old one."""
     global _slot
     t = linalg.require_square(t)
     held = _slot
     if held is not None and np.array_equal(held.t.view(np.uint64),
                                            np.ascontiguousarray(t).view(np.uint64)):
         return held
-    _slot = None  # release the old products before forming new ones
-    return _Slot(np.array(t, order="C"), {})
+    _slot = None  # release the old products before copying T
+    _slot = held = _Slot(np.array(t, order="C"), {})
+    return held
 
 
-def _held(slot: _Slot, key, form) -> tuple[_Slot, object]:
-    """(slot, product under key): the held one, else form() published in a
-    new slot that holds it too, with one assignment."""
-    global _slot
+def _held(slot: _Slot, key, form):
+    """The product under key: the held one, else form(), stored into the
+    slot once formed."""
     value = slot.held.get(key)
     if value is None:
-        value = form()
-        slot = _slot = _Slot(slot.t, {**slot.held, key: value})
-    return slot, value
-
-
-def _power(slot: _Slot, j: int) -> tuple[_Slot, np.ndarray]:
-    """(slot, T^j), by the one expression every caller uses."""
-    return _held(slot, ("power", j), lambda: linalg.matpow(slot.t, j))
+        value = slot.held[key] = form()
+    return value
 
 
 @linalg.quiet_overflow
@@ -217,22 +218,21 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     lambda_min^2, and always when T vanishes on ran T^k.
 
     The first verdict or min_lambda on (T, rung, n, tol) forms the pencil:
-    the ladder's SVDs, T^n and one eigvalsh of M*M (with an eigh on the
-    rung's kernel when it has one); later verdicts on it make no LAPACK
-    call.
-    Reading the witness of a failing report runs one eigh of M*M.
+    the ladder's SVDs, T^n and one eigvalsh of M*M (and one of the rung's
+    kernel Gram when it has one; M*M is not formed when that obstructs);
+    later verdicts on it make no LAPACK call.  Reading the witness of a
+    failing report runs one eigh, of M*M or of the kernel Gram.
     """
-    pencil = _pencil(_slot_for(t), query.k, query.n, tol)
-    if pencil.obstruction is not None:
-        return ClassReport(False, -np.inf, np.inf,
-                           functools.partial(pencil.witness, query.k))
-    if not pencil.mu.size:  # T vanishes on ran T^k: the form is empty
+    mu, witness = _pencil(_slot_for(t), query.k, query.n, tol)
+    if mu is _OBSTRUCTED:
+        return ClassReport(False, -np.inf, np.inf, witness)
+    if not mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
-    lam2, top = float(query.lam) ** 2, _top(pencil.mu)
+    lam2, top = float(query.lam) ** 2, _top(mu)
     lo = lam2 - top
     holds = lo >= -tol * top
-    return ClassReport(holds, lo, float(np.max(np.abs(lam2 - pencil.mu))),
-                       None if holds else functools.partial(pencil.witness, query.k))
+    return ClassReport(holds, lo, float(np.max(np.abs(lam2 - mu))),
+                       None if holds else witness)
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -256,15 +256,15 @@ def _rung(t, below: _Rung | None) -> _Rung:
                  u if rank == s.size else u[:, :rank].copy(), top)
 
 
-def _ladder(slot: _Slot, k: int) -> tuple[_Slot, list]:
-    """(slot, rungs 0..k); a rung of full rank ends it and is rung k."""
+def _ladder(slot: _Slot, k: int) -> list:
+    """Rungs 0..k; a rung of full rank ends it and is rung k."""
     rungs, below = [], None
     for j in range(k + 1):
-        slot, below = _held(slot, ("rung", j), lambda: _rung(slot.t, below))
+        below = _held(slot, ("rung", j), lambda: _rung(slot.t, below))
         rungs.append(below)
         if not below.w0.shape[1]:
             break
-    return slot, rungs
+    return rungs
 
 
 def range_basis(t, k: int) -> np.ndarray:
@@ -274,7 +274,7 @@ def range_basis(t, k: int) -> np.ndarray:
     ClassQuery(k=k, n=1, lam=1.0)  # validates k
     if k == 0:
         return np.eye(slot.t.shape[0], dtype=complex)
-    return _ladder(slot, k - 1)[1][-1].next.copy()
+    return _ladder(slot, k - 1)[-1].next.copy()
 
 
 def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
@@ -294,56 +294,53 @@ def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
     return z * (abs(top) / (top * np.linalg.norm(z))) + 0.0  # no -0.0
 
 
-def _d_prime(tn, rung: _Rung) -> np.ndarray:
-    """D' = T*^n Q on the rung's basis Q."""
-    return tn.conj().T if rung.q is None else tn.conj().T @ rung.q
-
-
-@linalg.quiet_overflow
-def _normal_gram(dq, rung: _Rung) -> np.ndarray:
-    """M*M for M = D' W+ S+^-1, the pencil's normal form lambda^2 I - M*M."""
-    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
-    return _product(m.conj().T, m, "M*M")
-
-
 def _top(mu) -> float:
     """lambda_min^2 = max mu_i of a nonempty normal form, clipped at 0."""
     return max(float(mu[-1]), 0.0)
 
 
 @linalg.quiet_overflow
-def _form_pencil(t, n: int, tol: float, rungs: list, tn) -> _Pencil:
-    """The pencil at (n, tol) on the last of ``rungs``, from T^n (see
-    min_lambda); a rung with a kernel ends no ladder, so it is rung k."""
-    rung = rungs[-1]
-    dq = _d_prime(tn, rung)
+def _form_pencil(n: int, tol: float, rung: _Rung, tn):
+    """The pencil at (n, tol) on ``rung``, from T^n (see min_lambda):
+    _OBSTRUCTED, or the eigenvalues mu of M*M, ascending."""
+    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q  # D'
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
-        kw, kv = np.linalg.eigh(dw.conj().T @ dw)
+        top = float(np.linalg.eigvalsh(dw.conj().T @ dw)[-1])
         rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
-        if kw[-1] > rounding and not linalg.at_most_scaled(float(kw[-1]), tol,
-                                                           lambda: dq):
-            x = _pull_back(t, rungs, len(rungs) - 1, rung.w0 @ kv[:, -1])
-            return _Pencil(x, None, lambda k: x.copy())
+        if top > rounding and not linalg.at_most_scaled(top, tol, dq):
+            return _OBSTRUCTED  # M*M is not formed: it may overflow
     if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
-        return _Pencil(None, np.zeros(0), None)
-
-    def witness(k):  # the top eigenvector of M*M, pulled back to x; D' is
-        # formed again on read, so a pencil holds no N x r array
-        v = np.linalg.eigh(_normal_gram(_d_prime(tn, rung), rung))[1][:, -1]
-        return _pull_back(t, rungs, k, rung.wps @ v)
-
-    return _Pencil(None, np.linalg.eigvalsh(_normal_gram(dq, rung)), witness)
+        return np.zeros(0)
+    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
+    return np.linalg.eigvalsh(_product(m.conj().T, m, "M*M"))
 
 
-def _pencil(slot: _Slot, k: int, n: int, tol: float) -> _Pencil:
-    """The held pencil at (n, tol) on the last rung up to k, else formed and
-    published into the slot that holds the rungs and T^n formed for it
-    (when the pencil is held, so are they, and reading them makes no call)."""
-    slot, rungs = _ladder(slot, k)
-    slot, tn = _power(slot, n)
-    return _held(slot, ("pencil", len(rungs) - 1, n, tol),
-                 lambda: _form_pencil(slot.t, n, tol, rungs, tn))[1]
+@linalg.quiet_overflow
+def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
+    """The certificate of a failing verdict at quasi order k, from one eigh:
+    the top eigenvector of the Gram matrix (D'B)*(D'B) that formed the
+    pencil on the last rung, B = W0 for an obstruction and W+ S+^-1 for
+    the normal form, pulled back from B's coordinates to x.  D' is formed
+    again on read, so nothing N x r is held."""
+    rung = rungs[-1]
+    basis = rung.w0 if obstructed else rung.wps
+    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q
+    dw = dq @ basis
+    v = np.linalg.eigh(dw.conj().T @ dw)[1][:, -1]
+    return _pull_back(t, rungs, k, basis @ v)
+
+
+def _pencil(slot: _Slot, k: int, n: int, tol: float):
+    """(pencil, certificate): the held pencil at (n, tol) on the last rung
+    up to k, else formed and stored with the rungs and T^n it reads, and
+    the _witness of a failing verdict at k, computed when called."""
+    rungs = _ladder(slot, k)
+    tn = _held(slot, ("power", n), lambda: linalg.matpow(slot.t, n))
+    pencil = _held(slot, ("pencil", len(rungs) - 1, n, tol),
+                   lambda: _form_pencil(n, tol, rungs[-1], tn))
+    return pencil, functools.partial(_witness, slot.t, rungs, tn, k,
+                                     pencil is _OBSTRUCTED)
 
 
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
@@ -351,25 +348,24 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     k of the range ladder, TQ = U S W*, and D' = T*^n Q.
 
     Infeasible iff D' is not negligible on the rung's numerical kernel W0:
-    ||D' W0||^2 > tol * ||D'||^2, norm bounds of D' first, and ||D' W0||
-    above DEFAULT_TOL * ||T||^n, the fixed cut of the ladder applied to
-    T^n, whose rounding is on the scale of ||T||^n.  The top
-    direction a of D' W0 gives y = Q W0 a, and the obstruction x is pulled
-    back from it through the wps of the rungs below (T^k x is parallel to
-    y).  Otherwise lambda_min = ||D' W+ S+^-1||_2, the root of the top
-    eigenvalue of its Gram matrix, and 0.0 when T vanishes on ran T^k.
-    Both tests are relative, so scaling T by c scales lambda_min by
-    |c|^(n-1) and keeps feasibility.  The rank cut is fixed; tol decides
-    the obstruction only.
+    ||D' W0||^2, the top eigenvalue of (D' W0)*(D' W0) from eigvalsh, is
+    above tol * ||D'||^2, norm bounds of D' first, and above
+    (DEFAULT_TOL * ||T||^n)^2, the fixed cut of the ladder applied to T^n,
+    whose rounding is on the scale of ||T||^n.  The kernel_obstruction is
+    computed when read: the top eigenvector a of that Gram matrix gives
+    y = Q W0 a, and x is pulled back from it through the wps of the rungs
+    below (T^k x is parallel to y).  Otherwise lambda_min =
+    ||D' W+ S+^-1||_2, the root of the top eigenvalue of its Gram matrix,
+    and 0.0 when T vanishes on ran T^k.  Both tests are relative, so
+    scaling T by c scales lambda_min by |c|^(n-1) and keeps feasibility.
+    The rank cut is fixed; tol decides the obstruction only.
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    pencil = _pencil(slot, k, n, tol)
-    if pencil.obstruction is not None:
-        return LambdaResult(feasible=False, lambda_min=None,
-                            kernel_obstruction=pencil.obstruction.copy())
-    lam_min = float(np.sqrt(_top(pencil.mu))) if pencil.mu.size else 0.0
-    return LambdaResult(feasible=True, lambda_min=lam_min, kernel_obstruction=None)
+    mu, obstruction = _pencil(slot, k, n, tol)
+    if mu is _OBSTRUCTED:
+        return LambdaResult(False, None, obstruction)
+    return LambdaResult(True, float(np.sqrt(_top(mu))) if mu.size else 0.0, None)
 
 
 def _order(m, k: int) -> int:
@@ -402,11 +398,10 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     query = ClassQuery(k=k, n=n, lam=float(lam))
     m = _order(m, k)
     require_member(t, query, DEFAULT_TOL, "operator")
-    slot = _slot_for(t)
-    slot, tm = _power(slot, m)
-    slot, tn = _power(slot, n)
+    t = linalg.require_square(t)
+    tm, tn = linalg.matpow(t, m), linalg.matpow(t, n)
     lhs = linalg.operator_norm(_product(tn.conj().T, tm, "T*^n T^m"))
-    base = linalg.operator_norm(slot.t @ tm)  # ||T^{m+1}||
+    base = linalg.operator_norm(t @ tm)  # ||T^{m+1}||
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
@@ -437,12 +432,12 @@ class NilpotencyReport:
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
     "zero" means at most DEFAULT_TOL * max(1, ||T||)^power."""
-    slot = _slot_for(t)
+    t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    slot, tk = _power(slot, k)
-    t_norm = linalg.operator_norm(slot.t)
+    tk = linalg.matpow(t, k)
+    t_norm = linalg.operator_norm(t)
     power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
-    if linalg.operator_norm(slot.t @ tk) > power_bound:
+    if linalg.operator_norm(t @ tk) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
     if not min_lambda(t, k, n).feasible:
         raise ValidationError(

@@ -111,8 +111,8 @@ def _claim_not_2power(t: np.ndarray) -> tuple:
         for lam in (1.0, 1.0e3, 1.0e6)
     )
     e1 = np.zeros(t.shape[0]); e1[0] = 1.0
-    overlap = (abs(np.vdot(e1, result.kernel_obstruction))
-               if result.kernel_obstruction is not None else 0.0)
+    x = result.kernel_obstruction
+    overlap = abs(np.vdot(e1, x)) if x is not None else 0.0
     return (f"infeasible={not result.feasible}, rejected up to lambda=1e6, "
             f"obstruction overlap with e1 = {_fmt(overlap)}",
             (not result.feasible) and rejected and overlap > 1 - 1e-8)
@@ -342,15 +342,10 @@ def _claim_polar(seed: int) -> tuple:
 
 def _claim_thm33() -> tuple:
     op = _interval_operator()
-    pencil = posinormal.min_lambda(op.compressed, 0, 1)
-    if pencil.feasible and pencil.lambda_min and pencil.lambda_min > 0:
-        sweep = [pencil.lambda_min * f for f in (0.5, 1.0 + 1e-8, 2.0)]
-    else:
-        sweep = [0.5, 1.0, 2.0]
     pattern = []
-    for lam in sweep:
+    for lam in (0.5, 1.0, 2.0):  # the example is infeasible at (0, 1)
         rep = condexp.thm33_check(op, lam)
-        pattern.append((round(lam, 6), rep.blockwise_holds, rep.matrix_holds))
+        pattern.append((lam, rep.blockwise_holds, rep.matrix_holds))
     return ("lambda sweep (lambda, blockwise, matrix): "
             + "; ".join(str(p) for p in pattern), None)
 

@@ -158,38 +158,31 @@ def test_norm_bounds_bracket_operator_norm(rng):
 
 
 def test_at_most_scaled_agrees_with_exact(rng, monkeypatch):
-    # x <= tol * ||m||^2: m is formed only when x > 0, and the SVD runs only
-    # when the bounds straddle the threshold.
-    calls, formed = [], []
+    # x <= tol * ||m||^2: the SVD runs only when the bounds straddle the
+    # threshold.
+    calls = []
     exact = linalg.operator_norm
     monkeypatch.setattr(linalg, "operator_norm",
                         lambda m: calls.append(1) or exact(m))
     m = np.diag([10.0, 1.0, 1.0])  # ||m||^2 = 100, Frobenius^2 = 102
-
-    def form():
-        formed.append(1)
-        return m
-
-    assert linalg.at_most_scaled(0.0, 1e-10, form)
-    assert formed == [] and calls == []  # x <= 0 settles it
-    assert linalg.at_most_scaled(0.99e-8, 1e-10, form)
-    assert linalg.at_most_scaled(1.03e-8, 1e-10, form) is False
+    assert linalg.at_most_scaled(0.99e-8, 1e-10, m)
+    assert linalg.at_most_scaled(1.03e-8, 1e-10, m) is False
     assert calls == []  # column norm 10 and Frobenius sqrt(102) settle both
     # 101e-10 lies between the bounds 100e-10 and 102e-10: the SVD decides
-    assert linalg.at_most_scaled(1.01e-8, 1e-10, form) is False
+    assert linalg.at_most_scaled(1.01e-8, 1e-10, m) is False
     assert calls == [1]
     # a relative test, so scaling m and x together changes nothing
     for c in (1e-6, 1.0, 1e6):
-        assert linalg.at_most_scaled(0.99e-8 * c * c, 1e-10, lambda: c * m)
-        assert not linalg.at_most_scaled(1.01e-8 * c * c, 1e-10, lambda: c * m)
+        assert linalg.at_most_scaled(0.99e-8 * c * c, 1e-10, c * m)
+        assert not linalg.at_most_scaled(1.01e-8 * c * c, 1e-10, c * m)
     with pytest.raises(NumericalFailure, match="overflows"):
-        linalg.at_most_scaled(1.0, 1e-10, lambda: 1e200 * m)
+        linalg.at_most_scaled(1.0, 1e-10, 1e200 * m)
     for _ in range(40):
         x = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-6, 3)
         tol = 10.0 ** rng.uniform(-10, -1)
         s = exact(x) ** 2
         value = tol * s * 10.0 ** rng.uniform(-0.2, 0.2)
-        assert linalg.at_most_scaled(value, tol, lambda: x) == (value <= tol * s)
+        assert linalg.at_most_scaled(value, tol, x) == (value <= tol * s)
 
 
 def test_significant_is_the_one_rank_rule():

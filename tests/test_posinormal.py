@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib.util
 import re
 import sys
 import threading
@@ -875,7 +876,7 @@ def test_kernel_test_settled_by_bounds_without_svd(rng, monkeypatch):
             t = (kernel_case(rng, kind, dim) if kind == "nilpotent_tail"
                  else singular_normal(rng, dim))
             for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
-                rung = posinormal._ladder(posinormal._slot_for(t), k)[1][-1]
+                rung = posinormal._ladder(posinormal._slot_for(t), k)[-1]
                 if rung.w0.shape[1] == 0:
                     continue  # T has no kernel on ran T^k
                 calls = _count_calls(monkeypatch, linalg, "operator_norm")
@@ -939,10 +940,11 @@ def _linalg_calls(monkeypatch, call):
 def _check_verdicts_at(rng, monkeypatch, dim, kinds=("generic",)):
     """After min_lambda, a verdict, holding or failing, makes no LAPACK
     call.  Reading the witness of a failing report runs one eigh, of the
-    r x r Gram matrix M*M of the normal form, r = dim ran T^{k+1} (and,
-    to normalize it, one norm); an obstructed pencil's witness is its
-    kernel obstruction, held since min_lambda.  The witness certifies the
-    failure on the definition's gap (_check_witness)."""
+    r x r Gram matrix M*M of the normal form, r = dim ran T^{k+1}, or of
+    an obstructed pencil's r0 x r0 kernel Gram (D'W0)*(D'W0), r0 = dim of
+    rung k's kernel, and, to normalize it, one norm; an obstructed
+    pencil's witness is its kernel obstruction, bit for bit.  The witness
+    certifies the failure on the definition's gap (_check_witness)."""
     tol, k, n = 1e-10, 1, 2
     for kind in kinds:
         t = kernel_case(rng, kind, dim)
@@ -961,10 +963,10 @@ def _check_verdicts_at(rng, monkeypatch, dim, kinds=("generic",)):
                 continue
             if result.feasible:
                 r = oracles.range_basis(t, k + 1).shape[1]
-                assert calls == {"eigh": [(r, r)], "norm": [(dim,)]}
             else:
-                assert calls == {}
+                r = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
                 assert np.array_equal(x, result.kernel_obstruction)
+            assert calls == {"eigh": [(r, r)], "norm": [(dim,)]}
             _check_witness(t, k, n, lam, report, result.feasible)
 
 
@@ -985,12 +987,13 @@ def test_witness_at_dimension_128(rng, monkeypatch):
 
 def _bits(result):
     """The fields of a LambdaResult or ClassReport, and the witness of a
-    ClassReport (a property, read here), each float or array as its bytes,
-    for a bit-for-bit comparison."""
+    ClassReport or the kernel obstruction of a LambdaResult (properties,
+    read here), each float or array as its bytes, for a bit-for-bit
+    comparison."""
     values = [getattr(result, f.name) for f in dataclasses.fields(result)
               if not f.name.startswith("_")]
-    if isinstance(result, posinormal.ClassReport):
-        values.append(result.witness)
+    values.append(result.witness if isinstance(result, posinormal.ClassReport)
+                  else result.kernel_obstruction)
     return tuple(v if v is None or isinstance(v, bool) else np.asarray(v).tobytes()
                  for v in values)
 
@@ -1007,7 +1010,7 @@ def test_warm_slot_gives_the_cold_results_bit_for_bit(rng, monkeypatch):
     # Cold: the slot is emptied before each call.  Warm: min_lambda and
     # three is_member calls per (k, n), all on one slot for T, which then
     # holds products formed for other (k, n) too; a second warm pass forms
-    # nothing (the slot is replaced whenever a product is formed).
+    # nothing (the held keys stay as they were).
     infeasible = failing = 0
     pairs = ((0, 1), (3, 3), (1, 2))  # rung 3 before rung 1, T^3 before T^1
     for kind in ("generic", "graded", "nilpotent_tail"):
@@ -1028,8 +1031,9 @@ def test_warm_slot_gives_the_cold_results_bit_for_bit(rng, monkeypatch):
             monkeypatch.setattr(posinormal, "_slot", None)
             assert [_bits(call()) for call in calls] == cold
             held = posinormal._slot
+            keys = set(held.held)
             assert [_bits(call()) for call in calls] == cold
-            assert posinormal._slot is held
+            assert posinormal._slot is held and set(held.held) == keys
     assert infeasible > 0 and failing > 0
 
 
@@ -1062,7 +1066,7 @@ def test_slot_sees_in_place_changes(rng, monkeypatch):
 def test_overflow_leaves_nothing_held(rng, monkeypatch):
     posinormal.min_lambda(kernel_case(rng, "generic", 3), 1, 1)
     # M*M overflows, T^2 does not: a new T releases the old slot first, and
-    # the failed formation publishes no pencil, so only the finite rung 0
+    # the failed formation stores no pencil, so only the finite rung 0
     # and T^2 are held; the identical next call raises again.
     steep = np.array([[1e146, 1e150], [0.0, 1e146]])
     for _ in range(2):
@@ -1108,7 +1112,8 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
     # at the same (T, k, n) make no numpy.linalg call.  On a fresh T a cold
     # verdict makes the ladder's SVDs, T^n and one eigvalsh, of the Gram
     # matrix M*M of the normal form, only: one SVD for an invertible T; a
-    # nilpotent tail adds a rung per k and an eigh on the rung's kernel.
+    # nilpotent tail adds a rung per k and an eigvalsh of the rung's kernel
+    # Gram, and an obstructed pencil forms no M*M.  No eigh runs.
     for kind in ("generic", "graded", "nilpotent_tail"):
         t = kernel_case(rng, kind, 16)
         for k, n in ((0, 1), (1, 2), (3, 3)):
@@ -1126,12 +1131,58 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
                                  "eigvalsh": [(r, r)]}, (kind, k, n)
             elif result.feasible:  # tail size at most k = 3
                 r = oracles.range_basis(t, k + 1).shape[1]
-                assert calls["eigvalsh"] == [(r, r)] and set(calls) == {
-                    "svd", "matrix_power", "eigh", "eigvalsh"}, (k, n)
+                r0 = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
+                assert calls["eigvalsh"] == [(r0, r0)] * bool(r0) + [(r, r)], (k, n)
+                assert set(calls) == {"svd", "matrix_power", "eigvalsh"}, (k, n)
                 assert 2 <= len(calls["svd"]) <= k + 1
+            else:  # the obstruction is not computed until it is read
+                assert set(calls) == {"svd", "matrix_power", "eigvalsh"}, (k, n)
+                assert len(calls["eigvalsh"]) == 1, (k, n)
+
+
+def _dense_workload():
+    """posibench/workloads.py, whose dense_pool and dense_run are the
+    benchmark's dense-pencil queries, loaded as a module."""
+    path = Path(__file__).parents[1] / "posibench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("posibench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
+    # One pass over the benchmark's seed-1 dense-pencil pool (dim 128, its
+    # grids and splits included).  After every query the slot holds data
+    # only: powers of T, rungs, and each pencil as its eigenvalues mu (a
+    # real vector) or the obstruction marker, never a callable or a
+    # witness vector.  On every obstructed pencil a cold verdict runs no
+    # eigh, kernel_obstruction reads the same bits twice, and they are the
+    # witness of the failing verdict at the same (k, n).
+    workload, obstructed = _dense_workload(), 0
+    for query in workload.dense_pool(1):
+        output = workload.dense_run(query)
+        for key, value in posinormal._slot.held.items():
+            assert not callable(value), key
+            if key[0] == "rung":
+                assert isinstance(value, posinormal._Rung), key
+            elif key[0] == "power":
+                assert isinstance(value, np.ndarray) and value.ndim == 2, key
             else:
-                # the obstruction is pulled back and normalized
-                assert set(calls) == {"svd", "matrix_power", "eigh", "norm"}, (k, n)
+                assert value is posinormal._OBSTRUCTED or (
+                    isinstance(value, np.ndarray) and value.ndim == 1
+                    and value.dtype == np.float64), key
+        if query.kind != "pencil" or output[0].feasible:
+            continue
+        obstructed += 1
+        t, k, n, scale = query.payload
+        monkeypatch.setattr(posinormal, "_slot", None)
+        report, calls = _linalg_calls(
+            monkeypatch, lambda: posinormal.is_member(t, ClassQuery(k, n, scale)))
+        assert not report.holds and set(calls) == {"svd", "matrix_power", "eigvalsh"}
+        x = output[0].kernel_obstruction
+        assert np.array_equal(x, output[0].kernel_obstruction)
+        assert np.array_equal(x, report.witness)
+    assert obstructed > 0
 
 
 def test_pencils_are_shared_past_the_ladders_end(rng, monkeypatch):
@@ -1173,8 +1224,8 @@ def test_pencils_are_shared_past_the_ladders_end(rng, monkeypatch):
 
 def test_concurrent_callers_get_their_own_results(rng, monkeypatch):
     # Four threads on two cores, each on its own T, replace the one slot
-    # under one another and extend it by publishing new slots; every result
-    # must still be the cold one.
+    # under one another and extend it by storing products into it; every
+    # result must still be the cold one.
     cases = [(kernel_case(rng, "generic", 12), k, 2) for k in range(4)]
     expected = []
     for t, k, n in cases:
