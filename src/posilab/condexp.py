@@ -6,15 +6,20 @@ is a partition of the atoms into blocks.  The conditional expectation E
 averages over each block with the masses as weights, which makes it the
 orthogonal projection of L2 onto the blockwise-constant functions.  The
 operator under study sends f to w * E(u f) for weight functions w, u.
-In the orthonormal atom basis e_i / sqrt(mass_i), E = V V* with V the
-unit block indicators, so T = W V V* U is one rank-one piece per block
-(Herron, "Weighted conditional expectation operators", Oper. Matrices 5,
-2011).  S = span[WV | U*V], of dimension r <= min(N, 2B), reduces T and
-T vanishes off S, so T is unitarily T_c (+) 0 with T_c its r x r
-compression (see WeightedConditionalOperator).  The Lemma 3.1 sides and
-the polar factors map S into S too, and the norms, spectra and class
-memberships the checks report are the same for X_c (+) 0 as for X_c, so
-every check runs on r x r matrices and none on N x N ones.
+In the orthonormal atom basis e_i / sqrt(mass_i), E = sum_b v_b v_b*, v_b
+the unit block indicators, so T is the direct sum of the rank-one
+T_b = x_b y_b*, x_b = W v_b and y_b = U* v_b (Herron, "Weighted
+conditional expectation operators", Oper. Matrices 5, 2011).  One
+Gram-Schmidt step writes x_b and y_b in an orthonormal basis of their span
+as a_b = (sqrt p, 0) and c_b = (conj(g) / sqrt p, sqrt h), from the block
+means p = E|w|^2, g = E(uw) and h = E|u - (g/p) conj(w)|^2 (g/p read as 0
+where p = 0).  So T is unitarily T_c (+) 0, with the 2B x 2B
+T_c = (+)_b a_b c_b* = (+)_b [[g_b, sqrt(p_b) sqrt(h_b)], [0, 0]].  h is a
+mean of its own, not q - |g|^2 / p with q = E|u|^2: the root of that
+cancellation errs by about sqrt(eps q).  The Lemma 3.1 sides and the polar
+factors are direct sums of alpha_b l_b r_b*, l and r in {a, c}, and the
+norms, spectra and class memberships the checks report are the same for
+X_c (+) 0 as for X_c, so every check runs on 2B x 2B matrices.
 
 The *_check functions re-derive the blockwise formulas for powers, norm,
 polar factors and class criteria of that operator and compare them with
@@ -74,10 +79,12 @@ class FiniteMeasureSpace:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint nonempty blocks of atom indices covering all atoms."""
+    """Disjoint nonempty blocks of atom indices covering all atoms;
+    ``labels`` maps each atom to the number of its block."""
 
     blocks: tuple[tuple[int, ...], ...]
     atom_count: int
+    labels: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, blocks, atom_count: int):
         blocks = tuple(tuple(b) for b in blocks)
@@ -116,6 +123,9 @@ class BlockPartition:
         object.__setattr__(self, "blocks", tuple(
             tuple(ints[start:end]) for start, end in zip([0] + ends, ends)))
         object.__setattr__(self, "atom_count", int(atom_count))
+        labels = np.empty(atom_count, dtype=np.intp)
+        labels[atoms] = np.repeat(np.arange(len(sizes)), sizes)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def block_count(self) -> int:
@@ -151,12 +161,12 @@ def block_expectations(space: FiniteMeasureSpace, partition: BlockPartition,
 
 def _block_means(space: FiniteMeasureSpace, partition: BlockPartition,
                  f: np.ndarray) -> np.ndarray:
-    out = np.empty(partition.block_count, dtype=complex)
-    for bi, block in enumerate(partition.blocks):
-        idx = list(block)
-        mass = space.masses[idx].sum()
-        out[bi] = np.dot(space.masses[idx], f[idx]) / mass
-    return out
+    """Mass-weighted block sums of f by np.bincount, over the block masses."""
+    labels, count = partition.labels, partition.block_count
+    weighted = space.masses * f
+    total = (np.bincount(labels, weighted.real, count)
+             + 1j * np.bincount(labels, weighted.imag, count))
+    return total / np.bincount(labels, space.masses, count)
 
 
 def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
@@ -166,10 +176,7 @@ def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
         raise ValidationError(
             f"expected {partition.block_count} block values, got {vals.shape}"
         )
-    out = np.empty(partition.atom_count, dtype=complex)
-    for bi, block in enumerate(partition.blocks):
-        out[list(block)] = vals[bi]
-    return out
+    return vals[partition.labels]
 
 
 def conditional_expectation(space: FiniteMeasureSpace,
@@ -180,11 +187,7 @@ def conditional_expectation(space: FiniteMeasureSpace,
 
 def support_mask(values) -> np.ndarray:
     """Entries counted as nonzero: |v| > SUPPORT_RTOL * max|v|."""
-    v = np.abs(np.asarray(values, dtype=complex))
-    top = v.max() if v.size else 0.0
-    if top == 0.0:
-        return np.zeros(v.shape, dtype=bool)
-    return v > SUPPORT_RTOL * top
+    return linalg.significant(values, SUPPORT_RTOL)
 
 
 def _masked_ratio(num, den, mask) -> np.ndarray:
@@ -282,21 +285,18 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
 
 @dataclass(frozen=True)
 class WeightedConditionalOperator:
-    """T: f -> w * E(u f), kept as its compression to a reducing subspace.
-
-    T = W V V* U in the atom basis, V = ``indicators`` (N x B): one
-    rank-one piece per block.  ``basis`` Q (N x r) has orthonormal columns
-    whose range contains span[WV | U*V]; ``compressed`` is T_c = Q* T Q.
-    So T = Q T_c Q*: unitarily T_c (+) 0.
+    """T: f -> w * E(u f), kept as T_c (module docstring): row b of ``a``
+    and ``c`` holds a_b and c_b, and ``compressed`` is T_c = (+)_b a_b c_b*,
+    block b in rows and columns 2b and 2b + 1.
     """
 
     space: FiniteMeasureSpace
     partition: BlockPartition
     w: np.ndarray
     u: np.ndarray
-    indicators: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
     compressed: np.ndarray
+    a: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
 
     # blockwise expectations used by every criterion; precomputed once
     e_w2: np.ndarray = field(repr=False)
@@ -309,39 +309,41 @@ class WeightedConditionalOperator:
 @linalg.quiet_overflow
 def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
                    w, u) -> WeightedConditionalOperator:
-    """Compress f -> w E(u f) to its reducing subspace span[WV | U*V];
-    NumericalFailure when T_c or a blockwise expectation overflows."""
+    """Compress f -> w E(u f) to T_c from its block means; NumericalFailure
+    when T_c or a blockwise expectation overflows."""
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
-    v = np.zeros((space.atom_count, partition.block_count))
-    for bi, block in enumerate(partition.blocks):
-        idx = list(block)
-        v[idx, bi] = np.sqrt(space.masses[idx] / space.masses[idx].sum())
-    # Householder QR is backward stable column by column, so each column
-    # keeps its own scale; a range larger than S still reduces T.
-    q = np.linalg.qr(np.hstack([w[:, None] * v, np.conj(u)[:, None] * v]))[0]
 
     def mean(f, what: str) -> np.ndarray:
-        f = np.asarray(f, dtype=complex)  # as_function's dtype: same rounding
         return linalg.require_finite(_block_means(space, partition, f), what)
 
+    p = mean(np.abs(w) ** 2, "E|w|^2").real
+    g = mean(u * w, "E(uw)")
+    live = p > 0.0  # x_b = 0 elsewhere, and g/p reads as 0
+    ratio = _masked_ratio(g, p, live)[partition.labels]
+    h = mean(np.abs(u - ratio * np.conj(w)) ** 2, "E|u - (g/p) conj(w)|^2").real
+    root_p = np.sqrt(p)
+    a = np.stack([root_p, np.zeros_like(p)], axis=1)
+    c = np.stack([_masked_ratio(np.conj(g), root_p, live), np.sqrt(h)], axis=1)
     return WeightedConditionalOperator(
-        space=space, partition=partition, w=w, u=u, indicators=v, basis=q,
-        compressed=linalg.require_finite(
-            _weighted_conditional_matrix(v, q, w, u), "T = M_w E M_u"),
-        e_w2=mean(np.abs(w) ** 2, "E|w|^2").real,
-        e_u2=mean(np.abs(u) ** 2, "E|u|^2").real,
-        e_w=mean(w, "E(w)"),
-        e_u=mean(u, "E(u)"),
-        e_uw=mean(u * w, "E(uw)"),
+        space=space, partition=partition, w=w, u=u,
+        compressed=linalg.require_finite(_direct_sum(1.0, a, c), "T = M_w E M_u"),
+        a=a, c=c, e_w2=p, e_u2=mean(np.abs(u) ** 2, "E|u|^2").real,
+        e_w=mean(w, "E(w)"), e_u=mean(u, "E(u)"), e_uw=g,
     )
 
 
-def _weighted_conditional_matrix(v, q, left, right) -> np.ndarray:
-    """Q* M_left V V* M_right Q: f -> left * E(right f) compressed to the
-    range of Q, never formed at N x N."""
-    return (q.conj().T @ (left[:, None] * v)) @ (v.T @ (right[:, None] * q))
+def _direct_sum(alpha, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(+)_b alpha_b left_b right_b*, 2B x 2B, for B x 2 arrays left and
+    right and a scalar or B-vector alpha: block b in rows and columns 2b
+    and 2b + 1."""
+    blocks = (np.asarray(alpha)[..., None, None]
+              * left[:, :, None] * right.conj()[:, None, :])
+    count = left.shape[0]
+    out = np.zeros((count, 2, count, 2), dtype=complex)
+    out[np.arange(count), :, np.arange(count), :] = blocks
+    return out.reshape(2 * count, 2 * count)
 
 
 @dataclass(frozen=True)
@@ -379,13 +381,6 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     return (v * powered) @ v.conj().T
 
 
-def _atomwise_moments(op: WeightedConditionalOperator):
-    """E|u|^2 and E|w|^2 atomwise, and their supports chi_S and chi_G."""
-    eu2 = expand_blockwise(op.partition, op.e_u2).real
-    ew2 = expand_blockwise(op.partition, op.e_w2).real
-    return eu2, ew2, support_mask(eu2), support_mask(ew2)
-
-
 @dataclass(frozen=True)
 class PowerIdentityReport:
     power: float
@@ -409,20 +404,20 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     if (isinstance(m, bool) or not isinstance(m, numbers.Real)
             or not np.isfinite(m) or m <= 0):
         raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
-    eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
+    ew2, eu2 = op.e_w2, op.e_u2
 
-    def deviation(x, ex, chi_x, ey, gram) -> float:
-        """(gram)^m against M_{x (ex)^{m-1} chi_x (ey)^m} E M_conj(x)."""
-        left = x * _masked_pow(ex, float(m) - 1.0, chi_x) * ey ** float(m)
-        rhs = _weighted_conditional_matrix(op.indicators, op.basis, left,
-                                           np.conj(x))
+    def deviation(side, ex, ey, gram) -> float:
+        """(gram)^m against (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, chi
+        the support of ex: c_b for (T*T)^m, a_b for (TT*)^m."""
+        alpha = _masked_pow(ex, float(m) - 1.0, support_mask(ex)) * ey ** float(m)
         lhs = _hermitian_power(gram, m)
-        diff = linalg.require_finite(lhs - rhs, "Lemma 3.1 power")
+        diff = linalg.require_finite(lhs - _direct_sum(alpha, side, side),
+                                     "Lemma 3.1 power")
         return linalg.operator_norm(diff) / max(1.0, linalg.operator_norm(lhs))
 
     t = op.compressed
-    dev1 = deviation(np.conj(op.u), eu2, chi_s, ew2, t.conj().T @ t)
-    dev2 = deviation(op.w, ew2, chi_g, eu2, t @ t.conj().T)
+    dev1 = deviation(op.c, eu2, ew2, t.conj().T @ t)
+    dev2 = deviation(op.a, ew2, eu2, t @ t.conj().T)
     return PowerIdentityReport(
         power=float(m),
         deviation_t_star_t=dev1,
@@ -450,18 +445,15 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
 
     Checks: U |T| reassembles T; |T| is PSD and squares to T*T; U*U is the
     orthogonal projector onto the range of |T| (U is a partial isometry).
-    |T| = Y* diag(m_b) Y with m_b >= 0 is Hermitian by construction, so one
+    |T| = (+)_b m_b c_b c_b* with m_b >= 0 is Hermitian by construction, so one
     eigh of it, with no asymmetry test, gives both its smallest eigenvalue
     and its range: the eigenvectors of the significant eigenvalues.
     """
-    v, q, t = op.indicators, op.basis, op.compressed
-    eu2, ew2, chi_s, chi_g = _atomwise_moments(op)
-
-    modulus_weight = np.sqrt(_masked_ratio(ew2, eu2, chi_s).real)
-    modulus = _weighted_conditional_matrix(
-        v, q, modulus_weight * np.conj(op.u), op.u)
-    iso_weight = np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g).real)
-    partial_iso = _weighted_conditional_matrix(v, q, iso_weight * op.w, op.u)
+    t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
+    chi_s, chi_g = support_mask(eu2), support_mask(ew2)
+    modulus = _direct_sum(np.sqrt(_masked_ratio(ew2, eu2, chi_s)), op.c, op.c)
+    partial_iso = _direct_sum(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g)),
+                              op.a, op.c)
 
     def residual(x, y, what: str) -> float:
         return linalg.operator_norm(linalg.require_finite(x - y, what))

@@ -126,8 +126,9 @@ def symmetrize(h) -> np.ndarray:
 
 def significant(values, tol: float) -> np.ndarray:
     """Mask of the values with |v| > tol * max|v|, none when all vanish: the
-    rank rule for the eigenvalues of a PSD matrix.  posinormal's range
-    ladder cuts every rung T Q at DEFAULT_TOL * ||T||, a fixed rule."""
+    rank rule for the eigenvalues of a PSD matrix and condexp's support rule
+    for block means.  posinormal's range ladder cuts every rung T Q at
+    DEFAULT_TOL * ||T||, a fixed rule."""
     mags = np.abs(np.asarray(values))
     return mags > tol * mags.max(initial=0.0)
 

@@ -299,11 +299,16 @@ def _top(mu) -> float:
     return max(float(mu[-1]), 0.0)
 
 
+def _d_prime(rung: _Rung, tn) -> np.ndarray:
+    """D' = T*^n Q on ``rung`` (Q = I at rung 0), from T^n."""
+    return tn.conj().T if rung.q is None else tn.conj().T @ rung.q
+
+
 @linalg.quiet_overflow
 def _form_pencil(n: int, tol: float, rung: _Rung, tn):
     """The pencil at (n, tol) on ``rung``, from T^n (see min_lambda):
     _OBSTRUCTED, or the eigenvalues mu of M*M, ascending."""
-    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q  # D'
+    dq = _d_prime(rung, tn)
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
         top = float(np.linalg.eigvalsh(dw.conj().T @ dw)[-1])
@@ -325,8 +330,7 @@ def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
     again on read, so nothing N x r is held."""
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
-    dq = tn.conj().T if rung.q is None else tn.conj().T @ rung.q
-    dw = dq @ basis
+    dw = _d_prime(rung, tn) @ basis
     v = np.linalg.eigh(dw.conj().T @ dw)[1][:, -1]
     return _pull_back(t, rungs, k, basis @ v)
 

@@ -173,6 +173,64 @@ def weighted_operator_matrix_oracle(masses, blocks, w, u):
     return out
 
 
+def _unit_block_indicators(masses, blocks):
+    """N x B matrix V, column b the unit indicator of block b in the
+    orthonormal atom basis: sqrt(mass_i / mass of the block) on its atoms."""
+    masses = np.asarray(masses, dtype=float)
+    v = np.zeros((masses.size, len(blocks)))
+    for b, block in enumerate(blocks):
+        total = sum(masses[i] for i in block)
+        for i in block:
+            v[i, b] = np.sqrt(masses[i] / total)
+    return v
+
+
+def block_embedding(masses, blocks, w, u):
+    """N x 2B matrix Q with T = Q T_c Q*, by Gram-Schmidt block by block.
+
+    For block b, column 2b is x_b / ||x_b|| and column 2b + 1 the
+    normalized residual of y_b against it, x_b = W v_b and y_b = U* v_b, v_b
+    the unit block indicator; each residual is taken twice.  Where a vector
+    leaves no residual, the column is the block's standard basis vector with
+    the largest one, and where the block has no room left (the second
+    column of a one-atom block) it is zero.
+    """
+    w = np.asarray(w, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    v = _unit_block_indicators(masses, blocks)
+    q = np.zeros((v.shape[0], 2 * len(blocks)), dtype=complex)
+    for b, block in enumerate(blocks):
+        found = []
+
+        def residual(r):
+            for _ in range(2):
+                for e in found:
+                    r = r - np.vdot(e, r) * e
+            return r
+
+        for vec in (w * v[:, b], np.conj(u) * v[:, b]):
+            if len(found) == len(block):
+                break
+            r = residual(vec)
+            if not np.linalg.norm(r) > 0.0:
+                r = max((residual(np.eye(v.shape[0])[i]) for i in block),
+                        key=np.linalg.norm)
+            found.append(r / np.linalg.norm(r))
+        for j, e in enumerate(found):
+            q[:, 2 * b + j] = e
+    return q
+
+
+def qr_compression(masses, blocks, w, u):
+    """Q* T Q for Q from a Householder QR of [W V | U* V], V the unit block
+    indicators: an r x r compression of T, r = min(N, 2B)."""
+    w = np.asarray(w, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    v = _unit_block_indicators(masses, blocks)
+    q = np.linalg.qr(np.hstack([w[:, None] * v, np.conj(u)[:, None] * v]))[0]
+    return (adj(q) @ (w[:, None] * v)) @ (v.T @ (u[:, None] * q))
+
+
 def random_member(rng, dim, k, n, margin=1e-4, tries=50):
     """Seeded random matrix plus a lambda at which it is a member.
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from posilab import condexp, fixtures
+from posilab import condexp, fixtures, posinormal
 from posilab.errors import ValidationError
 
 import oracles
@@ -47,8 +47,10 @@ def test_conditional_expectation_matches_oracle(atoms, blocks, vanishing):
 
 
 def assembled(op):
-    """Q T_c Q*: the operator in the orthonormal atom basis."""
-    return op.basis @ op.compressed @ op.basis.conj().T
+    """Q T_c Q*, Q the oracle's block embedding: the operator in the
+    orthonormal atom basis."""
+    q = oracles.block_embedding(op.space.masses, op.partition.blocks, op.w, op.u)
+    return q @ op.compressed @ q.conj().T
 
 
 @pytest.mark.parametrize("atoms, blocks", SHAPES)
@@ -88,8 +90,10 @@ def test_operator_applies_w_E_u():
 @pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])
 @pytest.mark.parametrize("vanishing", [None, "u", "w"])
 def test_compression_reproduces_the_operator(scale_w, scale_u, vanishing):
-    """Q T_c Q* is T to 1e-12 relative and Q is orthonormal, for N = 1..40
-    and one block, singletons, 2B >= N and a random B."""
+    """Q T_c Q* is T to 1e-12 relative, T_c is 2B x 2B and the oracle's Q
+    is orthonormal, for N = 1..40 and one block, singletons, 2B >= N and a
+    random B.  A one-atom block leaves no room for its second column of Q,
+    and there T_c holds rounding only."""
     rng = np.random.default_rng(41)
     for atoms in range(1, 41):
         for blocks in sorted({1, (atoms + 1) // 2, int(rng.integers(1, atoms + 1)),
@@ -102,32 +106,93 @@ def test_compression_reproduces_the_operator(scale_w, scale_u, vanishing):
                                         condexp.BlockPartition(parts, atoms), w, u)
             expected = oracles.weighted_operator_matrix_oracle(masses, parts, w, u)
             norm = np.linalg.norm(expected, 2)
-            assert np.linalg.norm(assembled(op) - expected, 2) <= 1e-12 * norm
-            q = op.basis
-            assert q.shape[1] <= min(atoms, 2 * blocks)
+            q = oracles.block_embedding(masses, parts, w, u)
+            assert (np.linalg.norm(q @ op.compressed @ q.conj().T - expected, 2)
+                    <= 1e-12 * norm)
+            assert op.compressed.shape == (2 * blocks, 2 * blocks)
+            dead = np.linalg.norm(q, axis=0) == 0.0
+            assert np.count_nonzero(dead) == sum(len(part) == 1 for part in parts)
+            assert max(np.abs(op.compressed[dead]).max(initial=0.0),
+                       np.abs(op.compressed[:, dead]).max(initial=0.0)) <= 1e-12 * norm
+            q = q[:, ~dead]
             np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-13)
             assert (abs(condexp.norm_formula_check(op).matrix_norm - norm)
                     <= 1e-12 * norm)
 
 
+@pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])
+def test_normal_operator_stays_normal(scale_w, scale_u):
+    """u = c_b conj(w) on every block makes T = (+)_b c_b x_b x_b* normal.
+    T_c's off-diagonal sqrt(p) sqrt(h) is then rounding, so
+    ||T_c* T_c - T_c T_c*|| <= 1e-14 ||T_c||^2 (a factor of the 2 x 2 Gram
+    [[p, conj(g)], [g, q]] takes sqrt(q - |g|^2 / p) and misses this by
+    about 1e-8), and T_c has the singular values and min_lambda of the QR
+    build of the oracles, with singleton partitions among the spaces."""
+    rng = np.random.default_rng(47)
+    for atoms in (1, 2, 5, 9, 17, 30):
+        for blocks in sorted({1, int(rng.integers(1, atoms + 1)), atoms}):
+            masses, parts, w, u = random_space(rng, atoms, blocks, False)
+            for part in parts:
+                u[list(part)] = crandn(rng, 1) * np.conj(w[list(part)])
+            w, u = w * scale_w, u * scale_u
+            t = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                       condexp.BlockPartition(parts, atoms),
+                                       w, u).compressed
+            norm = np.linalg.norm(t, 2)
+            assert (np.linalg.norm(t.conj().T @ t - t @ t.conj().T, 2)
+                    <= 1e-14 * norm ** 2), (atoms, blocks)
+            qr = oracles.qr_compression(masses, parts, w, u)
+            values = np.linalg.svd(t, compute_uv=False)
+            np.testing.assert_allclose(values[:len(qr)],
+                                       np.linalg.svd(qr, compute_uv=False),
+                                       rtol=0.0, atol=1e-14 * norm)
+            assert values[len(qr):].max(initial=0.0) <= 1e-14 * norm
+            for k in range(4):
+                for n in (1, 2, 3):
+                    ours = posinormal.min_lambda(t, k, n)
+                    theirs = posinormal.min_lambda(qr, k, n)
+                    assert ours.feasible == theirs.feasible, (atoms, blocks, k, n)
+                    if ours.feasible:
+                        assert ours.lambda_min == pytest.approx(
+                            theirs.lambda_min, rel=1e-8, abs=1e-12 * norm ** (n - 1))
+
+
 def test_interval_example_at_4096_atoms_stays_compressed():
-    """Every Section 3 identity holds at 4096 atoms, within a traced peak
-    far below one dense 4096 x 4096 complex matrix (256 MiB)."""
-    example = fixtures.interval_example(4096)
-    tracemalloc.start()
-    try:
-        op = condexp.build_operator(*example)
+    """Every Section 3 identity holds at 4096 atoms, and the build and all
+    six checks at 2^16 atoms in 64 blocks, each within a traced peak of
+    16 MiB: one N x 2B complex matrix at 2^16 atoms is 128 MiB, and one
+    dense 4096 x 4096 complex matrix 256 MiB."""
+
+    def traced(op_args, run):
+        tracemalloc.start()
+        try:
+            out = run(condexp.build_operator(*op_args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+        return out
+
+    def identities(op):
         reports = [condexp.norm_formula_check(op),
                    *(condexp.lemma31_check(op, m) for m in (1, 2, 3, 0.5)),
                    condexp.polar_decomposition_check(op)]
-        quasi = condexp.thm35_check(op, 1, 2, 4.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return reports, condexp.thm35_check(op, 1, 2, 4.0)
+
+    reports, quasi = traced(fixtures.interval_example(4096), identities)
     assert all(r.passed for r in reports), reports
     # The criterion of the article's example holds in all three forms.
     assert quasi.all_agree and quasi.matrix_holds
-    assert peak < 16 * 2 ** 20, peak
+
+    rng = np.random.default_rng(53)
+    masses, parts, w, u = random_space(rng, 2 ** 16, 64, vanishing=True)
+    space = condexp.FiniteMeasureSpace(masses)
+    partition = condexp.BlockPartition(parts, 2 ** 16)
+    reports = traced((space, partition, w, u), lambda op: [
+        condexp.norm_formula_check(op), condexp.lemma31_check(op, 2),
+        condexp.polar_decomposition_check(op), condexp.thm33_check(op, 2.0),
+        condexp.thm34_check(op, 2, 2.0), condexp.thm35_check(op, 1, 2, 2.0)])
+    assert all(r.passed for r in reports[:3]), reports[:3]
 
 
 @pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])

@@ -290,6 +290,43 @@ def test_rotated_shift_is_the_shift():
                         assert abs(overlap) == pytest.approx(1.0, abs=1e-8), (m, k, n)
 
 
+def test_rotated_graded_and_infeasible_inputs_keep_their_answers():
+    # V* T V for a Haar unitary V has T's answers at every (k, n): the same
+    # feasibility, lambda_min to 1e-8 relative, and an obstruction that is
+    # V* times T's, up to phase.  T is a graded diagonal or a graded
+    # U diag(s) W* (singular values log-spaced over 1-3 decades), each with
+    # one zero column, or a nilpotent tail beside a generic head.
+    rng = np.random.default_rng(2511)
+    verdicts = set()
+    for i in range(60):
+        dim = int(rng.integers(3, 11))
+        s = np.logspace(0.0, -rng.uniform(1.0, 3.0), dim)
+        if i % 3 == 0:
+            t = np.diag(s).astype(complex)
+        elif i % 3 == 1:
+            t = haar_unitary(rng, dim) @ (s[:, None] * haar_unitary(rng, dim).conj().T)
+        else:
+            t = oracles.nilpotent_tail(rng, dim, int(rng.integers(1, 4)))[0]
+        if i % 3 < 2:
+            t[:, int(rng.integers(dim))] = 0.0
+        v = haar_unitary(rng, dim)
+        rotated = v.conj().T @ t @ v
+        for k in range(4):
+            for n in (1, 2, 3):
+                exact = posinormal.min_lambda(t, k, n)
+                result = posinormal.min_lambda(rotated, k, n)
+                assert result.feasible == exact.feasible, (i, k, n)
+                verdicts.add((i % 3, result.feasible))
+                if exact.feasible:
+                    assert result.lambda_min == pytest.approx(exact.lambda_min,
+                                                              rel=1e-8), (i, k, n)
+                else:
+                    overlap = np.vdot(v.conj().T @ exact.kernel_obstruction,
+                                      result.kernel_obstruction)
+                    assert abs(overlap) == pytest.approx(1.0, abs=1e-8), (i, k, n)
+    assert verdicts == {(0, True), (1, True), (1, False), (2, True), (2, False)}
+
+
 def test_kernel_obstruction_is_a_kernel_direction_that_t_star_n_sees(rng):
     # The obstruction is a unit x with T^{k+1} x ~ 0 whose image
     # y = T^k x / ||T^k x|| lies in ran T^k with ||T*^n y||^2 above
