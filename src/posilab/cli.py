@@ -72,10 +72,9 @@ def _cmd_lambda_min(args) -> int:
         lam = result.lambda_min
         lines.append(f"lambda_min: {_fmt(lam)}")
         if lam > 0:  # both verdicts run before anything is printed
-            upper = posinormal.is_member(
-                t, ClassQuery(args.k, args.n, lam * (1 + 1e-8)), tol=args.tol)
-            lower = posinormal.is_member(
-                t, ClassQuery(args.k, args.n, lam * (1 - 1e-6)), tol=args.tol)
+            upper, lower = (
+                posinormal.is_member(t, ClassQuery(args.k, args.n, lam * step), tol=args.tol)
+                for step in (1 + linalg.AGREE_TOL, 1 - linalg.REPORT_TOL))
             lines += [f"certificate_holds_above: {str(upper.holds).lower()}",
                       f"certificate_fails_below: {str(not lower.holds).lower()}"]
     else:
@@ -96,14 +95,15 @@ def _cmd_decompose(args) -> int:
     print(f"nilpotency_residual: {_fmt(decomp.nilpotency_residual)}")
     recon = linalg.operator_norm(decomp.reconstruct() - t)
     print(f"reconstruction_residual: {_fmt(recon)}")
-    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=1e-8)
+    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=linalg.REPORT_TOL)
     print("spectrum_T: " + ", ".join(f"{v:.8g}" for v in spec_t))
     if decomp.range_basis.shape[1] > 0:
-        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=1e-8)
+        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a),
+                                        tol=linalg.REPORT_TOL)
         print("spectrum_A: " + ", ".join(f"{v:.8g}" for v in spec_a))
     union_gap = structure.spectrum_union_gap(decomp, t)
     print(f"spectrum_union_hausdorff: {_fmt(union_gap)}")
-    print(f"spectrum_union_ok: {str(union_gap <= 1e-6).lower()}")
+    print(f"spectrum_union_ok: {str(union_gap <= linalg.REPORT_TOL).lower()}")
     return 0
 
 

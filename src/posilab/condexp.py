@@ -36,17 +36,11 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, SUPPORT_RTOL
 from .posinormal import ClassQuery
 
-# Threshold defining the support of a function: entries with modulus
-# below SUPPORT_RTOL * max modulus count as zero.
-SUPPORT_RTOL = 1e-12
-
-# check_E_properties: the exponent p of the modulus and Hoelder properties
-# (with q = p / (p - 1)) and the absolute slack of every property.
+# check_E_properties: exponent p of the modulus and Hoelder properties, q = p/(p-1).
 _E_EXPONENT = 2.0
-_E_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -236,28 +230,28 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
 
     ``g`` must be blockwise constant (it stands in for the coarser
     algebra's functions).  Violations are measured atomwise, with
-    absolute slack 1e-10.
+    absolute slack DEFAULT_TOL.
     """
     _check_compatible(space, partition)
     f = as_function(f, space)
     g = as_function(g, space)
     p, q = _E_EXPONENT, _E_EXPONENT / (_E_EXPONENT - 1.0)
     g_proj = conditional_expectation(space, partition, g)
-    if np.max(np.abs(g - g_proj)) > _E_TOL * max(1.0, float(np.max(np.abs(g)))):
+    if np.max(np.abs(g - g_proj)) > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g)))):
         raise ValidationError("g must be blockwise constant for the module property")
 
     results = []
 
     def measured(name: str, violation) -> None:
         violation = float(violation)
-        results.append(PropertyResult(name, True, violation <= _E_TOL, violation))
+        results.append(PropertyResult(name, True, violation <= DEFAULT_TOL, violation))
 
     e_f = conditional_expectation(space, partition, f)
     measured("module", np.max(np.abs(
         conditional_expectation(space, partition, g * f) - g * e_f
     )))
 
-    if np.max(np.abs(f.imag)) <= _E_TOL and np.min(f.real) >= -_E_TOL:
+    if np.max(np.abs(f.imag)) <= DEFAULT_TOL and np.min(f.real) >= -DEFAULT_TOL:
         measured("positive", max(0.0, -np.min(e_f.real)))
     else:
         results.append(PropertyResult("positive", False, True, 0.0))

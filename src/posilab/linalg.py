@@ -3,8 +3,8 @@
 Every operator in the package is a dense complex matrix (``numpy.ndarray``
 of dtype complex128).  The functions here wrap the numpy/LAPACK routines
 behind validated interfaces.  A tolerance that callers set is a
-parameter; a fixed one is a named module constant, never a literal
-inside an algorithm.
+parameter; a fixed one is an entry of the tolerance table below, which
+every module reads, never a literal inside an algorithm.
 
 A matrix a caller passes in is validated once, at entry.  A matrix the
 package forms itself (a symmetrized gap is Hermitian by construction) is
@@ -20,15 +20,38 @@ import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 
-# Relative eigenvalue / singular-value cutoff of the membership, PSD and
-# rank decisions when a caller (or the CLI's --tol) sets no other, and the
-# fixed rank cut of every rung of posinormal's range ladder.
+# The tolerance table: every fixed tolerance of posilab, with its scale and users.
+# DEFAULT_TOL: the caller's decision tol when none is set (is_member,
+# min_lambda, tensor_check, the condexp checks, the CLI's --tol).  The
+# rounding factor of posinormal's ladder cut (x ||T||), obstruction floor
+# (x ||T||^n) and nilpotency bound (x max(1, ||T||)^power), and of the
+# eigenvalue cuts of condexp's _hermitian_power and
+# polar_decomposition_check (x the largest eigenvalue).  The absolute
+# slack of a computed value against an exact one: check_E_properties, and
+# verify's recomputed blocks and vanishing gaps.
 DEFAULT_TOL = 1e-10
+# SUPPORT_RTOL: condexp's support rule |v| > SUPPORT_RTOL * max|v|.
+SUPPORT_RTOL = 1e-12
+# RESIDUAL_TOL: the largest residual of structure's input checks
+# (orthonormal, isometry, unitary; invariant x max(1, ||T||), commuting
+# x max(1, ||T|| ||S||)), and the relative slack of both comparisons of
+# posinormal.operator_norm_corollary_check.
+RESIDUAL_TOL = 1e-9
+# AGREE_TOL: two computations of one number agree within it: spectrum()'s
+# eigenvalue product against the determinant (relative), and verify's
+# spectrum against {0, 1, 2} and obstruction against e1.  Also the step
+# lambda_min (1 + AGREE_TOL) at which a member must hold: the CLI's
+# certificate_holds_above, verify's Prop 2.6 restriction.
+AGREE_TOL = 1e-8
+# REPORT_TOL: eigenvalues closer than it are one value in a reported
+# spectrum (spectrum_union_gap, the CLI's decompose report), and it
+# bounds a reported difference (spectrum_union_ok, verify's union gap and
+# Example 3.6 moments).  Also the step lambda_min (1 + REPORT_TOL) of
+# verify's _lam_above, and (1 - REPORT_TOL) of cli's certificate_fails_below.
+REPORT_TOL = 1e-6
 
-# Dimension up to which spectrum() cross-checks the eigenvalue product
-# against the determinant, and the relative agreement it requires.
+# spectrum() cross-checks the eigenvalues against the determinant up to this dim.
 _DET_CHECK_MAX_DIM = 12
-_DET_CHECK_TOL = 1e-8
 
 
 def as_matrix(values) -> np.ndarray:
@@ -137,7 +160,7 @@ def spectrum(m) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (real, imag).
 
     For dimensions <= 12 the product of the eigenvalues is cross-checked
-    against the determinant; disagreement beyond 1e-8 relative raises
+    against the determinant; disagreement beyond AGREE_TOL relative raises
     NumericalFailure.
     """
     m = require_square(m)
@@ -151,10 +174,10 @@ def spectrum(m) -> np.ndarray:
         det = complex(np.linalg.det(m))
         prod = complex(np.prod(vals))
         scale = max(1.0, abs(det), abs(prod))
-        if abs(det - prod) > _DET_CHECK_TOL * scale:
+        if abs(det - prod) > AGREE_TOL * scale:
             raise NumericalFailure(
                 f"eigenvalue product {prod:.6e} disagrees with determinant "
-                f"{det:.6e} beyond relative {_DET_CHECK_TOL:.1e}"
+                f"{det:.6e} beyond relative {AGREE_TOL:.1e}"
             )
     return vals
 

@@ -70,12 +70,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, ValidationError
-from .linalg import DEFAULT_TOL
-
-# Relative slack of both norm comparisons in operator_norm_corollary_check:
-# lhs <= rhs + _SHIFTED_TOL * max(lhs, rhs), so scaling T scales both sides
-# and their slack alike and leaves the verdicts as they are.
-_SHIFTED_TOL = 1e-9
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -397,8 +392,8 @@ class NormCorollaryReport:
 
 def operator_norm_corollary_check(t, k: int, n: int, lam: float,
                                   m: int) -> NormCorollaryReport:
-    """Check the operator-norm inequality, with relative slack 1e-9, for a
-    member at (k, n, lam)."""
+    """Check the operator-norm inequality, with relative slack RESIDUAL_TOL
+    (so scaling T leaves the verdicts alone), for a member at (k, n, lam)."""
     query = ClassQuery(k=k, n=n, lam=float(lam))
     m = _order(m, k)
     require_member(t, query, DEFAULT_TOL, "operator")
@@ -409,11 +404,11 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
     return NormCorollaryReport(
-        holds=lhs <= rhs1 + _SHIFTED_TOL * max(lhs, rhs1),
+        holds=lhs <= rhs1 + RESIDUAL_TOL * max(lhs, rhs1),
         lhs=lhs,
         rhs_first_power=rhs1,
         rhs_squared=rhs2,
-        holds_squared=lhs <= rhs2 + _SHIFTED_TOL * max(lhs, rhs2),
+        holds_squared=lhs <= rhs2 + RESIDUAL_TOL * max(lhs, rhs2),
     )
 
 

@@ -22,16 +22,8 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, REPORT_TOL, RESIDUAL_TOL
 from .posinormal import ClassQuery, ClassReport
-
-# Distinct eigenvalues closer than this are one value in spectrum_union_gap.
-_CLUSTER_TOL = 1e-6
-
-# Largest residual accepted for orthonormality, invariance, isometry,
-# commutation and unitarity (relative to max(1, ||T||) for invariance and
-# to max(1, ||T|| ||S||) for commutation).
-_BASIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,20 +95,18 @@ def decompose(t, k: int, n: int) -> Decomposition:
 def spectrum_union_gap(decomp: Decomposition, t) -> float:
     """Hausdorff distance between distinct(spec T) and distinct(spec A) + {0}.
 
-    Distinct values on both sides are clustered within 1e-6; the union
+    Distinct values on both sides are clustered within REPORT_TOL; the union
     side always contains 0 (the kernel block contributes it).
     """
     t = linalg.require_square(t)
-    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=_CLUSTER_TOL)
+    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=REPORT_TOL)
     if decomp.range_basis.shape[1] == 0:
         spec_a = []  # fully nilpotent: only the kernel block remains
     else:
-        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a),
-                                        tol=_CLUSTER_TOL)
-    union = spec_a if decomp.full_range else linalg.distinct_values(
-        spec_a + [0.0], tol=_CLUSTER_TOL
-    )
-    return linalg.hausdorff_distance(spec_t, union)
+        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=REPORT_TOL)
+    if not decomp.full_range:
+        spec_a = linalg.distinct_values(spec_a + [0.0], tol=REPORT_TOL)
+    return linalg.hausdorff_distance(spec_t, spec_a)
 
 
 def restrict_to_invariant(t, basis, k: int, n: int,
@@ -126,7 +116,7 @@ def restrict_to_invariant(t, basis, k: int, n: int,
     ``basis`` is a matrix M whose columns span the subspace.  Rejected
     unless the columns are orthonormal and the invariance residual
     ||TM - M(M*TM)||, which is ||(I - MM*)TM|| for orthonormal M, is
-    below 1e-9 * max(1, ||T||).  For a member T the compression is again
+    below RESIDUAL_TOL * max(1, ||T||).  For a member T the compression is again
     a member at the same lambda.
     """
     t = linalg.require_square(t)
@@ -136,11 +126,11 @@ def restrict_to_invariant(t, basis, k: int, n: int,
             f"subspace basis shape {m.shape} incompatible with operator {t.shape}"
         )
     ortho = linalg.operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
-    if ortho > _BASIS_TOL:
+    if ortho > RESIDUAL_TOL:
         raise ValidationError(f"subspace basis not orthonormal: residual {ortho:.3e}")
     compressed = m.conj().T @ t @ m
     residual = linalg.operator_norm(t @ m - m @ compressed)
-    if residual > _BASIS_TOL * max(1.0, linalg.operator_norm(t)):
+    if residual > RESIDUAL_TOL * max(1.0, linalg.operator_norm(t)):
         raise ValidationError(
             f"subspace is not invariant under T: residual {residual:.3e}"
         )
@@ -155,11 +145,11 @@ def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
     if t.shape != s.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs S {s.shape}")
     iso = linalg.operator_norm(s.conj().T @ s - np.eye(s.shape[0]))
-    if iso > _BASIS_TOL:
+    if iso > RESIDUAL_TOL:
         raise ValidationError(f"S is not an isometry: ||S*S - I|| = {iso:.3e}")
     comm = linalg.operator_norm(t @ s - s @ t)
     comm_scale = max(1.0, linalg.operator_norm(t) * linalg.operator_norm(s))
-    if comm > _BASIS_TOL * comm_scale:
+    if comm > RESIDUAL_TOL * comm_scale:
         raise ValidationError(f"T and S do not commute: residual {comm:.3e}")
     query = ClassQuery(k=k, n=n, lam=lam)
     posinormal.require_member(t, query, DEFAULT_TOL, "T")
@@ -169,7 +159,7 @@ def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
 def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
     """Membership of U*TU for unitary U; the verdict matches T's.
 
-    U is rejected when ||U*U - I|| exceeds 1e-9.  For square U that is
+    U is rejected when ||U*U - I|| exceeds RESIDUAL_TOL.  For square U that is
     max |sigma_i^2 - 1| over its singular values, so it equals ||UU* - I||.
     """
     t = linalg.require_square(t)
@@ -177,7 +167,7 @@ def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
     if t.shape != u.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs U {u.shape}")
     residual = linalg.operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if residual > _BASIS_TOL:
+    if residual > RESIDUAL_TOL:
         raise ValidationError(f"U is not unitary: ||U*U - I|| = {residual:.3e}")
     return posinormal.is_member(u.conj().T @ t @ u, ClassQuery(k=k, n=n, lam=lam))
 

@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, condexp, fileio, fixtures, linalg, posinormal, structure
+from .linalg import AGREE_TOL, DEFAULT_TOL, REPORT_TOL
 from .posinormal import ClassQuery
 
 DEFAULT_SEED = 20250810
@@ -73,22 +74,18 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_block(m: np.ndarray) -> str:
-    rows = [
-        "[" + ", ".join(_fmt(v.real) if abs(v.imag) < 1e-12 else f"{v:.10g}"
-                        for v in row) + "]"
-        for row in np.asarray(m)
-    ]
+    rows = ("[" + ", ".join(map(_fmt, row)) + "]" for row in m)
     return "[" + ", ".join(rows) + "]"
 
 
 def _lam_above(t: np.ndarray, k: int, n: int) -> float:
-    """lambda_min at (k, n), raised by 1e-6 relative so T is a member."""
-    return posinormal.min_lambda(t, k, n).lambda_min * (1 + 1e-6)
+    """lambda_min at (k, n), raised by REPORT_TOL relative so T is a member."""
+    return posinormal.min_lambda(t, k, n).lambda_min * (1 + REPORT_TOL)
 
 
 def _block(label: str, block: np.ndarray, printed: list) -> tuple:
-    """A printed matrix against the recomputed ``block`` (to 1e-10)."""
-    agree = linalg.operator_norm(block - np.array(printed, dtype=complex)) <= 1e-10
+    """A printed matrix against the recomputed ``block`` (to DEFAULT_TOL)."""
+    agree = linalg.operator_norm(block - np.array(printed, dtype=complex)) <= DEFAULT_TOL
     return f"{label} {_fmt_block(block.real)}", agree
 
 
@@ -100,7 +97,7 @@ def _claim_membership(t: np.ndarray, note: str) -> tuple:
     """T is a member at (3, 2, 1) with a vanishing gap."""
     report = posinormal.is_member(t, ClassQuery(3, 2, 1.0))
     return (f"holds={report.holds}, gap_norm={_fmt(report.gap_norm)}{note}",
-            report.holds and report.gap_norm <= 1e-10)
+            report.holds and report.gap_norm <= DEFAULT_TOL)
 
 
 def _claim_not_2power(t: np.ndarray) -> tuple:
@@ -115,7 +112,7 @@ def _claim_not_2power(t: np.ndarray) -> tuple:
     overlap = abs(np.vdot(e1, x)) if x is not None else 0.0
     return (f"infeasible={not result.feasible}, rejected up to lambda=1e6, "
             f"obstruction overlap with e1 = {_fmt(overlap)}",
-            (not result.feasible) and rejected and overlap > 1 - 1e-8)
+            (not result.feasible) and rejected and overlap > 1 - AGREE_TOL)
 
 
 def _claim_prop26_squared_product() -> tuple:
@@ -141,7 +138,7 @@ def _claim_prop26_restriction_gap() -> tuple:
 
 def _claim_prop26_restriction_preserved() -> tuple:
     t = fixtures.invariant_block_matrix()
-    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-8)
+    lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + AGREE_TOL)
     basis = np.eye(4, dtype=complex)[:, :2]
     _, report = structure.restrict_to_invariant(t, basis, 1, 2, lam)
     return f"restriction member at lambda={_fmt(lam)}: {report.holds}", report.holds
@@ -162,9 +159,9 @@ def _claim_thm210_block_split() -> tuple:
 
 def _claim_thm210_spectrum() -> tuple:
     t = fixtures.split_range_matrix()
-    distinct = linalg.distinct_values(linalg.spectrum(t), tol=1e-8)
+    distinct = linalg.distinct_values(linalg.spectrum(t), tol=AGREE_TOL)
     ok = (len(distinct) == 3
-          and linalg.hausdorff_distance(distinct, [0.0, 1.0, 2.0]) <= 1e-8)
+          and linalg.hausdorff_distance(distinct, [0.0, 1.0, 2.0]) <= AGREE_TOL)
     return ("distinct eigenvalues " + ", ".join(_fmt(v.real) for v in distinct),
             ok)
 
@@ -172,7 +169,7 @@ def _claim_thm210_spectrum() -> tuple:
 def _claim_thm210_spectrum_union() -> tuple:
     t = fixtures.split_range_matrix()
     gap = structure.spectrum_union_gap(structure.decompose(t, 1, 2), t)
-    return f"Hausdorff distance {_fmt(gap)}", gap <= 1e-6
+    return f"Hausdorff distance {_fmt(gap)}", gap <= REPORT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +371,7 @@ def _claim_ex36_eu2(example) -> tuple:
     e_u2 = _ex36_expectation(example, lambda w, u: np.abs(u) ** 2)
     return (f"({_fmt(e_u2[0])}, {_fmt(e_u2[1])}) at 4096 atoms "
             f"(1/12 = {_fmt(1 / 12)})",
-            max(abs(e_u2[0] - 1 / 12), abs(e_u2[1] - 1 / 12)) <= 1e-6)
+            max(abs(e_u2[0] - 1 / 12), abs(e_u2[1] - 1 / 12)) <= REPORT_TOL)
 
 
 def _claim_ex36_euw(example) -> tuple:
@@ -382,10 +379,10 @@ def _claim_ex36_euw(example) -> tuple:
     # Independent block integrals: (2 * x on [0, 1/2)) and (1 - x on
     # [1/2, 1]) average to 1/2 and 1/4 respectively.
     oracle = (0.5, 0.25)
-    matches_printed = (abs(e_uw[0] - 0.25) <= 1e-6
-                       and abs(e_uw[1] - 0.25) <= 1e-6)
-    matches_oracle = (abs(e_uw[0] - oracle[0]) <= 1e-6
-                      and abs(e_uw[1] - oracle[1]) <= 1e-6)
+    matches_printed = (abs(e_uw[0] - 0.25) <= REPORT_TOL
+                       and abs(e_uw[1] - 0.25) <= REPORT_TOL)
+    matches_oracle = (abs(e_uw[0] - oracle[0]) <= REPORT_TOL
+                      and abs(e_uw[1] - oracle[1]) <= REPORT_TOL)
     return (f"({_fmt(e_uw[0])}, {_fmt(e_uw[1])}); analytic block "
             f"integrals give (1/2, 1/4), agreement with them: "
             f"{matches_oracle}", matches_printed)

@@ -2,6 +2,7 @@
 fixtures, malformed documents naming their bad field, and the fixture
 files as written by fileio."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posilab import cli, condexp, fileio, fixtures
+from posilab import cli, condexp, fileio, fixtures, linalg
 
 import oracles
 
@@ -76,6 +77,30 @@ def test_failing_check_prints_its_witness_from_one_eigh(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert "holds: false" in lines and "gap_min_eigenvalue: -inf" in lines
     assert lines[-1] == "witness: [1+0j, 0+0j, 0+0j]" and shapes == [(1, 1)]
+
+
+# Two eigenvalues 3e-7 apart are one value at REPORT_TOL, the clustering of
+# spectrum_union_gap, so the printed spectra list them once.
+NEAR_DOUBLE = np.diag([1.0, 1.0 + 3e-7, 0.0])
+
+
+@pytest.mark.parametrize("matrix", [*MATRICES, NEAR_DOUBLE],
+                         ids=[*(p.stem for p in MATRICES), "near_double"])
+def test_decompose_prints_the_spectra_it_compares(matrix, tmp_path, capsys):
+    path = matrix
+    if not isinstance(matrix, Path):
+        path = tmp_path / "m.json"
+        path.write_text(fileio.dumps_matrix(matrix))
+    for k in range(4):
+        assert run(["decompose", path, "--k", k]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        for key in ("spectrum_T", "spectrum_A"):
+            values = [complex(v) for v in lines.get(key, "").split(", ") if v]
+            assert all(abs(a - b) > linalg.REPORT_TOL
+                       for a, b in itertools.combinations(values, 2)), (k, lines[key])
+    if matrix is NEAR_DOUBLE:  # k = 3: T^3 keeps the eigenvalues 1 and 1 + 3e-7
+        assert (lines["spectrum_T"], lines["spectrum_A"]) == ("0+0j, 1+0j", "1+0j")
+        assert lines["spectrum_union_hausdorff"] == "0"
 
 
 @pytest.mark.parametrize("check", CONDEXP_CHECKS)
