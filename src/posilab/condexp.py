@@ -16,14 +16,17 @@ means p = E|w|^2, g = E(uw) and h = E|u - (g/p) conj(w)|^2 (g/p read as 0
 where p = 0).  So T is unitarily T_c (+) 0, with the 2B x 2B
 T_c = (+)_b a_b c_b* = (+)_b [[g_b, sqrt(p_b) sqrt(h_b)], [0, 0]].  h is a
 mean of its own, not q - |g|^2 / p with q = E|u|^2: the root of that
-cancellation errs by about sqrt(eps q).  The Lemma 3.1 sides and the polar
-factors are direct sums of alpha_b l_b r_b*, l and r in {a, c}, and the
-norms, spectra and class memberships the checks report are the same for
-X_c (+) 0 as for X_c, so every check runs on 2B x 2B matrices.
+cancellation errs by about sqrt(eps q).  Norms, spectra and class
+memberships are the same for X_c (+) 0 as for X_c.  The class criteria test
+T_c; every other Section 3 matrix (T, the Lemma 3.1 sides, the polar
+factors: alpha_b l_b r_b*, l and r in {a, c}) is held as its (B, 2, 2)
+stack of blocks, multiplied, powered and diagonalized blockwise, and
+||(+)_b X_b|| = max_b ||X_b|| gives all norms of a check from one batched
+SVD.  Cuts stay global: an eigenvalue is 0 against the largest of any block.
 
 The *_check functions re-derive the blockwise formulas for powers, norm,
 polar factors and class criteria of that operator and compare them with
-direct matrix computation on the compression.  Checks are
+direct matrix computation on the blocks.  Checks are
 reporting-first: each returns the measured evidence, and only
 implications with an actual proof behind them are asserted by callers.
 """
@@ -150,17 +153,22 @@ def block_expectations(space: FiniteMeasureSpace, partition: BlockPartition,
                        f) -> np.ndarray:
     """Mass-weighted mean of f on each block, in block order."""
     _check_compatible(space, partition)
-    return _block_means(space, partition, as_function(f, space))
+    return _block_means(space, partition)(as_function(f, space))
 
 
-def _block_means(space: FiniteMeasureSpace, partition: BlockPartition,
-                 f: np.ndarray) -> np.ndarray:
-    """Mass-weighted block sums of f by np.bincount, over the block masses."""
+def _block_means(space: FiniteMeasureSpace, partition: BlockPartition):
+    """f -> its mass-weighted block means, by np.bincount over the block
+    masses, summed once; a real f takes one bincount and has real means."""
     labels, count = partition.labels, partition.block_count
-    weighted = space.masses * f
-    total = (np.bincount(labels, weighted.real, count)
-             + 1j * np.bincount(labels, weighted.imag, count))
-    return total / np.bincount(labels, space.masses, count)
+    inverse = 1.0 / np.bincount(labels, space.masses, count)
+
+    def means(f: np.ndarray) -> np.ndarray:
+        weighted = space.masses * f
+        if np.isrealobj(weighted):
+            return np.bincount(labels, weighted, count) * inverse
+        return (np.bincount(labels, weighted.real, count)
+                + 1j * np.bincount(labels, weighted.imag, count)) * inverse
+    return means
 
 
 def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
@@ -308,36 +316,47 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
+    means = _block_means(space, partition)
 
     def mean(f, what: str) -> np.ndarray:
-        return linalg.require_finite(_block_means(space, partition, f), what)
+        return linalg.require_finite(means(f), what)
 
-    p = mean(np.abs(w) ** 2, "E|w|^2").real
+    p = mean(np.abs(w) ** 2, "E|w|^2")
     g = mean(u * w, "E(uw)")
     live = p > 0.0  # x_b = 0 elsewhere, and g/p reads as 0
     ratio = _masked_ratio(g, p, live)[partition.labels]
-    h = mean(np.abs(u - ratio * np.conj(w)) ** 2, "E|u - (g/p) conj(w)|^2").real
+    h = mean(np.abs(u - ratio * np.conj(w)) ** 2, "E|u - (g/p) conj(w)|^2")
     root_p = np.sqrt(p)
     a = np.stack([root_p, np.zeros_like(p)], axis=1)
     c = np.stack([_masked_ratio(np.conj(g), root_p, live), np.sqrt(h)], axis=1)
+    count = partition.block_count  # T_c, scattered from its stack of blocks
+    t_c = np.zeros((count, 2, count, 2), dtype=complex)
+    t_c[np.arange(count), :, np.arange(count), :] = _blocks(1.0, a, c)
     return WeightedConditionalOperator(
         space=space, partition=partition, w=w, u=u,
-        compressed=linalg.require_finite(_direct_sum(1.0, a, c), "T = M_w E M_u"),
-        a=a, c=c, e_w2=p, e_u2=mean(np.abs(u) ** 2, "E|u|^2").real,
+        compressed=linalg.require_finite(t_c.reshape(2 * count, -1), "T = M_w E M_u"),
+        a=a, c=c, e_w2=p, e_u2=mean(np.abs(u) ** 2, "E|u|^2"),
         e_w=mean(w, "E(w)"), e_u=mean(u, "E(u)"), e_uw=g,
     )
 
 
-def _direct_sum(alpha, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(+)_b alpha_b left_b right_b*, 2B x 2B, for B x 2 arrays left and
-    right and a scalar or B-vector alpha: block b in rows and columns 2b
-    and 2b + 1."""
-    blocks = (np.asarray(alpha)[..., None, None]
-              * left[:, :, None] * right.conj()[:, None, :])
-    count = left.shape[0]
-    out = np.zeros((count, 2, count, 2), dtype=complex)
-    out[np.arange(count), :, np.arange(count), :] = blocks
-    return out.reshape(2 * count, 2 * count)
+def _blocks(alpha, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (B, 2, 2) stack of alpha_b left_b right_b*, for B x 2 arrays left
+    and right and a scalar or B-vector alpha."""
+    return (np.asarray(alpha)[..., None, None]
+            * left[:, :, None] * right.conj()[:, None, :])
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """X_b* for every block X_b of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _norms(*stacks: np.ndarray) -> list[float]:
+    """||(+)_b X_b|| = max_b ||X_b|| for each stack of B blocks, from one
+    batched SVD of all their blocks."""
+    values = np.linalg.svd(np.concatenate(stacks), compute_uv=False)
+    return values.reshape(len(stacks), -1).max(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -352,7 +371,7 @@ class NormFormulaReport:
 def norm_formula_check(op: WeightedConditionalOperator,
                        tol: float = DEFAULT_TOL) -> NormFormulaReport:
     """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2)."""
-    matrix_norm = linalg.operator_norm(op.compressed)
+    matrix_norm = _norms(_blocks(1.0, op.a, op.c))[0]
     blockwise = float(linalg.require_finite(np.sqrt(np.max(op.e_w2 * op.e_u2)),
                                             "blockwise norm"))
     dev = abs(matrix_norm - blockwise)
@@ -365,14 +384,14 @@ def norm_formula_check(op: WeightedConditionalOperator,
 
 
 def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
-    """H^m for Hermitian PSD H; integer m by repeated product, real m > 0
-    through the eigendecomposition, where an eigenvalue <= DEFAULT_TOL times
-    the largest counts as 0 (the chi convention: rounding is not powered)."""
+    """H_b^m for a stack of Hermitian PSD H_b: integer m by repeated product,
+    real m > 0 by a batched eigh, where an eigenvalue <= DEFAULT_TOL times the
+    largest of all blocks counts as 0 (chi convention: rounding is not powered)."""
     if linalg.is_integer(m):
         return np.linalg.matrix_power(h, int(m))
-    w, v = np.linalg.eigh(linalg.symmetrize(h))
-    powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w[-1])
-    return (v * powered) @ v.conj().T
+    w, v = np.linalg.eigh((h + _adjoint(h)) / 2.0)
+    powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w.max())
+    return (v * powered[:, None, :]) @ _adjoint(v)
 
 
 @dataclass(frozen=True)
@@ -400,18 +419,17 @@ def lemma31_check(op: WeightedConditionalOperator, m,
         raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
     ew2, eu2 = op.e_w2, op.e_u2
 
-    def deviation(side, ex, ey, gram) -> float:
-        """(gram)^m against (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, chi
-        the support of ex: c_b for (T*T)^m, a_b for (TT*)^m."""
+    def sides(side, ex, ey, gram) -> tuple:
+        """(gram)^m - (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, and (gram)^m."""
         alpha = _masked_pow(ex, float(m) - 1.0, support_mask(ex)) * ey ** float(m)
         lhs = _hermitian_power(gram, m)
-        diff = linalg.require_finite(lhs - _direct_sum(alpha, side, side),
-                                     "Lemma 3.1 power")
-        return linalg.operator_norm(diff) / max(1.0, linalg.operator_norm(lhs))
+        return (linalg.require_finite(lhs - _blocks(alpha, side, side),
+                                      "Lemma 3.1 power"), lhs)
 
-    t = op.compressed
-    dev1 = deviation(op.c, eu2, ew2, t.conj().T @ t)
-    dev2 = deviation(op.a, ew2, eu2, t @ t.conj().T)
+    t = _blocks(1.0, op.a, op.c)
+    diff1, lhs1, diff2, lhs2 = _norms(*sides(op.c, eu2, ew2, _adjoint(t) @ t),
+                                      *sides(op.a, ew2, eu2, t @ _adjoint(t)))
+    dev1, dev2 = diff1 / max(1.0, lhs1), diff2 / max(1.0, lhs2)
     return PowerIdentityReport(
         power=float(m),
         deviation_t_star_t=dev1,
@@ -440,34 +458,30 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     Checks: U |T| reassembles T; |T| is PSD and squares to T*T; U*U is the
     orthogonal projector onto the range of |T| (U is a partial isometry).
     |T| = (+)_b m_b c_b c_b* with m_b >= 0 is Hermitian by construction, so one
-    eigh of it, with no asymmetry test, gives both its smallest eigenvalue
-    and its range: the eigenvectors of the significant eigenvalues.
+    batched eigh of its blocks, with no asymmetry test, gives both its smallest
+    eigenvalue and its range: the eigenvectors of the significant eigenvalues.
     """
-    t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
+    t, ew2, eu2 = _blocks(1.0, op.a, op.c), op.e_w2, op.e_u2
     chi_s, chi_g = support_mask(eu2), support_mask(ew2)
-    modulus = _direct_sum(np.sqrt(_masked_ratio(ew2, eu2, chi_s)), op.c, op.c)
-    partial_iso = _direct_sum(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g)),
-                              op.a, op.c)
-
-    def residual(x, y, what: str) -> float:
-        return linalg.operator_norm(linalg.require_finite(x - y, what))
-
-    t_norm = linalg.operator_norm(t)
-    factor_residual = residual(partial_iso @ modulus, t, "U |T|")
-    sq_residual = residual(modulus @ modulus, t.conj().T @ t, "|T|^2")
-    w, vecs = np.linalg.eigh(linalg.symmetrize(modulus))
-    range_basis = vecs[:, linalg.significant(w, DEFAULT_TOL)]
-    range_proj = range_basis @ range_basis.conj().T
-    iso_residual = residual(partial_iso.conj().T @ partial_iso, range_proj, "U*U")
+    modulus = _blocks(np.sqrt(_masked_ratio(ew2, eu2, chi_s)), op.c, op.c)
+    partial_iso = _blocks(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g)),
+                          op.a, op.c)
+    factor = linalg.require_finite(partial_iso @ modulus - t, "U |T|")
+    squared = linalg.require_finite(modulus @ modulus - _adjoint(t) @ t, "|T|^2")
+    w, vecs = np.linalg.eigh((modulus + _adjoint(modulus)) / 2.0)
+    range_basis = vecs * linalg.significant(w, DEFAULT_TOL)[:, None, :]
+    iso = linalg.require_finite(_adjoint(partial_iso) @ partial_iso
+                                - range_basis @ _adjoint(range_basis), "U*U")
+    t_norm, factor_residual, sq_residual, iso_residual = _norms(t, factor, squared, iso)
     scale = max(1.0, t_norm)
     return PolarReport(
         factor_residual=factor_residual,
-        modulus_min_eigenvalue=float(w[0]),
+        modulus_min_eigenvalue=float(w.min()),
         modulus_squared_residual=sq_residual,
         partial_isometry_residual=iso_residual,
         passed=bool(
             factor_residual <= tol * scale
-            and w[0] >= -max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(w))))
+            and w.min() >= -max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(w))))
             and sq_residual <= tol * max(1.0, t_norm ** 2)
             and iso_residual <= tol * scale
         ),

@@ -10,9 +10,11 @@ A matrix a caller passes in is validated once, at entry.  A matrix the
 package forms itself (a symmetrized gap is Hermitian by construction) is
 checked only for overflow, never again for a property it has by design.
 
-Target dimensions are small (tens, up to the low hundreds; a weighted
-conditional operator arrives compressed to at most twice its block count,
-whatever its atom count), so robustness is preferred over speed
+Target dimensions are small: tens, up to the low hundreds.  A weighted
+conditional operator reaches these kernels only as its 2B x 2B
+compression T_c, for the class tests, whatever its atom count; condexp's
+other checks never form a 2B x 2B matrix but run batched numpy calls on
+its (B, 2, 2) stack of blocks.  So robustness is preferred over speed
 throughout.
 """
 

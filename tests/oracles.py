@@ -10,6 +10,8 @@ meaningful.
 import numpy as np
 import scipy.linalg
 
+from posilab.linalg import DEFAULT_TOL, SUPPORT_RTOL
+
 
 def adj(m):
     return np.asarray(m, dtype=complex).conj().T
@@ -229,6 +231,97 @@ def qr_compression(masses, blocks, w, u):
     v = _unit_block_indicators(masses, blocks)
     q = np.linalg.qr(np.hstack([w[:, None] * v, np.conj(u)[:, None] * v]))[0]
     return (adj(q) @ (w[:, None] * v)) @ (v.T @ (u[:, None] * q))
+
+
+def _dense_direct_sum(alpha, left, right):
+    """(+)_b alpha_b left_b right_b*, 2B x 2B, for B x 2 arrays left and
+    right and a scalar or B-vector alpha: block b in rows and columns 2b
+    and 2b + 1."""
+    count = left.shape[0]
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=complex), (count,))
+    out = np.zeros((2 * count, 2 * count), dtype=complex)
+    for b in range(count):
+        out[2 * b:2 * b + 2, 2 * b:2 * b + 2] = alpha[b] * np.outer(left[b],
+                                                                    right[b].conj())
+    return out
+
+
+def _support(values):
+    mags = np.abs(values)
+    return mags > SUPPORT_RTOL * mags.max(initial=0.0)
+
+
+def _chi_ratio(num, den, mask):
+    return np.where(mask, num / np.where(mask, den, 1.0), 0.0)
+
+
+def _chi_pow(base, expo, mask):
+    return np.where(mask, np.where(mask, base, 1.0) ** expo, 0.0)
+
+
+def _dense_norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def dense_norm_formula(op, tol=DEFAULT_TOL):
+    """The fields of condexp.norm_formula_check, ||T|| from an SVD of the
+    2B x 2B T_c."""
+    matrix_norm = _dense_norm(op.compressed)
+    blockwise = float(np.sqrt(np.max(op.e_w2 * op.e_u2)))
+    dev = abs(matrix_norm - blockwise)
+    return {"matrix_norm": matrix_norm, "blockwise_norm": blockwise,
+            "deviation": dev, "passed": dev <= tol * max(1.0, matrix_norm)}
+
+
+def _dense_hermitian_power(h, m):
+    """H^m for Hermitian PSD H: integer m by repeated product, else by one
+    eigh of the whole matrix, eigenvalues <= DEFAULT_TOL times the largest
+    read as 0."""
+    if isinstance(m, (int, np.integer)):
+        return mpow(h, int(m))
+    w, v = np.linalg.eigh((h + adj(h)) / 2.0)
+    return (v * _chi_pow(w, float(m), w > DEFAULT_TOL * w[-1])) @ adj(v)
+
+
+def dense_lemma31(op, m, tol=DEFAULT_TOL):
+    """The fields of condexp.lemma31_check, every side a 2B x 2B matrix."""
+    t = op.compressed
+
+    def deviation(side, ex, ey, gram):
+        alpha = _chi_pow(ex, float(m) - 1.0, _support(ex)) * ey ** float(m)
+        lhs = _dense_hermitian_power(gram, m)
+        return (_dense_norm(lhs - _dense_direct_sum(alpha, side, side))
+                / max(1.0, _dense_norm(lhs)))
+
+    dev1 = deviation(op.c, op.e_u2, op.e_w2, adj(t) @ t)
+    dev2 = deviation(op.a, op.e_w2, op.e_u2, t @ adj(t))
+    return {"power": float(m), "deviation_t_star_t": dev1,
+            "deviation_t_t_star": dev2, "passed": max(dev1, dev2) <= tol}
+
+
+def dense_polar(op, tol=DEFAULT_TOL):
+    """The fields of condexp.polar_decomposition_check, with one eigh of
+    the 2B x 2B |T| for its spectrum and range."""
+    t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
+    chi_s, chi_g = _support(eu2), _support(ew2)
+    modulus = _dense_direct_sum(np.sqrt(_chi_ratio(ew2, eu2, chi_s)), op.c, op.c)
+    partial_iso = _dense_direct_sum(
+        np.sqrt(_chi_ratio(1.0, ew2 * eu2, chi_s & chi_g)), op.a, op.c)
+    t_norm = _dense_norm(t)
+    factor = _dense_norm(partial_iso @ modulus - t)
+    squared = _dense_norm(modulus @ modulus - adj(t) @ t)
+    w, vecs = np.linalg.eigh((modulus + adj(modulus)) / 2.0)
+    mags = np.abs(w)
+    basis = vecs[:, mags > DEFAULT_TOL * mags.max()]
+    iso = _dense_norm(adj(partial_iso) @ partial_iso - basis @ adj(basis))
+    scale = max(1.0, t_norm)
+    return {"factor_residual": factor, "modulus_min_eigenvalue": float(w[0]),
+            "modulus_squared_residual": squared, "partial_isometry_residual": iso,
+            "passed": bool(
+                factor <= tol * scale
+                and w[0] >= -max(tol, DEFAULT_TOL) * max(1.0, float(mags.max()))
+                and squared <= tol * max(1.0, t_norm ** 2)
+                and iso <= tol * scale)}
 
 
 def random_member(rng, dim, k, n, margin=1e-4, tries=50):

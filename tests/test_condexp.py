@@ -1,11 +1,12 @@
 """condexp against the loop-based oracles of tests/oracles.py."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from posilab import condexp, fixtures, posinormal
+from posilab import condexp, fixtures, linalg, posinormal
 from posilab.errors import ValidationError
 
 import oracles
@@ -155,6 +156,80 @@ def test_normal_operator_stays_normal(scale_w, scale_u):
                     if ours.feasible:
                         assert ours.lambda_min == pytest.approx(
                             theirs.lambda_min, rel=1e-8, abs=1e-12 * norm ** (n - 1))
+
+
+def _section3_spaces(rng, atoms, blocks, kind):
+    """random_space with u = 0 on a block ("u"), w = 0 on a block ("w"),
+    u = c_b conj(w) on every block ("conj"), or w scaled by 3e-6 and 1e-11
+    on the first two of three or more blocks ("faint"), at each scale
+    (w, u) -> (s w, u / s), s = 1 and 1e+-8.  A faint block's eigenvalues
+    lie under the cuts taken relative to the largest of all blocks, but not
+    under cuts relative to its own."""
+    masses, parts, w, u = random_space(rng, atoms, blocks, kind == "u")
+    if kind == "w":
+        w[list(parts[-1])] = 0.0
+    elif kind == "conj":
+        for part in parts:
+            u[list(part)] = crandn(rng, 1) * np.conj(w[list(part)])
+    elif kind == "faint":
+        for part, factor in zip(parts[:-1], (3e-6, 1e-11)):
+            w[list(part)] *= factor
+    space = condexp.FiniteMeasureSpace(masses)
+    partition = condexp.BlockPartition(parts, atoms)
+    for scale in (1.0, 1e8, 1e-8):
+        yield condexp.build_operator(space, partition, w * scale, u / scale)
+
+
+@pytest.mark.parametrize("atoms, blocks", SHAPES)
+@pytest.mark.parametrize("kind", [None, "u", "w", "conj", "faint"])
+def test_stacked_checks_match_the_dense_oracles(atoms, blocks, kind):
+    """The norm, Lemma 3.1 and polar checks on the (B, 2, 2) stack give the
+    dense 2B x 2B checks' verdicts, and every reported number within
+    1e-13 max(1, |x|, ||T||)."""
+    rng = np.random.default_rng(3000 * atoms + blocks)
+    for _ in range(5):
+        for op in _section3_spaces(rng, atoms, blocks, kind):
+            pairs = [(condexp.norm_formula_check(op), oracles.dense_norm_formula(op)),
+                     (condexp.polar_decomposition_check(op), oracles.dense_polar(op))]
+            pairs += [(condexp.lemma31_check(op, m), oracles.dense_lemma31(op, m))
+                      for m in (1, 2, 3, 0.5, 1.5)]
+            t_norm = np.linalg.norm(op.compressed, 2)
+            for report, dense in pairs:
+                ours = dataclasses.asdict(report)
+                assert ours.keys() == dense.keys()
+                assert ours.pop("passed") == dense.pop("passed"), (report, dense)
+                for name, x in ours.items():
+                    y = dense[name]
+                    assert abs(x - y) <= 1e-13 * max(1.0, abs(x), abs(y), t_norm), (
+                        name, x, y)
+
+
+@pytest.mark.parametrize("blocks", [2, 64])
+def test_each_stacked_check_makes_one_svd(blocks, monkeypatch):
+    """Every norm of a check comes from one batched SVD of its block
+    stacks, at any block count; none from a dense operator norm."""
+    rng = np.random.default_rng(59)
+    masses, parts, w, u = random_space(rng, 256, blocks, vanishing=True)
+    op = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                condexp.BlockPartition(parts, 256), w, u)
+    calls = {"svd": 0, "operator_norm": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(np.linalg, "svd")
+    counting(linalg, "operator_norm")
+    for check in (condexp.norm_formula_check, condexp.polar_decomposition_check,
+                  lambda op: condexp.lemma31_check(op, 2),
+                  lambda op: condexp.lemma31_check(op, 0.5)):
+        calls.update(svd=0, operator_norm=0)
+        assert check(op).passed
+        assert calls == {"svd": 1, "operator_norm": 0}
 
 
 def test_interval_example_at_4096_atoms_stays_compressed():
