@@ -48,7 +48,6 @@ from .condexp import (
     build_operator,
     block_expectations,
     check_E_properties,
-    conditional_expectation,
     lemma31_check,
     norm_formula_check,
     polar_decomposition_check,

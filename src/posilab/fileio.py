@@ -90,10 +90,7 @@ def load_matrix(path) -> np.ndarray:
             raise FileFormatError(f"entries[{i}]: expected {cols} entries")
         values.append([_as_complex(value, f"entries[{i}][{j}]")
                        for j, value in enumerate(row)])
-    try:
-        return as_matrix(values)
-    except ValueError as exc:
-        raise FileFormatError(f"entries: {exc}") from exc
+    return as_matrix(values)
 
 
 def dumps_matrix(m) -> str:
@@ -120,10 +117,7 @@ def load_space(path):
             raise FileFormatError(f"atoms[{i}].mass: expected a positive number")
         masses.append(_as_float(mass, f"atoms[{i}].mass"))
         labels.append(str(atom.get("label", f"a{i}")))
-    try:
-        space = FiniteMeasureSpace(masses, labels)
-    except ValueError as exc:
-        raise FileFormatError(f"atoms: {exc}") from exc
+    space = FiniteMeasureSpace(masses, labels)
 
     blocks = _require(doc, "partition")
     if not isinstance(blocks, list) or not blocks:

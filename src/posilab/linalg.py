@@ -24,13 +24,15 @@ from .errors import NumericalFailure, ValidationError
 
 # The tolerance table: every fixed tolerance of posilab, with its scale and users.
 # DEFAULT_TOL: the caller's decision tol when none is set (is_member,
-# min_lambda, tensor_check, the condexp checks, the CLI's --tol).  The
-# rounding factor of posinormal's ladder cut (x ||T||), obstruction floor
+# min_lambda, tensor_check, the condexp checks, the CLI's --tol), and the
+# relative slack of check_E_properties, which has no tol of its own (x
+# max(1, the largest side), as in the condexp checks).  The rounding
+# factor of posinormal's ladder cut (x ||T||), obstruction floor
 # (x ||T||^n) and nilpotency bound (x max(1, ||T||)^power), and of the
 # eigenvalue cuts of condexp's _hermitian_power and
 # polar_decomposition_check (x the largest eigenvalue).  The absolute
-# slack of a computed value against an exact one: check_E_properties, and
-# verify's recomputed blocks and vanishing gaps.
+# slack of a computed value against an exact one: verify's recomputed
+# blocks and vanishing gaps.
 DEFAULT_TOL = 1e-10
 # SUPPORT_RTOL: condexp's support rule |v| > SUPPORT_RTOL * max|v|.
 SUPPORT_RTOL = 1e-12
@@ -145,8 +147,9 @@ def at_most_scaled(x: float, tol: float, m) -> bool:
 
 
 def symmetrize(h) -> np.ndarray:
-    """(H + H*)/2, the Hermitian part of H, equal to its adjoint bit for bit."""
-    return (h + h.conj().T) / 2.0
+    """(H + H*)/2, the Hermitian part of H, equal to its adjoint bit for bit;
+    for a stack of matrices, of each one (the adjoint is over the last two axes)."""
+    return (h + h.conj().swapaxes(-1, -2)) / 2.0
 
 
 def significant(values, tol: float) -> np.ndarray:

@@ -303,26 +303,22 @@ def _claim_e_properties(seed: int) -> tuple:
     return f"checked {names}: all_passed={report.all_passed}", report.all_passed
 
 
-def _interval_operator():
-    return condexp.build_operator(*fixtures.interval_example(8))
-
-
-def _operator_pair(seed: int) -> list:
+def _operator_pair(interval, seed: int) -> list:
     """The 8-atom interval operator and one on a seeded random space."""
-    return [_interval_operator(),
+    return [interval,
             condexp.build_operator(*_random_space(np.random.default_rng(seed)))]
 
 
-def _claim_norm_formula(seed: int) -> tuple:
-    reports = [condexp.norm_formula_check(op) for op in _operator_pair(seed)]
+def _claim_norm_formula(interval, seed: int) -> tuple:
+    reports = [condexp.norm_formula_check(op) for op in _operator_pair(interval, seed)]
     return ("max deviation " + _fmt(max(r.deviation for r in reports)),
             all(r.passed for r in reports))
 
 
-def _claim_lemma31(seed: int) -> tuple:
+def _claim_lemma31(interval, seed: int) -> tuple:
     devs = []
     ok = True
-    for op in _operator_pair(seed):
+    for op in _operator_pair(interval, seed):
         for m in (1, 2, 3):
             rep = condexp.lemma31_check(op, m)
             devs.append(max(rep.deviation_t_star_t, rep.deviation_t_t_star))
@@ -330,25 +326,25 @@ def _claim_lemma31(seed: int) -> tuple:
     return f"max relative deviation {_fmt(max(devs))}", ok
 
 
-def _claim_polar(seed: int) -> tuple:
-    reports = [condexp.polar_decomposition_check(op) for op in _operator_pair(seed)]
+def _claim_polar(interval, seed: int) -> tuple:
+    reports = [condexp.polar_decomposition_check(op)
+               for op in _operator_pair(interval, seed)]
     worst = max(max(r.factor_residual, r.partial_isometry_residual)
                 for r in reports)
     return f"worst residual {_fmt(worst)}", all(r.passed for r in reports)
 
 
-def _claim_thm33() -> tuple:
-    op = _interval_operator()
+def _claim_thm33(interval) -> tuple:
     pattern = []
     for lam in (0.5, 1.0, 2.0):  # the example is infeasible at (0, 1)
-        rep = condexp.thm33_check(op, lam)
+        rep = condexp.thm33_check(interval, lam)
         pattern.append((lam, rep.blockwise_holds, rep.matrix_holds))
     return ("lambda sweep (lambda, blockwise, matrix): "
             + "; ".join(str(p) for p in pattern), None)
 
 
-def _claim_thm34() -> tuple:
-    rep = condexp.thm34_check(_interval_operator(), 2, 4.0)
+def _claim_thm34(interval) -> tuple:
+    rep = condexp.thm34_check(interval, 2, 4.0)
     return (f"matrix holds={rep.matrix_holds}, blockwise "
             f"holds={rep.blockwise_holds}, necessity respected="
             f"{rep.necessity_ok}", rep.necessity_ok)
@@ -396,8 +392,8 @@ def _claim_ex36_criterion_arithmetic() -> tuple:
             lhs == Fraction(1, 256) and rhs == Fraction(1, 27) and lhs <= rhs)
 
 
-def _claim_ex36_thm35_verdicts() -> tuple:
-    rep = condexp.thm35_check(_interval_operator(), 1, 2, 4.0)
+def _claim_ex36_thm35_verdicts(interval) -> tuple:
+    rep = condexp.thm35_check(interval, 1, 2, 4.0)
     return (f"stated={rep.stated_holds}, proof_form={rep.proof_form_holds}, "
             f"matrix={rep.matrix_holds} at (k=1, n=2, lambda=4), 8 atoms", None)
 
@@ -409,10 +405,14 @@ def _claim_ex36_thm35_verdicts() -> tuple:
 def _claims(seed: int) -> list:
     """(claim_id, location, expected, compute) for every claim of the suite.
 
-    The three ex3.6 moment claims read one 4096-atom interval example,
-    built when the first of them runs and dropped with the table.
+    The three ex3.6 moment claims read one 4096-atom interval example, and
+    the six Section 3 claims one operator on the 8-atom interval example;
+    each is built when the first claim that reads it runs and dropped with
+    the table.
     """
     interval_4096 = functools.cache(lambda: fixtures.interval_example(4096))
+    interval_8 = functools.cache(
+        lambda: condexp.build_operator(*fixtures.interval_example(8)))
     after26 = "Example after Proposition 2.6"
     after210 = "Example after Theorem 2.10"
     remark21 = "Remark after Definition 2.1"
@@ -494,23 +494,23 @@ def _claims(seed: int) -> list:
          lambda: _claim_e_properties(seed + 3)),
         ("sec1-norm-formula", "Section 1, norm identity",
          "||T_{w,u}|| = sup over blocks of sqrt(E|w|^2 E|u|^2)",
-         lambda: _claim_norm_formula(seed + 4)),
+         lambda: _claim_norm_formula(interval_8(), seed + 4)),
         ("lemma3.1-power-identities", "Lemma 3.1",
          "blockwise closed forms reproduce (T*T)^m and (TT*)^m "
          "for m = 1, 2, 3",
-         lambda: _claim_lemma31(seed + 5)),
+         lambda: _claim_lemma31(interval_8(), seed + 5)),
         ("thm3.2-polar-decomposition", "Theorem 3.2",
          "U |T| = T with |T| PSD and U a partial isometry, "
          "via the blockwise closed forms",
-         lambda: _claim_polar(seed + 6)),
+         lambda: _claim_polar(interval_8(), seed + 6)),
         ("thm3.3-posinormal-criterion", "Theorem 3.3(ii)/(iii)",
          "blockwise inequality equivalent to posinormality when the "
          "supports of E|u|^2 and E(u) agree",
-         _claim_thm33),
+         lambda: _claim_thm33(interval_8())),
         ("thm3.4-npower-criterion", "Theorem 3.4(ii)",
          "n-power membership of the matrix implies the blockwise "
          "inequality",
-         _claim_thm34),
+         lambda: _claim_thm34(interval_8())),
         ("ex3.6-Ew2", ex36, "E|w|^2 = (4, 1)",
          lambda: _claim_ex36_ew2(interval_4096())),
         ("ex3.6-Eu2", ex36, "E|u|^2 = (1/12, 1/12)",
@@ -523,7 +523,7 @@ def _claims(seed: int) -> list:
         ("ex3.6-thm35-verdicts", "Theorem 3.5 and its example",
          "stated criterion, proof-internal display and matrix gap "
          "test agree (no direction is proved)",
-         _claim_ex36_thm35_verdicts),
+         lambda: _claim_ex36_thm35_verdicts(interval_8())),
     ]
 
 
@@ -542,8 +542,9 @@ def _input_digests() -> dict:
 def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
     """Evaluate every claim and assemble the deterministic report.
 
-    The 4096-atom interval example of the ex3.6 claims is built once per
-    call and shared by those claims; no call reuses another's.
+    The 4096-atom interval example of the ex3.6 claims and the 8-atom
+    interval operator of the Section 3 claims are built once per call and
+    shared by those claims; no call reuses another's.
 
     The output is identical for identical seeds except for the wall-clock
     timings.  Claims are sorted by id so evaluation order never shows.

@@ -3,7 +3,7 @@ ClaimRecord, and the guard against duplicated claim ids."""
 
 import pytest
 
-from posilab import fixtures, verify
+from posilab import condexp, fixtures, verify
 
 SEED = verify.DEFAULT_SEED
 TARGET = "prop2.4ii-nilpotency"
@@ -49,3 +49,14 @@ def test_interval_example_is_built_once_per_run(monkeypatch):
     for _ in range(2):
         verify.run_claim_suite(SEED)
     assert sizes.count(4096) == 2
+
+
+def test_interval_operator_is_built_once_per_run(monkeypatch):
+    """The six Section 3 claims on the 8-atom interval example share one
+    operator per run, and no run reuses the operator of another."""
+    built, build = [], condexp.build_operator
+    monkeypatch.setattr(condexp, "build_operator", lambda space, *rest: (
+        built.append(space.labels[0].startswith("x=")) or build(space, *rest)))
+    for _ in range(2):
+        verify.run_claim_suite(SEED)
+    assert built.count(True) == 2
