@@ -4,6 +4,10 @@ Subcommands: check, lambda-min, decompose, tensor, condexp, paper-verify.
 Exit codes: 0 clean run (verdicts live in the printed report, a negative
 verdict is not a failure), 1 invalid input, 2 numerical failure.
 
+Each subcommand computes its whole report and returns it as a list of
+lines; ``main`` prints them once it has returned, so a run prints the
+whole report or, on a failure of exit code 1 or 2, nothing on stdout.
+
 The parser is built on the first ``main`` call and reused for the life of
 the process; ``parse_args`` fills a fresh namespace on every call and
 never changes the parser, so no call sees the arguments of another.
@@ -12,6 +16,7 @@ never changes the parser, so no call sees the arguments of another.
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -40,153 +45,133 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _fmt_vector(v: np.ndarray) -> str:
-    return "[" + ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in v) + "]"
+def _line(name: str, value) -> str:
+    """One report line "name: value": booleans in lower case, None as n/a,
+    a vector in brackets, a list of distinct eigenvalues to 8 digits,
+    numbers through _fmt and text as it is."""
+    if value is None:
+        value = "n/a"
+    elif isinstance(value, bool):
+        value = str(bool(value)).lower()
+    elif isinstance(value, np.ndarray):
+        value = "[" + ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in value) + "]"
+    elif isinstance(value, list):
+        value = ", ".join(f"{z:.8g}" for z in value)
+    elif not isinstance(value, str):
+        value = _fmt(value)
+    return f"{name}: {value}"
 
 
-def _print_class_report(report: posinormal.ClassReport) -> None:
-    print(f"holds: {str(report.holds).lower()}")
-    print(f"gap_min_eigenvalue: {_fmt(report.gap_min_eigenvalue)}")
-    print(f"gap_norm: {_fmt(report.gap_norm)}")
-    if not report.holds:
-        print(f"witness: {_fmt_vector(report.witness)}")
+def _query(source) -> str:
+    """The query line: whichever of k, n and lam ``source`` carries."""
+    return "query: " + " ".join(
+        f"lambda={_fmt(source.lam)}" if key == "lam" else f"{key}={getattr(source, key)}"
+        for key in ("k", "n", "lam") if hasattr(source, key))
 
 
-def _cmd_check(args) -> int:
+def _fields(report, names: str) -> list[str]:
+    """The lines of the report fields named, separated by spaces, in
+    ``names``; "lambda" reads ``lam`` and "query" is the report's _query."""
+    return [_query(report) if name == "query"
+            else _line(name, getattr(report, "lam" if name == "lambda" else name))
+            for name in names.split()]
+
+
+def _matrix(path: str, t: np.ndarray) -> str:
+    return f"matrix: {path} ({t.shape[0]}x{t.shape[1]})"
+
+
+def _class_report(report: posinormal.ClassReport) -> list[str]:
+    lines = _fields(report, "holds gap_min_eigenvalue gap_norm")
+    return lines if report.holds else [*lines, _line("witness", report.witness)]
+
+
+def _cmd_check(args) -> list[str]:
     t = fileio.load_matrix(args.matrix_file)
     query = ClassQuery(k=args.k, n=args.n, lam=args.lam)
-    report = posinormal.is_member(t, query, tol=args.tol)
-    print(f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})")
-    print(f"query: k={query.k} n={query.n} lambda={_fmt(query.lam)}")
-    _print_class_report(report)
-    return 0
+    return [_matrix(args.matrix_file, t), _query(args),
+            *_class_report(posinormal.is_member(t, query, tol=args.tol))]
 
 
-def _cmd_lambda_min(args) -> int:
+def _cmd_lambda_min(args) -> list[str]:
     t = fileio.load_matrix(args.matrix_file)
     result = posinormal.min_lambda(t, args.k, args.n, tol=args.tol)
-    lines = [f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})",
-             f"query: k={args.k} n={args.n}",
-             f"feasible: {str(result.feasible).lower()}"]
-    if result.feasible:
-        lam = result.lambda_min
-        lines.append(f"lambda_min: {_fmt(lam)}")
-        if lam > 0:  # both verdicts run before anything is printed
-            upper, lower = (
-                posinormal.is_member(t, ClassQuery(args.k, args.n, lam * step), tol=args.tol)
-                for step in (1 + linalg.AGREE_TOL, 1 - linalg.REPORT_TOL))
-            lines += [f"certificate_holds_above: {str(upper.holds).lower()}",
-                      f"certificate_fails_below: {str(not lower.holds).lower()}"]
-    else:
-        lines.append(f"kernel_obstruction: {_fmt_vector(result.kernel_obstruction)}")
-    print("\n".join(lines))
-    return 0
+    lines = [_matrix(args.matrix_file, t), _query(args),
+             _line("feasible", result.feasible)]
+    if not result.feasible:
+        return [*lines, _line("kernel_obstruction", result.kernel_obstruction)]
+    lam = result.lambda_min
+    lines.append(_line("lambda_min", lam))
+    if lam > 0:
+        upper, lower = (
+            posinormal.is_member(t, ClassQuery(args.k, args.n, lam * step), tol=args.tol)
+            for step in (1 + linalg.AGREE_TOL, 1 - linalg.REPORT_TOL))
+        lines += [_line("certificate_holds_above", upper.holds),
+                  _line("certificate_fails_below", not lower.holds)]
+    return lines
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> list[str]:
     t = fileio.load_matrix(args.matrix_file)
     decomp = structure.decompose(t, args.k, args.n)
-    print(f"matrix: {args.matrix_file} ({t.shape[0]}x{t.shape[1]})")
-    print(f"k: {args.k}")
-    print(f"full_range: {str(decomp.full_range).lower()}")
-    print(f"block_dims: A={decomp.range_basis.shape[1]} "
-          f"C={decomp.kernel_basis.shape[1]}")
-    print(f"residual_lower_left: {_fmt(decomp.residual_lower_left)}")
-    print(f"nilpotency_residual: {_fmt(decomp.nilpotency_residual)}")
-    recon = linalg.operator_norm(decomp.reconstruct() - t)
-    print(f"reconstruction_residual: {_fmt(recon)}")
-    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=linalg.REPORT_TOL)
-    print("spectrum_T: " + ", ".join(f"{v:.8g}" for v in spec_t))
-    if decomp.range_basis.shape[1] > 0:
-        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a),
-                                        tol=linalg.REPORT_TOL)
-        print("spectrum_A: " + ", ".join(f"{v:.8g}" for v in spec_a))
-    union_gap = structure.spectrum_union_gap(decomp, t)
-    print(f"spectrum_union_hausdorff: {_fmt(union_gap)}")
-    print(f"spectrum_union_ok: {str(union_gap <= linalg.REPORT_TOL).lower()}")
-    return 0
+    spec_t, spec_a, union_gap = structure.spectrum_union_gap(decomp, t)
+    lines = [_matrix(args.matrix_file, t), _line("k", args.k),
+             _line("full_range", decomp.full_range),
+             f"block_dims: A={len(decomp.block_a)} C={len(decomp.block_c)}",
+             *_fields(decomp, "residual_lower_left nilpotency_residual"),
+             _line("reconstruction_residual",
+                   linalg.operator_norm(decomp.reconstruct() - t)),
+             _line("spectrum_T", spec_t)]
+    if spec_a:
+        lines.append(_line("spectrum_A", spec_a))
+    return lines + [_line("spectrum_union_hausdorff", union_gap),
+                    _line("spectrum_union_ok", union_gap <= linalg.REPORT_TOL)]
 
 
-def _cmd_tensor(args) -> int:
-    t = fileio.load_matrix(args.matrix_file_a)
-    s = fileio.load_matrix(args.matrix_file_b)
+def _cmd_tensor(args) -> list[str]:
+    t, s = map(fileio.load_matrix, (args.matrix_file_a, args.matrix_file_b))
     report = structure.tensor_check(
         t, s, ClassQuery(args.k, args.n, args.lam), args.mu, tol=args.tol)
-    print(f"factors: {args.matrix_file_a} (x) {args.matrix_file_b}")
-    print(f"query: k={args.k} n={args.n} lambda*mu={_fmt(args.lam * args.mu)}")
-    _print_class_report(report)
-    return 0
+    return [f"factors: {args.matrix_file_a} (x) {args.matrix_file_b}",
+            f"query: k={args.k} n={args.n} lambda*mu={_fmt(args.lam * args.mu)}",
+            *_class_report(report)]
 
 
-def _cmd_condexp(args) -> int:
-    space, partition, w, u = fileio.load_space(args.space_file)
-    op = condexp.build_operator(space, partition, w, u)
-    lines = [f"space: {args.space_file} ({space.atom_count} atoms, "
-             f"{partition.block_count} blocks)"]  # printed once the check ran
-    sub = args.check
-    if sub == "norm":
-        rep = condexp.norm_formula_check(op, tol=args.tol)
-        lines.append(f"matrix_norm: {_fmt(rep.matrix_norm)}")
-        lines.append(f"blockwise_norm: {_fmt(rep.blockwise_norm)}")
-        lines.append(f"deviation: {_fmt(rep.deviation)}")
-        lines.append(f"passed: {str(rep.passed).lower()}")
-    elif sub == "lemma31":
-        rep = condexp.lemma31_check(op, args.power, tol=args.tol)
-        lines.append(f"power: {_fmt(rep.power)}")
-        lines.append(f"deviation_t_star_t: {_fmt(rep.deviation_t_star_t)}")
-        lines.append(f"deviation_t_t_star: {_fmt(rep.deviation_t_t_star)}")
-        lines.append(f"passed: {str(rep.passed).lower()}")
-    elif sub == "polar":
-        rep = condexp.polar_decomposition_check(op, tol=args.tol)
-        lines.append(f"factor_residual: {_fmt(rep.factor_residual)}")
-        lines.append(f"modulus_min_eigenvalue: {_fmt(rep.modulus_min_eigenvalue)}")
-        lines.append(f"modulus_squared_residual: {_fmt(rep.modulus_squared_residual)}")
-        lines.append(f"partial_isometry_residual: {_fmt(rep.partial_isometry_residual)}")
-        lines.append(f"passed: {str(rep.passed).lower()}")
-    elif sub == "thm33":
-        rep = condexp.thm33_check(op, args.lam, tol=args.tol)
-        lines.append(f"lambda: {_fmt(rep.lam)}")
-        lines.append(f"supports_match: {str(rep.supports_match).lower()}")
-        lines.append(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
-        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
-        agree = "n/a" if rep.agree is None else str(rep.agree).lower()
-        lines.append(f"agree: {agree}")
-    elif sub == "thm34":
-        rep = condexp.thm34_check(op, args.n, args.lam, tol=args.tol)
-        lines.append(f"query: n={rep.n} lambda={_fmt(rep.lam)}")
-        lines.append(f"blockwise_holds: {str(rep.blockwise_holds).lower()}")
-        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
-        lines.append(f"necessity_ok: {str(rep.necessity_ok).lower()}")
-    elif sub == "thm35":
-        rep = condexp.thm35_check(op, args.k, args.n, args.lam, tol=args.tol)
-        lines.append(f"query: k={rep.k} n={rep.n} lambda={_fmt(rep.lam)}")
-        lines.append(f"stated_holds: {str(rep.stated_holds).lower()}")
-        lines.append(f"proof_form_holds: {str(rep.proof_form_holds).lower()}")
-        lines.append(f"matrix_holds: {str(rep.matrix_holds).lower()}")
-        lines.append(f"all_agree: {str(rep.all_agree).lower()}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown condexp check {sub!r}")
-    print("\n".join(lines))
-    return 0
+# condexp check -> (its call on the operator and the parsed arguments, the
+# report fields it prints).  The call looks condexp.<check> up when it runs.
+_CONDEXP_CHECKS = {
+    "norm": (lambda op, a: condexp.norm_formula_check(op, tol=a.tol),
+             "matrix_norm blockwise_norm deviation passed"),
+    "lemma31": (lambda op, a: condexp.lemma31_check(op, a.power, tol=a.tol),
+                "power deviation_t_star_t deviation_t_t_star passed"),
+    "polar": (lambda op, a: condexp.polar_decomposition_check(op, tol=a.tol),
+              "factor_residual modulus_min_eigenvalue modulus_squared_residual "
+              "partial_isometry_residual passed"),
+    "thm33": (lambda op, a: condexp.thm33_check(op, a.lam, tol=a.tol),
+              "lambda supports_match blockwise_holds matrix_holds agree"),
+    "thm34": (lambda op, a: condexp.thm34_check(op, a.n, a.lam, tol=a.tol),
+              "query blockwise_holds matrix_holds necessity_ok"),
+    "thm35": (lambda op, a: condexp.thm35_check(op, a.k, a.n, a.lam, tol=a.tol),
+              "query stated_holds proof_form_holds matrix_holds all_agree"),
+}
 
 
-def _cmd_paper_verify(args) -> int:
+def _cmd_condexp(args) -> list[str]:
+    op = condexp.build_operator(*fileio.load_space(args.space_file))
+    call, names = _CONDEXP_CHECKS[args.check]
+    return [f"space: {args.space_file} ({op.space.atom_count} atoms, "
+            f"{op.partition.block_count} blocks)", *_fields(call(op, args), names)]
+
+
+def _cmd_paper_verify(args) -> list[str]:
     report = verify.run_claim_suite(seed=args.seed)
-    text = verify.dumps_report(report)
+    text, counts = verify.dumps_report(report), report.counts
     if args.out is not None:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write report to {args.out}: {exc}")
-        print(f"report: {args.out}")
-    else:
-        sys.stdout.write(text)
-    counts = report.counts
-    print(f"claims: {len(report.claims)} ({counts['match']} match, "
-          f"{counts['mismatch']} mismatch, "
-          f"{counts['not-assertable']} not-assertable)")
-    return 0
+        Path(args.out).write_text(text)  # an OSError exits 1
+    return [text.removesuffix("\n") if args.out is None else f"report: {args.out}",
+            f"claims: {len(report.claims)} ({counts['match']} match, "
+            f"{counts['mismatch']} mismatch, "
+            f"{counts['not-assertable']} not-assertable)"]
 
 
 @functools.cache
@@ -233,17 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("condexp", parents=[tol],
                        help="weighted conditional operator checks")
     p.add_argument("space_file")
-    p.add_argument("check", choices=["norm", "lemma31", "polar",
-                                     "thm33", "thm34", "thm35"])
+    p.add_argument("check", choices=list(_CONDEXP_CHECKS))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--power", type=float, default=1.0,
-                   help="exponent m for lemma31")
+    p.add_argument("--power", type=float, default=1.0, help="exponent m for lemma31")
     p.set_defaults(func=_cmd_condexp)
 
-    p = sub.add_parser("paper-verify",
-                       help="re-derive every article claim and report")
+    p = sub.add_parser("paper-verify", help="re-derive every article claim and report")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.set_defaults(func=_cmd_paper_verify)
@@ -254,16 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ValidationError as exc:
+        print("\n".join(args.func(args)))  # the whole report, after it is computed
+        return 0
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

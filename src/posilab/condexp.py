@@ -240,7 +240,8 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     """Evaluate the textbook properties of E on concrete data.
 
     (module)   E(g f) = g E(f) for blockwise-constant g
-    (positive) f >= 0 implies E(f) >= 0 (skipped when f is not real >= 0)
+    (positive) f >= 0 implies E(f) >= 0 (skipped unless |Im f| and
+               max(0, -Re f) are at most DEFAULT_TOL * max|f|)
     (modulus)  |E(f)|^2 <= E(|f|^2)
     (hoelder)  |E(f g)| <= E(|f|^2)^{1/2} E(|g|^2)^{1/2}
     (jensen)   E(Re f)^2 <= E((Re f)^2)
@@ -273,7 +274,8 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     results = [PropertyResult("module", True, module <= DEFAULT_TOL * max(
         1.0, float(np.max(np.abs(g_e_f)))), module)]
     every = np.ones(partition.block_count, dtype=bool)
-    if np.max(np.abs(f.imag)) <= DEFAULT_TOL and np.min(f.real) >= -DEFAULT_TOL:
+    slack = DEFAULT_TOL * float(np.max(np.abs(f)))
+    if np.max(np.abs(f.imag)) <= slack and np.min(f.real) >= -slack:
         holds, margins = _blockwise(e_f.real, 0.0, every, DEFAULT_TOL, "positive")
         results.append(PropertyResult("positive", True, holds,
                                       max(0.0, -float(margins.min()))))

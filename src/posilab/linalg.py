@@ -164,9 +164,12 @@ def significant(values, tol: float) -> np.ndarray:
 def spectrum(m) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (real, imag).
 
-    For dimensions <= 12 the product of the eigenvalues is cross-checked
-    against the determinant; disagreement beyond AGREE_TOL relative raises
-    NumericalFailure.
+    For dimensions <= 12 the eigenvalues are cross-checked against the
+    determinant on M scaled by 2^-e, e the binary exponent of the largest
+    real or imaginary part of M: det(2^-e M) against the product of the
+    2^-e lambda_i.  The scaling is exact, so neither side overflows or
+    underflows because of the scale of M.  A disagreement beyond AGREE_TOL
+    relative raises NumericalFailure.  The eigenvalues returned are M's.
     """
     m = require_square(m)
     try:
@@ -176,15 +179,21 @@ def spectrum(m) -> np.ndarray:
     vals = np.sort_complex(vals)
     n = m.shape[0]
     if n <= _DET_CHECK_MAX_DIM:
-        det = complex(np.linalg.det(m))
-        prod = complex(np.prod(vals))
+        e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        det = complex(np.linalg.det(_ldexp(m, -e)))
+        prod = complex(np.prod(_ldexp(vals, -e)))
         scale = max(1.0, abs(det), abs(prod))
         if abs(det - prod) > AGREE_TOL * scale:
             raise NumericalFailure(
                 f"eigenvalue product {prod:.6e} disagrees with determinant "
-                f"{det:.6e} beyond relative {AGREE_TOL:.1e}"
+                f"{det:.6e} beyond relative {AGREE_TOL:.1e} (both times 2^{-e})"
             )
     return vals
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """2^e z, exactly whenever no part leaves the float range."""
+    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
 
 
 def distinct_values(values, tol: float) -> list[complex]:

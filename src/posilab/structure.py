@@ -92,21 +92,22 @@ def decompose(t, k: int, n: int) -> Decomposition:
     )
 
 
-def spectrum_union_gap(decomp: Decomposition, t) -> float:
-    """Hausdorff distance between distinct(spec T) and distinct(spec A) + {0}.
+def spectrum_union_gap(decomp: Decomposition,
+                       t) -> tuple[list[complex], list[complex], float]:
+    """distinct(spec T), distinct(spec A) (empty when A is) and the
+    Hausdorff distance between the first and the second with 0 added.
 
-    Distinct values on both sides are clustered within REPORT_TOL; the union
-    side always contains 0 (the kernel block contributes it).
+    Distinct values are clustered within REPORT_TOL; 0 joins A's side
+    unless the range is full (the kernel block contributes it).
     """
     t = linalg.require_square(t)
     spec_t = linalg.distinct_values(linalg.spectrum(t), tol=REPORT_TOL)
-    if decomp.range_basis.shape[1] == 0:
-        spec_a = []  # fully nilpotent: only the kernel block remains
-    else:
+    spec_a = []  # fully nilpotent: only the kernel block remains
+    if decomp.range_basis.shape[1] > 0:
         spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=REPORT_TOL)
-    if not decomp.full_range:
-        spec_a = linalg.distinct_values(spec_a + [0.0], tol=REPORT_TOL)
-    return linalg.hausdorff_distance(spec_t, spec_a)
+    union = spec_a if decomp.full_range else linalg.distinct_values(
+        spec_a + [0.0], tol=REPORT_TOL)
+    return spec_t, spec_a, linalg.hausdorff_distance(spec_t, union)
 
 
 def restrict_to_invariant(t, basis, k: int, n: int,

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posilab import cli, condexp, fileio, fixtures, linalg
+from posilab import cli, condexp, fileio, fixtures, linalg, posinormal, verify
+from posilab.errors import NumericalFailure
 
 import oracles
 
@@ -187,6 +188,10 @@ MALFORMED_SPACES = [
      _beyond_range(_space_doc(), ["w", 3], [0.0, float("inf")]), "w[3]"),
     ("float u value beyond range",
      _beyond_range(_space_doc(), ["u", 5], [float("inf"), 0.0]), "u[5]"),
+    ("empty atoms", _mutated(_space_doc(), ["atoms"], []), "atoms"),
+    ("atom not an object", _mutated(_space_doc(), ["atoms", 2], 1.0), "atoms[2]"),
+    ("empty partition", _mutated(_space_doc(), ["partition"], []), "partition"),
+    ("empty block", _mutated(_space_doc(), ["partition", 1], []), "partition[1]"),
 ]
 
 
@@ -222,6 +227,18 @@ def test_document_that_is_not_utf8_exits_one(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: document:"), err
+
+
+def test_paths_that_cannot_be_read_or_written_exit_one(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["check", missing, "--k", 1, "--n", 1, "--lambda", 1]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and str(missing) in err, err
+    report = tmp_path / "no such directory" / "report.json"
+    assert run(["paper-verify", "--out", report]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and str(report) in err, err
+    assert not report.parent.exists()
 
 
 @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "0"])
@@ -296,6 +313,62 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert err.startswith("numerical failure:") and "overflows" in err, err
         assert out == "", (argv, out)  # no half report before the failure
+
+
+def test_decompose_of_a_huge_valid_matrix_is_clean(tmp_path, capsys):
+    """At |entries| ~ 1e100 the determinant of T overflows; spectrum's
+    cross-check runs on T scaled by a power of two, so no warning leaks
+    (run turns one into an error) and the run exits 0."""
+    path = tmp_path / "big.json"
+    path.write_text(fileio.dumps_matrix(
+        1e100 * np.random.default_rng(3).standard_normal((6, 6))))
+    assert run(["decompose", path, "--k", 1]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _failing(*args, **kwargs):
+    raise NumericalFailure("injected failure")
+
+
+# Each subcommand with the computation it makes last, in the module whose
+# attribute it calls.
+LAST_COMPUTATIONS = [
+    (["check", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2, "--lambda", 1],
+     posinormal, "is_member"),
+    # the certificates after lambda_min
+    (["lambda-min", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2],
+     posinormal, "is_member"),
+    (["decompose", FIXTURES / "split_range_4.json", "--k", 1], linalg, "spectrum"),
+    (["tensor", FIXTURES / "identity_2.json", FIXTURES / "diag_2_1.json",
+      "--k", 1, "--n", 1, "--lambda", 1.5, "--mu", 1.5], posinormal, "is_member"),
+    *((["condexp", SPACE, check], condexp, name) for check, name in zip(
+        CONDEXP_CHECKS, ("norm_formula_check", "lemma31_check",
+                         "polar_decomposition_check", "thm33_check", "thm34_check",
+                         "thm35_check"))),
+    (["paper-verify"], verify, "dumps_report"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name", LAST_COMPUTATIONS,
+                         ids=[f"{argv[0]}-{name}" for argv, _, name in LAST_COMPUTATIONS])
+def test_a_failure_at_the_end_prints_no_half_report(argv, module, name, monkeypatch,
+                                                     capsys):
+    """The subcommand returns its lines and main prints them after it has
+    returned, so a failure in its last computation leaves stdout empty."""
+    monkeypatch.setattr(module, name, _failing)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: injected failure\n", (out, err)
+
+
+def test_decompose_computes_each_spectrum_once(monkeypatch, capsys):
+    """spectrum(T) and spectrum(A) run once each: the printed spectra are the
+    ones spectrum_union_gap compares."""
+    calls, spectrum = [], linalg.spectrum
+    monkeypatch.setattr(linalg, "spectrum", lambda m: calls.append(m.shape) or spectrum(m))
+    assert run(["decompose", FIXTURES / "split_range_4.json", "--k", 1]) == 0
+    assert calls == [(4, 4), (3, 3)]
+    assert "spectrum_A: 0+0j, 1+0j, 2+0j" in capsys.readouterr().out.splitlines()
 
 
 # --- the parser ------------------------------------------------------------------

@@ -123,6 +123,42 @@ def test_E_properties_reject_a_g_that_is_not_blockwise_constant():
         condexp.check_E_properties(space, partition, np.ones(8), g)
 
 
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
+def test_E_positivity_applies_relative_to_the_size_of_f(scale):
+    """Whether f counts as nonnegative is decided against max|f|: f of both
+    signs never does, at any scale (with an absolute slack it did at 1e-11,
+    and positivity then passed with E(f) = -7.4e-12 on a block), and a
+    nonnegative f always does and passes."""
+    space, partition, _, _ = fixtures.interval_example(8)
+    g = condexp.expand_blockwise(partition, [2.0, -1.0j])
+    for f, applicable in ((np.linspace(-1.0, 0.2, 8), False),
+                          (np.linspace(0.0, 1.0, 8), True)):
+        report = condexp.check_E_properties(space, partition, scale * f, g)
+        result = {r.name: r for r in report.results}["positive"]
+        assert (result.applicable, result.passed) == (applicable, True), (scale, f)
+
+
+def test_spaces_and_functions_reject_bad_inputs():
+    for masses in ([], np.ones((2, 2))):
+        with pytest.raises(ValidationError, match="nonempty 1-D"):
+            condexp.FiniteMeasureSpace(masses)
+    for masses in ([1.0, np.inf], [1.0, np.nan], [1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            condexp.FiniteMeasureSpace(masses)
+    with pytest.raises(ValidationError, match="got 1 labels for 2 atoms"):
+        condexp.FiniteMeasureSpace([1.0, 2.0], ["a"])
+    space, partition, _, _ = fixtures.interval_example(8)
+    with pytest.raises(ValidationError, match=r"shape \(7,\), expected \(8,\)"):
+        condexp.as_function(np.ones(7), space)
+    with pytest.raises(ValidationError, match="must be finite"):
+        condexp.as_function(np.full(8, np.nan), space)
+    with pytest.raises(ValidationError, match="partition is over 8 atoms, space has 3"):
+        condexp.block_expectations(condexp.FiniteMeasureSpace(np.ones(3)), partition,
+                                   np.ones(3))
+    with pytest.raises(ValidationError, match=r"expected 2 block values, got \(3,\)"):
+        condexp.expand_blockwise(partition, [1.0, 2.0, 3.0])
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3, 1e6, 1e8])
 def test_E_properties_hold_at_every_scale_of_f(scale):
     """The verdicts read a slack relative to the sides, so they hold on

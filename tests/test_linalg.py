@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,30 @@ def test_spectrum_adjoint_conjugates(rng):
         assert max(abs(a - b)) <= 1e-8 * max(1.0, float(max(abs(a))))
 
 
+def test_spectrum_of_a_power_of_two_multiple_is_scaled_exactly():
+    """At 2^+-300 M the determinant of M itself would overflow or underflow;
+    the cross-check scales by a power of two, so it raises no warning, and
+    the eigenvalues are M's scaled exactly."""
+    m = np.random.default_rng(3).standard_normal((6, 6))
+    base = linalg.spectrum(m)
+    for p in (300, -300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(linalg.spectrum(np.ldexp(m, p)), base * 2.0 ** p), p
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e200])
+def test_spectrum_cross_check_holds_at_every_scale(scale, monkeypatch):
+    """Eigenvalues 0.1% off disagree with the determinant at every scale of
+    M.  Unscaled, the determinant is inf at 1e100 and 0 at 1e-100, so the
+    check passed on nan and on 0 = 0."""
+    m = scale * np.random.default_rng(3).standard_normal((6, 6))
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * 1.001)
+    with pytest.raises(NumericalFailure, match="disagrees with determinant"):
+        linalg.spectrum(m)
+
+
 # --- operator norm -----------------------------------------------------------
 
 def test_operator_norm_diagonal():
@@ -205,3 +231,9 @@ def test_distinct_values_clusters():
 def test_hausdorff_distance_simple():
     assert linalg.hausdorff_distance([0.0, 1.0], [0.0, 1.5]) == pytest.approx(0.5)
     assert linalg.hausdorff_distance([1j], [1j]) == 0.0
+
+
+def test_hausdorff_distance_rejects_an_empty_set():
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ValidationError, match="nonempty"):
+            linalg.hausdorff_distance(a, b)

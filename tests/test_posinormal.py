@@ -504,6 +504,12 @@ def test_nilpotency_collapse_rejects_nonnilpotent():
         posinormal.nilpotency_collapse_check(np.eye(2), 1, 1)
 
 
+def test_nilpotency_collapse_rejects_a_nonmember():
+    # T^3 = 0, but at (2, 1) ran T^2 = span(e1) and T* e1 != 0 = T e1
+    with pytest.raises(ValidationError, match="not a member"):
+        posinormal.nilpotency_collapse_check(nilpotent_shift(3), 2, 1)
+
+
 # --- classify grid --------------------------------------------------------------
 
 def test_classify_grid_identity():

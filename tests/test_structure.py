@@ -29,7 +29,7 @@ def test_decompose_split_range_matrix():
     # block A keeps the nonzero spectrum; distinct union matches
     spec_a = sorted(np.round(linalg.spectrum(decomp.block_a).real, 8))
     np.testing.assert_allclose(spec_a, [0.0, 1.0, 2.0], atol=1e-8)
-    assert structure.spectrum_union_gap(decomp, t) <= 1e-6
+    assert structure.spectrum_union_gap(decomp, t)[2] <= 1e-6
     # for a member, the compression passes the k = 0 test at the same lambda
     lam = posinormal.min_lambda(t, 1, 2).lambda_min * (1 + 1e-6)
     assert posinormal.is_member(t, ClassQuery(1, 2, lam)).holds
@@ -44,7 +44,8 @@ def test_decompose_fully_nilpotent():
     # block C is all of T in the kernel basis; C^3 = 0
     assert decomp.nilpotency_residual <= 1e-12
     assert linalg.operator_norm(decomp.reconstruct() - t) <= 1e-12
-    assert structure.spectrum_union_gap(decomp, t) <= 1e-6
+    _, spec_a, gap = structure.spectrum_union_gap(decomp, t)
+    assert spec_a == [] and gap <= 1e-6
 
 
 def test_decompose_unitary_degenerate(rng):
@@ -183,6 +184,8 @@ def test_restrict_rejects_non_invariant():
         structure.restrict_to_invariant(t, basis, 0, 1, 1.0)
     with pytest.raises(ValidationError, match="orthonormal"):
         structure.restrict_to_invariant(t, 2.0 * np.eye(2), 0, 1, 1.0)
+    with pytest.raises(ValidationError, match=r"basis shape \(3, 1\) incompatible"):
+        structure.restrict_to_invariant(t, np.ones((3, 1)), 0, 1, 1.0)
 
 
 def test_restriction_preserves_membership_schur(rng):
@@ -240,6 +243,8 @@ def test_isometry_rejections(rng):
             structure.isometry_product_check(t, s, 0, 2, 2.5)
     with pytest.raises(ValidationError, match="not a member"):
         structure.isometry_product_check(nilpotent_shift(3), np.eye(3), 0, 2, 1.0)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        structure.isometry_product_check(t, np.eye(3), 0, 2, 2.5)
 
 
 # --- unitary conjugation -------------------------------------------------------------
@@ -288,6 +293,8 @@ def test_unitary_rejects_non_unitary():
     for u in (np.diag([1.0, 2.0]), 2.0 * np.eye(2), np.diag([1.0, 1.0 + 1e-6])):
         with pytest.raises(ValidationError, match="not unitary"):
             structure.unitary_conjugate_check(np.eye(2), u, 0, 1, 1.0)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        structure.unitary_conjugate_check(np.eye(2), np.eye(3), 0, 1, 1.0)
 
 
 # --- dense range upgrade ---------------------------------------------------------------
