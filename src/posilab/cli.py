@@ -52,7 +52,7 @@ def _line(name: str, value) -> str:
     if value is None:
         value = "n/a"
     elif isinstance(value, bool):
-        value = str(bool(value)).lower()
+        value = str(value).lower()
     elif isinstance(value, np.ndarray):
         value = "[" + ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in value) + "]"
     elif isinstance(value, list):
@@ -114,13 +114,13 @@ def _cmd_lambda_min(args) -> list[str]:
 def _cmd_decompose(args) -> list[str]:
     t = fileio.load_matrix(args.matrix_file)
     decomp = structure.decompose(t, args.k, args.n)
+    recon = linalg.operator_norm(decomp.reconstruct() - t)
     spec_t, spec_a, union_gap = structure.spectrum_union_gap(decomp, t)
     lines = [_matrix(args.matrix_file, t), _line("k", args.k),
              _line("full_range", decomp.full_range),
              f"block_dims: A={len(decomp.block_a)} C={len(decomp.block_c)}",
              *_fields(decomp, "residual_lower_left nilpotency_residual"),
-             _line("reconstruction_residual",
-                   linalg.operator_norm(decomp.reconstruct() - t)),
+             _line("reconstruction_residual", recon),
              _line("spectrum_T", spec_t)]
     if spec_a:
         lines.append(_line("spectrum_A", spec_a))

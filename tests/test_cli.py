@@ -330,8 +330,8 @@ def _failing(*args, **kwargs):
     raise NumericalFailure("injected failure")
 
 
-# Each subcommand with the computation it makes last, in the module whose
-# attribute it calls.
+# Each subcommand with the computation it makes last, as the module and
+# attribute it calls; every condexp check is its own last computation.
 LAST_COMPUTATIONS = [
     (["check", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2, "--lambda", 1],
      posinormal, "is_member"),
