@@ -94,7 +94,7 @@ def decompose(t, k: int, n: int) -> Decomposition:
 
 def spectrum_union_gap(decomp: Decomposition,
                        t) -> tuple[list[complex], list[complex], float]:
-    """distinct(spec T), distinct(spec A) (empty when A is) and the
+    """distinct(spec T), distinct(spec A) (empty when A is 0x0) and the
     Hausdorff distance between the first and the second with 0 added.
 
     Distinct values are clustered within REPORT_TOL; 0 joins A's side
