@@ -357,10 +357,11 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _norms(*stacks: np.ndarray) -> list[float]:
+def _norms(what: str, *stacks: np.ndarray) -> list[float]:
     """||(+)_b X_b|| = max_b ||X_b|| for each stack of B blocks, from one
-    batched SVD of all their blocks."""
-    values = np.linalg.svd(np.concatenate(stacks), compute_uv=False)
+    batched SVD of all their blocks; NumericalFailure "<what> overflows"
+    when a block is not finite."""
+    values = linalg.lapack("svd", np.concatenate(stacks), what, compute_uv=False)
     return values.reshape(len(stacks), -1).max(axis=1).tolist()
 
 
@@ -376,7 +377,7 @@ class NormFormulaReport:
 def norm_formula_check(op: WeightedConditionalOperator,
                        tol: float = DEFAULT_TOL) -> NormFormulaReport:
     """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2)."""
-    matrix_norm = _norms(_blocks(1.0, op.a, op.c))[0]
+    matrix_norm = _norms("T", _blocks(1.0, op.a, op.c))[0]
     blockwise = float(linalg.require_finite(np.sqrt(np.max(op.e_w2 * op.e_u2)),
                                             "blockwise norm"))
     dev = abs(matrix_norm - blockwise)
@@ -393,8 +394,8 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     real m > 0 by a batched eigh, where an eigenvalue <= DEFAULT_TOL times the
     largest of all blocks counts as 0 (chi convention: rounding is not powered)."""
     if linalg.is_integer(m):
-        return np.linalg.matrix_power(h, int(m))
-    w, v = np.linalg.eigh(linalg.symmetrize(h))
+        return linalg.lapack("matrix_power", h, "Lemma 3.1 Gram", n=int(m))
+    w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
     powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w.max())
     return (v * powered[:, None, :]) @ _adjoint(v)
 
@@ -428,11 +429,11 @@ def lemma31_check(op: WeightedConditionalOperator, m,
         """(gram)^m - (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, and (gram)^m."""
         alpha = _masked_pow(ex, float(m) - 1.0, support_mask(ex)) * ey ** float(m)
         lhs = _hermitian_power(gram, m)
-        return (linalg.require_finite(lhs - _blocks(alpha, side, side),
-                                      "Lemma 3.1 power"), lhs)
+        return lhs - _blocks(alpha, side, side), lhs
 
     t = _blocks(1.0, op.a, op.c)
-    diff1, lhs1, diff2, lhs2 = _norms(*sides(op.c, eu2, ew2, _adjoint(t) @ t),
+    diff1, lhs1, diff2, lhs2 = _norms("Lemma 3.1 power",
+                                      *sides(op.c, eu2, ew2, _adjoint(t) @ t),
                                       *sides(op.a, ew2, eu2, t @ _adjoint(t)))
     dev1, dev2 = diff1 / max(1.0, lhs1), diff2 / max(1.0, lhs2)
     return PowerIdentityReport(
@@ -471,13 +472,13 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     modulus = _blocks(np.sqrt(_masked_ratio(ew2, eu2, chi_s)), op.c, op.c)
     partial_iso = _blocks(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g)),
                           op.a, op.c)
-    factor = linalg.require_finite(partial_iso @ modulus - t, "U |T|")
-    squared = linalg.require_finite(modulus @ modulus - _adjoint(t) @ t, "|T|^2")
-    w, vecs = np.linalg.eigh(linalg.symmetrize(modulus))
+    factor = partial_iso @ modulus - t
+    squared = modulus @ modulus - _adjoint(t) @ t
+    w, vecs = linalg.lapack("eigh", linalg.symmetrize(modulus), "|T|")
     range_basis = vecs * linalg.significant(w, DEFAULT_TOL)[:, None, :]
-    iso = linalg.require_finite(_adjoint(partial_iso) @ partial_iso
-                                - range_basis @ _adjoint(range_basis), "U*U")
-    t_norm, factor_residual, sq_residual, iso_residual = _norms(t, factor, squared, iso)
+    iso = _adjoint(partial_iso) @ partial_iso - range_basis @ _adjoint(range_basis)
+    t_norm, factor_residual, sq_residual, iso_residual = _norms(
+        "polar residual", t, factor, squared, iso)
     scale = max(1.0, t_norm)
     return PolarReport(
         factor_residual=factor_residual,

@@ -1,14 +1,19 @@
 """Dense complex linear algebra kernels.
 
 Every operator in the package is a dense complex matrix (``numpy.ndarray``
-of dtype complex128).  The functions here wrap the numpy/LAPACK routines
-behind validated interfaces.  A tolerance that callers set is a
-parameter; a fixed one is an entry of the tolerance table below, which
-every module reads, never a literal inside an algorithm.
+of dtype complex128).  A tolerance that callers set is a parameter; a
+fixed one is an entry of the tolerance table below, which every module
+reads, never a literal inside an algorithm.
 
 A matrix a caller passes in is validated once, at entry.  A matrix the
 package forms itself (a symmetrized gap is Hermitian by construction) is
 checked only for overflow, never again for a property it has by design.
+``lapack`` is the one place that calls numpy.linalg, and it owns that
+check for every LAPACK operand: one that is not finite is a
+NumericalFailure naming it ("<what> overflows"), and so is a LAPACK
+failure (numpy's LinAlgError, such as an iteration that did not
+converge).  So callers form operands under quiet_overflow and hand them
+over unchecked; no other code guards or catches around a LAPACK call.
 
 Target dimensions are small: tens, up to the low hundreds.  A weighted
 conditional operator reaches these kernels only as its 2B x 2B
@@ -83,13 +88,14 @@ def is_integer(value) -> bool:
 
 
 def quiet_overflow(fn):
-    """Decorator: ``fn`` runs with numpy's overflow and invalid-value
-    warnings off.  Each decorated function gets its own ``np.errstate``,
-    whose decorator form keeps its state per call, so calls nest and
-    recurse; one instance shared as a ``with`` block could not be entered
-    twice.  Arithmetic on validated data runs this way; require_finite
-    then reports an overflow as a NumericalFailure, not as a warning."""
-    return np.errstate(over="ignore", invalid="ignore")(fn)
+    """Decorator: ``fn`` runs with numpy's overflow, invalid-value and
+    division-by-zero warnings off.  Each decorated function gets its own
+    ``np.errstate``, whose decorator form keeps its state per call, so
+    calls nest and recurse; one instance shared as a ``with`` block could
+    not be entered twice.  Arithmetic on validated data runs this way;
+    require_finite or lapack then reports an overflow, or a division by a
+    value that underflowed to 0, as a NumericalFailure, not as a warning."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")(fn)
 
 
 def require_finite(m: np.ndarray, what: str) -> np.ndarray:
@@ -99,21 +105,35 @@ def require_finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
+def lapack(name: str, operand, what: str, **options):
+    """numpy.linalg.<name>(operand, **options); NumericalFailure "<what>
+    overflows" when the operand is not finite, and NumericalFailure when
+    the routine fails (LinAlgError).  The routine is looked up on
+    np.linalg at each call, so a patched np.linalg sees every call."""
+    require_finite(operand, what)
+    try:
+        return getattr(np.linalg, name)(operand, **options)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{name} of {what} failed: {exc}") from exc
+
+
 @quiet_overflow
 def matpow(m, p: int) -> np.ndarray:
     """p-th power of a square matrix; p = 0 gives the identity."""
     m = require_square(m)
     if not is_integer(p) or p < 0:
         raise ValidationError(f"power must be a non-negative integer, got {p!r}")
-    return require_finite(np.linalg.matrix_power(m, int(p)), f"matrix power {p}")
+    return require_finite(lapack("matrix_power", m, "base of a power", n=int(p)),
+                          f"matrix power {p}")
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; empty blocks have norm 0."""
+    """Largest singular value; empty blocks have norm 0.  NumericalFailure
+    when m is not finite: m is a product formed inside posilab."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(as_matrix(m), 2))
+    return float(lapack("norm", m, "operand of an operator norm", ord=2))
 
 
 def norm_bounds(m) -> tuple[float, float]:
@@ -172,15 +192,11 @@ def spectrum(m) -> np.ndarray:
     relative raises NumericalFailure.  The eigenvalues returned are M's.
     """
     m = require_square(m)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-    vals = np.sort_complex(vals)
+    vals = np.sort_complex(lapack("eigvals", m, "matrix"))
     n = m.shape[0]
     if n <= _DET_CHECK_MAX_DIM:
         e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-        det = complex(np.linalg.det(_ldexp(m, -e)))
+        det = complex(lapack("det", _ldexp(m, -e), "2^-e M"))
         prod = complex(np.prod(_ldexp(vals, -e)))
         scale = max(1.0, abs(det), abs(prod))
         if abs(det - prod) > AGREE_TOL * scale:

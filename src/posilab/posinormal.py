@@ -186,12 +186,6 @@ def _held(slot: _Slot, key, form):
 
 
 @linalg.quiet_overflow
-def _product(a, b, what: str) -> np.ndarray:
-    """a @ b, named ``what`` in the NumericalFailure when it overflows."""
-    return linalg.require_finite(a @ b, what)
-
-
-@linalg.quiet_overflow
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k of the definition,
     symmetrized: Hermitian in exact arithmetic, and equal to its adjoint
@@ -200,8 +194,8 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     lam = ClassQuery(k=k, n=n, lam=float(lam)).lam
     t = linalg.require_square(t)
     tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
-    core = (lam ** 2 * _product(t.conj().T, t, "T*T")
-            - _product(tn, tn.conj().T, "T^n T*^n"))
+    core = (lam ** 2 * linalg.require_finite(t.conj().T @ t, "T*T")
+            - linalg.require_finite(tn @ tn.conj().T, "T^n T*^n"))
     return linalg.require_finite(linalg.symmetrize(tk.conj().T @ core @ tk),
                                  "gap matrix")
 
@@ -242,8 +236,8 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
 def _rung(t, below: _Rung | None) -> _Rung:
     """The rung of the range ladder above rung ``below`` (None: rung 0)."""
     q = None if below is None else below.next
-    c = t if q is None else _product(t, q, "T on ran T^j")
-    u, s, vh = np.linalg.svd(c, full_matrices=False)
+    c = t if q is None else t @ q
+    u, s, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
     top = float(s.max(initial=0.0)) if below is None else below.top
     rank = int(np.count_nonzero(s > DEFAULT_TOL * top))
     w = vh.conj().T
@@ -286,7 +280,8 @@ def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
     for below in reversed(rungs[:-1]):  # T^k x = Q z, up to scale
         z = below.wps @ z
     top = z[np.argmax(np.abs(z))]
-    return z * (abs(top) / (top * np.linalg.norm(z))) + 0.0  # no -0.0
+    x = z * (abs(top) / (top * linalg.lapack("norm", z, "certificate"))) + 0.0  # no -0.0
+    return linalg.require_finite(x, "certificate")
 
 
 def _top(mu) -> float:
@@ -306,14 +301,14 @@ def _form_pencil(n: int, tol: float, rung: _Rung, tn):
     dq = _d_prime(rung, tn)
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
-        top = float(np.linalg.eigvalsh(dw.conj().T @ dw)[-1])
+        top = float(linalg.lapack("eigvalsh", dw.conj().T @ dw, "(D'W0)*(D'W0)")[-1])
         rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
         if top > rounding and not linalg.at_most_scaled(top, tol, dq):
             return _OBSTRUCTED  # M*M is not formed: it may overflow
     if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
         return np.zeros(0)
-    m = linalg.require_finite(dq @ rung.wps, "T*^n Q W+ S+^-1")
-    return np.linalg.eigvalsh(_product(m.conj().T, m, "M*M"))
+    m = dq @ rung.wps
+    return linalg.lapack("eigvalsh", m.conj().T @ m, "M*M")
 
 
 @linalg.quiet_overflow
@@ -326,7 +321,7 @@ def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
     dw = _d_prime(rung, tn) @ basis
-    v = np.linalg.eigh(dw.conj().T @ dw)[1][:, -1]
+    v = linalg.lapack("eigh", dw.conj().T @ dw, "(D'B)*(D'B)")[1][:, -1]
     return _pull_back(t, rungs, k, basis @ v)
 
 
@@ -357,7 +352,8 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     ||D' W+ S+^-1||_2, the root of the top eigenvalue of its Gram matrix,
     and 0.0 when T vanishes on ran T^k.  Both tests are relative, so
     scaling T by c scales lambda_min by |c|^(n-1) and keeps feasibility.
-    The rank cut is fixed; tol decides the obstruction only.
+    The rank cut is fixed; tol decides the obstruction only.  Where a
+    Gram matrix overflows, neither test can be read: NumericalFailure.
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
@@ -390,6 +386,7 @@ class NormCorollaryReport:
     holds_squared: bool
 
 
+@linalg.quiet_overflow
 def operator_norm_corollary_check(t, k: int, n: int, lam: float,
                                   m: int) -> NormCorollaryReport:
     """Check the operator-norm inequality, with relative slack RESIDUAL_TOL
@@ -399,7 +396,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     require_member(t, query, DEFAULT_TOL, "operator")
     t = linalg.require_square(t)
     tm, tn = linalg.matpow(t, m), linalg.matpow(t, n)
-    lhs = linalg.operator_norm(_product(tn.conj().T, tm, "T*^n T^m"))
+    lhs = linalg.operator_norm(tn.conj().T @ tm)
     base = linalg.operator_norm(t @ tm)  # ||T^{m+1}||
     rhs1 = query.lam * base
     rhs2 = query.lam ** 2 * base
@@ -428,14 +425,17 @@ class NilpotencyReport:
     passes: bool
 
 
+@linalg.quiet_overflow
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
-    "zero" means at most DEFAULT_TOL * max(1, ||T||)^power."""
+    "zero" means at most DEFAULT_TOL * max(1, ||T||)^power, in float64;
+    NumericalFailure when that bound overflows."""
     t = linalg.require_square(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     tk = linalg.matpow(t, k)
-    t_norm = linalg.operator_norm(t)
-    power_bound = DEFAULT_TOL * max(1.0, t_norm) ** (k + 1)
+    t_norm = np.float64(max(1.0, linalg.operator_norm(t)))
+    power_bound = float(linalg.require_finite(DEFAULT_TOL * t_norm ** (k + 1),
+                                              f"bound on T^{k + 1}"))
     if linalg.operator_norm(t @ tk) > power_bound:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
     if not min_lambda(t, k, n).feasible:
@@ -443,7 +443,7 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
             "operator is not a member at (k, n) for any lambda"
         )
     measured = linalg.operator_norm(tk)
-    bound = DEFAULT_TOL * max(1.0, t_norm) ** k
+    bound = float(DEFAULT_TOL * t_norm ** k)
     return NilpotencyReport(
         asserted=k >= n,
         norm_t_k=measured,

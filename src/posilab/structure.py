@@ -73,8 +73,8 @@ def decompose(t, k: int, n: int) -> Decomposition:
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     q_range = posinormal.range_basis(t, k)
     rank, dim = q_range.shape[1], t.shape[0]
-    q_kernel = (np.linalg.qr(q_range, mode="complete")[0][:, rank:] if rank < dim
-                else np.zeros((dim, 0), dtype=complex))
+    q_kernel = (linalg.lapack("qr", q_range, "range basis", mode="complete")[0][:, rank:]
+                if rank < dim else np.zeros((dim, 0), dtype=complex))
     block_a = q_range.conj().T @ t @ q_range
     block_b = q_range.conj().T @ t @ q_kernel
     block_c = q_kernel.conj().T @ t @ q_kernel

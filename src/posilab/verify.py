@@ -217,7 +217,7 @@ def _claim_prop28_unitary(seed: int) -> tuple:
     t = fixtures.invariant_block_matrix()
     lam = _lam_above(t, 1, 2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u, _ = np.linalg.qr(g)
+    u, _ = linalg.lapack("qr", g, "Gaussian matrix")
     base = posinormal.is_member(t, ClassQuery(1, 2, lam))
     conj = structure.unitary_conjugate_check(t, u, 1, 2, lam)
     return (f"T verdict {base.holds}, U*TU verdict {conj.holds}",

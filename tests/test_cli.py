@@ -315,6 +315,34 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         assert out == "", (argv, out)  # no half report before the failure
 
 
+def _graded_draw(exponent: float, index: int) -> np.ndarray:
+    """Draw ``index`` (from 0) of default_rng(0): dims 2-12, entries
+    standard normal times 10^U(-exponent, exponent) each."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        dim = rng.integers(2, 13)
+        m = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-exponent, exponent,
+                                                                  (dim, dim))
+    return m
+
+
+@pytest.mark.parametrize("matrix, argv", [
+    # the kernel Gram (D'W0)*(D'W0) overflows: at 1e100 feasible with lambda_min 0
+    (1e100 * fixtures.nilpotent_shift(3), ["lambda-min", "--k", 0, "--n", 2]),
+    # ... and eigvalsh of it raised a raw LinAlgError
+    (1e78 * fixtures.clipped_shift(6), ["lambda-min", "--k", 0, "--n", 2]),
+    (_graded_draw(100, 2), ["lambda-min", "--k", 1, "--n", 2]),
+    # the pulled-back witness was printed as NaN
+    (_graded_draw(40, 52), ["check", "--k", 3, "--n", 1, "--lambda", 1]),
+], ids=["shift-1e100", "clipped-1e78", "graded-draw-2", "graded-draw-52"])
+def test_an_undecidable_scale_exits_two(matrix, argv, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(fileio.dumps_matrix(matrix))
+    assert run([argv[0], path, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure:"), err
+
+
 def test_decompose_of_a_huge_valid_matrix_is_clean(tmp_path, capsys):
     """At |entries| ~ 1e100 the determinant of T overflows; spectrum's
     cross-check runs on T scaled by a power of two, so no warning leaks

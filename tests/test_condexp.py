@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ def test_E_properties_report_an_overflow():
     g = condexp.expand_blockwise(partition, [1.0, 2.0])
     with pytest.raises(NumericalFailure, match="overflows"):
         condexp.check_E_properties(space, partition, np.full(8, 1e200), g)
+
+
+@pytest.mark.parametrize("check", [
+    lambda op: condexp.thm34_check(op, 2, 1.0),  # E|w|^2 ** 2 underflows to 0
+    condexp.polar_decomposition_check,  # E|w|^2 E|u|^2 underflows to 0
+], ids=["thm34", "polar"])
+def test_a_division_by_an_underflowed_mean_is_a_numerical_failure(check):
+    space, partition, w, u = fixtures.interval_example(8)
+    op = condexp.build_operator(space, partition, 1e-90 * w, 1e-90 * u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflows"):
+            check(op)
 
 
 def assembled(op):

@@ -166,6 +166,22 @@ def test_operator_norm_shift():
     assert linalg.operator_norm(np.array([[0, 2], [0, 0]])) == pytest.approx(2.0)
 
 
+def test_lapack_names_a_failure(monkeypatch):
+    # A non-finite operand is named: a product that overflowed is a
+    # NumericalFailure, and operator_norm no longer calls it invalid input.
+    overflowed = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericalFailure, match=r"^T\*T overflows$"):
+        linalg.lapack("eigvalsh", overflowed, "T*T")
+    with pytest.raises(NumericalFailure, match="overflows"):
+        linalg.operator_norm(overflowed)
+    # A LAPACK failure is a NumericalFailure too.
+    with pytest.raises(NumericalFailure, match="^cholesky of H failed: "):
+        linalg.lapack("cholesky", -np.eye(2), "H")
+    # The routine is looked up on np.linalg at the call.
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([7.0]))
+    assert linalg.lapack("eigvals", np.eye(1), "T") == 7.0
+
+
 def test_norm_bounds_bracket_operator_norm(rng):
     cases = [np.eye(3), np.ones((4, 4)), np.array([[0.0, 2.0], [0.0, 0.0]]),
              np.outer([1.0, 2.0, 3.0], [1j, -1.0])]

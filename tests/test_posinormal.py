@@ -1133,6 +1133,26 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
         posinormal.min_lambda(1e120 * np.eye(3), 0, 3)
 
 
+@pytest.mark.parametrize("shift", [nilpotent_shift(3), clipped_shift(6)],
+                         ids=["shift3", "clipped6"])
+@pytest.mark.parametrize("k, n", [(0, 2), (1, 2)])
+def test_a_scaled_shift_is_never_feasible(shift, k, n):
+    """T*^n T^k is not 0 on ker T^{k+1}, so no lambda works at any scale.
+    Where ||D'W0||^2 overflows, the kernel Gram that decides it cannot be
+    formed: a NumericalFailure, never a feasible verdict."""
+    for j in range(151):
+        try:
+            assert not posinormal.min_lambda(10.0 ** j * shift, k, n).feasible, j
+        except NumericalFailure:
+            pass
+
+
+def test_nilpotency_bound_overflow_is_a_numerical_failure():
+    # max(1, ||T||)^(k + 1) = 1e320 passes the float range
+    with pytest.raises(NumericalFailure, match="overflows"):
+        posinormal.nilpotency_collapse_check(1e160 * nilpotent_shift(3), 1, 1)
+
+
 def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
     # One slot serves every (k, n) on T: min_lambda forms T^n once per n,
     # and is_member, which reads the held pencil, forms no power.

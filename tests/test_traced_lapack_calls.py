@@ -1,19 +1,17 @@
-"""Every numpy.linalg routine that src/posilab calls is one the benchmark's
-tracer counts, so the per-layer LAPACK counts miss no call.
+"""One rule: numpy.linalg is named in src/posilab only inside linalg.lapack,
+and every lapack("<name>", ...) call passes, as a string literal, a routine
+in posibench/tracing.py's LAPACK_FUNCTIONS (read with ast, without importing
+the benchmark).  lapack looks the routine up on numpy.linalg when it runs,
+where the tracer patches it, so the per-layer LAPACK counts miss no call.
 
-The tracer patches the attributes of the numpy.linalg module, so it sees a
-call only when the call looks the routine up there: np.linalg.<name>(...).
-A name imported from numpy.linalg, or an alias of the module or of one of
-its routines, keeps the unpatched function, and no module may hold one.
-
-The tracer's list is read from posibench/tracing.py with ast, without
-importing the benchmark.
+A module names numpy.linalg by an attribute <numpy name>.linalg, by an
+import, or by the string "linalg" (getattr(np, "linalg")).  lapack used as
+a value, or called with a name that is not a literal, hides the routine.
 """
 
 import ast
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,84 +27,55 @@ def _traced_functions() -> set:
     raise AssertionError("posibench/tracing.py defines no LAPACK_FUNCTIONS")
 
 
-def _numpy_names(tree) -> set:
-    """The names numpy is bound to in a module: np, numpy and every
-    ``import numpy as <name>``."""
-    return {"np", "numpy"} | {alias.asname for node in ast.walk(tree)
-                              if isinstance(node, ast.Import)
-                              for alias in node.names
-                              if alias.name == "numpy" and alias.asname}
+def _lapack_calls(tree) -> dict:
+    """id of the callee -> the call, for every call of lapack."""
+    return {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lapack"}
 
 
-def _is_linalg(node, numpy_names) -> bool:
-    """node is <numpy name>.linalg."""
-    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
-            and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+def _names_numpy_linalg(node, numpy_names) -> bool:
+    if isinstance(node, ast.Attribute) and node.attr == "linalg":
+        return getattr(node.value, "id", None) in numpy_names
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.linalg") or (
+            node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.linalg") for a in node.names)
+    return isinstance(node, ast.Constant) and node.value in ("linalg", "numpy.linalg")
 
 
-def _linalg_calls(source: str) -> set:
-    """(line, name) of every <numpy name>.linalg.<name>(...) call in a
-    module."""
+def _violations(source: str, traced: set) -> list:
+    """Line numbers that break the rule; the body of a top-level ``def
+    lapack`` may name numpy.linalg."""
     tree = ast.parse(source)
-    numpy_names = _numpy_names(tree)
-    calls = set()
+    numpy_names = {"np", "numpy"} | {a.asname for node in ast.walk(tree)
+                                     if isinstance(node, ast.Import)
+                                     for a in node.names if a.name == "numpy"}
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "lapack"
+              for node in ast.walk(top)}
+    calls, found = _lapack_calls(tree), []
     for node in ast.walk(tree):
-        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
-        if isinstance(func, ast.Attribute) and _is_linalg(func.value, numpy_names):
-            calls.add((node.lineno, func.attr))
-    return calls
-
-
-def _bypasses(source: str) -> list:
-    """Line numbers of every way a module reaches numpy.linalg other than a
-    call written <numpy name>.linalg.<name>(...): ``from numpy.linalg import``,
-    ``from numpy import linalg``, ``import numpy.linalg as``,
-    ``getattr(np, "linalg")``, and np.linalg or one of its routines used as
-    a value (bound to a name, passed, returned).  Its exception classes, as
-    in ``except np.linalg.LinAlgError``, may be read."""
-    tree = ast.parse(source)
-    numpy_names = _numpy_names(tree)
-    parents = {child: node for node in ast.walk(tree)
-               for child in ast.iter_child_nodes(node)}
-    found = []
-    for node in ast.walk(tree):
-        parent = parents.get(node)
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if (module == "numpy.linalg" or module.startswith("numpy.linalg.")
-                    or (module == "numpy"
-                        and any(alias.name == "linalg" for alias in node.names))):
+        if getattr(node, "id", getattr(node, "attr", None)) == "lapack":
+            args = calls[id(node)].args if id(node) in calls else []
+            if getattr(args[0] if args else None, "value", None) not in traced:
                 found.append(node.lineno)
-        elif isinstance(node, ast.Import):
-            if any(alias.name.startswith("numpy.linalg") and alias.asname
-                   for alias in node.names):
-                found.append(node.lineno)
-        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
-              and len(node.args) > 1
-              and getattr(node.args[0], "id", None) in numpy_names
-              and getattr(node.args[1], "value", None) == "linalg"):
+        elif id(node) not in inside and _names_numpy_linalg(node, numpy_names):
             found.append(node.lineno)
-        elif _is_linalg(node, numpy_names):
-            if not (isinstance(parent, ast.Attribute) and parent.value is node):
-                found.append(node.lineno)  # the module itself as a value
-            elif not ((isinstance(parents.get(parent), ast.Call)
-                       and parents[parent].func is parent)
-                      or isinstance(getattr(np.linalg, parent.attr, None), type)):
-                found.append(node.lineno)  # a routine as a value
     return sorted(found)
 
 
 def test_every_linalg_call_is_traced():
-    traced = _traced_functions()
-    calls = {(path.name, line, name) for path in SOURCES
-             for line, name in _linalg_calls(path.read_text())}
-    assert {name for _, _, name in calls} >= {"eigh", "eigvalsh", "svd"}
-    assert sorted(c for c in calls if c[2] not in traced) == []
+    called = {getattr(call.args[0], "value", None) if call.args else None
+              for path in SOURCES
+              for call in _lapack_calls(ast.parse(path.read_text())).values()}
+    assert called >= {"eigh", "eigvalsh", "svd"} and called <= _traced_functions()
 
 
 def test_no_module_reaches_numpy_linalg_past_the_tracer():
-    assert {path.name: _bypasses(path.read_text()) for path in SOURCES
-            if _bypasses(path.read_text())} == {}
+    traced = _traced_functions()
+    assert {path.name: lines for path in SOURCES
+            if (lines := _violations(path.read_text(), traced))} == {}
 
 
 @pytest.mark.parametrize("source", [
@@ -123,14 +92,19 @@ def test_no_module_reaches_numpy_linalg_past_the_tracer():
     "import numpy as np\nf(np.linalg.eigh)",
     "import numpy as np\ndef f():\n    return np.linalg",
     "import numpy as np\nla = getattr(np, 'linalg')",
+    "import numpy as np\nnp.linalg.svd(a)",
+    "lapack('solve', a, 'T')",
+    "linalg.lapack(name, a, 'T')",
+    "from .linalg import lapack\nf = lapack",
 ])
 def test_the_scan_sees_each_bypass(source):
-    assert _bypasses(source) == [source.count("\n") + 1]
+    assert _violations(source, {"svd"}) == [source.count("\n") + 1]
 
 
 def test_the_scan_passes_direct_calls():
-    source = ("import numpy as np\nimport numpy.linalg\nimport numpy as xp\n"
-              "np.linalg.svd(a)\nnumpy.linalg.eigh(a)\nxp.linalg.norm(a, 2)\n"
-              "try:\n    pass\nexcept np.linalg.LinAlgError:\n    pass\n")
-    assert _bypasses(source) == []
-    assert _linalg_calls(source) == {(4, "svd"), (5, "eigh"), (6, "norm")}
+    """lapack's own body, and calls of lapack that name a traced routine."""
+    source = ("import numpy as np\ndef lapack(name, operand, what, **options):\n"
+              "    try:\n        return getattr(np.linalg, name)(operand, **options)\n"
+              "    except np.linalg.LinAlgError:\n        raise\n"
+              "lapack('svd', a, 'T', compute_uv=False)\nlinalg.lapack('svd', a, 'T')\n")
+    assert _violations(source, {"svd"}) == []
