@@ -115,7 +115,7 @@ def _cmd_decompose(args) -> list[str]:
     t = fileio.load_matrix(args.matrix_file)
     decomp = structure.decompose(t, args.k, args.n)
     recon = linalg.operator_norm(decomp.reconstruct() - t)
-    spec_t, spec_a, union_gap = structure.spectrum_union_gap(decomp, t)
+    spec_t, spec_a, union_gap, union_ok = structure.spectrum_union_gap(decomp, t)
     lines = [_matrix(args.matrix_file, t), _line("k", args.k),
              _line("full_range", decomp.full_range),
              f"block_dims: A={len(decomp.block_a)} C={len(decomp.block_c)}",
@@ -125,7 +125,7 @@ def _cmd_decompose(args) -> list[str]:
     if spec_a:
         lines.append(_line("spectrum_A", spec_a))
     return lines + [_line("spectrum_union_hausdorff", union_gap),
-                    _line("spectrum_union_ok", union_gap <= linalg.REPORT_TOL)]
+                    _line("spectrum_union_ok", union_ok)]
 
 
 def _cmd_tensor(args) -> list[str]:

@@ -36,6 +36,7 @@ reporting-first: each returns the measured evidence, and only
 implications with an actual proof behind them are asserted by callers.
 """
 
+import contextlib
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -47,6 +48,16 @@ from .errors import ValidationError
 from .linalg import DEFAULT_TOL, SUPPORT_RTOL
 from .posinormal import ClassQuery
 
+
+def _sequence(value, where: str) -> tuple:
+    """tuple(value); ValidationError naming ``where`` when it is not a
+    sequence: not iterable, or a str or a dict (a JSON object)."""
+    if not isinstance(value, (str, bytes, dict)):
+        with contextlib.suppress(TypeError):
+            return tuple(value)
+    raise ValidationError(f"{where} is not a sequence")
+
+
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
     """Atoms with positive masses; labels are cosmetic identifiers."""
@@ -55,18 +66,16 @@ class FiniteMeasureSpace:
     labels: tuple[str, ...]
 
     def __init__(self, masses, labels=None):
-        m = np.asarray(masses, dtype=float)
+        m = linalg.as_array(masses, float, "masses")
         if m.ndim != 1 or m.size < 1:
             raise ValidationError("masses must be a nonempty 1-D array")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise ValidationError("every atom mass must be finite and > 0")
         if labels is None:
             labels = tuple(f"a{i}" for i in range(m.size))
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, _sequence(labels, "labels")))
         if len(labels) != m.size:
-            raise ValidationError(
-                f"got {len(labels)} labels for {m.size} atoms"
-            )
+            raise ValidationError(f"got {len(labels)} labels for {m.size} atoms")
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "labels", labels)
 
@@ -78,44 +87,29 @@ class FiniteMeasureSpace:
 @dataclass(frozen=True)
 class BlockPartition:
     """Disjoint nonempty blocks of atom indices covering all atoms;
-    ``labels`` maps each atom to the number of its block."""
+    ``labels`` maps each atom to the number of its block.  The one partition
+    rule: a defect is a ValidationError naming its first place (_first_defect)."""
 
     blocks: tuple[tuple[int, ...], ...]
     atom_count: int
     labels: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, blocks, atom_count: int):
-        blocks = tuple(tuple(b) for b in blocks)
-        sizes = [len(b) for b in blocks]
-        if 0 in sizes:
-            raise ValidationError(f"partition[{sizes.index(0)}] is empty")
-        flat = tuple(itertools.chain.from_iterable(blocks))
-
-        def first(bad):
-            """(block number, index) of the first index for which bad holds."""
-            return next((bi, i) for bi, b in enumerate(blocks) for i in b if bad(i))
-
-        # By type, one index of each: as an array, [True, 0] reads as integers.
-        if not all(map(linalg.is_integer, dict(zip(map(type, flat), flat)).values())):
-            bi, i = first(lambda i: not linalg.is_integer(i))
-            raise ValidationError(f"partition[{bi}] holds {i!r}, not an atom index")
-        try:
-            atoms = np.array(flat, dtype=np.intp)
-            counts = np.bincount(atoms, minlength=atom_count)
-        except (OverflowError, ValueError):  # an index beyond intp, or negative
-            counts = None
-        if counts is None or counts.size > atom_count:
-            bi, i = first(lambda i: not 0 <= i < atom_count)
+        if not linalg.is_integer(atom_count) or atom_count < 1:
             raise ValidationError(
-                f"partition[{bi}] references atom {i}, "
-                f"valid range is 0..{atom_count - 1}"
-            )
-        if counts.max(initial=0) > 1:
-            twice = np.flatnonzero(counts > 1)
-            raise ValidationError(f"atom {twice[0]} appears in two blocks")
-        if counts.min(initial=1) == 0:
-            missing = np.flatnonzero(counts == 0).tolist()
-            raise ValidationError(f"partition does not cover atoms {missing}")
+                f"partition: atom count {atom_count!r} is not a positive integer")
+        blocks = tuple(_sequence(b, f"partition[{bi}]")
+                       for bi, b in enumerate(_sequence(blocks, "partition")))
+        sizes = [len(b) for b in blocks]
+        flat = tuple(itertools.chain.from_iterable(blocks))
+        counts = None
+        # By type, one index of each: as an array, [True, 0] reads as integers.
+        if all(map(linalg.is_integer, dict(zip(map(type, flat), flat)).values())):
+            with contextlib.suppress(OverflowError, ValueError):  # beyond intp, or negative
+                atoms = np.array(flat, dtype=np.intp)
+                counts = np.bincount(atoms, minlength=atom_count)
+        if counts is None or counts.size > atom_count or 0 in sizes or (counts != 1).any():
+            raise ValidationError(_first_defect(blocks, atom_count))
         ends = list(itertools.accumulate(sizes))
         ints = atoms.tolist()
         object.__setattr__(self, "blocks", tuple(
@@ -130,13 +124,29 @@ class BlockPartition:
         return len(self.blocks)
 
 
+def _first_defect(blocks: tuple, atom_count: int) -> str:
+    """The message for the first defect of a partition, in document order."""
+    seen = set()
+    for bi, block in enumerate(blocks):
+        if not block:
+            return f"partition[{bi}] is empty"
+        for pos, i in enumerate(block):
+            where = f"partition[{bi}][{pos}]"
+            if not linalg.is_integer(i):
+                return f"{where} holds {i!r}, not an atom index"
+            if not 0 <= i < atom_count:
+                return f"{where} references atom {i}, valid range is 0..{atom_count - 1}"
+            if i in seen:
+                return f"{where}: atom {i} appears in two blocks"
+            seen.add(i)
+    return f"partition does not cover atoms {sorted(set(range(atom_count)) - seen)}"
+
+
 def as_function(values, space: FiniteMeasureSpace) -> np.ndarray:
     """Coerce to a finite complex function on the atoms of ``space``."""
-    f = np.asarray(values, dtype=complex)
+    f = linalg.as_array(values, complex, "function")
     if f.shape != (space.atom_count,):
-        raise ValidationError(
-            f"function has shape {f.shape}, expected ({space.atom_count},)"
-        )
+        raise ValidationError(f"function has shape {f.shape}, expected ({space.atom_count},)")
     if not np.all(np.isfinite(f)):
         raise ValidationError("function values must be finite")
     return f
@@ -154,31 +164,33 @@ def block_expectations(space: FiniteMeasureSpace, partition: BlockPartition,
                        f) -> np.ndarray:
     """Mass-weighted mean of f on each block, in block order."""
     _check_compatible(space, partition)
-    return _block_means(space, partition)(as_function(f, space))
+    return _block_means(space, partition)(as_function(f, space), "E(f)")
 
 
 def _block_means(space: FiniteMeasureSpace, partition: BlockPartition):
-    """f -> its mass-weighted block means, by np.bincount over the block
-    masses, summed once; a real f takes one bincount and has real means."""
+    """(f, what) -> the mass-weighted block means of f, by np.bincount over
+    the block masses, summed once; a real f takes one bincount and has real
+    means.  NumericalFailure "<what> overflows" when a mean is not finite."""
     labels, count = partition.labels, partition.block_count
     inverse = 1.0 / np.bincount(labels, space.masses, count)
 
-    def means(f: np.ndarray) -> np.ndarray:
+    def means(f: np.ndarray, what: str) -> np.ndarray:
         weighted = space.masses * f
         if np.isrealobj(weighted):
-            return np.bincount(labels, weighted, count) * inverse
-        return (np.bincount(labels, weighted.real, count)
-                + 1j * np.bincount(labels, weighted.imag, count)) * inverse
+            sums = np.bincount(labels, weighted, count)
+        else:
+            sums = (np.bincount(labels, weighted.real, count)
+                    + 1j * np.bincount(labels, weighted.imag, count))
+        return linalg.require_finite(sums * inverse, what)
     return means
 
 
 def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
     """Atomwise function taking block_values[b] on block b."""
-    vals = np.asarray(block_values, dtype=complex)
+    vals = linalg.as_array(block_values, complex, "block values")
     if vals.shape != (partition.block_count,):
         raise ValidationError(
-            f"expected {partition.block_count} block values, got {vals.shape}"
-        )
+            f"expected {partition.block_count} block values, got {vals.shape}")
     return vals[partition.labels]
 
 
@@ -256,11 +268,7 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     _check_compatible(space, partition)
     f = as_function(f, space)
     g = as_function(g, space)
-    labels, means = partition.labels, _block_means(space, partition)
-
-    def mean(x, what: str) -> np.ndarray:
-        return linalg.require_finite(means(x), what)
-
+    labels, mean = partition.labels, _block_means(space, partition)
     if (np.max(np.abs(g - mean(g, "E(g)")[labels]))
             > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g))))):
         raise ValidationError("g must be blockwise constant for the module property")
@@ -321,11 +329,7 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
-    means = _block_means(space, partition)
-
-    def mean(f, what: str) -> np.ndarray:
-        return linalg.require_finite(means(f), what)
-
+    mean = _block_means(space, partition)
     p = mean(np.abs(w) ** 2, "E|w|^2")
     g = mean(u * w, "E(uw)")
     live = p > 0.0  # x_b = 0 elsewhere, and g/p reads as 0
@@ -515,7 +519,7 @@ class PosinormalCriterionReport:
 def thm33_check(op: WeightedConditionalOperator, lam: float,
                 tol: float = DEFAULT_TOL) -> PosinormalCriterionReport:
     """Blockwise lam^2 E|w|^2 |E u|^2 >= E|u|^2 |E w|^2 vs posinormality."""
-    query = ClassQuery(k=0, n=1, lam=float(lam))
+    query = ClassQuery(k=0, n=1, lam=lam)
     s_prime = support_mask(op.e_u)
     supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
     blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
@@ -553,7 +557,7 @@ class NPowerCriterionReport:
 def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
                 tol: float = DEFAULT_TOL) -> NPowerCriterionReport:
     """lam^2 E|w|^2 |E u|^2 >= |E(uw)|^{2n} (E|u|^2 / (E|w|^2)^n) |E w|^2."""
-    query = ClassQuery(k=0, n=n, lam=float(lam))
+    query = ClassQuery(k=0, n=n, lam=lam)
     chi_g = support_mask(op.e_w2)
     blockwise, margins = _blockwise(
         query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
@@ -603,7 +607,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
                 tol: float = DEFAULT_TOL) -> QuasiCriterionReport:
     """Evaluate both printed forms of the quasi-class criterion and the
     matrix gap test on the same data."""
-    query = ClassQuery(k=k, n=n, lam=float(lam))
+    query = ClassQuery(k=k, n=n, lam=lam)
     chi_s = support_mask(op.e_u2)
     chi_g = support_mask(op.e_w2)
     every = np.ones_like(chi_g)

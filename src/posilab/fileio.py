@@ -12,16 +12,17 @@ and ``u`` as [real, imaginary] pairs.  Values parse as 64-bit floats;
 serialization uses repr so load -> dumps -> load is the identity.
 
 All validation failures raise FileFormatError naming the offending field
-and index.
+and index; the partition's are those of condexp.BlockPartition, its one rule.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .condexp import BlockPartition, FiniteMeasureSpace, as_function
-from .errors import FileFormatError
+from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix, is_integer
 
 
@@ -33,25 +34,34 @@ def _require(doc: dict, name: str):
     return doc[name]
 
 
-def _as_float(value, where: str) -> float:
-    """float(value), finite; anything else is a FileFormatError naming
-    ``where``: an integer literal beyond the float range (an OverflowError
-    in float) and inf or nan (json reads 1e400, Infinity and NaN as such)."""
+def _number(value, where: str, expected: str) -> float:
+    """A JSON number (int or float; a bool is neither) as a finite float, else
+    FileFormatError "<where>: expected <expected>", or "<where>: not a finite
+    64-bit float" for 10^400 (an OverflowError in float), 1e400, Infinity, NaN."""
+    if type(value) not in (int, float):
+        raise FileFormatError(f"{where}: expected {expected}")
     try:
         x = float(value)
     except OverflowError:
-        x = np.inf
-    if not np.isfinite(x):
+        x = math.inf
+    if not math.isfinite(x):
         raise FileFormatError(f"{where}: not a finite 64-bit float")
     return x
 
 
 def _as_complex(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in value)):
-        raise FileFormatError(f"{where}: expected a [real, imaginary] pair")
-    return complex(_as_float(value[0], where), _as_float(value[1], where))
+    pair = "a [real, imaginary] pair"
+    if not isinstance(value, list) or len(value) != 2:
+        raise FileFormatError(f"{where}: expected {pair}")
+    return complex(_number(value[0], where, pair), _number(value[1], where, pair))
+
+
+def _complex_array(raw, where: str, count: int, what: str) -> list[complex]:
+    """The ``count`` [real, imaginary] pairs of the array ``raw``, parsed;
+    FileFormatError "<where>: expected <count> <what>" when it is not one."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise FileFormatError(f"{where}: expected {count} {what}")
+    return [_as_complex(value, f"{where}[{i}]") for i, value in enumerate(raw)]
 
 
 def _as_positive_int(value, where: str) -> int:
@@ -84,13 +94,9 @@ def load_matrix(path) -> np.ndarray:
     entries = _require(doc, "entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FileFormatError(f"entries: expected {rows} rows")
-    values = []  # row lengths are checked before any array is allocated
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FileFormatError(f"entries[{i}]: expected {cols} entries")
-        values.append([_as_complex(value, f"entries[{i}][{j}]")
-                       for j, value in enumerate(row)])
-    return as_matrix(values)
+    # row lengths are checked before any array is allocated
+    return as_matrix([_complex_array(row, f"entries[{i}]", cols, "entries")
+                      for i, row in enumerate(entries)])
 
 
 def dumps_matrix(m) -> str:
@@ -112,37 +118,23 @@ def load_space(path):
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise FileFormatError(f"atoms[{i}]: expected an object")
-        mass = atom.get("mass")
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass <= 0:
-            raise FileFormatError(f"atoms[{i}].mass: expected a positive number")
-        masses.append(_as_float(mass, f"atoms[{i}].mass"))
+        where = f"atoms[{i}].mass"
+        mass = _number(atom.get("mass"), where, "a positive number")
+        if mass <= 0:
+            raise FileFormatError(f"{where}: expected a positive number")
+        masses.append(mass)
         labels.append(str(atom.get("label", f"a{i}")))
     space = FiniteMeasureSpace(masses, labels)
-
     blocks = _require(doc, "partition")
-    if not isinstance(blocks, list) or not blocks:
-        raise FileFormatError("partition: expected a nonempty array of blocks")
-    for bi, block in enumerate(blocks):
-        if not isinstance(block, list) or not block:
-            raise FileFormatError(f"partition[{bi}]: expected a nonempty array")
-        for pos, idx in enumerate(block):
-            if not is_integer(idx):
-                raise FileFormatError(f"partition[{bi}][{pos}]: expected an atom index")
     try:
         partition = BlockPartition(blocks, space.atom_count)
-    except ValueError as exc:
-        raise FileFormatError(f"partition: {exc}") from exc
+    except ValidationError as exc:
+        raise FileFormatError(str(exc)) from exc
 
-    functions = []
-    for name in ("w", "u"):
-        raw = _require(doc, name)
-        if not isinstance(raw, list) or len(raw) != space.atom_count:
-            raise FileFormatError(
-                f"{name}: expected {space.atom_count} [real, imaginary] pairs"
-            )
-        values = [_as_complex(v, f"{name}[{i}]") for i, v in enumerate(raw)]
-        functions.append(as_function(values, space))
-    return space, partition, functions[0], functions[1]
+    w, u = (as_function(_complex_array(_require(doc, name), name, space.atom_count,
+                                       "[real, imaginary] pairs"), space)
+            for name in ("w", "u"))
+    return space, partition, w, u
 
 
 def dumps_space(space: FiniteMeasureSpace, partition: BlockPartition,

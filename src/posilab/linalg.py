@@ -32,9 +32,9 @@ from .errors import NumericalFailure, ValidationError
 # min_lambda, tensor_check, the condexp checks, the CLI's --tol), and the
 # relative slack of check_E_properties, which has no tol of its own (x
 # max(1, the largest side), as in the condexp checks).  The rounding
-# factor of posinormal's ladder cut (x ||T||), obstruction floor
-# (x ||T||^n) and nilpotency bound (x max(1, ||T||)^power), and of the
-# eigenvalue cuts of condexp's _hermitian_power and
+# factor of posinormal's ladder cut (x ||T||; it also decides T^j = 0 for
+# nilpotency_collapse_check) and obstruction floor (x ||T||^n), and of
+# the eigenvalue cuts of condexp's _hermitian_power and
 # polar_decomposition_check (x the largest eigenvalue).  The absolute
 # slack of a computed value against an exact one: verify's recomputed
 # blocks and vanishing gaps.
@@ -52,10 +52,10 @@ RESIDUAL_TOL = 1e-9
 # lambda_min (1 + AGREE_TOL) at which a member must hold: the CLI's
 # certificate_holds_above, verify's Prop 2.6 restriction.
 AGREE_TOL = 1e-8
-# REPORT_TOL: eigenvalues closer than it are one value in a reported
-# spectrum (spectrum_union_gap, the CLI's decompose report), and it
-# bounds a reported difference (spectrum_union_ok, verify's union gap and
-# Example 3.6 moments).  Also the step lambda_min (1 + REPORT_TOL) of
+# REPORT_TOL: scaled by ||T|| in spectrum_union_gap, eigenvalues closer
+# than it are one value in a reported spectrum and it bounds the union gap
+# (the CLI's decompose report, verify's union claim).  Absolute, it bounds
+# verify's Example 3.6 moments.  Also the step lambda_min (1 + REPORT_TOL) of
 # verify's _lam_above, and (1 - REPORT_TOL) of cli's certificate_fails_below.
 REPORT_TOL = 1e-6
 
@@ -63,9 +63,17 @@ REPORT_TOL = 1e-6
 _DET_CHECK_MAX_DIM = 12
 
 
+def as_array(values, dtype, what: str) -> np.ndarray:
+    """np.asarray(values, dtype); a ValidationError naming ``what`` if numpy fails."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+
+
 def as_matrix(values) -> np.ndarray:
     """Coerce to a validated complex matrix (2-D, finite, at least 1x1)."""
-    m = np.asarray(values, dtype=complex)
+    m = as_array(values, complex, "matrix")
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -196,8 +204,8 @@ def spectrum(m) -> np.ndarray:
     n = m.shape[0]
     if n <= _DET_CHECK_MAX_DIM:
         e = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-        det = complex(lapack("det", _ldexp(m, -e), "2^-e M"))
-        prod = complex(np.prod(_ldexp(vals, -e)))
+        det = complex(lapack("det", ldexp(m, -e), "2^-e M"))
+        prod = complex(np.prod(ldexp(vals, -e)))
         scale = max(1.0, abs(det), abs(prod))
         if abs(det - prod) > AGREE_TOL * scale:
             raise NumericalFailure(
@@ -207,7 +215,7 @@ def spectrum(m) -> np.ndarray:
     return vals
 
 
-def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+def ldexp(z: np.ndarray, e: int) -> np.ndarray:
     """2^e z, exactly whenever no part leaves the float range."""
     return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
 

@@ -44,8 +44,8 @@ powers T^n, the rungs and one pencil per rung and (n, tol), which every
 k at or past the rung where the ladder ends reads (for invertible T, rung
 0's).  A pencil is held as data: the eigenvalues mu of M*M, or the marker
 _OBSTRUCTED.  min_lambda, classify_grid and is_member read the pencil, so
-on a (T, rung, n, tol) seen before none of them makes a LAPACK call;
-gap_matrix and the claim checks form their powers themselves.  Each
+on a (T, rung, n, tol) seen before none of them makes a LAPACK call, and
+nilpotency_collapse_check decides T^j = 0 on the held rungs.  Each
 product has one expression, so a warm call gives the cold result bit for
 bit, and no held array is returned to a caller.  A new T replaces the
 slot before anything is formed; a product is stored into the slot's dict
@@ -63,6 +63,7 @@ norm bounds first, so it is the one the exact norm gives.
 """
 
 import functools
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -75,7 +76,7 @@ from .linalg import DEFAULT_TOL, RESIDUAL_TOL
 
 @dataclass(frozen=True)
 class ClassQuery:
-    """Membership parameters: quasi order k >= 0, power n >= 1, lam > 0."""
+    """Membership parameters: quasi order k >= 0, power n >= 1, real lam > 0 (a float)."""
 
     k: int
     n: int
@@ -86,11 +87,13 @@ class ClassQuery:
             raise ValidationError(f"k must be a non-negative integer, got {self.k!r}")
         if not linalg.is_integer(self.n) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
-        lam = float(self.lam)
+        real = isinstance(self.lam, numbers.Real) and not isinstance(self.lam, bool)
+        lam = float(self.lam) if real else np.nan
         if not np.isfinite(lam) or lam <= 0.0:
             raise ValidationError(f"lambda must be a positive real, got {self.lam!r}")
         if not np.isfinite(lam * lam):
             raise NumericalFailure(f"lambda^2 overflows at lambda={self.lam!r}")
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     symmetrized: Hermitian in exact arithmetic, and equal to its adjoint
     bit for bit after.  It is formed here, from powers of T of its own;
     verdicts read the pencil's normal form instead."""
-    lam = ClassQuery(k=k, n=n, lam=float(lam)).lam
+    lam = ClassQuery(k=k, n=n, lam=lam).lam
     t = linalg.require_square(t)
     tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
     core = (lam ** 2 * linalg.require_finite(t.conj().T @ t, "T*T")
@@ -217,7 +220,7 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
         return ClassReport(False, -np.inf, np.inf, witness)
     if not mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
-    lam2, top = float(query.lam) ** 2, _top(mu)
+    lam2, top = query.lam ** 2, _top(mu)
     lo = lam2 - top
     holds = lo >= -tol * top
     return ClassReport(holds, lo, float(np.max(np.abs(lam2 - mu))),
@@ -391,7 +394,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
                                   m: int) -> NormCorollaryReport:
     """Check the operator-norm inequality, with relative slack RESIDUAL_TOL
     (so scaling T leaves the verdicts alone), for a member at (k, n, lam)."""
-    query = ClassQuery(k=k, n=n, lam=float(lam))
+    query = ClassQuery(k=k, n=n, lam=lam)
     m = _order(m, k)
     require_member(t, query, DEFAULT_TOL, "operator")
     t = linalg.require_square(t)
@@ -416,7 +419,8 @@ class NilpotencyReport:
     The collapse T^k = 0 is provable only when k >= n (the argument
     factors through T^{k-n}); ``asserted`` records whether this run was in
     the provable regime.  For k < n the measured norm is reported without
-    a verdict being claimed.
+    a verdict being claimed.  ``passes`` reads T^k = 0 off the range ladder,
+    whose cut DEFAULT_TOL * ||T|| on every rung is ``bound``.
     """
 
     asserted: bool
@@ -428,28 +432,20 @@ class NilpotencyReport:
 @linalg.quiet_overflow
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
-    "zero" means at most DEFAULT_TOL * max(1, ||T||)^power, in float64;
-    NumericalFailure when that bound overflows."""
-    t = linalg.require_square(t)
+    T^j = 0 iff the ladder's basis of ran T^j is empty, at any scale of T.
+    ||T^k|| is measured on 2^-e T, 2^e > ||T||, so no power overflows."""
+    slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    tk = linalg.matpow(t, k)
-    t_norm = np.float64(max(1.0, linalg.operator_norm(t)))
-    power_bound = float(linalg.require_finite(DEFAULT_TOL * t_norm ** (k + 1),
-                                              f"bound on T^{k + 1}"))
-    if linalg.operator_norm(t @ tk) > power_bound:
+    if range_basis(t, k + 1).shape[1]:
         raise ValidationError(f"T^{k + 1} is not numerically zero")
-    if not min_lambda(t, k, n).feasible:
-        raise ValidationError(
-            "operator is not a member at (k, n) for any lambda"
-        )
-    measured = linalg.operator_norm(tk)
-    bound = float(DEFAULT_TOL * t_norm ** k)
-    return NilpotencyReport(
-        asserted=k >= n,
-        norm_t_k=measured,
-        bound=bound,
-        passes=measured <= bound,
-    )
+    collapsed = not range_basis(t, k).shape[1]  # the gap is 0: a member at every lambda
+    if not collapsed and not min_lambda(t, k, n).feasible:
+        raise ValidationError("operator is not a member at (k, n) for any lambda")
+    top = _ladder(slot, 0)[0].top
+    e = int(np.frexp(top)[1])
+    scaled = linalg.operator_norm(linalg.matpow(linalg.ldexp(slot.t, -e), k))
+    return NilpotencyReport(asserted=k >= n, norm_t_k=float(np.ldexp(scaled, k * e)),
+                            bound=DEFAULT_TOL * top, passes=collapsed)
 
 
 def classify_grid(t, k_max: int,

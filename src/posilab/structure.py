@@ -93,21 +93,30 @@ def decompose(t, k: int, n: int) -> Decomposition:
 
 
 def spectrum_union_gap(decomp: Decomposition,
-                       t) -> tuple[list[complex], list[complex], float]:
-    """distinct(spec T), distinct(spec A) (empty when A is 0x0) and the
-    Hausdorff distance between the first and the second with 0 added.
+                       t) -> tuple[list[complex], list[complex], float, bool]:
+    """distinct(spec T), distinct(spec A) (empty when A is 0x0), the
+    Hausdorff distance between the first and the second with 0 added, and
+    the verdict spec T = spec A u {0}: that distance is <= REPORT_TOL * ||T||.
 
-    Distinct values are clustered within REPORT_TOL; 0 joins A's side
-    unless the range is full (the kernel block contributes it).
+    Distinct values are clustered within REPORT_TOL * ||T|| too, so all four
+    scale with T; 0 joins A's side unless the range is full.
     """
     t = linalg.require_square(t)
-    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=REPORT_TOL)
+    tol = REPORT_TOL * linalg.operator_norm(t)
+    spec_t = linalg.distinct_values(linalg.spectrum(t), tol=tol)
     spec_a = []  # fully nilpotent: only the kernel block remains
     if decomp.range_basis.shape[1] > 0:
-        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=REPORT_TOL)
-    union = spec_a if decomp.full_range else linalg.distinct_values(
-        spec_a + [0.0], tol=REPORT_TOL)
-    return spec_t, spec_a, linalg.hausdorff_distance(spec_t, union)
+        spec_a = linalg.distinct_values(linalg.spectrum(decomp.block_a), tol=tol)
+    union = spec_a if decomp.full_range else linalg.distinct_values(spec_a + [0.0], tol=tol)
+    gap = linalg.hausdorff_distance(spec_t, union)
+    return spec_t, spec_a, gap, gap <= tol
+
+
+def _require_isometry(x: np.ndarray, message: str) -> None:
+    """ValidationError ``message``.format(r) unless r = ||X*X - I|| <= RESIDUAL_TOL."""
+    residual = linalg.operator_norm(x.conj().T @ x - np.eye(x.shape[1]))
+    if residual > RESIDUAL_TOL:
+        raise ValidationError(message.format(residual))
 
 
 def restrict_to_invariant(t, basis, k: int, n: int,
@@ -124,17 +133,12 @@ def restrict_to_invariant(t, basis, k: int, n: int,
     m = linalg.as_matrix(basis)
     if m.shape[0] != t.shape[0] or m.shape[1] < 1:
         raise ValidationError(
-            f"subspace basis shape {m.shape} incompatible with operator {t.shape}"
-        )
-    ortho = linalg.operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
-    if ortho > RESIDUAL_TOL:
-        raise ValidationError(f"subspace basis not orthonormal: residual {ortho:.3e}")
+            f"subspace basis shape {m.shape} incompatible with operator {t.shape}")
+    _require_isometry(m, "subspace basis not orthonormal: residual {:.3e}")
     compressed = m.conj().T @ t @ m
     residual = linalg.operator_norm(t @ m - m @ compressed)
     if residual > RESIDUAL_TOL * max(1.0, linalg.operator_norm(t)):
-        raise ValidationError(
-            f"subspace is not invariant under T: residual {residual:.3e}"
-        )
+        raise ValidationError(f"subspace is not invariant under T: residual {residual:.3e}")
     report = posinormal.is_member(compressed, ClassQuery(k=k, n=n, lam=lam))
     return compressed, report
 
@@ -145,9 +149,7 @@ def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
     s = linalg.require_square(s)
     if t.shape != s.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs S {s.shape}")
-    iso = linalg.operator_norm(s.conj().T @ s - np.eye(s.shape[0]))
-    if iso > RESIDUAL_TOL:
-        raise ValidationError(f"S is not an isometry: ||S*S - I|| = {iso:.3e}")
+    _require_isometry(s, "S is not an isometry: ||S*S - I|| = {:.3e}")
     comm = linalg.operator_norm(t @ s - s @ t)
     comm_scale = max(1.0, linalg.operator_norm(t) * linalg.operator_norm(s))
     if comm > RESIDUAL_TOL * comm_scale:
@@ -167,9 +169,7 @@ def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
     u = linalg.require_square(u)
     if t.shape != u.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs U {u.shape}")
-    residual = linalg.operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if residual > RESIDUAL_TOL:
-        raise ValidationError(f"U is not unitary: ||U*U - I|| = {residual:.3e}")
+    _require_isometry(u, "U is not unitary: ||U*U - I|| = {:.3e}")
     return posinormal.is_member(u.conj().T @ t @ u, ClassQuery(k=k, n=n, lam=lam))
 
 

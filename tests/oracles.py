@@ -413,14 +413,14 @@ def partition_defect(blocks, atom_count):
     for bi, block in enumerate(blocks):
         if len(block) == 0:
             return f"partition[{bi}] is empty"
-        for i in block:
+        for pos, i in enumerate(block):
             if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                return f"partition[{bi}] holds {i!r}, not an atom index"
+                return f"partition[{bi}][{pos}] holds {i!r}, not an atom index"
             if not 0 <= i < atom_count:
-                return (f"partition[{bi}] references atom {i}, "
+                return (f"partition[{bi}][{pos}] references atom {i}, "
                         f"valid range is 0..{atom_count - 1}")
             if i in seen:
-                return f"atom {i} appears in two blocks"
+                return f"partition[{bi}][{pos}]: atom {i} appears in two blocks"
             seen.add(i)
     missing = sorted(set(range(atom_count)) - seen)
     return f"partition does not cover atoms {missing}" if missing else None

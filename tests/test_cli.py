@@ -192,6 +192,7 @@ MALFORMED_SPACES = [
     ("atom not an object", _mutated(_space_doc(), ["atoms", 2], 1.0), "atoms[2]"),
     ("empty partition", _mutated(_space_doc(), ["partition"], []), "partition"),
     ("empty block", _mutated(_space_doc(), ["partition", 1], []), "partition[1]"),
+    ("block not an array", _mutated(_space_doc(), ["partition", 0], 5), "partition[0]"),
 ]
 
 

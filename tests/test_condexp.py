@@ -545,6 +545,17 @@ def test_partition_reports_each_defect_as_the_index_loop_does():
         assert any(kind in m for m in messages), kind
 
 
+@pytest.mark.parametrize("blocks, atoms, message", [
+    ([5], 1, r"partition\[0\] is not a sequence"),
+    (5, 1, "partition is not a sequence"),
+    ({"0": [0]}, 1, "partition is not a sequence"),  # a JSON object
+    ([[0]], 1.5, "partition: atom count"),
+])
+def test_partition_of_the_wrong_type_is_a_validation_error(blocks, atoms, message):
+    with pytest.raises(ValidationError, match=message):
+        condexp.BlockPartition(blocks, atoms)
+
+
 def test_interval_example_validates_its_size():
     for n_atoms in (7, 0, 8.0, True):
         with pytest.raises(ValidationError):

@@ -499,6 +499,23 @@ def test_nilpotency_collapse_report_only_branch():
     assert report.norm_t_k == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-9])
+def test_nilpotency_collapse_sees_a_small_invertible_t(scale):
+    # ||T^2|| = scale^2 is below an absolute bound, but the ladder keeps ran T^2
+    with pytest.raises(ValidationError, match="T\\^2 is not numerically zero"):
+        posinormal.nilpotency_collapse_check(scale * np.eye(3), 1, 1)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e160])
+def test_nilpotency_collapse_is_covariant(scale):
+    # T^4 = 0 and T^3 = 0 are read off the range ladder, also at 1e160, where
+    # T^2 overflows
+    report = posinormal.nilpotency_collapse_check(scale * nilpotent_shift(3), 3, 2)
+    assert report.asserted and report.passes
+    assert report.norm_t_k == 0.0
+    assert report.bound == pytest.approx(1e-10 * scale)
+
+
 def test_nilpotency_collapse_rejects_nonnilpotent():
     with pytest.raises(ValidationError):
         posinormal.nilpotency_collapse_check(np.eye(2), 1, 1)
@@ -1148,8 +1165,9 @@ def test_a_scaled_shift_is_never_feasible(shift, k, n):
 
 
 def test_nilpotency_bound_overflow_is_a_numerical_failure():
-    # max(1, ||T||)^(k + 1) = 1e320 passes the float range
-    with pytest.raises(NumericalFailure, match="overflows"):
+    # T^2 != 0: the range ladder sees it without forming T^2, whose entry
+    # 1e320 is beyond the float range, and no power bound is formed
+    with pytest.raises(ValidationError, match="T\\^2 is not numerically zero"):
         posinormal.nilpotency_collapse_check(1e160 * nilpotent_shift(3), 1, 1)
 
 

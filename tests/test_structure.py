@@ -44,8 +44,16 @@ def test_decompose_fully_nilpotent():
     # block C is all of T in the kernel basis; C^3 = 0
     assert decomp.nilpotency_residual <= 1e-12
     assert linalg.operator_norm(decomp.reconstruct() - t) <= 1e-12
-    _, spec_a, gap = structure.spectrum_union_gap(decomp, t)
+    _, spec_a, gap, _ = structure.spectrum_union_gap(decomp, t)
     assert spec_a == [] and gap <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_spectrum_union_is_covariant(scale):
+    t = scale * np.random.default_rng(3).standard_normal((6, 6))
+    spec_t, spec_a, gap, ok = structure.spectrum_union_gap(structure.decompose(t, 1, 1), t)
+    assert len(spec_t) == len(spec_a) == 6
+    assert ok and gap <= 1e-12 * scale
 
 
 def test_decompose_unitary_degenerate(rng):

@@ -6,8 +6,9 @@ certificate that is not a finite unit vector."""
 import warnings
 
 import numpy as np
+import pytest
 
-from posilab import condexp, fixtures, posinormal, structure
+from posilab import condexp, fixtures, linalg, posinormal, structure
 from posilab.errors import NumericalFailure, ValidationError
 from posilab.posinormal import ClassQuery
 
@@ -72,3 +73,24 @@ def test_extreme_scales_fail_only_through_the_api():
                 raw.append((case, name, type(exc).__name__, str(exc)[:60]))
     assert raw == []
     assert typed > 1000  # the sweep reaches the scales where failures occur
+
+
+# Array and scalar input that numpy cannot convert, or that is no real lambda.
+MALFORMED_INPUTS = {
+    "matrix from text": lambda: linalg.as_matrix("x"),
+    "matrix entry text": lambda: linalg.as_matrix([[1, "a"]]),
+    "ragged matrix": lambda: linalg.as_matrix([[1], [1, 2]]),
+    "function from text": lambda: condexp.as_function("abc", fixtures.interval_example(2)[0]),
+    "masses from text": lambda: condexp.FiniteMeasureSpace("ab"),
+    "labels not a sequence": lambda: condexp.FiniteMeasureSpace([1.0], labels=5),
+    "basis from text": lambda: structure.restrict_to_invariant(np.eye(2), "x", 0, 1, 1.0),
+    "lambda None": lambda: ClassQuery(0, 1, None),
+    "lambda text": lambda: ClassQuery(0, 1, "2"),
+    "lambda bool": lambda: ClassQuery(0, 1, True),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
