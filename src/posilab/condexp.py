@@ -60,7 +60,9 @@ def _sequence(value, where: str) -> tuple:
 
 @dataclass(frozen=True)
 class FiniteMeasureSpace:
-    """Atoms with positive masses; labels are cosmetic identifiers."""
+    """Atoms with positive masses; labels are cosmetic identifiers.  The
+    one mass rule: a mass that is not finite and > 0 is a ValidationError
+    naming the first such atom, as atoms[i].mass."""
 
     masses: np.ndarray
     labels: tuple[str, ...]
@@ -69,8 +71,10 @@ class FiniteMeasureSpace:
         m = linalg.as_array(masses, float, "masses")
         if m.ndim != 1 or m.size < 1:
             raise ValidationError("masses must be a nonempty 1-D array")
-        if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-            raise ValidationError("every atom mass must be finite and > 0")
+        bad = ~(np.isfinite(m) & (m > 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"atoms[{i}].mass: must be finite and > 0, got {float(m[i])!r}")
         if labels is None:
             labels = tuple(f"a{i}" for i in range(m.size))
         labels = tuple(map(str, _sequence(labels, "labels")))

@@ -12,7 +12,8 @@ and ``u`` as [real, imaginary] pairs.  Values parse as 64-bit floats;
 serialization uses repr so load -> dumps -> load is the identity.
 
 All validation failures raise FileFormatError naming the offending field
-and index; the partition's are those of condexp.BlockPartition, its one rule.
+and index; the masses' and the partition's are those of
+condexp.FiniteMeasureSpace and condexp.BlockPartition, their one rules.
 """
 
 import json
@@ -118,16 +119,11 @@ def load_space(path):
     for i, atom in enumerate(atoms):
         if not isinstance(atom, dict):
             raise FileFormatError(f"atoms[{i}]: expected an object")
-        where = f"atoms[{i}].mass"
-        mass = _number(atom.get("mass"), where, "a positive number")
-        if mass <= 0:
-            raise FileFormatError(f"{where}: expected a positive number")
-        masses.append(mass)
+        masses.append(_number(atom.get("mass"), f"atoms[{i}].mass", "a positive number"))
         labels.append(str(atom.get("label", f"a{i}")))
-    space = FiniteMeasureSpace(masses, labels)
-    blocks = _require(doc, "partition")
     try:
-        partition = BlockPartition(blocks, space.atom_count)
+        space = FiniteMeasureSpace(masses, labels)
+        partition = BlockPartition(_require(doc, "partition"), space.atom_count)
     except ValidationError as exc:
         raise FileFormatError(str(exc)) from exc
 

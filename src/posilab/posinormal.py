@@ -19,8 +19,13 @@ ladder*, as ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T
 (Q_0 = I), rung j+1 the thin SVD of T Q_{j+1}, Q_{j+1} the left singular
 vectors of rung j above the cut DEFAULT_TOL * ||T||, the scale of the
 rounding in T Q.  A rung that keeps its full rank has found a
-T-invariant range and is every later rung too: for invertible T the whole
-ladder is one SVD of T.
+T-invariant range and is every later rung too.  Rung 0 of a T of dim
+64 or more first tries linalg.certified_inverse: when ||T||_F ||T^-1||_F
+shows sigma_min > DEFAULT_TOL * ||T||, the cut would keep every singular
+value, and rung 0 holds T^-1 in place of W+ S+^-1 and I in place of U+,
+with no SVD.  So for such a T the whole ladder is one det and one
+inverse; for another invertible T it is one SVD of T, from dim 64 on
+after the certificate that failed.
 
 The pencil is *obstructed* when D' is not negligible on the kernel W0 of
 C' (see LambdaResult): the gap then fails at every lambda.  Otherwise, in
@@ -88,7 +93,10 @@ class ClassQuery:
         if not linalg.is_integer(self.n) or self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n!r}")
         real = isinstance(self.lam, numbers.Real) and not isinstance(self.lam, bool)
-        lam = float(self.lam) if real else np.nan
+        try:
+            lam = float(self.lam) if real else np.nan
+        except OverflowError as exc:  # an int or Fraction beyond the float range
+            raise NumericalFailure(f"lambda overflows: {exc}") from exc
         if not np.isfinite(lam) or lam <= 0.0:
             raise ValidationError(f"lambda must be a positive real, got {self.lam!r}")
         if not np.isfinite(lam * lam):
@@ -155,7 +163,10 @@ _Slot = namedtuple("_Slot", "t held")
 # over the singular values above the cut DEFAULT_TOL * top, top = ||T||,
 # w0 the right singular vectors below it, and next = U+, the basis of
 # ran T^{j+1}.  A rung with an empty w0 keeps its full rank: ran T^{j+1}
-# is ran T^j, and rung j+1 is rung j.
+# is ran T^j, and rung j+1 is rung j.  Readers rely on TQ wps = next
+# only, so a certified rung 0 (linalg.certified_inverse) holds wps =
+# T^-1, next = I and an empty w0.  Its top is None: top is read only
+# below a rung with a kernel, and a certified rung has none.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
 
 # The held pencil of an obstructed rung, in place of mu.
@@ -165,14 +176,25 @@ _OBSTRUCTED = "obstructed"
 _slot = None
 
 
+def _holds(slot: _Slot | None, t) -> bool:
+    """Whether t is a complex array with the bit pattern of the slot's T."""
+    return (slot is not None and isinstance(t, np.ndarray)
+            and t.dtype == slot.t.dtype and t.shape == slot.t.shape
+            and np.array_equal(slot.t.view(np.uint64),
+                               np.ascontiguousarray(t).view(np.uint64)))
+
+
 def _slot_for(t) -> _Slot:
-    """Validate T; the slot when it holds T's bit pattern, else a new slot
-    with its own copy of T and nothing formed, in place of the old one."""
+    """The slot when it holds T's bit pattern, else a new slot with its own
+    copy of T and nothing formed, in place of the old one.  T is validated
+    unless it is the held T, which was validated when it was stored (a
+    real or list T is compared after validation made it complex)."""
     global _slot
-    t = linalg.require_square(t)
     held = _slot
-    if held is not None and np.array_equal(held.t.view(np.uint64),
-                                           np.ascontiguousarray(t).view(np.uint64)):
+    if _holds(held, t):
+        return held
+    t = linalg.require_square(t)
+    if _holds(held, t):
         return held
     _slot = None  # release the old products before copying T
     _slot = held = _Slot(np.array(t, order="C"), {})
@@ -210,9 +232,10 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     lambda_min^2, and always when T vanishes on ran T^k.
 
     The first verdict or min_lambda on (T, rung, n, tol) forms the pencil:
-    the ladder's SVDs, T^n and one eigvalsh of M*M (and one of the rung's
-    kernel Gram when it has one; M*M is not formed when that obstructs);
-    later verdicts on it make no LAPACK call.  Reading the witness of a
+    the ladder's SVDs (for a certified rung 0, one det and one inverse
+    instead), T^n and one eigvalsh of M*M (and one of the rung's kernel
+    Gram when it has one; M*M is not formed when that obstructs); later
+    verdicts on it make no LAPACK call.  Reading the witness of a
     failing report runs one eigh, of M*M or of the kernel Gram.
     """
     mu, witness = _pencil(_slot_for(t), query.k, query.n, tol)
@@ -237,7 +260,15 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
 
 @linalg.quiet_overflow
 def _rung(t, below: _Rung | None) -> _Rung:
-    """The rung of the range ladder above rung ``below`` (None: rung 0)."""
+    """The rung of the range ladder above rung ``below`` (None: rung 0):
+    rung 0 from a certified inverse of T when there is one, else from
+    the SVD of T Q."""
+    if below is None:
+        inverse = linalg.certified_inverse(t)
+        if inverse is not None:
+            dim = t.shape[0]
+            return _Rung(None, inverse, np.zeros((dim, 0), dtype=complex),
+                         np.eye(dim, dtype=complex), None)
     q = None if below is None else below.next
     c = t if q is None else t @ q
     u, s, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
@@ -331,8 +362,12 @@ def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
 def _pencil(slot: _Slot, k: int, n: int, tol: float):
     """(pencil, certificate): the held pencil at (n, tol) on the last rung
     up to k, else formed and stored with the rungs and T^n it reads, and
-    the _witness of a failing verdict at k, computed when called."""
+    the _witness of a failing verdict at k, computed when called.  When
+    ran T^k = {0} the form is empty and T^n, which may overflow where T^k
+    vanishes, is not formed."""
     rungs = _ladder(slot, k)
+    if not rungs[-1].wps.shape[0]:  # Q has no columns
+        return np.zeros(0), None
     tn = _held(slot, ("power", n), lambda: linalg.matpow(slot.t, n))
     pencil = _held(slot, ("pencil", len(rungs) - 1, n, tol),
                    lambda: _form_pencil(n, tol, rungs[-1], tn))

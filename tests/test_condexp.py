@@ -1,6 +1,7 @@
 """condexp against the loop-based oracles of tests/oracles.py."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -137,6 +138,14 @@ def test_E_positivity_applies_relative_to_the_size_of_f(scale):
         report = condexp.check_E_properties(space, partition, scale * f, g)
         result = {r.name: r for r in report.results}["positive"]
         assert (result.applicable, result.passed) == (applicable, True), (scale, f)
+
+
+def test_a_bad_mass_is_named_by_its_atom():
+    # the one mass rule, which fileio's documents report as it is
+    for masses, where in (([1.0, -2.0, 0.0], "atoms[1].mass"), ([0.0, 1.0], "atoms[0].mass"),
+                          ([1.0, 2.0, np.nan], "atoms[2].mass")):
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            condexp.FiniteMeasureSpace(masses)
 
 
 def test_spaces_and_functions_reject_bad_inputs():

@@ -227,6 +227,20 @@ def test_at_most_scaled_agrees_with_exact(rng, monkeypatch):
         assert linalg.at_most_scaled(value, tol, x) == (value <= tol * s)
 
 
+@pytest.mark.parametrize("exponent", [-320, -310, -300, -150, 0, 150, 300, 307])
+def test_a_certified_inverse_at_every_scale(exponent):
+    # At any scale the certificate of a well-conditioned 64 x 64 T gives a
+    # finite inverse, or None where T^-1 leaves the float range, quietly:
+    # det, inverse and bound are formed on 2^-e T.
+    t = 10.0 ** exponent * oracles.ginibre(np.random.default_rng(3), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inverse = linalg.certified_inverse(t)
+    assert (inverse is None) == (exponent <= -310)
+    if inverse is not None:
+        assert np.linalg.norm(t @ inverse - np.eye(64), 2) <= 1e-12
+
+
 def test_significant_is_the_one_rank_rule():
     assert linalg.significant([3.0, 1e-9, 2e-10, 0.0], 1e-10).tolist() == [
         True, True, False, False]

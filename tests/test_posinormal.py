@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib.util
+import itertools
 import re
 import sys
 import threading
@@ -691,6 +692,11 @@ def test_is_member_scaling_covariance_widened(draw):
 
 # --- pencil kernel against the oracle ---------------------------------------------
 
+def _graded(rng, dim, s):
+    """U diag(s) V* for Haar U and V."""
+    return haar_unitary(rng, dim) @ (s[:, None] * haar_unitary(rng, dim).conj().T)
+
+
 def kernel_case(rng, kind, dim):
     """One operator of the given kind at a scale 10^U(-1, 1).
 
@@ -704,8 +710,7 @@ def kernel_case(rng, kind, dim):
         t = (rng.standard_normal((dim, dim))
              + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2 * dim)
     elif kind == "graded":
-        s = np.logspace(0.0, -rng.uniform(1.0, 2.0), dim)
-        t = haar_unitary(rng, dim) @ (s[:, None] * haar_unitary(rng, dim).conj().T)
+        t = _graded(rng, dim, np.logspace(0.0, -rng.uniform(1.0, 2.0), dim))
     else:
         tail = int(rng.integers(2, 5))
         t = (rng.standard_normal((dim, dim))
@@ -844,11 +849,11 @@ def test_verdict_svd_fallback_between_bounds(rng, monkeypatch):
 def test_classify_grid_forms_each_power_once(rng, monkeypatch):
     # On an empty slot the grid forms T^n once per n (min_lambda reads T^n
     # and the rungs, never T^k) and runs one SVD per rung: one in all for
-    # an invertible T, whose rung 0 keeps its full rank, and one more per k
-    # while a nilpotent tail shrinks ran T^k.  Every cell is min_lambda's
-    # result bit for bit.
-    for kind in ("generic", "graded", "nilpotent_tail"):
-        t = kernel_case(rng, kind, 6)
+    # an invertible T, whose rung 0 keeps its full rank, none from dim 64
+    # on, where T^-1 certifies that, and one more per k while a nilpotent
+    # tail shrinks ran T^k.  Every cell is min_lambda's result bit for bit.
+    for kind, dim in itertools.product(("generic", "graded", "nilpotent_tail"), (6, 64)):
+        t = kernel_case(rng, kind, dim)
         expected = {(k, n): _bits(posinormal.min_lambda(t, k, n))
                     for k in range(4) for n in range(1, 4)}
         monkeypatch.setattr(posinormal, "_slot", None)
@@ -864,18 +869,21 @@ def test_classify_grid_forms_each_power_once(rng, monkeypatch):
             assert 3 <= len(svds) <= 4
             assert not all(result.feasible for result in grid.values())
         else:
-            assert svds == [t.shape]
+            assert svds == ([] if dim >= 64 else [t.shape])
         assert {key: _bits(result) for key, result in grid.items()} == expected
 
 
 def test_one_ladder_serves_every_k_and_the_grid(rng, monkeypatch):
     # The reuse the slot is for: on one T, min_lambda at four (k, n) and then
-    # the (3, 3) grid run exactly one SVD for an invertible T and at most
-    # one per rung 0..3 for a nilpotent tail; the verdicts that follow,
-    # settled by the norm bounds of D, run none.
+    # the (3, 3) grid run exactly one SVD for an invertible T (none at dim
+    # 128, where T^-1 certifies rung 0) and at most one per rung 0..3 for a
+    # nilpotent tail; the verdicts that follow, settled by the norm bounds
+    # of D, run none (a nilpotent tail of size 4 has no feasible pair, so
+    # the verdicts are counted per kind).
     pairs = ((0, 1), (1, 2), (2, 1), (3, 3))
     for kind in ("generic", "graded", "nilpotent_tail"):
-        for dim in (12, 40):
+        verdicts = 0
+        for dim in (12, 40, 128):
             t = kernel_case(rng, kind, dim)
             monkeypatch.setattr(posinormal, "_slot", None)
             svds = _count_calls(monkeypatch, np.linalg, "svd")
@@ -884,17 +892,17 @@ def test_one_ladder_serves_every_k_and_the_grid(rng, monkeypatch):
             if kind == "nilpotent_tail":
                 assert 2 <= len(svds) <= 4
             else:
-                assert svds == [t.shape]
+                assert svds == ([] if dim >= 64 else [t.shape])
             ladder = len(svds)
             norms = _count_calls(monkeypatch, linalg, "operator_norm")
-            verdicts = 0
             for (k, n), result in zip(pairs, results):
                 if result.feasible and result.lambda_min > 0:
                     for lam in (2.0 * result.lambda_min, 0.5 * result.lambda_min):
                         posinormal.is_member(t, ClassQuery(k, n, lam))
                         verdicts += 1
             monkeypatch.undo()
-            assert verdicts > 0 and norms == [] and len(svds) == ladder
+            assert norms == [] and len(svds) == ladder
+        assert verdicts > 0
 
 
 def test_min_lambda_feasibility_matches_bisection_on_nilpotent_tails(rng):
@@ -1171,6 +1179,41 @@ def test_nilpotency_bound_overflow_is_a_numerical_failure():
         posinormal.nilpotency_collapse_check(1e160 * nilpotent_shift(3), 1, 1)
 
 
+def test_a_vanishing_range_forms_no_power():
+    # T^3 = 0, so at k = 3 the gap vanishes and T^2, which overflows at
+    # 1e160, is never formed: feasible with lambda_min = 0, and a member
+    # at every lambda, at every scale.
+    for scale in (1.0, 1e160):
+        t = scale * nilpotent_shift(3)
+        result = posinormal.min_lambda(t, 3, 2)
+        assert result.feasible and result.lambda_min == 0.0
+        report = posinormal.is_member(t, ClassQuery(3, 2, 1.0))
+        assert report.holds and report.gap_min_eigenvalue == report.gap_norm == 0.0
+
+
+def test_the_held_t_is_validated_once(rng, monkeypatch):
+    # A warm verdict compares bits with the held T, validated when it was
+    # stored, and does not validate again; input that is not the held T
+    # is validated as before, and a list with T's entries finds the slot.
+    t = kernel_case(rng, "generic", 8)
+    query = ClassQuery(1, 2, 1.0)
+    posinormal.is_member(t, query)
+    held = posinormal._slot
+    coerced = _count_calls(monkeypatch, linalg, "as_matrix")
+    posinormal.is_member(t, query)
+    posinormal.min_lambda(t, 1, 2)
+    assert coerced == []
+    monkeypatch.undo()
+    bad = t.copy()
+    bad[2, 3] = np.nan
+    for value in (bad, t[0].tolist(), [[1.0, 2.0], [3.0]], "T"):
+        with pytest.raises(ValidationError):
+            posinormal.is_member(value, query)
+        assert posinormal._slot is held
+    posinormal.is_member(t.tolist(), query)
+    assert posinormal._slot is held
+
+
 def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
     # One slot serves every (k, n) on T: min_lambda forms T^n once per n,
     # and is_member, which reads the held pencil, forms no power.
@@ -1192,11 +1235,14 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
     # After min_lambda(T, k, n), the three verdicts a benchmark query makes
     # at the same (T, k, n) make no numpy.linalg call.  On a fresh T a cold
     # verdict makes the ladder's SVDs, T^n and one eigvalsh, of the Gram
-    # matrix M*M of the normal form, only: one SVD for an invertible T; a
+    # matrix M*M of the normal form, only: one SVD for an invertible T,
+    # and from dim 64 on, in its place, the det and the inverse of the
+    # certificate, which a nilpotent tail also pays before its SVDs; a
     # nilpotent tail adds a rung per k and an eigvalsh of the rung's kernel
     # Gram, and an obstructed pencil forms no M*M.  No eigh runs.
-    for kind in ("generic", "graded", "nilpotent_tail"):
-        t = kernel_case(rng, kind, 16)
+    for kind, dim in itertools.product(("generic", "graded", "nilpotent_tail"), (16, 128)):
+        t = kernel_case(rng, kind, dim)
+        certificate = {"det"} if dim >= 64 else set()
         for k, n in ((0, 1), (1, 2), (3, 3)):
             monkeypatch.setattr(posinormal, "_slot", None)
             result = posinormal.min_lambda(t, k, n)
@@ -1208,16 +1254,18 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
             _, calls = _linalg_calls(monkeypatch, lambda: posinormal.is_member(t, queries[0]))
             if kind != "nilpotent_tail":
                 r = len(t)
-                assert calls == {"svd": [t.shape], "matrix_power": [t.shape],
+                rung = {"det": [t.shape]} if certificate else {"svd": [t.shape]}
+                inverse = [t.shape] if certificate else []  # matrix_power at n = -1
+                assert calls == {**rung, "matrix_power": inverse + [t.shape],
                                  "eigvalsh": [(r, r)]}, (kind, k, n)
             elif result.feasible:  # tail size at most k = 3
                 r = oracles.range_basis(t, k + 1).shape[1]
                 r0 = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
                 assert calls["eigvalsh"] == [(r0, r0)] * bool(r0) + [(r, r)], (k, n)
-                assert set(calls) == {"svd", "matrix_power", "eigvalsh"}, (k, n)
+                assert set(calls) == {"svd", "matrix_power", "eigvalsh"} | certificate, (k, n)
                 assert 2 <= len(calls["svd"]) <= k + 1
             else:  # the obstruction is not computed until it is read
-                assert set(calls) == {"svd", "matrix_power", "eigvalsh"}, (k, n)
+                assert set(calls) == {"svd", "matrix_power", "eigvalsh"} | certificate, (k, n)
                 assert len(calls["eigvalsh"]) == 1, (k, n)
 
 
@@ -1236,9 +1284,11 @@ def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
     # grids and splits included).  After every query the slot holds data
     # only: powers of T, rungs, and each pencil as its eigenvalues mu (a
     # real vector) or the obstruction marker, never a callable or a
-    # witness vector.  On every obstructed pencil a cold verdict runs no
-    # eigh, kernel_obstruction reads the same bits twice, and they are the
-    # witness of the failing verdict at the same (k, n).
+    # witness vector.  On every obstructed pencil (a nilpotent tail) a cold
+    # verdict runs no eigh, only the failed certificate's det and inverse,
+    # the ladder's SVDs, T^n and eigvalsh; kernel_obstruction reads the
+    # same bits twice, and they are the witness of the failing verdict at
+    # the same (k, n).
     workload, obstructed = _dense_workload(), 0
     for query in workload.dense_pool(1):
         output = workload.dense_run(query)
@@ -1259,7 +1309,7 @@ def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
         monkeypatch.setattr(posinormal, "_slot", None)
         report, calls = _linalg_calls(
             monkeypatch, lambda: posinormal.is_member(t, ClassQuery(k, n, scale)))
-        assert not report.holds and set(calls) == {"svd", "matrix_power", "eigvalsh"}
+        assert not report.holds and set(calls) == {"det", "svd", "matrix_power", "eigvalsh"}
         x = output[0].kernel_obstruction
         assert np.array_equal(x, output[0].kernel_obstruction)
         assert np.array_equal(x, report.witness)
@@ -1337,3 +1387,135 @@ def test_concurrent_callers_get_their_own_results(rng, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+# --- rung 0 from a certified inverse ---------------------------------------------------
+
+def _rung_zero_cases(rng, dim):
+    """(name, T) at one dim: a generic T; graded T, with singular values
+    log-spaced from 1 down to 10^-spread (at dim 128 from 1e9 on, det of
+    the LU underflows to 0, and the SVD decides); gapped T, with two
+    singular values at 10^-spread and the others at 1, so that
+    ||T||_F ||T^-1||_F is about sqrt(2 dim) times cond(T): at 1e9.5 the
+    ladder's cut at 1e-10 ||T|| keeps every singular value, but the
+    certificate's bound 1e10 does not hold, and at 1e10.5 the cut drops
+    two; an exactly singular T without a zero row (column 3 is zero, so
+    its LU meets an exact zero pivot); and nilpotent tails of sizes 2 and 3."""
+    cases = [("generic", kernel_case(rng, "generic", dim))]
+    cases += [(f"graded 1e{spread}", _graded(rng, dim, np.logspace(0.0, -spread, dim)))
+              for spread in (1.5, 6.0, 9.0, 10.5)]
+    cases += [(f"gapped 1e{spread}",
+               _graded(rng, dim, np.repeat([1.0, 10.0 ** -spread], [dim - 2, 2])))
+              for spread in (8.5, 9.5, 10.5)]
+    singular = oracles.ginibre(rng, dim)
+    singular[:, 3] = 0.0
+    cases.append(("singular", singular))
+    cases += [(f"tail {m}", oracles.nilpotent_tail(rng, dim, m)[0]) for m in (2, 3)]
+    return cases
+
+
+def _definition_gap(t, k, n, lam, x):
+    """x*G x = lam^2 ||T^{k+1} x||^2 - ||T*^n T^k x||^2 for the gap G of
+    the definition, from matrix-vector products, over lam^2 ||T^{k+1} x||^2."""
+    y = x
+    for _ in range(k):
+        y = t @ y
+    d = y
+    for _ in range(n):
+        d = t.conj().T @ d
+    top = lam ** 2 * np.linalg.norm(t @ y) ** 2
+    return (top - np.linalg.norm(d) ** 2) / top
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+def test_a_certified_rung_zero_gives_the_svd_verdicts(rng, monkeypatch, dim):
+    # Each T twice on an empty slot: as it comes, and with the certificate
+    # patched to fail, so rung 0 is the SVD's.  Feasibility is the same,
+    # and lambda_min agrees within 1e-10 relative, or within eps * cond(T)
+    # where rounding in T^-1 and in the small singular values allows more
+    # (1.4e-9 at cond 1e9).  On a certified T the witness of the verdict at
+    # lambda_min (1 - 1e-3) is negative on the definition's gap wherever
+    # eps * cond(T)^(k+1), the rounding of its pull-back, is below 1e-6,
+    # and decompose returns the full range with block A = T.
+    paths, witnesses = set(), 0
+    for name, t in _rung_zero_cases(rng, dim):
+        cond, certified = np.linalg.cond(t), linalg.certified_inverse(t) is not None
+        results, full_range = {}, {}
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(linalg, "certified_inverse", lambda m: None)
+            for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
+                monkeypatch.setattr(posinormal, "_slot", None)
+                results[patched, k, n] = posinormal.min_lambda(t, k, n)
+            split = structure.decompose(t, 2, 1)
+            if certified and not patched:
+                assert split.full_range and np.array_equal(split.block_a, t), name
+            full_range[patched] = split.full_range
+        monkeypatch.undo()
+        assert full_range[False] == full_range[True], name
+        paths.add((certified, full_range[True]))
+        for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
+            fast, svd = results[False, k, n], results[True, k, n]
+            assert fast.feasible == svd.feasible, (name, k, n)
+            if not fast.feasible:
+                continue
+            rel = max(1e-10, np.finfo(float).eps * cond)
+            assert fast.lambda_min == pytest.approx(svd.lambda_min, rel=rel, abs=0.0)
+            if certified and np.finfo(float).eps * cond ** (k + 1) < 1e-6:
+                lam = fast.lambda_min * (1.0 - 1e-3)
+                monkeypatch.setattr(posinormal, "_slot", None)
+                report = posinormal.is_member(t, ClassQuery(k, n, lam))
+                assert not report.holds
+                assert _definition_gap(t, k, n, lam, report.witness) < 0, (name, k, n)
+                witnesses += 1
+    # certified; not certified with a full rung 0 (cond(T) below 1e10, the
+    # bound straddled) and without one; never certified without it
+    assert paths == {(True, True), (False, True), (False, False)}
+    assert witnesses >= 8
+
+
+def _traced(monkeypatch, call):
+    """call() and its numpy.linalg calls in order, as (name, shape of the
+    operand, exponent n of a matrix_power, else None)."""
+    calls = []
+    for name in _LINALG:
+        def traced(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(args[0]), kwargs.get("n")))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, traced)
+    result = call()
+    monkeypatch.undo()
+    return result, calls
+
+
+def test_the_certificate_runs_one_det_and_one_inverse(rng, monkeypatch):
+    # A cold min_lambda on an invertible 128 x 128 T runs no SVD: one det of
+    # 2^-e T, one inverse (matrix_power at n = -1), T^n and one eigvalsh.
+    # An exactly singular T stops at det = 0, and a nilpotent tail, whose
+    # det is not 0, pays det and inverse before its rung SVDs, which are
+    # those of the SVD path.  Below dim 64 the certificate runs nothing.
+    def cold(t, k, n, svd_path=False):
+        def call():
+            if svd_path:
+                monkeypatch.setattr(linalg, "certified_inverse", lambda m: None)
+            return posinormal.min_lambda(t, k, n)
+        monkeypatch.setattr(posinormal, "_slot", None)
+        return _traced(monkeypatch, call)[1]
+
+    shape = (128, 128)
+    t = kernel_case(rng, "generic", 128)
+    assert cold(t, 1, 2) == [("det", shape, None), ("matrix_power", shape, -1),
+                             ("matrix_power", shape, 2), ("eigvalsh", shape, None)]
+    singular = oracles.ginibre(rng, 128)
+    singular[:, 3] = 0.0
+    calls = cold(singular, 0, 1)
+    assert calls[:2] == [("det", shape, None), ("svd", shape, None)]
+    assert [call for call in calls if call[0] == "matrix_power"] == [
+        ("matrix_power", shape, 1)]
+    tail = oracles.nilpotent_tail(rng, 128, 3)[0]
+    calls, svd_calls = cold(tail, 3, 3), cold(tail, 3, 3, svd_path=True)
+    assert calls[:2] == [("det", shape, None), ("matrix_power", shape, -1)]
+    assert calls[2:] == svd_calls
+    assert [call[0] for call in svd_calls].count("svd") == 4
+    small = kernel_case(rng, "generic", 63)
+    assert _traced(monkeypatch, lambda: linalg.certified_inverse(small)) == (None, [])

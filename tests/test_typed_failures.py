@@ -94,3 +94,10 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_a_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_a_lambda_beyond_the_float_range_is_a_numerical_failure():
+    # as lambda^2 beyond it is: both name lambda
+    for lam, match in ((10 ** 400, "lambda overflows"), (1e200, "lambda\\^2 overflows")):
+        with pytest.raises(NumericalFailure, match=match):
+            ClassQuery(0, 1, lam)
