@@ -140,18 +140,18 @@ def _cmd_tensor(args) -> list[str]:
 # condexp check -> (its call on the operator and the parsed arguments, the
 # report fields it prints).  The call looks condexp.<check> up when it runs.
 _CONDEXP_CHECKS = {
-    "norm": (lambda op, a: condexp.norm_formula_check(op, tol=a.tol),
+    "norm": (lambda op, a: condexp.norm_formula_check(op),
              "matrix_norm blockwise_norm deviation passed"),
-    "lemma31": (lambda op, a: condexp.lemma31_check(op, a.power, tol=a.tol),
+    "lemma31": (lambda op, a: condexp.lemma31_check(op, a.power),
                 "power deviation_t_star_t deviation_t_t_star passed"),
-    "polar": (lambda op, a: condexp.polar_decomposition_check(op, tol=a.tol),
+    "polar": (lambda op, a: condexp.polar_decomposition_check(op),
               "factor_residual modulus_min_eigenvalue modulus_squared_residual "
               "partial_isometry_residual passed"),
-    "thm33": (lambda op, a: condexp.thm33_check(op, a.lam, tol=a.tol),
+    "thm33": (lambda op, a: condexp.thm33_check(op, a.lam),
               "lambda supports_match blockwise_holds matrix_holds agree"),
-    "thm34": (lambda op, a: condexp.thm34_check(op, a.n, a.lam, tol=a.tol),
+    "thm34": (lambda op, a: condexp.thm34_check(op, a.n, a.lam),
               "query blockwise_holds matrix_holds necessity_ok"),
-    "thm35": (lambda op, a: condexp.thm35_check(op, a.k, a.n, a.lam, tol=a.tol),
+    "thm35": (lambda op, a: condexp.thm35_check(op, a.k, a.n, a.lam),
               "query stated_holds proof_form_holds matrix_holds all_agree"),
 }
 
@@ -180,16 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Verification lab for k-quasi n-power "
                                  "posinormal operators")
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=linalg.DEFAULT_TOL,
-                     help="relative tolerance (default %(default)g).  A verdict "
-                          "reads the normal form lambda^2 - mu_i of its pencil on "
-                          "ran T^k: it holds iff lambda^2 - lambda_min^2 >= "
-                          "-tol * lambda_min^2, and fails at every lambda when "
-                          "T*^n keeps more than tol of its squared norm on a "
-                          "kernel direction of T there.  condexp bounds its "
-                          "relative deviations and blockwise margins by tol")
-    query = argparse.ArgumentParser(add_help=False, parents=[tol])
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--tol", type=_tolerance, default=linalg.DEFAULT_TOL,
+                       help="relative tolerance (default %(default)g).  A verdict "
+                            "reads the normal form lambda^2 - mu_i of its pencil on "
+                            "ran T^k: it holds iff lambda^2 - lambda_min^2 >= "
+                            "-tol * lambda_min^2, and fails at every lambda when "
+                            "T*^n keeps more than tol of its squared norm on a "
+                            "kernel direction of T there")
     query.add_argument("--k", type=int, required=True)
     query.add_argument("--n", type=int, required=True)
 
@@ -215,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("condexp", parents=[tol],
-                       help="weighted conditional operator checks")
+    p = sub.add_parser("condexp", help="weighted conditional operator checks")
     p.add_argument("space_file")
     p.add_argument("check", choices=list(_CONDEXP_CHECKS))
     p.add_argument("--k", type=int, default=1)

@@ -218,10 +218,9 @@ def _masked_pow(base, expo, mask) -> np.ndarray:
     return out
 
 
-def _blockwise(big, small, mask: np.ndarray, tol: float,
-               what: str) -> tuple[bool, np.ndarray]:
+def _blockwise(big, small, mask: np.ndarray, what: str) -> tuple[bool, np.ndarray]:
     """Blockwise big >= small: the margins big - small, and whether every
-    masked block has margin >= -tol * max(1, scale), scale the largest
+    masked block has margin >= -DEFAULT_TOL * scale, scale the largest
     |big| or |small| over all blocks.  NumericalFailure when a side of
     ``what`` overflowed; callers compute the sides under quiet_overflow."""
     linalg.require_finite(big, f"{what} left side")
@@ -229,7 +228,7 @@ def _blockwise(big, small, mask: np.ndarray, tol: float,
     margins = big - small
     scale = float(max(np.max(np.abs(big), initial=0.0),
                       np.max(np.abs(small), initial=0.0)))
-    holds = not mask.any() or bool(np.min(margins[mask]) >= -tol * max(1.0, scale))
+    holds = not mask.any() or bool(np.min(margins[mask]) >= -DEFAULT_TOL * scale)
     return holds, margins
 
 
@@ -266,29 +265,27 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     algebra's functions).  Every side but g is constant on a block, so
     the properties are measured on block means; positivity, modulus,
     Hoelder and Jensen are decided by _blockwise, and the module identity
-    within DEFAULT_TOL * max(1, max|g E(f)|).  NumericalFailure when a
-    mean overflows.
+    within DEFAULT_TOL * max|g| max|f|; g is blockwise constant within
+    DEFAULT_TOL * max|g|.  NumericalFailure when a mean overflows.
     """
     _check_compatible(space, partition)
     f = as_function(f, space)
     g = as_function(g, space)
     labels, mean = partition.labels, _block_means(space, partition)
-    if (np.max(np.abs(g - mean(g, "E(g)")[labels]))
-            > DEFAULT_TOL * max(1.0, float(np.max(np.abs(g))))):
+    g_max, f_max = float(np.max(np.abs(g))), float(np.max(np.abs(f)))
+    if np.max(np.abs(g - mean(g, "E(g)")[labels])) > DEFAULT_TOL * g_max:
         raise ValidationError("g must be blockwise constant for the module property")
     e_f, e_f2 = mean(f, "E(f)"), mean(np.abs(f) ** 2, "E|f|^2")
     e_gf, e_g2 = mean(g * f, "E(gf)"), mean(np.abs(g) ** 2, "E|g|^2")
     e_re, e_re2 = mean(f.real, "E(Re f)"), mean(f.real ** 2, "E((Re f)^2)")
 
-    g_e_f = g * e_f[labels]
-    module = float(np.max(linalg.require_finite(np.abs(e_gf[labels] - g_e_f),
+    module = float(np.max(linalg.require_finite(np.abs(e_gf[labels] - g * e_f[labels]),
                                                 "module identity")))
-    results = [PropertyResult("module", True, module <= DEFAULT_TOL * max(
-        1.0, float(np.max(np.abs(g_e_f)))), module)]
+    results = [PropertyResult("module", True, module <= DEFAULT_TOL * g_max * f_max, module)]
     every = np.ones(partition.block_count, dtype=bool)
-    slack = DEFAULT_TOL * float(np.max(np.abs(f)))
+    slack = DEFAULT_TOL * f_max
     if np.max(np.abs(f.imag)) <= slack and np.min(f.real) >= -slack:
-        holds, margins = _blockwise(e_f.real, 0.0, every, DEFAULT_TOL, "positive")
+        holds, margins = _blockwise(e_f.real, 0.0, every, "positive")
         results.append(PropertyResult("positive", True, holds,
                                       max(0.0, -float(margins.min()))))
     else:
@@ -296,7 +293,7 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
     for name, big, small in (("modulus", e_f2, np.abs(e_f) ** 2),
                              ("hoelder", np.sqrt(e_f2) * np.sqrt(e_g2), np.abs(e_gf)),
                              ("jensen", e_re2, e_re ** 2)):
-        holds, margins = _blockwise(big, small, every, DEFAULT_TOL, name)
+        holds, margins = _blockwise(big, small, every, name)
         # max(small - big), +0.0 and not -0.0 where the sides are equal
         results.append(PropertyResult(name, True, holds, 0.0 - float(margins.min())))
     return PropertyReport(results=tuple(results))
@@ -382,9 +379,9 @@ class NormFormulaReport:
 
 
 @linalg.quiet_overflow
-def norm_formula_check(op: WeightedConditionalOperator,
-                       tol: float = DEFAULT_TOL) -> NormFormulaReport:
-    """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2)."""
+def norm_formula_check(op: WeightedConditionalOperator) -> NormFormulaReport:
+    """Compare ||T|| with max over blocks of sqrt(E|w|^2 * E|u|^2); passed
+    when they differ by at most DEFAULT_TOL * ||T||."""
     matrix_norm = _norms("T", _blocks(1.0, op.a, op.c))[0]
     blockwise = float(linalg.require_finite(np.sqrt(np.max(op.e_w2 * op.e_u2)),
                                             "blockwise norm"))
@@ -393,18 +390,18 @@ def norm_formula_check(op: WeightedConditionalOperator,
         matrix_norm=matrix_norm,
         blockwise_norm=blockwise,
         deviation=dev,
-        passed=dev <= tol * max(1.0, matrix_norm),
+        passed=dev <= DEFAULT_TOL * matrix_norm,
     )
 
 
 def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     """H_b^m for a stack of Hermitian PSD H_b: integer m by repeated product,
-    real m > 0 by a batched eigh, where an eigenvalue <= DEFAULT_TOL times the
-    largest of all blocks counts as 0 (chi convention: rounding is not powered)."""
+    real m > 0 by a batched eigh; eigenvalues not linalg.significant at
+    DEFAULT_TOL over all blocks count as 0 (chi: rounding is not powered)."""
     if linalg.is_integer(m):
         return linalg.lapack("matrix_power", h, "Lemma 3.1 Gram", n=int(m))
     w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
-    powered = _masked_pow(w, float(m), w > DEFAULT_TOL * w.max())
+    powered = _masked_pow(w, float(m), linalg.significant(w, DEFAULT_TOL))
     return (v * powered[:, None, :]) @ _adjoint(v)
 
 
@@ -417,8 +414,7 @@ class PowerIdentityReport:
 
 
 @linalg.quiet_overflow
-def lemma31_check(op: WeightedConditionalOperator, m,
-                  tol: float = DEFAULT_TOL) -> PowerIdentityReport:
+def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
     """Blockwise closed forms of (T*T)^m and (TT*)^m against matrix powers.
 
     (T*T)^m = M_{conj(u) (E|u|^2)^{m-1} chi_S (E|w|^2)^m} E M_u
@@ -426,7 +422,8 @@ def lemma31_check(op: WeightedConditionalOperator, m,
 
     with S, G the supports of E|u|^2 and E|w|^2.  Powers of the blockwise
     expectations follow the chi convention: off the support everything is
-    0, so negative powers of vanishing blocks never occur.
+    0, so negative powers of vanishing blocks never occur.  A deviation is
+    ||lhs - closed form|| / ||lhs||, 0 when both vanish; passed: both <= DEFAULT_TOL.
     """
     if (isinstance(m, bool) or not isinstance(m, numbers.Real)
             or not np.isfinite(m) or m <= 0):
@@ -443,12 +440,13 @@ def lemma31_check(op: WeightedConditionalOperator, m,
     diff1, lhs1, diff2, lhs2 = _norms("Lemma 3.1 power",
                                       *sides(op.c, eu2, ew2, _adjoint(t) @ t),
                                       *sides(op.a, ew2, eu2, t @ _adjoint(t)))
-    dev1, dev2 = diff1 / max(1.0, lhs1), diff2 / max(1.0, lhs2)
+    dev1, dev2 = (float(np.divide(diff, lhs)) if diff else 0.0
+                  for diff, lhs in ((diff1, lhs1), (diff2, lhs2)))
     return PowerIdentityReport(
         power=float(m),
         deviation_t_star_t=dev1,
         deviation_t_t_star=dev2,
-        passed=max(dev1, dev2) <= tol,
+        passed=max(dev1, dev2) <= DEFAULT_TOL,
     )
 
 
@@ -462,8 +460,7 @@ class PolarReport:
 
 
 @linalg.quiet_overflow
-def polar_decomposition_check(op: WeightedConditionalOperator,
-                              tol: float = DEFAULT_TOL) -> PolarReport:
+def polar_decomposition_check(op: WeightedConditionalOperator) -> PolarReport:
     """Verify the closed-form polar factors of the weighted operator.
 
     |T| f = (E|w|^2 / E|u|^2)^{1/2} chi_S conj(u) E(u f)
@@ -474,6 +471,8 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     |T| = (+)_b m_b c_b c_b* with m_b >= 0 is Hermitian by construction, so one
     batched eigh of its blocks, with no asymmetry test, gives both its smallest
     eigenvalue and its range: the eigenvectors of the significant eigenvalues.
+    Each is within DEFAULT_TOL times its scale: ||T|| for U|T| - T, ||T||^2
+    for |T|^2 - T*T, max|eig| for |T|'s eigenvalues, 1 for U*U - P (no scale).
     """
     t, ew2, eu2 = _blocks(1.0, op.a, op.c), op.e_w2, op.e_u2
     chi_s, chi_g = support_mask(eu2), support_mask(ew2)
@@ -487,17 +486,16 @@ def polar_decomposition_check(op: WeightedConditionalOperator,
     iso = _adjoint(partial_iso) @ partial_iso - range_basis @ _adjoint(range_basis)
     t_norm, factor_residual, sq_residual, iso_residual = _norms(
         "polar residual", t, factor, squared, iso)
-    scale = max(1.0, t_norm)
     return PolarReport(
         factor_residual=factor_residual,
         modulus_min_eigenvalue=float(w.min()),
         modulus_squared_residual=sq_residual,
         partial_isometry_residual=iso_residual,
         passed=bool(
-            factor_residual <= tol * scale
-            and w.min() >= -max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(w))))
-            and sq_residual <= tol * max(1.0, t_norm ** 2)
-            and iso_residual <= tol * scale
+            factor_residual <= DEFAULT_TOL * t_norm
+            and w.min() >= -DEFAULT_TOL * np.max(np.abs(w))
+            and sq_residual <= DEFAULT_TOL * t_norm ** 2
+            and iso_residual <= DEFAULT_TOL
         ),
     )
 
@@ -520,16 +518,15 @@ class PosinormalCriterionReport:
 
 
 @linalg.quiet_overflow
-def thm33_check(op: WeightedConditionalOperator, lam: float,
-                tol: float = DEFAULT_TOL) -> PosinormalCriterionReport:
+def thm33_check(op: WeightedConditionalOperator, lam: float) -> PosinormalCriterionReport:
     """Blockwise lam^2 E|w|^2 |E u|^2 >= E|u|^2 |E w|^2 vs posinormality."""
     query = ClassQuery(k=0, n=1, lam=lam)
     s_prime = support_mask(op.e_u)
     supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
     blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
-                                    op.e_u2 * np.abs(op.e_w) ** 2, s_prime, tol,
+                                    op.e_u2 * np.abs(op.e_w) ** 2, s_prime,
                                     "Theorem 3.3")
-    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.compressed, query).holds
     return PosinormalCriterionReport(
         lam=query.lam,
         supports_match=supports_match,
@@ -558,9 +555,10 @@ class NPowerCriterionReport:
 
 
 @linalg.quiet_overflow
-def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
-                tol: float = DEFAULT_TOL) -> NPowerCriterionReport:
-    """lam^2 E|w|^2 |E u|^2 >= |E(uw)|^{2n} (E|u|^2 / (E|w|^2)^n) |E w|^2."""
+def thm34_check(op: WeightedConditionalOperator, n: int, lam: float) -> NPowerCriterionReport:
+    """lam^2 E|w|^2 |E u|^2 >= |E(uw)|^{2n} (E|u|^2 / (E|w|^2)^n) |E w|^2.
+    With (w, u) scaled by s and lam by s^(2(n-1)), as T's class scales, the
+    left side has degree 4n in s and the right 2n + 4: they agree at n = 2 only."""
     query = ClassQuery(k=0, n=n, lam=lam)
     chi_g = support_mask(op.e_w2)
     blockwise, margins = _blockwise(
@@ -568,8 +566,8 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float,
         (np.abs(op.e_uw) ** (2 * n)
          * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
-        np.ones_like(chi_g), tol, "Theorem 3.4")
-    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
+        np.ones_like(chi_g), "Theorem 3.4")
+    matrix_holds = posinormal.is_member(op.compressed, query).holds
     return NPowerCriterionReport(
         n=n,
         lam=query.lam,
@@ -607,10 +605,12 @@ class QuasiCriterionReport:
 
 
 @linalg.quiet_overflow
-def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
-                tol: float = DEFAULT_TOL) -> QuasiCriterionReport:
+def thm35_check(op: WeightedConditionalOperator, k: int, n: int,
+                lam: float) -> QuasiCriterionReport:
     """Evaluate both printed forms of the quasi-class criterion and the
-    matrix gap test on the same data."""
+    matrix gap test on the same data.  Scaled as in thm34_check, neither
+    form is homogeneous (stated: degree 8n + 4kn - 8 left, 4k + 4 right;
+    proof form: 4n + 4k and 4k + n + 2), so their verdicts depend on the scale."""
     query = ClassQuery(k=k, n=n, lam=lam)
     chi_s = support_mask(op.e_u2)
     chi_g = support_mask(op.e_w2)
@@ -621,7 +621,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
     stated, margins_a = _blockwise(
         (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
          * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g)),
-        np.abs(op.e_uw) ** (2 * k + 2), every, tol, "Theorem 3.5 stated")
+        np.abs(op.e_uw) ** (2 * k + 2), every, "Theorem 3.5 stated")
 
     # Inner display of the derivation, as printed.
     proof_form, margins_b = _blockwise(
@@ -630,9 +630,9 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int, lam: float,
          * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
                    * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
          * chi_g * np.abs(op.e_w) ** 2),
-        every, tol, "Theorem 3.5 proof form")
+        every, "Theorem 3.5 proof form")
 
-    matrix_holds = posinormal.is_member(op.compressed, query, tol=tol).holds
+    matrix_holds = posinormal.is_member(op.compressed, query).holds
     return QuasiCriterionReport(
         k=k, n=n, lam=query.lam,
         stated_holds=stated,

@@ -29,9 +29,9 @@ from .errors import NumericalFailure, ValidationError
 
 # The tolerance table: every fixed tolerance of posilab, with its scale and users.
 # DEFAULT_TOL: the caller's decision tol when none is set (is_member,
-# min_lambda, tensor_check, the condexp checks, the CLI's --tol), and the
-# relative slack of check_E_properties, which has no tol of its own (x
-# max(1, the largest side), as in the condexp checks).  The rounding
+# min_lambda, tensor_check, the CLI's --tol), and the relative slack of
+# the condexp checks and check_E_properties, which have no tol of their
+# own (x the scale at which a side's rounding occurs).  The rounding
 # factor of posinormal's ladder cut (x ||T||; it also decides T^j = 0 for
 # nilpotency_collapse_check) and obstruction floor (x ||T||^n), and of
 # the eigenvalue cuts of condexp's _hermitian_power and
@@ -44,8 +44,8 @@ DEFAULT_TOL = 1e-10
 # SUPPORT_RTOL: condexp's support rule |v| > SUPPORT_RTOL * max|v|.
 SUPPORT_RTOL = 1e-12
 # RESIDUAL_TOL: the largest residual of structure's input checks
-# (orthonormal, isometry, unitary; invariant x max(1, ||T||), commuting
-# x max(1, ||T|| ||S||)), and the relative slack of both comparisons of
+# (orthonormal, isometry, unitary; invariant x ||T||, commuting
+# x ||T|| ||S||), and the relative slack of both comparisons of
 # posinormal.operator_norm_corollary_check.
 RESIDUAL_TOL = 1e-9
 # AGREE_TOL: two computations of one number agree within it: spectrum()'s
@@ -215,6 +215,7 @@ def spectrum(m) -> np.ndarray:
         e = _exponent(m)
         det = complex(lapack("det", ldexp(m, -e), "2^-e M"))
         prod = complex(np.prod(ldexp(vals, -e)))
+        # The one max(1, .) floor kept: 2^-e M has scale 1; relative needs an error model.
         scale = max(1.0, abs(det), abs(prod))
         if abs(det - prod) > AGREE_TOL * scale:
             raise NumericalFailure(

@@ -126,7 +126,7 @@ def restrict_to_invariant(t, basis, k: int, n: int,
     ``basis`` is a matrix M whose columns span the subspace.  Rejected
     unless the columns are orthonormal and the invariance residual
     ||TM - M(M*TM)||, which is ||(I - MM*)TM|| for orthonormal M, is
-    below RESIDUAL_TOL * max(1, ||T||).  For a member T the compression is again
+    below RESIDUAL_TOL * ||T||.  For a member T the compression is again
     a member at the same lambda.
     """
     t = linalg.require_square(t)
@@ -137,22 +137,22 @@ def restrict_to_invariant(t, basis, k: int, n: int,
     _require_isometry(m, "subspace basis not orthonormal: residual {:.3e}")
     compressed = m.conj().T @ t @ m
     residual = linalg.operator_norm(t @ m - m @ compressed)
-    if residual > RESIDUAL_TOL * max(1.0, linalg.operator_norm(t)):
+    if residual > RESIDUAL_TOL * linalg.operator_norm(t):
         raise ValidationError(f"subspace is not invariant under T: residual {residual:.3e}")
     report = posinormal.is_member(compressed, ClassQuery(k=k, n=n, lam=lam))
     return compressed, report
 
 
 def isometry_product_check(t, s, k: int, n: int, lam: float) -> ClassReport:
-    """Membership of TS for a member T and a commuting isometry S."""
+    """Membership of TS for a member T and a commuting isometry S; they
+    commute when ||TS - ST|| <= RESIDUAL_TOL * ||T|| ||S||."""
     t = linalg.require_square(t)
     s = linalg.require_square(s)
     if t.shape != s.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs S {s.shape}")
     _require_isometry(s, "S is not an isometry: ||S*S - I|| = {:.3e}")
     comm = linalg.operator_norm(t @ s - s @ t)
-    comm_scale = max(1.0, linalg.operator_norm(t) * linalg.operator_norm(s))
-    if comm > RESIDUAL_TOL * comm_scale:
+    if comm > RESIDUAL_TOL * linalg.operator_norm(t) * linalg.operator_norm(s):
         raise ValidationError(f"T and S do not commute: residual {comm:.3e}")
     query = ClassQuery(k=k, n=n, lam=lam)
     posinormal.require_member(t, query, DEFAULT_TOL, "T")

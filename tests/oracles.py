@@ -263,14 +263,14 @@ def _dense_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def dense_norm_formula(op, tol=DEFAULT_TOL):
+def dense_norm_formula(op):
     """The fields of condexp.norm_formula_check, ||T|| from an SVD of the
     2B x 2B T_c."""
     matrix_norm = _dense_norm(op.compressed)
     blockwise = float(np.sqrt(np.max(op.e_w2 * op.e_u2)))
     dev = abs(matrix_norm - blockwise)
     return {"matrix_norm": matrix_norm, "blockwise_norm": blockwise,
-            "deviation": dev, "passed": dev <= tol * max(1.0, matrix_norm)}
+            "deviation": dev, "passed": dev <= DEFAULT_TOL * matrix_norm}
 
 
 def _dense_hermitian_power(h, m):
@@ -283,23 +283,23 @@ def _dense_hermitian_power(h, m):
     return (v * _chi_pow(w, float(m), w > DEFAULT_TOL * w[-1])) @ adj(v)
 
 
-def dense_lemma31(op, m, tol=DEFAULT_TOL):
+def dense_lemma31(op, m):
     """The fields of condexp.lemma31_check, every side a 2B x 2B matrix."""
     t = op.compressed
 
     def deviation(side, ex, ey, gram):
         alpha = _chi_pow(ex, float(m) - 1.0, _support(ex)) * ey ** float(m)
         lhs = _dense_hermitian_power(gram, m)
-        return (_dense_norm(lhs - _dense_direct_sum(alpha, side, side))
-                / max(1.0, _dense_norm(lhs)))
+        diff = _dense_norm(lhs - _dense_direct_sum(alpha, side, side))
+        return diff / _dense_norm(lhs) if diff else 0.0
 
     dev1 = deviation(op.c, op.e_u2, op.e_w2, adj(t) @ t)
     dev2 = deviation(op.a, op.e_w2, op.e_u2, t @ adj(t))
     return {"power": float(m), "deviation_t_star_t": dev1,
-            "deviation_t_t_star": dev2, "passed": max(dev1, dev2) <= tol}
+            "deviation_t_t_star": dev2, "passed": max(dev1, dev2) <= DEFAULT_TOL}
 
 
-def dense_polar(op, tol=DEFAULT_TOL):
+def dense_polar(op):
     """The fields of condexp.polar_decomposition_check, with one eigh of
     the 2B x 2B |T| for its spectrum and range."""
     t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
@@ -314,14 +314,13 @@ def dense_polar(op, tol=DEFAULT_TOL):
     mags = np.abs(w)
     basis = vecs[:, mags > DEFAULT_TOL * mags.max()]
     iso = _dense_norm(adj(partial_iso) @ partial_iso - basis @ adj(basis))
-    scale = max(1.0, t_norm)
     return {"factor_residual": factor, "modulus_min_eigenvalue": float(w[0]),
             "modulus_squared_residual": squared, "partial_isometry_residual": iso,
             "passed": bool(
-                factor <= tol * scale
-                and w[0] >= -max(tol, DEFAULT_TOL) * max(1.0, float(mags.max()))
-                and squared <= tol * max(1.0, t_norm ** 2)
-                and iso <= tol * scale)}
+                factor <= DEFAULT_TOL * t_norm
+                and w[0] >= -DEFAULT_TOL * mags.max()
+                and squared <= DEFAULT_TOL * t_norm ** 2
+                and iso <= DEFAULT_TOL)}
 
 
 def random_member(rng, dim, k, n, margin=1e-4, tries=50):

@@ -255,15 +255,16 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
     for argv in (["check", identity, "--k", 0, "--n", 1, "--lambda", 1],
                  ["lambda-min", FIXTURES / "diag_2_1.json", "--k", 0, "--n", 2],
                  ["tensor", identity, identity, "--k", 0, "--n", 1,
-                  "--lambda", 1, "--mu", 1],
-                 ["condexp", SPACE, "polar"]):
+                  "--lambda", 1, "--mu", 1]):
         assert run([*argv, f"--tol={tol}"]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and "error: argument --tol: " in err, err
-    # decompose takes its rank from the range ladder's fixed cut: no --tol
-    assert run(["decompose", identity, "--k", 0, f"--tol={tol}"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and f"error: unrecognized arguments: --tol={tol}" in err, err
+    # decompose takes its rank from the range ladder's fixed cut, and the
+    # condexp checks their slack from DEFAULT_TOL: neither takes --tol
+    for argv in (["decompose", identity, "--k", 0], ["condexp", SPACE, "polar"]):
+        assert run([*argv, f"--tol={tol}"]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: unrecognized arguments: --tol={tol}" in err, err
 
 
 # --- exit code 2 on overflow ----------------------------------------------------
@@ -417,7 +418,7 @@ def test_parsed_arguments_with_defaults():
                     "k": 1, "n": 1, "lam": 2.0, "mu": 3.0, "tol": 1e-9}),
         "condexp": (["condexp", "s.json", "norm"],
                     {"space_file": "s.json", "check": "norm", "k": 1, "n": 1,
-                     "lam": 1.0, "power": 1.0, **tol}),
+                     "lam": 1.0, "power": 1.0}),
         "paper-verify": (["paper-verify"], {"out": None, "seed": 20250810}),
     }
     parser = cli.build_parser()

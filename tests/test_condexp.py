@@ -671,3 +671,45 @@ def test_thm34_necessity_holds():
                 for lam in LAMBDAS
                 if not condexp.thm34_check(op, n, lam).necessity_ok]
     assert failures == []
+
+
+def _scale_free_verdicts(space, partition, w, u, j):
+    """The verdicts that must not depend on the scale of (w, u), with w and
+    u scaled by 2^j, so T by 4^j and each lambda by 4^(j(n-1)) as T's class
+    is: the matrix verdicts, passed of the norm, Lemma 3.1 and polar checks,
+    every field of thm33, and thm34's blockwise verdict at n = 2, the one n
+    where the printed Theorem 3.4 is homogeneous."""
+    op = condexp.build_operator(space, partition, w * 2.0 ** j, u * 2.0 ** j)
+    verdicts = {"norm": condexp.norm_formula_check(op).passed,
+                "polar": condexp.polar_decomposition_check(op).passed}
+    for m in (1, 2, 0.5, 1.5):
+        verdicts["lemma31", m] = condexp.lemma31_check(op, m).passed
+    for lam in LAMBDAS:
+        report = condexp.thm33_check(op, lam)
+        verdicts["thm33", lam] = (report.supports_match, report.blockwise_holds,
+                                  report.matrix_holds, report.agree)
+        for n in (1, 2, 3):
+            report = condexp.thm34_check(op, n, lam * 4.0 ** (j * (n - 1)))
+            verdicts["thm34", n, lam] = (report.matrix_holds,
+                                         report.blockwise_holds if n == 2 else None)
+        for k, n in ((0, 1), (1, 2), (2, 1)):  # at (1, 3) a printed side overflows at 2^40
+            report = condexp.thm35_check(op, k, n, lam * 4.0 ** (j * (n - 1)))
+            verdicts["thm35", k, n, lam] = report.matrix_holds
+    return verdicts
+
+
+def test_verdicts_are_covariant_under_exact_scaling():
+    """Scaling w and u by a power of two is exact, so every verdict above
+    is the one at scale 1.  A slack that is absolute below scale 1 fails
+    this: at 2^-10 the interval example's thm33 then reads blockwise_holds
+    true at lambda 0.5 and disagrees with the matrix."""
+    rng = np.random.default_rng(71)
+    spaces = [fixtures.interval_example(8)]
+    for atoms, blocks, vanishing in ((7, 3, False), (12, 4, False), (16, 5, True)):
+        masses, parts, w, u = random_space(rng, atoms, blocks, vanishing)
+        spaces.append((condexp.FiniteMeasureSpace(masses),
+                       condexp.BlockPartition(parts, atoms), w, u))
+    for space in spaces:
+        expected = _scale_free_verdicts(*space, 0)
+        for j in (-40, -20, -10, 10, 20, 40):
+            assert _scale_free_verdicts(*space, j) == expected, (space[0].atom_count, j)

@@ -190,6 +190,11 @@ def test_restrict_rejects_non_invariant():
     basis = np.array([[0.0], [1.0]], dtype=complex)  # span{e2}: T e2 = e1
     with pytest.raises(ValidationError, match="not invariant"):
         structure.restrict_to_invariant(t, basis, 0, 1, 1.0)
+    # The residual is judged against ||T||: T e4 = e3 at 2^-34 too, where
+    # it is below RESIDUAL_TOL in absolute terms.
+    e4 = np.eye(4, dtype=complex)[:, 3:]
+    with pytest.raises(ValidationError, match="not invariant"):
+        structure.restrict_to_invariant(2.0 ** -34 * invariant_block_matrix(), e4, 0, 1, 1.0)
     with pytest.raises(ValidationError, match="orthonormal"):
         structure.restrict_to_invariant(t, 2.0 * np.eye(2), 0, 1, 1.0)
 
@@ -257,6 +262,10 @@ def test_isometry_rejections(rng):
     if linalg.operator_norm(t @ s - s @ t) > 1e-6:
         with pytest.raises(ValidationError, match="commute"):
             structure.isometry_product_check(t, s, 0, 2, 2.5)
+    # judged against ||T|| ||S||, so at 2^-34 too
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match="commute"):
+        structure.isometry_product_check(2.0 ** -34 * t, swap, 0, 2, 2.5)
     with pytest.raises(ValidationError, match="not a member"):
         structure.isometry_product_check(nilpotent_shift(3), np.eye(3), 0, 2, 1.0)
 
