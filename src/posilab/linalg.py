@@ -32,14 +32,14 @@ from .errors import NumericalFailure, ValidationError
 # min_lambda, tensor_check, the CLI's --tol), and the relative slack of
 # the condexp checks and check_E_properties, which have no tol of their
 # own (x the scale at which a side's rounding occurs).  The rounding
-# factor of posinormal's ladder cut (x ||T||; it also decides T^j = 0 for
-# nilpotency_collapse_check) and obstruction floor (x ||T||^n), and of
-# the eigenvalue cuts of condexp's _hermitian_power and
+# factor of posinormal's ladder cut (x ||S||, S = 2^-e T the slot's; it
+# also decides T^j = 0 for nilpotency_collapse_check) and obstruction floor
+# (x ||S||^n), and of the eigenvalue cuts of condexp's _hermitian_power and
 # polar_decomposition_check (x the largest eigenvalue).  Its inverse bounds
-# ||M||_F ||M^-1||_F in certified_inverse, which so certifies that the
-# ladder's cut keeps every singular value of M.  The absolute
-# slack of a computed value against an exact one: verify's recomputed
-# blocks and vanishing gaps.
+# ||S||_F ||S^-1||_F in certified_inverse, which so certifies that the
+# ladder's cut keeps every singular value of S.  The absolute slack of a
+# computed value against an exact one: verify's recomputed blocks and
+# vanishing gaps.
 DEFAULT_TOL = 1e-10
 # SUPPORT_RTOL: condexp's support rule |v| > SUPPORT_RTOL * max|v|.
 SUPPORT_RTOL = 1e-12
@@ -202,8 +202,7 @@ def spectrum(m) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (real, imag).
 
     For dimensions <= 12 the eigenvalues are cross-checked against the
-    determinant on M scaled by 2^-e, e the binary exponent of the largest
-    real or imaginary part of M: det(2^-e M) against the product of the
+    determinant: det(2^-e M), e from _exponent, against the product of the
     2^-e lambda_i.  The scaling is exact, so neither side overflows or
     underflows because of the scale of M.  A disagreement beyond AGREE_TOL
     relative raises NumericalFailure.  The eigenvalues returned are M's.
@@ -225,48 +224,45 @@ def spectrum(m) -> np.ndarray:
     return vals
 
 
-def ldexp(z: np.ndarray, e: int) -> np.ndarray:
-    """2^e z, exactly whenever no part leaves the float range."""
-    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+def _parts(z) -> np.ndarray:
+    """The parts of complex z, interleaved, as a float64 view of z (or of a C-contiguous copy)."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64)
 
 
-def _exponent(m: np.ndarray) -> int:
+def ldexp(z, e: int) -> np.ndarray:
+    """2^e z part by part, exact (a -0.0 kept) while no part leaves the float range."""
+    return np.ldexp(_parts(z), e).view(complex)
+
+
+def _exponent(m) -> int:
     """The binary exponent e of the largest real or imaginary part of M:
     the parts of 2^-e M lie in (-1, 1), the largest at 1/2 or above."""
-    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    return int(np.frexp(np.abs(_parts(m)).max())[1])
 
 
 @quiet_overflow
-def certified_inverse(m: np.ndarray) -> np.ndarray | None:
-    """M^-1 when it certifies sigma_min(M) > DEFAULT_TOL * ||M||_2 without
+def certified_inverse(s: np.ndarray) -> np.ndarray | None:
+    """S^-1 when it certifies sigma_min(S) > DEFAULT_TOL * ||S||_2 without
     an SVD, else None; always None below dim _INVERSE_MIN_DIM, where one
-    SVD is cheaper.  M is square and finite.
+    SVD is cheaper.  S is square with parts in (-1, 1), the largest at 1/2
+    or above: posinormal's slot passes its 2^-e T.
 
-    Everything is computed on S = 2^-e M (e from _exponent), an exact
-    scaling, so the scale of M does not make det(S) underflow.  det(S) =
-    0 is None without an inverse: an exact zero pivot of its LU, where
-    inverting S would fail, or a product of pivots below the float range
-    (singular values log-spaced over 1e9 at dim 128 are enough).
+    det(S) = 0 is None without an inverse: an exact zero pivot of its LU,
+    where inverting S would fail, or a product of pivots below the float
+    range (singular values log-spaced over 1e9 at dim 128 are enough).
     Otherwise S^-1 is formed, and the certificate is ||S||_F ||S^-1||_F
-    <= 1 / DEFAULT_TOL, each norm the upper bound of norm_bounds and the
-    product widened by dim * eps / DEFAULT_TOL, the relative error of a
-    computed inverse at that conditioning.  As ||X||_2 <= ||X||_F, it
-    bounds sigma_max / sigma_min of M.  A non-finite inverse, or M^-1 =
-    2^-e S^-1 leaving the float range, is None too.
+    <= 1 / DEFAULT_TOL, each norm the upper bound of norm_bounds (inf for a
+    non-finite inverse) and the product widened by dim * eps / DEFAULT_TOL,
+    the relative error of a computed inverse at that conditioning.  As
+    ||X||_2 <= ||X||_F, it bounds sigma_max / sigma_min of S.
     """
-    dim = m.shape[0]
-    if dim < _INVERSE_MIN_DIM:
+    dim = s.shape[0]
+    if dim < _INVERSE_MIN_DIM or lapack("det", s, "2^-e T") == 0:
         return None
-    e = _exponent(m)
-    scaled = ldexp(m, -e)
-    if lapack("det", scaled, "2^-e M") == 0:
-        return None
-    inverse = lapack("matrix_power", scaled, "2^-e M", n=-1)
-    rounding = 1.0 + dim * np.finfo(float).eps / DEFAULT_TOL
-    if not norm_bounds(scaled)[1] * norm_bounds(inverse)[1] * rounding <= 1.0 / DEFAULT_TOL:
-        return None  # also when the inverse is not finite: its bound is inf
-    inverse = ldexp(inverse, -e)
-    return inverse if np.isfinite(inverse).all() else None
+    inverse = lapack("matrix_power", s, "2^-e T", n=-1)
+    bound = norm_bounds(s)[1] * norm_bounds(inverse)[1]
+    certified = bound * (1.0 + dim * np.finfo(float).eps / DEFAULT_TOL) <= 1.0 / DEFAULT_TOL
+    return inverse if certified else None
 
 
 def distinct_values(values, tol: float) -> list[complex]:

@@ -12,20 +12,15 @@ posinormality (T^n T*^n <= lambda^2 T*T).
 The gap tests H = lambda^2 T*T - T^n T*^n on ran T^k only: for Q an
 orthonormal basis of ran T^k it is PSD iff Q*HQ = lambda^2 C'*C' - D'*D'
 is, with C' = TQ and D' = T*^n Q (Proposition 2.9 is the case
-ran T^k = H).  This *pencil* is decided from the thin SVD
-C' = U S W*, so neither T^{k+1} nor a Gram matrix C*C is formed, and the
-conditioning that enters is that of T on ran T^k.  Q comes from a *range
-ladder*, as ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T
+ran T^k = H).  This *pencil* is decided from the thin SVD of C', so
+neither T^{k+1} nor a Gram matrix C*C is formed, and the conditioning
+that enters is that of T on ran T^k.  Q comes from a *range ladder* (see
+_Rung), as ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T
 (Q_0 = I), rung j+1 the thin SVD of T Q_{j+1}, Q_{j+1} the left singular
 vectors of rung j above the cut DEFAULT_TOL * ||T||, the scale of the
-rounding in T Q.  A rung that keeps its full rank has found a
-T-invariant range and is every later rung too.  Rung 0 of a T of dim
-64 or more first tries linalg.certified_inverse: when ||T||_F ||T^-1||_F
-shows sigma_min > DEFAULT_TOL * ||T||, the cut would keep every singular
-value, and rung 0 holds T^-1 in place of W+ S+^-1 and I in place of U+,
-with no SVD.  So for such a T the whole ladder is one det and one
-inverse; for another invertible T it is one SVD of T, from dim 64 on
-after the certificate that failed.
+rounding in T Q.  From dim 64 on, rung 0 first tries
+linalg.certified_inverse, whose T^-1 stands in for the SVD when it
+certifies that the cut keeps every singular value.
 
 The pencil is *obstructed* when D' is not negligible on the kernel W0 of
 C' (see LambdaResult): the gap then fails at every lambda.  Otherwise, in
@@ -34,40 +29,41 @@ the *normal form* lambda^2 I - M*M with M = D' W+ S+^-1: its eigenvalues
 lambda^2 - mu_i, mu_i those of M*M, are the generalized eigenvalues of
 (Q*HQ, C'*C') off the kernel of C', and lambda_min^2 = max mu_i (0 when T
 vanishes on ran T^k, where the form is empty).  A verdict reads this
-form.  Its ``gap_min_eigenvalue`` is lambda^2 - lambda_min^2, its
-``gap_norm`` max_i |lambda^2 - mu_i|, and it holds iff
-lambda^2 - lambda_min^2 >= -tol * lambda_min^2; an empty form reports 0
-and 0 and holds.  An obstructed pencil reports -inf and inf: on W0, C'
-vanishes and D' does not, so the generalized eigenvalue there is -inf.
+form (see is_member and ClassReport); an obstructed pencil reports -inf
+and inf: on W0, C' vanishes and D' does not, so the generalized
+eigenvalue there is -inf.
 The threshold scales with the form, so verdicts are monotone in lambda and
-covariant under T -> cT, lambda -> |c|^(n-1) lambda.
+covariant under T -> cT, lambda -> |c|^(n-1) lambda; for c = 2^j exactly.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
-products): its own copy of T and, each formed when first asked for, the
-powers T^n, the rungs and one pencil per rung and (n, tol), which every
-k at or past the rung where the ladder ends reads (for invertible T, rung
-0's).  A pencil is held as data: the eigenvalues mu of M*M, or the marker
-_OBSTRUCTED.  min_lambda, classify_grid and is_member read the pencil, so
-on a (T, rung, n, tol) seen before none of them makes a LAPACK call, and
-nilpotency_collapse_check decides T^j = 0 on the held rungs.  Each
-product has one expression, so a warm call gives the cold result bit for
-bit, and no held array is returned to a caller.  A new T replaces the
-slot before anything is formed; a product is stored into the slot's dict
-once formed, so a formation that raises leaves nothing of it held and
-concurrent callers at worst form a product twice.
+products): its own copy of T, and S = 2^-e T (e = linalg._exponent(T), so
+S's parts lie in (-1, 1)), on which everything held is formed when first
+asked for: the powers S^n, the rungs and one pencil per rung and (n, tol)
+(see _Slot; for invertible T, every k reads rung 0's).  Only min_lambda,
+is_member and nilpotency_collapse_check convert to T's units, so T and 2^j
+T share every verdict, mu and witness bit for bit while their entries are
+normal floats, and a form overflows or underflows only where ||S||^n
+leaves the float range, at n in the hundreds or more.  A pencil is held as
+data: the eigenvalues mu of M*M, or the marker _OBSTRUCTED.  min_lambda,
+classify_grid and is_member read it, so on a (T, rung, n, tol) seen before
+none of them makes a LAPACK call, and nilpotency_collapse_check decides
+T^j = 0 on the held rungs.  Each product has one expression, so a warm
+call gives the cold result bit for bit, and no held array is returned to a
+caller.  A new T replaces the slot before anything is formed; a product is
+stored into the slot's dict once formed, so a formation that raises leaves
+nothing of it held and concurrent callers at worst form a product twice.
 
 Both failure certificates are computed when read, by _witness, from the
-held rungs and T^n: the kernel obstruction of an obstructed pencil (the
+held rungs and S^n: the kernel obstruction of an obstructed pencil (the
 top eigenvector of (D'W0)*(D'W0)), else the top eigenvector of M*M, each
 from one eigh and pulled back through the rungs to a unit x whose T^k x
 is the failing direction of ran T^k, at the verdict's own k.  A cold
-verdict runs eigvalsh only.  The obstruction test reads the top
-eigenvalue of (D'W0)*(D'W0) and is settled by linalg.at_most_scaled,
-norm bounds first, so it is the one the exact norm gives.
+verdict runs eigvalsh only.
 """
 
 import functools
+import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -109,8 +105,9 @@ class ClassReport:
     """Outcome of one membership query, read from the normal form of its
     pencil on ran T^k (module docstring): the smallest eigenvalue
     lambda^2 - lambda_min^2 and the norm max_i |lambda^2 - mu_i| of the
-    form, both 0 when T vanishes on ran T^k and -inf and inf when the
-    pencil is obstructed, and a witness when the query fails."""
+    form in T's units (+-inf beyond the float range), both 0 when T vanishes
+    on ran T^k and -inf and inf when the pencil is obstructed, and a
+    witness when the query fails."""
 
     holds: bool
     gap_min_eigenvalue: float
@@ -131,13 +128,10 @@ class LambdaResult:
 
     Feasible: T is a member at (k, n, lambda) for every lambda >=
     lambda_min, read from rung k of the range ladder (0.0 when T vanishes
-    on ran T^k).  Infeasible: no lambda > 0 works, because some unit x has
-    T^{k+1} x ~ 0 while T*^n T^k x is not negligible: y = T^k x, scaled to
-    a unit vector, has ||T*^n y||^2 > tol * ||T*^n P||^2, P the orthogonal
-    projector onto ran T^k, and ||T*^n y|| > DEFAULT_TOL * ||T||^n.  That x
-    is the kernel_obstruction, computed when read and pulled back from
-    ran T^k through the held rungs, with the phase that makes its largest
-    entry real and positive.
+    on ran T^k or when it underflows).  Infeasible: no lambda > 0 works,
+    because some unit x has T^{k+1} x ~ 0 while T*^n T^k x is not
+    negligible (the test of min_lambda): the kernel_obstruction, computed
+    when read and pulled back from ran T^k through the held rungs.
     """
 
     feasible: bool
@@ -151,22 +145,22 @@ class LambdaResult:
         return None if self._obstruction is None else self._obstruction()
 
 
-# The slot: its own copy of T, and the products of T that do not depend on
-# lambda, by key: ("power", n) for T^n, ("rung", j) for rung j of the range
-# ladder and ("pencil", j, n, tol) for the pencil on rung j, which every
-# k >= j whose ladder ends at rung j reads: _OBSTRUCTED, or the eigenvalues
-# mu of M*M, ascending.
-_Slot = namedtuple("_Slot", "t held")
+# The slot: its own copy of T, the key; S = 2^-e T, e = linalg._exponent(T);
+# and the products of S that do not depend on lambda, by key: ("power", n)
+# for S^n, ("rung", j) for rung j of the range ladder and ("pencil", j, n,
+# tol) for the pencil on rung j, which every k >= j whose ladder ends at
+# rung j reads: _OBSTRUCTED, or the eigenvalues mu of M*M, ascending.
+_Slot = namedtuple("_Slot", "t s e held")
 
-# Rung j of the range ladder, for an orthonormal basis Q of ran T^j (None
-# at rung 0, where Q = I), from the thin SVD TQ = U S W*: wps = W+ S+^-1
-# over the singular values above the cut DEFAULT_TOL * top, top = ||T||,
-# w0 the right singular vectors below it, and next = U+, the basis of
-# ran T^{j+1}.  A rung with an empty w0 keeps its full rank: ran T^{j+1}
-# is ran T^j, and rung j+1 is rung j.  Readers rely on TQ wps = next
-# only, so a certified rung 0 (linalg.certified_inverse) holds wps =
-# T^-1, next = I and an empty w0.  Its top is None: top is read only
-# below a rung with a kernel, and a certified rung has none.
+# Rung j of the range ladder of the slot's S, for an orthonormal basis Q of
+# ran T^j (None at rung 0, where Q = I), from the thin SVD SQ = U S+ W*:
+# wps = W+ S+^-1 over the singular values above the cut DEFAULT_TOL * top,
+# top = ||S||, w0 the right singular vectors below it, and next = U+, the
+# basis of ran T^{j+1}.  A rung with an empty w0 keeps its full rank:
+# ran T^{j+1} is ran T^j, and rung j+1 is rung j.  Readers rely on
+# SQ wps = next only, so a certified rung 0 (linalg.certified_inverse)
+# holds wps = S^-1, next = I and an empty w0.  Its top is None: top is
+# read only below a rung with a kernel, and a certified rung has none.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
 
 # The held pencil of an obstructed rung, in place of mu.
@@ -186,7 +180,7 @@ def _holds(slot: _Slot | None, t) -> bool:
 
 def _slot_for(t) -> _Slot:
     """The slot when it holds T's bit pattern, else a new slot with its own
-    copy of T and nothing formed, in place of the old one.  T is validated
+    copy of T, its S and nothing formed, in place of the old one.  T is validated
     unless it is the held T, which was validated when it was stored (a
     real or list T is compared after validation made it complex)."""
     global _slot
@@ -197,8 +191,17 @@ def _slot_for(t) -> _Slot:
     if _holds(held, t):
         return held
     _slot = None  # release the old products before copying T
-    _slot = held = _Slot(np.array(t, order="C"), {})
+    t, e = np.array(t, order="C"), linalg._exponent(t)
+    _slot = held = _Slot(t, linalg.ldexp(t, -e), e, {})
     return held
+
+
+def _in_t_units(slot: _Slot, x: float, power: int) -> float:
+    """x 2^(e power): S's value x of degree ``power`` in T's units (0 or +-inf out of range)."""
+    try:
+        return math.ldexp(x, slot.e * power)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _held(slot: _Slot, key, form):
@@ -229,25 +232,27 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     """Decide membership at ``query`` from the normal form of the held
     pencil (module docstring): fails at every lambda when the pencil is
     obstructed, else holds iff lambda^2 - lambda_min^2 >= -tol *
-    lambda_min^2, and always when T vanishes on ran T^k.
+    lambda_min^2, and always when T vanishes on ran T^k.  It compares
+    2^(-e(n-1)) lambda with S's mu: a square out of range decides by its side.
 
     The first verdict or min_lambda on (T, rung, n, tol) forms the pencil:
     the ladder's SVDs (for a certified rung 0, one det and one inverse
-    instead), T^n and one eigvalsh of M*M (and one of the rung's kernel
+    instead), S^n and one eigvalsh of M*M (and one of the rung's kernel
     Gram when it has one; M*M is not formed when that obstructs); later
     verdicts on it make no LAPACK call.  Reading the witness of a
     failing report runs one eigh, of M*M or of the kernel Gram.
     """
-    mu, witness = _pencil(_slot_for(t), query.k, query.n, tol)
+    slot = _slot_for(t)
+    mu, witness = _pencil(slot, query.k, query.n, tol)
     if mu is _OBSTRUCTED:
         return ClassReport(False, -np.inf, np.inf, witness)
     if not mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
-    lam2, top = query.lam ** 2, _top(mu)
-    lo = lam2 - top
-    holds = lo >= -tol * top
-    return ClassReport(holds, lo, float(np.max(np.abs(lam2 - mu))),
-                       None if holds else witness)
+    lam = _in_t_units(slot, query.lam, 1 - query.n)
+    lo, gap = lam * lam - _top(mu), float(np.max(np.abs(lam * lam - mu)))
+    holds = lo >= -tol * _top(mu)
+    return ClassReport(holds, _in_t_units(slot, lo, 2 * query.n - 2),
+                       _in_t_units(slot, gap, 2 * query.n - 2), None if holds else witness)
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -259,31 +264,31 @@ def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
 
 
 @linalg.quiet_overflow
-def _rung(t, below: _Rung | None) -> _Rung:
-    """The rung of the range ladder above rung ``below`` (None: rung 0):
-    rung 0 from a certified inverse of T when there is one, else from
-    the SVD of T Q."""
+def _rung(s, below: _Rung | None) -> _Rung:
+    """The rung of the range ladder of S above rung ``below`` (None: rung
+    0): rung 0 from a certified inverse of S when there is one, else from
+    the SVD of S Q."""
     if below is None:
-        inverse = linalg.certified_inverse(t)
+        inverse = linalg.certified_inverse(s)
         if inverse is not None:
-            dim = t.shape[0]
+            dim = s.shape[0]
             return _Rung(None, inverse, np.zeros((dim, 0), dtype=complex),
                          np.eye(dim, dtype=complex), None)
     q = None if below is None else below.next
-    c = t if q is None else t @ q
-    u, s, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
-    top = float(s.max(initial=0.0)) if below is None else below.top
-    rank = int(np.count_nonzero(s > DEFAULT_TOL * top))
+    c = s if q is None else s @ q
+    u, sv, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
+    top = float(sv.max(initial=0.0)) if below is None else below.top
+    rank = int(np.count_nonzero(sv > DEFAULT_TOL * top))
     w = vh.conj().T
-    return _Rung(q, w[:, :rank] / s[:rank], w[:, rank:].copy(),
-                 u if rank == s.size else u[:, :rank].copy(), top)
+    return _Rung(q, w[:, :rank] / sv[:rank], w[:, rank:].copy(),
+                 u if rank == sv.size else u[:, :rank].copy(), top)
 
 
 def _ladder(slot: _Slot, k: int) -> list:
     """Rungs 0..k; a rung of full rank ends it and is rung k."""
     rungs, below = [], None
     for j in range(k + 1):
-        below = _held(slot, ("rung", j), lambda: _rung(slot.t, below))
+        below = _held(slot, ("rung", j), lambda: _rung(slot.s, below))
         rungs.append(below)
         if not below.w0.shape[1]:
             break
@@ -296,11 +301,11 @@ def range_basis(t, k: int) -> np.ndarray:
     slot = _slot_for(t)
     ClassQuery(k=k, n=1, lam=1.0)  # validates k
     if k == 0:
-        return np.eye(slot.t.shape[0], dtype=complex)
+        return np.eye(slot.s.shape[0], dtype=complex)
     return _ladder(slot, k - 1)[-1].next.copy()
 
 
-def _pull_back(t, rungs: list, k: int, z) -> np.ndarray:
+def _pull_back(rungs: list, k: int, z) -> np.ndarray:
     """Unit x with T^k x parallel to Q z, Q the basis of ran T^k at the
     last rung and z in its coordinates, with the phase that makes its
     largest entry real and positive.  A ladder that ended at a full rung
@@ -323,20 +328,20 @@ def _top(mu) -> float:
     return max(float(mu[-1]), 0.0)
 
 
-def _d_prime(rung: _Rung, tn) -> np.ndarray:
-    """D' = T*^n Q on ``rung`` (Q = I at rung 0), from T^n."""
-    return tn.conj().T if rung.q is None else tn.conj().T @ rung.q
+def _d_prime(rung: _Rung, sn) -> np.ndarray:
+    """D' = S*^n Q on ``rung`` (Q = I at rung 0), from S^n."""
+    return sn.conj().T if rung.q is None else sn.conj().T @ rung.q
 
 
 @linalg.quiet_overflow
-def _form_pencil(n: int, tol: float, rung: _Rung, tn):
-    """The pencil at (n, tol) on ``rung``, from T^n (see min_lambda):
+def _form_pencil(n: int, tol: float, rung: _Rung, sn):
+    """The pencil at (n, tol) on ``rung``, from S^n (see min_lambda):
     _OBSTRUCTED, or the eigenvalues mu of M*M, ascending."""
-    dq = _d_prime(rung, tn)
+    dq = _d_prime(rung, sn)
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
         top = float(linalg.lapack("eigvalsh", dw.conj().T @ dw, "(D'W0)*(D'W0)")[-1])
-        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of T^n
+        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of S^n
         if top > rounding and not linalg.at_most_scaled(top, tol, dq):
             return _OBSTRUCTED  # M*M is not formed: it may overflow
     if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
@@ -346,7 +351,7 @@ def _form_pencil(n: int, tol: float, rung: _Rung, tn):
 
 
 @linalg.quiet_overflow
-def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
+def _witness(rungs: list, sn, k: int, obstructed: bool) -> np.ndarray:
     """The certificate of a failing verdict at quasi order k, from one eigh:
     the top eigenvector of the Gram matrix (D'B)*(D'B) that formed the
     pencil on the last rung, B = W0 for an obstruction and W+ S+^-1 for
@@ -354,51 +359,52 @@ def _witness(t, rungs: list, tn, k: int, obstructed: bool) -> np.ndarray:
     again on read, so nothing N x r is held."""
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
-    dw = _d_prime(rung, tn) @ basis
+    dw = _d_prime(rung, sn) @ basis
     v = linalg.lapack("eigh", dw.conj().T @ dw, "(D'B)*(D'B)")[1][:, -1]
-    return _pull_back(t, rungs, k, basis @ v)
+    return _pull_back(rungs, k, basis @ v)
 
 
 def _pencil(slot: _Slot, k: int, n: int, tol: float):
     """(pencil, certificate): the held pencil at (n, tol) on the last rung
-    up to k, else formed and stored with the rungs and T^n it reads, and
+    up to k, else formed and stored with the rungs and S^n it reads, and
     the _witness of a failing verdict at k, computed when called.  When
-    ran T^k = {0} the form is empty and T^n, which may overflow where T^k
+    ran T^k = {0} the form is empty and S^n, which may overflow where S^k
     vanishes, is not formed."""
     rungs = _ladder(slot, k)
     if not rungs[-1].wps.shape[0]:  # Q has no columns
         return np.zeros(0), None
-    tn = _held(slot, ("power", n), lambda: linalg.matpow(slot.t, n))
+    sn = _held(slot, ("power", n), lambda: linalg.matpow(slot.s, n))
     pencil = _held(slot, ("pencil", len(rungs) - 1, n, tol),
-                   lambda: _form_pencil(n, tol, rungs[-1], tn))
-    return pencil, functools.partial(_witness, slot.t, rungs, tn, k,
-                                     pencil is _OBSTRUCTED)
+                   lambda: _form_pencil(n, tol, rungs[-1], sn))
+    return pencil, functools.partial(_witness, rungs, sn, k, pencil is _OBSTRUCTED)
 
 
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
-    """Minimal lambda making T a member at (k, n), from the pencil on rung
-    k of the range ladder, TQ = U S W*, and D' = T*^n Q.
+    """Minimal lambda making T a member at (k, n), from the pencil of the
+    slot's S = 2^-e T on rung k, SQ = U S+ W*, and D' = S*^n Q.
 
     Infeasible iff D' is not negligible on the rung's numerical kernel W0:
     ||D' W0||^2, the top eigenvalue of (D' W0)*(D' W0) from eigvalsh, is
     above tol * ||D'||^2, norm bounds of D' first, and above
-    (DEFAULT_TOL * ||T||^n)^2, the fixed cut of the ladder applied to T^n,
-    whose rounding is on the scale of ||T||^n.  The kernel_obstruction is
-    computed when read: the top eigenvector a of that Gram matrix gives
-    y = Q W0 a, and x is pulled back from it through the wps of the rungs
-    below (T^k x is parallel to y).  Otherwise lambda_min =
-    ||D' W+ S+^-1||_2, the root of the top eigenvalue of its Gram matrix,
-    and 0.0 when T vanishes on ran T^k.  Both tests are relative, so
-    scaling T by c scales lambda_min by |c|^(n-1) and keeps feasibility.
-    The rank cut is fixed; tol decides the obstruction only.  Where a
-    Gram matrix overflows, neither test can be read: NumericalFailure.
+    (DEFAULT_TOL * ||S||^n)^2, the ladder's cut applied to S^n.  The
+    kernel_obstruction, computed when read, is that Gram matrix's top
+    eigenvector pulled back to x (_witness).  Otherwise lambda_min =
+    2^(e(n-1)) ||D' W+ S+^-1||_2, 0.0 when T vanishes on ran T^k or when
+    it underflows, and NumericalFailure "lambda_min overflows" beyond the
+    float range.  Both tests are relative and read S only, so scaling T by
+    c scales lambda_min by |c|^(n-1) and keeps feasibility, bit for bit at
+    c = 2^j.  The rank cut is fixed; tol decides the obstruction only.
+    Where a Gram matrix of S overflows, at n in the hundreds, neither test
+    can be read: NumericalFailure; where ||S||^n underflows (S = I/2 from
+    n = 1075 on), the form vanishes and lambda_min reads 0.
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     mu, obstruction = _pencil(slot, k, n, tol)
     if mu is _OBSTRUCTED:
         return LambdaResult(False, None, obstruction)
-    return LambdaResult(True, float(np.sqrt(_top(mu))) if mu.size else 0.0, None)
+    lam = _in_t_units(slot, math.sqrt(_top(mu)), n - 1) if mu.size else 0.0
+    return LambdaResult(True, linalg.require_finite(lam, "lambda_min"), None)
 
 
 def _order(m, k: int) -> int:
@@ -454,8 +460,8 @@ class NilpotencyReport:
     The collapse T^k = 0 is provable only when k >= n (the argument
     factors through T^{k-n}); ``asserted`` records whether this run was in
     the provable regime.  For k < n the measured norm is reported without
-    a verdict being claimed.  ``passes`` reads T^k = 0 off the range ladder,
-    whose cut DEFAULT_TOL * ||T|| on every rung is ``bound``.
+    a verdict being claimed.  ``passes`` reads T^k = 0 off the range ladder
+    of S = 2^-e T, whose cut DEFAULT_TOL * ||S|| on every rung is 2^-e ``bound``.
     """
 
     asserted: bool
@@ -468,7 +474,7 @@ class NilpotencyReport:
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
     T^j = 0 iff the ladder's basis of ran T^j is empty, at any scale of T.
-    ||T^k|| is measured on 2^-e T, 2^e > ||T||, so no power overflows."""
+    ||T^k|| is reported as ||S^k|| * 2^(ke), so no power overflows."""
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     if range_basis(t, k + 1).shape[1]:
@@ -476,18 +482,16 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     collapsed = not range_basis(t, k).shape[1]  # the gap is 0: a member at every lambda
     if not collapsed and not min_lambda(t, k, n).feasible:
         raise ValidationError("operator is not a member at (k, n) for any lambda")
-    top = _ladder(slot, 0)[0].top
-    e = int(np.frexp(top)[1])
-    scaled = linalg.operator_norm(linalg.matpow(linalg.ldexp(slot.t, -e), k))
-    return NilpotencyReport(asserted=k >= n, norm_t_k=float(np.ldexp(scaled, k * e)),
-                            bound=DEFAULT_TOL * top, passes=collapsed)
+    norm, top = linalg.operator_norm(linalg.matpow(slot.s, k)), _ladder(slot, 0)[0].top
+    return NilpotencyReport(k >= n, _in_t_units(slot, norm, k),
+                            _in_t_units(slot, DEFAULT_TOL * top, 1), collapsed)
 
 
 def classify_grid(t, k_max: int,
                   n_max: int) -> dict[tuple[int, int], LambdaResult]:
     """min_lambda (at DEFAULT_TOL) over the parameter grid 0 <= k <= k_max,
     1 <= n <= n_max, on the one slot: the ladder up to rung k_max and each
-    power T^n are formed once for the whole grid, and one pencil per rung
+    power S^n are formed once for the whole grid, and one pencil per rung
     and n (for invertible T, one per n: every k reads rung 0)."""
     linalg.require_square(t)
     ClassQuery(k=k_max, n=n_max, lam=1.0)  # validates k_max, n_max

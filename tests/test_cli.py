@@ -272,9 +272,11 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
 def _overflow_cases(tmp_path):
     big, steep = tmp_path / "big.json", tmp_path / "steep.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
+    huge = tmp_path / "huge.json"  # lambda_min at (0, 3) is about 1e400
+    huge.write_text(fileio.dumps_matrix(np.array([[1e200, 1.0], [0.0, 1.0]])))
     shift = tmp_path / "shift.json"  # ran T^3 = 0, so C = T and C^2 overflows
     shift.write_text(fileio.dumps_matrix(1e200 * np.eye(3, k=1)))
-    # T^2 is finite, M = T*^2 T^-1 of the normal form is about 1e158
+    # lambda_min is 2.0000000025e154, whose square is beyond the float range
     steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
     space, partition, _, u = fixtures.interval_example(8)
@@ -287,13 +289,10 @@ def _overflow_cases(tmp_path):
     tall.write_text(fileio.dumps_space(space, partition, np.full(8, 1e100), u))
     identity = FIXTURES / "identity_2.json"
     return [
-        ["check", big, "--k", 2, "--n", 3, "--lambda", 1.0],   # T^n
-        ["lambda-min", big, "--k", 0, "--n", 3],               # T^n
+        ["lambda-min", huge, "--k", 0, "--n", 3],              # lambda_min
+        ["lambda-min", big, "--k", 0, "--n", 3],               # certificate's lambda^2
         ["decompose", shift, "--k", 3],                        # C^k
-        ["check", steep, "--k", 0, "--n", 2, "--lambda", 1.0],  # M*M
-        ["lambda-min", steep, "--k", 1, "--n", 2],             # M*M
-        ["tensor", steep, identity, "--k", 0, "--n", 2,        # M*M of a factor
-         "--lambda", 1.0, "--mu", 1.0],
+        ["lambda-min", steep, "--k", 1, "--n", 2],             # certificate's lambda^2
         ["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200],  # lambda^2
         ["condexp", SPACE, "thm33", "--lambda", 1e200],
         ["condexp", SPACE, "thm34", "--lambda", 1e200],
@@ -317,6 +316,78 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         assert out == "", (argv, out)  # no half report before the failure
 
 
+def _report(capsys) -> dict:
+    """The report lines printed since the last read, as name -> value."""
+    out, err = capsys.readouterr()
+    assert err == ""
+    return dict(line.split(": ", 1) for line in out.splitlines()[1:])
+
+
+# (k, n) of the scaled runs, and the scales 2^j.
+SCALED_QUERIES = ((0, 1), (0, 2), (1, 2), (2, 1), (1, 3))
+SCALES = (-1000, -500, -250, 250, 500, 1000)
+
+
+@pytest.mark.parametrize("path", MATRICES, ids=lambda p: p.stem)
+def test_entry_points_agree_at_extreme_scales(path, tmp_path, capsys):
+    """Each Section 2 fixture T written as 2^j T: lambda-min and check
+    print lambda_min 2^(j(n-1)) and the gap values 2^(2j(n-1)) times
+    those of T, to the 12 printed digits, with T's verdicts and witness,
+    and exit 0.  A scale counts where (lambda 2^(j(n-1)))^2, which the
+    certificate lines form, stays within the float range."""
+    t = fileio.load_matrix(path)
+    scaled = tmp_path / "scaled.json"
+    for k, n in SCALED_QUERIES:
+        result = posinormal.min_lambda(t, k, n)
+        assert run(["lambda-min", path, "--k", k, "--n", n]) == 0
+        plain_min, checks = _report(capsys), []
+        for lam in ((result.lambda_min or 1.0) * step for step in (1 - 1e-3, 1 + 1e-3)):
+            assert run(["check", path, "--k", k, "--n", n, "--lambda", lam]) == 0
+            checks.append((lam, posinormal.is_member(t, posinormal.ClassQuery(k, n, lam)),
+                           _report(capsys)))
+        for j in SCALES:
+            if abs(j) * (n - 1) > 500:
+                continue
+            scaled.write_text(fileio.dumps_matrix(linalg.ldexp(t, j)))
+            units = j * (n - 1)
+            assert run(["lambda-min", scaled, "--k", k, "--n", n]) == 0
+            expected = dict(plain_min)
+            if result.feasible:
+                expected["lambda_min"] = cli._fmt(np.ldexp(result.lambda_min, units))
+            assert _report(capsys) == expected, (k, n, j)
+            for lam, report, plain_check in checks:
+                lam_j = float(np.ldexp(lam, units))
+                assert run(["check", scaled, "--k", k, "--n", n, "--lambda", lam_j]) == 0
+                assert _report(capsys) == {
+                    **plain_check, "query": f"k={k} n={n} lambda={cli._fmt(lam_j)}",
+                    "gap_min_eigenvalue": cli._fmt(np.ldexp(report.gap_min_eigenvalue,
+                                                            2 * units)),
+                    "gap_norm": cli._fmt(np.ldexp(report.gap_norm, 2 * units))}, (k, n, j)
+
+
+def test_an_answer_that_once_overflowed(tmp_path, capsys):
+    """T = [[1e120, 1], [0, 1]] at (2, 3) and [[1e146, 1e150], [0, 1e146]]
+    at (0, 2) exited 2 where T^n or M*M overflowed.  Formed on 2^-e T,
+    they fail at lambda = 1 with lambda_min 1e240 and 2.0000000025e154,
+    and the tensor check rejects the second as a factor (exit 1)."""
+    big, steep = tmp_path / "big.json", tmp_path / "steep.json"
+    big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
+    steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
+    for path, (k, n), lam_min in ((big, (2, 3), 1e240), (steep, (0, 2), 2.0000000025e154)):
+        assert posinormal.min_lambda(fileio.load_matrix(path), k, n).lambda_min == (
+            pytest.approx(lam_min, rel=1e-12))
+        assert run(["check", path, "--k", k, "--n", n, "--lambda", 1]) == 0
+        report = _report(capsys)
+        assert report["holds"] == "false" and report["gap_min_eigenvalue"] == "-inf"
+        x = _printed_witness([f"witness: {report['witness']}"])
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-5)  # 6 printed digits
+    identity = FIXTURES / "identity_2.json"
+    assert run(["tensor", steep, identity, "--k", 0, "--n", 2,
+                "--lambda", 1, "--mu", 1]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "T is not a member at its query" in err, err
+
+
 def _graded_draw(exponent: float, index: int) -> np.ndarray:
     """Draw ``index`` (from 0) of default_rng(0): dims 2-12, entries
     standard normal times 10^U(-exponent, exponent) each."""
@@ -329,7 +400,7 @@ def _graded_draw(exponent: float, index: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("matrix, argv", [
-    # the kernel Gram (D'W0)*(D'W0) overflows: at 1e100 feasible with lambda_min 0
+    # the kernel Gram (D'W0)*(D'W0) overflowed: at 1e100 feasible with lambda_min 0
     (1e100 * fixtures.nilpotent_shift(3), ["lambda-min", "--k", 0, "--n", 2]),
     # ... and eigvalsh of it raised a raw LinAlgError
     (1e78 * fixtures.clipped_shift(6), ["lambda-min", "--k", 0, "--n", 2]),
@@ -337,12 +408,30 @@ def _graded_draw(exponent: float, index: int) -> np.ndarray:
     # the pulled-back witness was printed as NaN
     (_graded_draw(40, 52), ["check", "--k", 3, "--n", 1, "--lambda", 1]),
 ], ids=["shift-1e100", "clipped-1e78", "graded-draw-2", "graded-draw-52"])
-def test_an_undecidable_scale_exits_two(matrix, argv, tmp_path, capsys):
+def test_a_scale_once_undecidable_gets_the_oracles_answer(matrix, argv, tmp_path, capsys):
+    """These exited 2, or worse, while the pencil was formed on T itself.
+    Each now exits 0 with the dense oracle's answer on S = 2^-e T, in T's
+    units: the feasibility and lambda_min of lambda-min, the verdict of
+    check with a unit witness."""
     path = tmp_path / "t.json"
     path.write_text(fileio.dumps_matrix(matrix))
-    assert run([argv[0], path, *argv[1:]]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical failure:"), err
+    assert run([argv[0], path, *argv[1:]]) == 0
+    report = _report(capsys)
+    k, n = argv[2], argv[4]
+    t = linalg.as_matrix(matrix)
+    e = linalg._exponent(t)
+    s = linalg.ldexp(t, -e)
+    if argv[0] == "check":
+        holds = oracles.member_oracle(s, k, n, np.ldexp(float(argv[6]), -e * (n - 1)))
+        assert report["holds"] == str(holds).lower()
+        x = _printed_witness([f"witness: {report['witness']}"])
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-5)
+        return
+    feasible = oracles.kernel_feasible(s, k, n)
+    assert report["feasible"] == str(feasible).lower()
+    if feasible:
+        expected = np.ldexp(oracles.bisect_min_lambda(s, k, n), e * (n - 1))
+        assert float(report["lambda_min"]) == pytest.approx(expected, rel=1e-8)
 
 
 def test_decompose_of_a_huge_valid_matrix_is_clean(tmp_path, capsys):

@@ -39,11 +39,13 @@ def _mean_free_u() -> str:
 
 
 # Documents the calls read from $TMP: one malformed (exit 1) and one whose
-# T^n overflows (exit 2), neither printing anything to stdout, and a space
-# whose Theorem 3.3 verdicts are not compared.
+# lambda_min at (0, 3), about 1e400, overflows (exit 2), neither printing
+# anything to stdout; one whose T^n is beyond the float range, though
+# 2^-e T decides it; and a space whose Theorem 3.3 verdicts are not compared.
 DOCUMENTS = {
     "not_an_object.json": "[1, 2]",
     "big.json": fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])),
+    "huge.json": fileio.dumps_matrix(np.array([[1e200, 1.0], [0.0, 1.0]])),
     "mean_free_u.json": _mean_free_u(),
 }
 
@@ -70,7 +72,8 @@ def _calls() -> list[str]:
                   f"condexp {SPACE} {check} --k 0 --n 1 --lambda 1.5 --power 0.5"]
     return calls + ["condexp $TMP/mean_free_u.json thm33 --lambda 2",
                     "check $TMP/not_an_object.json --k 1 --n 1 --lambda 1",
-                    "check $TMP/big.json --k 2 --n 3 --lambda 1"]
+                    "check $TMP/big.json --k 2 --n 3 --lambda 1",
+                    "lambda-min $TMP/huge.json --k 0 --n 3"]
 
 
 CALLS = _calls()

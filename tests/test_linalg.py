@@ -229,16 +229,17 @@ def test_at_most_scaled_agrees_with_exact(rng, monkeypatch):
 
 @pytest.mark.parametrize("exponent", [-320, -310, -300, -150, 0, 150, 300, 307])
 def test_a_certified_inverse_at_every_scale(exponent):
-    # At any scale the certificate of a well-conditioned 64 x 64 T gives a
-    # finite inverse, or None where T^-1 leaves the float range, quietly:
-    # det, inverse and bound are formed on 2^-e T.
+    # At any scale of a well-conditioned 64 x 64 T, the certificate of
+    # S = 2^-e T, the argument posinormal's slot passes, gives a finite
+    # inverse of S, quietly: S has parts in (-1, 1) whatever the scale of
+    # T, also where T's entries are subnormal and S holds fewer bits.
     t = 10.0 ** exponent * oracles.ginibre(np.random.default_rng(3), 64)
+    s = linalg.ldexp(t, -linalg._exponent(t))
+    assert 0.5 <= np.abs(s.view(np.float64)).max() < 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inverse = linalg.certified_inverse(t)
-    assert (inverse is None) == (exponent <= -310)
-    if inverse is not None:
-        assert np.linalg.norm(t @ inverse - np.eye(64), 2) <= 1e-12
+        inverse = linalg.certified_inverse(s)
+    assert np.linalg.norm(s @ inverse - np.eye(64), 2) <= 1e-12
 
 
 def test_significant_is_the_one_rank_rule():

@@ -1,6 +1,7 @@
 """Every module-level function, class and constant of posilab, private
 ones too, has a caller, every public method and property of its classes is
-read, and the number of defaulted parameters does not grow.
+read, every parameter of a function is named in its body, and the number of
+defaulted parameters does not grow.
 
 A definition counts as used when some other top-level statement refers to
 it: inside its own module by name, elsewhere through ``from .module import
@@ -102,6 +103,24 @@ def test_every_public_method_and_property_is_read():
                for item in cls.body
                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
     assert sorted(m for m in members if m.rsplit(".", 1)[1] not in read) == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and method of src/posilab, nested
+    ones included, is named in that function's body."""
+    unread = []
+    for path in sorted((ROOT / "src" / "posilab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            named = {name.id for statement in node.body for name in ast.walk(statement)
+                     if isinstance(name, ast.Name)}
+            unread += [f"{path.stem}.{node.name}.{param.arg}" for param in params
+                       if param.arg not in named]
+    assert unread == []
 
 
 # Defaulted parameters over every function of src/posilab (methods and

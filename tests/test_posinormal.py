@@ -690,6 +690,72 @@ def test_is_member_scaling_covariance_widened(draw):
         assert posinormal.is_member(c * t, scaled).holds == expect
 
 
+@functools.cache
+def _sweep_operators():
+    """(kind, T) of the scale sweep: at each dim 3-8 a Ginibre T, a graded
+    T (singular values log-spaced from 1 to 1e-6), a rotated nilpotent
+    tail of size 3 and the exact shift; then one well-conditioned 64 x 64
+    Ginibre T, whose rung 0 is the certified inverse."""
+    rng, operators = np.random.default_rng(12), []
+    for dim in range(3, 9):
+        operators += [("generic", oracles.ginibre(rng, dim)),
+                      ("graded", _graded(rng, dim, np.logspace(0.0, -6.0, dim))),
+                      ("tail", oracles.nilpotent_tail(rng, dim, 3)[0]),
+                      ("shift", nilpotent_shift(dim).astype(complex))]
+    return operators + [("certified", oracles.ginibre(rng, 64))]
+
+
+def _normal(x) -> bool:
+    """Whether every entry of x is 0 or a normal float."""
+    x = np.abs(np.asarray(x, dtype=float))
+    return bool(np.isfinite(x).all() and (x[x > 0] >= np.finfo(float).tiny).all())
+
+
+@pytest.mark.parametrize("index", range(25))
+def test_answers_are_covariant_under_exact_scaling(index):
+    """T -> 2^j T for j = -1000, -950, ..., 1000, at (k, n) in (0, 1),
+    (0, 2), (1, 2), (2, 1) and (1, 3).  A case counts where the entries of
+    2^j T and the exact lambda_min 2^(j(n-1)) are normal floats.  There,
+    min_lambda gives T's feasibility and lambda_min 2^(j(n-1)), to 1e-12
+    relative, and is_member at lambda_min (1 -+ 1e-3) 2^(j(n-1)) (an
+    infeasible T at 2^(j(n-1))) gives T's verdicts and witnesses, wherever
+    that lambda is a normal float and its square is finite.  The 64 x 64 T
+    keeps its certified rung 0 at every scale."""
+    kind, t = _sweep_operators()[index]
+    counted = 0
+    for k, n in ((0, 1), (0, 2), (1, 2), (2, 1), (1, 3)):
+        base = posinormal.min_lambda(t, k, n)
+        lams = ([base.lambda_min * (1 - 1e-3), base.lambda_min * (1 + 1e-3)]
+                if base.feasible and base.lambda_min else [1.0])
+        reports = [posinormal.is_member(t, ClassQuery(k, n, lam)) for lam in lams]
+        witnesses = [report.witness for report in reports]
+        for j in range(-1000, 1001, 50):
+            with np.errstate(over="ignore"):
+                scaled = linalg.ldexp(t, j)
+                lam_min = np.ldexp(base.lambda_min or 0.0, j * (n - 1))
+                queries = np.ldexp(lams, j * (n - 1))
+            if not _normal(scaled.view(np.float64)) or not _normal(lam_min):
+                continue
+            counted += 1
+            result = posinormal.min_lambda(scaled, k, n)
+            assert result.feasible == base.feasible, (kind, k, n, j)
+            if result.feasible:
+                assert result.lambda_min == pytest.approx(lam_min, rel=1e-12, abs=0.0), (
+                    kind, k, n, j)
+            if kind == "certified":
+                assert posinormal._slot.held[("rung", 0)].top is None, j
+            for lam, report, witness in zip(queries, reports, witnesses):
+                with np.errstate(over="ignore"):
+                    if not (lam > 0 and _normal(lam) and np.isfinite(lam * lam)):
+                        continue
+                got = posinormal.is_member(scaled, ClassQuery(k, n, float(lam)))
+                assert got.holds == report.holds, (kind, k, n, j)
+                if witness is not None:
+                    assert np.allclose(got.witness, witness, rtol=0.0, atol=1e-12), (
+                        kind, k, n, j)
+    assert counted >= 150
+
+
 # --- pencil kernel against the oracle ---------------------------------------------
 
 def _graded(rng, dim, s):
@@ -1133,15 +1199,17 @@ def test_slot_sees_in_place_changes(rng, monkeypatch):
 
 def test_overflow_leaves_nothing_held(rng, monkeypatch):
     posinormal.min_lambda(kernel_case(rng, "generic", 3), 1, 1)
-    # M*M overflows, T^2 does not: a new T releases the old slot first, and
-    # the failed formation stores no pencil, so only the finite rung 0
-    # and T^2 are held; the identical next call raises again.
-    steep = np.array([[1e146, 1e150], [0.0, 1e146]])
+    # Products are formed on S = 2^-e T, here T / 2 with ||S|| = 3.125, so
+    # a form overflows only at powers in the hundreds: at n = 400, M*M
+    # overflows and S^400 does not.  A new T releases the old slot first,
+    # and the failed formation stores no pencil, so only the finite rung 0
+    # and S^400 are held; the identical next call raises again.
+    t = 0.75 * np.ones((8, 8)) + 0.25 * np.eye(8)
     for _ in range(2):
         with pytest.raises(NumericalFailure, match=re.escape("M*M overflows")):
-            posinormal.is_member(steep, ClassQuery(0, 2, 1.0))
-        assert set(posinormal._slot.held) == {("rung", 0), ("power", 2)}
-        assert np.isfinite(posinormal._slot.held[("power", 2)]).all()
+            posinormal.is_member(t, ClassQuery(0, 400, 1.0))
+        assert set(posinormal._slot.held) == {("rung", 0), ("power", 400)}
+        assert np.isfinite(posinormal._slot.held[("power", 400)]).all()
     # The verdict and min_lambda form neither T*T nor a Gram matrix C*C, so
     # they are exact where both overflow; gap_matrix, which forms T*T, is
     # not, and it leaves the slot as it was.
@@ -1153,9 +1221,12 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
         with pytest.raises(NumericalFailure, match=re.escape("T*T overflows")):
             posinormal.gap_matrix(1e160 * np.eye(3), 0, 1, 1.0)
         assert posinormal._slot is held
-    # T^n overflows before any rung is read.
-    with pytest.raises(NumericalFailure, match="matrix power 3 overflows"):
-        posinormal.min_lambda(1e120 * np.eye(3), 0, 3)
+    # S^n overflows before the pencil is formed.
+    with pytest.raises(NumericalFailure, match="matrix power 700 overflows"):
+        posinormal.min_lambda(t, 0, 700)
+    # A lambda_min beyond the float range: about 1e400 at n = 3.
+    with pytest.raises(NumericalFailure, match="lambda_min overflows"):
+        posinormal.min_lambda(np.array([[1e200, 1.0], [0.0, 1.0]]), 0, 3)
 
 
 @pytest.mark.parametrize("shift", [nilpotent_shift(3), clipped_shift(6)],
@@ -1163,13 +1234,11 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
 @pytest.mark.parametrize("k, n", [(0, 2), (1, 2)])
 def test_a_scaled_shift_is_never_feasible(shift, k, n):
     """T*^n T^k is not 0 on ker T^{k+1}, so no lambda works at any scale.
-    Where ||D'W0||^2 overflows, the kernel Gram that decides it cannot be
-    formed: a NumericalFailure, never a feasible verdict."""
-    for j in range(151):
-        try:
-            assert not posinormal.min_lambda(10.0 ** j * shift, k, n).feasible, j
-        except NumericalFailure:
-            pass
+    The pencil is formed on 2^-e T, whose parts lie in (-1, 1) at every
+    scale, so no scale of T makes the kernel Gram that decides it
+    overflow or underflow."""
+    for j in range(-323, 308):
+        assert not posinormal.min_lambda(10.0 ** j * shift, k, n).feasible, j
 
 
 def test_nilpotency_bound_overflow_is_a_numerical_failure():

@@ -75,6 +75,23 @@ def test_extreme_scales_fail_only_through_the_api():
     assert typed > 1000  # the sweep reaches the scales where failures occur
 
 
+def test_a_power_in_the_millions_fails_only_through_the_api():
+    """At n = 3e6 the shift e(n - 1) from 2^-e T back to T's units, e = 997,
+    is beyond the int32 that numpy's ldexp takes: the conversion saturates
+    to 0 or inf instead of raising a raw OverflowError."""
+    t, n = np.array([[1e300]]), 3 * 10 ** 6
+    shift = 1e300 * fixtures.nilpotent_shift(2)
+    for call in (lambda: posinormal.min_lambda(t, 0, n),
+                 lambda: posinormal.is_member(t, ClassQuery(0, n, 1.0)),
+                 lambda: posinormal.nilpotency_collapse_check(shift, n, n)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                call()
+        except (ValidationError, NumericalFailure):
+            pass
+
+
 # Array and scalar input that numpy cannot convert, or that is no real lambda.
 MALFORMED_INPUTS = {
     "matrix from text": lambda: linalg.as_matrix("x"),
