@@ -23,6 +23,8 @@ its (B, 2, 2) stack of blocks.  So robustness is preferred over speed
 throughout.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
@@ -237,15 +239,43 @@ def ldexp(z, e: int) -> np.ndarray:
 def _exponent(m) -> int:
     """The binary exponent e of the largest real or imaginary part of M:
     the parts of 2^-e M lie in (-1, 1), the largest at 1/2 or above."""
-    return int(np.frexp(np.abs(_parts(m)).max())[1])
+    return math.frexp(np.abs(_parts(m)).max())[1]
+
+
+def normalize(m) -> tuple[np.ndarray, int]:
+    """(2^-g M, g), the exact scaling of M whose largest real or imaginary
+    part lies in [1, 2): M itself when g = 0 (and g = -1 for M = 0)."""
+    g = _exponent(m) - 1
+    return (m if g == 0 else ldexp(m, -g)), g
+
+
+def normalized_power(s: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """(P, f) with S^p = 2^f P: numpy's matrix_power with its products, in
+    its order, normalized, so none leaves the float range; 2^f P is its S^p
+    bit for bit wherever that stays in the normal floats (P = S at p = 1)."""
+    def times(a, b):
+        product, g = normalize(a[0] @ b[0])
+        return product, a[1] + b[1] + g
+
+    if p == 0:
+        return np.eye(s.shape[0], dtype=complex), 0
+    if p == 3:  # numpy's short cut: (S S) S
+        return times(times((s, 0), (s, 0)), (s, 0))
+    z = result = None
+    while p > 0:
+        z = (s, 0) if z is None else times(z, z)
+        p, bit = divmod(p, 2)
+        if bit:
+            result = z if result is None else times(result, z)
+    return result
 
 
 @quiet_overflow
 def certified_inverse(s: np.ndarray) -> np.ndarray | None:
     """S^-1 when it certifies sigma_min(S) > DEFAULT_TOL * ||S||_2 without
     an SVD, else None; always None below dim _INVERSE_MIN_DIM, where one
-    SVD is cheaper.  S is square with parts in (-1, 1), the largest at 1/2
-    or above: posinormal's slot passes its 2^-e T.
+    SVD is cheaper.  S is square and normalized, its largest part in [1,
+    2): posinormal's slot passes its 2^-e T.
 
     det(S) = 0 is None without an inverse: an exact zero pivot of its LU,
     where inverting S would fail, or a product of pivots below the float

@@ -37,22 +37,20 @@ covariant under T -> cT, lambda -> |c|^(n-1) lambda; for c = 2^j exactly.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
-products): its own copy of T, and S = 2^-e T (e = linalg._exponent(T), so
-S's parts lie in (-1, 1)), on which everything held is formed when first
-asked for: the powers S^n, the rungs and one pencil per rung and (n, tol)
-(see _Slot; for invertible T, every k reads rung 0's).  Only min_lambda,
-is_member and nilpotency_collapse_check convert to T's units, so T and 2^j
-T share every verdict, mu and witness bit for bit while their entries are
-normal floats, and a form overflows or underflows only where ||S||^n
-leaves the float range, at n in the hundreds or more.  A pencil is held as
-data: the eigenvalues mu of M*M, or the marker _OBSTRUCTED.  min_lambda,
-classify_grid and is_member read it, so on a (T, rung, n, tol) seen before
-none of them makes a LAPACK call, and nilpotency_collapse_check decides
-T^j = 0 on the held rungs.  Each product has one expression, so a warm
-call gives the cold result bit for bit, and no held array is returned to a
-caller.  A new T replaces the slot before anything is formed; a product is
-stored into the slot's dict once formed, so a formation that raises leaves
-nothing of it held and concurrent callers at worst form a product twice.
+products): its own copy of T and S = 2^-e T, T normalized, on which the
+powers S^n, the rungs and one pencil per rung and (n, tol) are formed when
+first asked for (see _Slot; for invertible T, every k reads rung 0's).
+S^n and M are held normalized too, so no product leaves the float range at
+any scale or power, T and 2^j T share every verdict and witness bit for
+bit while their entries are normal floats, and only min_lambda, is_member
+and nilpotency_collapse_check convert to T's units.  On a (T, rung, n,
+tol) seen before, min_lambda, classify_grid and is_member make no LAPACK
+call, and nilpotency_collapse_check decides T^j = 0 on the held rungs.
+Each product has one expression, so a warm call gives the cold result bit
+for bit, and no held array is returned to a caller.  A new T replaces the
+slot before anything is formed; a product is stored into the slot's dict
+once formed, so a formation that raises leaves nothing of it held and
+concurrent callers at worst form a product twice.
 
 Both failure certificates are computed when read, by _witness, from the
 held rungs and S^n: the kernel obstruction of an obstructed pencil (the
@@ -145,12 +143,16 @@ class LambdaResult:
         return None if self._obstruction is None else self._obstruction()
 
 
-# The slot: its own copy of T, the key; S = 2^-e T, e = linalg._exponent(T);
-# and the products of S that do not depend on lambda, by key: ("power", n)
-# for S^n, ("rung", j) for rung j of the range ladder and ("pencil", j, n,
-# tol) for the pencil on rung j, which every k >= j whose ladder ends at
-# rung j reads: _OBSTRUCTED, or the eigenvalues mu of M*M, ascending.
+# The slot: its own copy of T, the key; (S, e) = linalg.normalize(T); and
+# the products of S that do not depend on lambda, by key: ("power", n) for
+# S^n = 2^f P as (P, f) (linalg.normalized_power), ("rung", j) for rung j
+# of the range ladder and ("pencil", j, n, tol) for the pencil on rung j,
+# which every k >= j whose ladder ends at rung j reads, as a _Form.
 _Slot = namedtuple("_Slot", "t s e held")
+
+# A held pencil: its mu, _OBSTRUCTED or the eigenvalues, ascending, of
+# (2^-f M)*(2^-f M), 2^-f M normalized, so lambda_min(S)^2 = 4^f max mu.
+_Form = namedtuple("_Form", "mu f")
 
 # Rung j of the range ladder of the slot's S, for an orthonormal basis Q of
 # ran T^j (None at rung 0, where Q = I), from the thin SVD SQ = U S+ W*:
@@ -163,7 +165,7 @@ _Slot = namedtuple("_Slot", "t s e held")
 # read only below a rung with a kernel, and a certified rung has none.
 _Rung = namedtuple("_Rung", "q wps w0 next top")
 
-# The held pencil of an obstructed rung, in place of mu.
+# The mu of an obstructed pencil.
 _OBSTRUCTED = "obstructed"
 
 # The _Slot of the last T queried, or None.
@@ -191,15 +193,15 @@ def _slot_for(t) -> _Slot:
     if _holds(held, t):
         return held
     _slot = None  # release the old products before copying T
-    t, e = np.array(t, order="C"), linalg._exponent(t)
-    _slot = held = _Slot(t, linalg.ldexp(t, -e), e, {})
+    t = np.array(t, order="C")
+    _slot = held = _Slot(t, *linalg.normalize(t), {})
     return held
 
 
-def _in_t_units(slot: _Slot, x: float, power: int) -> float:
-    """x 2^(e power): S's value x of degree ``power`` in T's units (0 or +-inf out of range)."""
+def _ldexp(x: float, g: int) -> float:
+    """x 2^g, 0 or +-inf beyond the float range: a held value in T's units."""
     try:
-        return math.ldexp(x, slot.e * power)
+        return math.ldexp(x, g)
     except OverflowError:
         return math.copysign(math.inf, x)
 
@@ -233,7 +235,8 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     pencil (module docstring): fails at every lambda when the pencil is
     obstructed, else holds iff lambda^2 - lambda_min^2 >= -tol *
     lambda_min^2, and always when T vanishes on ran T^k.  It compares
-    2^(-e(n-1)) lambda with S's mu: a square out of range decides by its side.
+    2^-g lambda, lambda in the form's units, with the held mu: a square out
+    of range decides by its side.
 
     The first verdict or min_lambda on (T, rung, n, tol) forms the pencil:
     the ladder's SVDs (for a certified rung 0, one det and one inverse
@@ -242,17 +245,16 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
     verdicts on it make no LAPACK call.  Reading the witness of a
     failing report runs one eigh, of M*M or of the kernel Gram.
     """
-    slot = _slot_for(t)
-    mu, witness = _pencil(slot, query.k, query.n, tol)
+    mu, g, witness = _pencil(_slot_for(t), query.k, query.n, tol)
     if mu is _OBSTRUCTED:
         return ClassReport(False, -np.inf, np.inf, witness)
     if not mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
-    lam = _in_t_units(slot, query.lam, 1 - query.n)
+    lam = _ldexp(query.lam, -g)
     lo, gap = lam * lam - _top(mu), float(np.max(np.abs(lam * lam - mu)))
     holds = lo >= -tol * _top(mu)
-    return ClassReport(holds, _in_t_units(slot, lo, 2 * query.n - 2),
-                       _in_t_units(slot, gap, 2 * query.n - 2), None if holds else witness)
+    return ClassReport(holds, _ldexp(lo, 2 * g), _ldexp(gap, 2 * g),
+                       None if holds else witness)
 
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
@@ -328,55 +330,64 @@ def _top(mu) -> float:
     return max(float(mu[-1]), 0.0)
 
 
-def _d_prime(rung: _Rung, sn) -> np.ndarray:
-    """D' = S*^n Q on ``rung`` (Q = I at rung 0), from S^n."""
-    return sn.conj().T if rung.q is None else sn.conj().T @ rung.q
+def _d_prime(rung: _Rung, p) -> np.ndarray:
+    """D' = P* Q on ``rung`` (Q = I at rung 0), S^n = 2^f P."""
+    return p.conj().T if rung.q is None else p.conj().T @ rung.q
 
 
 @linalg.quiet_overflow
-def _form_pencil(n: int, tol: float, rung: _Rung, sn):
-    """The pencil at (n, tol) on ``rung``, from S^n (see min_lambda):
-    _OBSTRUCTED, or the eigenvalues mu of M*M, ascending."""
-    dq = _d_prime(rung, sn)
+def _form_pencil(n: int, tol: float, rung: _Rung, power) -> _Form:
+    """The pencil at (n, tol) on ``rung`` (see min_lambda) from power = (P,
+    f), S^n = 2^f P.  In P's units the floor is at least DEFAULT_TOL ||P||,
+    so a kernel Gram below the float range is below it too, and a nonzero
+    normalized M has ||M*M|| >= 1: no Gram matrix underflows into a verdict."""
+    p, f = power
+    dq = _d_prime(rung, p)
     if rung.w0.shape[1]:
         dw = dq @ rung.w0
         top = float(linalg.lapack("eigvalsh", dw.conj().T @ dw, "(D'W0)*(D'W0)")[-1])
-        rounding = (DEFAULT_TOL * np.float64(rung.top) ** n) ** 2  # of S^n
+        rounding = (DEFAULT_TOL * np.exp2(n * np.log2(rung.top) - f)) ** 2
         if top > rounding and not linalg.at_most_scaled(top, tol, dq):
-            return _OBSTRUCTED  # M*M is not formed: it may overflow
+            return _Form(_OBSTRUCTED, 0)  # M*M is not formed
     if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
-        return np.zeros(0)
-    m = dq @ rung.wps
-    return linalg.lapack("eigvalsh", m.conj().T @ m, "M*M")
+        return _Form(np.zeros(0), 0)
+    m, g = linalg.normalize(dq @ rung.wps)
+    return _Form(linalg.lapack("eigvalsh", m.conj().T @ m, "M*M"), f + g)
 
 
 @linalg.quiet_overflow
-def _witness(rungs: list, sn, k: int, obstructed: bool) -> np.ndarray:
+def _witness(rungs: list, p, k: int, obstructed: bool) -> np.ndarray:
     """The certificate of a failing verdict at quasi order k, from one eigh:
     the top eigenvector of the Gram matrix (D'B)*(D'B) that formed the
     pencil on the last rung, B = W0 for an obstruction and W+ S+^-1 for
-    the normal form, pulled back from B's coordinates to x.  D' is formed
-    again on read, so nothing N x r is held."""
+    the normal form, D'B normalized, pulled back from B's coordinates to
+    x.  D' is formed again on read, so nothing N x r is held."""
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
-    dw = _d_prime(rung, sn) @ basis
+    dw = linalg.normalize(_d_prime(rung, p) @ basis)[0]
     v = linalg.lapack("eigh", dw.conj().T @ dw, "(D'B)*(D'B)")[1][:, -1]
     return _pull_back(rungs, k, basis @ v)
 
 
+def _power(slot: _Slot, n: int):
+    """S^n = 2^f P as (P, f), held."""
+    return _held(slot, ("power", n), lambda: linalg.normalized_power(slot.s, n))
+
+
 def _pencil(slot: _Slot, k: int, n: int, tol: float):
-    """(pencil, certificate): the held pencil at (n, tol) on the last rung
-    up to k, else formed and stored with the rungs and S^n it reads, and
-    the _witness of a failing verdict at k, computed when called.  When
-    ran T^k = {0} the form is empty and S^n, which may overflow where S^k
-    vanishes, is not formed."""
+    """(mu, g, certificate): the held pencil at (n, tol) on the last rung
+    up to k, else formed and stored with the rungs and S^n it reads; g, with
+    which a lambda of its form is 2^g lambda in T's units; and the _witness
+    of a failing verdict at k, computed when called.  S^n is not formed
+    when ran T^k = {0}."""
     rungs = _ladder(slot, k)
     if not rungs[-1].wps.shape[0]:  # Q has no columns
-        return np.zeros(0), None
-    sn = _held(slot, ("power", n), lambda: linalg.matpow(slot.s, n))
-    pencil = _held(slot, ("pencil", len(rungs) - 1, n, tol),
-                   lambda: _form_pencil(n, tol, rungs[-1], sn))
-    return pencil, functools.partial(_witness, rungs, sn, k, pencil is _OBSTRUCTED)
+        return np.zeros(0), 0, None
+    power = _power(slot, n)
+    mu, f = _held(slot, ("pencil", len(rungs) - 1, n, tol),
+                  lambda: _form_pencil(n, tol, rungs[-1], power))
+    return (mu, f + slot.e * (n - 1),
+            functools.partial(_witness, rungs, power[0], k, mu is _OBSTRUCTED))
 
 
 def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
@@ -394,16 +405,13 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     float range.  Both tests are relative and read S only, so scaling T by
     c scales lambda_min by |c|^(n-1) and keeps feasibility, bit for bit at
     c = 2^j.  The rank cut is fixed; tol decides the obstruction only.
-    Where a Gram matrix of S overflows, at n in the hundreds, neither test
-    can be read: NumericalFailure; where ||S||^n underflows (S = I/2 from
-    n = 1075 on), the form vanishes and lambda_min reads 0.
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
-    mu, obstruction = _pencil(slot, k, n, tol)
+    mu, g, obstruction = _pencil(slot, k, n, tol)
     if mu is _OBSTRUCTED:
         return LambdaResult(False, None, obstruction)
-    lam = _in_t_units(slot, math.sqrt(_top(mu)), n - 1) if mu.size else 0.0
+    lam = _ldexp(math.sqrt(_top(mu)), g) if mu.size else 0.0
     return LambdaResult(True, linalg.require_finite(lam, "lambda_min"), None)
 
 
@@ -470,11 +478,10 @@ class NilpotencyReport:
     passes: bool
 
 
-@linalg.quiet_overflow
 def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
     T^j = 0 iff the ladder's basis of ran T^j is empty, at any scale of T.
-    ||T^k|| is reported as ||S^k|| * 2^(ke), so no power overflows."""
+    ||T^k|| is reported as ||S^k|| 2^(ke), from the held S^k."""
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     if range_basis(t, k + 1).shape[1]:
@@ -482,9 +489,9 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     collapsed = not range_basis(t, k).shape[1]  # the gap is 0: a member at every lambda
     if not collapsed and not min_lambda(t, k, n).feasible:
         raise ValidationError("operator is not a member at (k, n) for any lambda")
-    norm, top = linalg.operator_norm(linalg.matpow(slot.s, k)), _ladder(slot, 0)[0].top
-    return NilpotencyReport(k >= n, _in_t_units(slot, norm, k),
-                            _in_t_units(slot, DEFAULT_TOL * top, 1), collapsed)
+    (p, f), top = _power(slot, k), _ladder(slot, 0)[0].top
+    return NilpotencyReport(k >= n, _ldexp(linalg.operator_norm(p), f + k * slot.e),
+                            _ldexp(DEFAULT_TOL * top, slot.e), collapsed)
 
 
 def classify_grid(t, k_max: int,

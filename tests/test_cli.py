@@ -419,8 +419,7 @@ def test_a_scale_once_undecidable_gets_the_oracles_answer(matrix, argv, tmp_path
     report = _report(capsys)
     k, n = argv[2], argv[4]
     t = linalg.as_matrix(matrix)
-    e = linalg._exponent(t)
-    s = linalg.ldexp(t, -e)
+    s, e = linalg.normalize(t)
     if argv[0] == "check":
         holds = oracles.member_oracle(s, k, n, np.ldexp(float(argv[6]), -e * (n - 1)))
         assert report["holds"] == str(holds).lower()

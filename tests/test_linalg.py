@@ -42,6 +42,25 @@ def test_matpow_split_range_square():
     np.testing.assert_allclose(expected[2:, 2:], np.zeros((2, 2)))
 
 
+def test_normalized_power_is_matrix_power_while_that_is_in_range():
+    # 2^f P is numpy's matrix_power bit for bit while that stays in the
+    # normal floats, for every p whose binary form numpy decomposes.
+    m = linalg.normalize(oracles.ginibre(np.random.default_rng(5), 6))[0]
+    for p in range(12):
+        power, f = linalg.normalized_power(m, p)
+        assert np.array_equal(linalg.ldexp(power, f), np.linalg.matrix_power(m, p)), p
+    # S = [[2^-10, 1], [0, 2^-10]]: S^p = 2^(-10p) [[1, 1024p], [0, 1]]
+    # leaves the float range from p = 107 on; P keeps it, largest part in [1, 2).
+    s = np.array([[2.0 ** -10, 1.0], [0.0, 2.0 ** -10]], dtype=complex)
+    for p in (120, 300, 10 ** 6):
+        (power, f), exact = linalg.normalized_power(s, p), np.array([[1, 1024 * p], [0, 1]])
+        assert 1.0 <= abs(power[0, 1]) < 2.0
+        assert np.allclose(power / power[0, 1], exact / exact[0, 1], rtol=1e-12, atol=0.0)
+        assert f + np.log2(abs(power[0, 1])) == pytest.approx(np.log2(1024.0 * p) - 10 * p)
+    assert np.array_equal(linalg.normalized_power(nilpotent_shift(3).astype(complex), 5)[0],
+                          np.zeros((3, 3)))
+
+
 def test_matpow_rejects():
     with pytest.raises(ValidationError):
         linalg.matpow(np.ones((2, 3)), 2)
@@ -231,11 +250,11 @@ def test_at_most_scaled_agrees_with_exact(rng, monkeypatch):
 def test_a_certified_inverse_at_every_scale(exponent):
     # At any scale of a well-conditioned 64 x 64 T, the certificate of
     # S = 2^-e T, the argument posinormal's slot passes, gives a finite
-    # inverse of S, quietly: S has parts in (-1, 1) whatever the scale of
-    # T, also where T's entries are subnormal and S holds fewer bits.
+    # inverse of S, quietly: S's largest part lies in [1, 2) whatever the
+    # scale of T, also where T's entries are subnormal and S holds fewer bits.
     t = 10.0 ** exponent * oracles.ginibre(np.random.default_rng(3), 64)
-    s = linalg.ldexp(t, -linalg._exponent(t))
-    assert 0.5 <= np.abs(s.view(np.float64)).max() < 1.0
+    s = linalg.normalize(t)[0]
+    assert 1.0 <= np.abs(s.view(np.float64)).max() < 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         inverse = linalg.certified_inverse(s)

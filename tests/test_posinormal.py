@@ -913,8 +913,8 @@ def test_verdict_svd_fallback_between_bounds(rng, monkeypatch):
 
 
 def test_classify_grid_forms_each_power_once(rng, monkeypatch):
-    # On an empty slot the grid forms T^n once per n (min_lambda reads T^n
-    # and the rungs, never T^k) and runs one SVD per rung: one in all for
+    # On an empty slot the grid forms S^n once per n (min_lambda reads S^n
+    # and the rungs, never S^k) and runs one SVD per rung: one in all for
     # an invertible T, whose rung 0 keeps its full rank, none from dim 64
     # on, where T^-1 certifies that, and one more per k while a nilpotent
     # tail shrinks ran T^k.  Every cell is min_lambda's result bit for bit.
@@ -924,8 +924,8 @@ def test_classify_grid_forms_each_power_once(rng, monkeypatch):
                     for k in range(4) for n in range(1, 4)}
         monkeypatch.setattr(posinormal, "_slot", None)
         powers = []
-        exact = linalg.matpow
-        monkeypatch.setattr(linalg, "matpow",
+        exact = linalg.normalized_power
+        monkeypatch.setattr(linalg, "normalized_power",
                             lambda m, p: powers.append(p) or exact(m, p))
         svds = _count_calls(monkeypatch, np.linalg, "svd")
         grid = posinormal.classify_grid(t, 3, 3)
@@ -1199,17 +1199,33 @@ def test_slot_sees_in_place_changes(rng, monkeypatch):
 
 def test_overflow_leaves_nothing_held(rng, monkeypatch):
     posinormal.min_lambda(kernel_case(rng, "generic", 3), 1, 1)
-    # Products are formed on S = 2^-e T, here T / 2 with ||S|| = 3.125, so
-    # a form overflows only at powers in the hundreds: at n = 400, M*M
-    # overflows and S^400 does not.  A new T releases the old slot first,
-    # and the failed formation stores no pencil, so only the finite rung 0
-    # and S^400 are held; the identical next call raises again.
-    t = 0.75 * np.ones((8, 8)) + 0.25 * np.eye(8)
+    # A new T releases the old slot first, and a formation that fails (here
+    # the eigvalsh of M*M) stores no pencil, so only rung 0 and S^400 are
+    # held; the identical next call raises again.
+    t = 0.75 * np.ones((8, 8)) + 0.25 * np.eye(8)  # normal, ||T|| = 6.25
+    exact = np.linalg.eigvalsh
+
+    def failing(a, *args, **kwargs):
+        if a.shape == t.shape:  # M*M; rung 0 has no kernel
+            raise np.linalg.LinAlgError("did not converge")
+        return exact(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     for _ in range(2):
-        with pytest.raises(NumericalFailure, match=re.escape("M*M overflows")):
+        with pytest.raises(NumericalFailure, match=re.escape("eigvalsh of M*M failed")):
             posinormal.is_member(t, ClassQuery(0, 400, 1.0))
         assert set(posinormal._slot.held) == {("rung", 0), ("power", 400)}
-        assert np.isfinite(posinormal._slot.held[("power", 400)]).all()
+    monkeypatch.undo()
+    # S^n and M are held normalized, so no power of T overflows before the
+    # answer is read: lambda_min = 6.25^(n - 1), beyond the float range
+    # from n = 389 on, where the verdict still decides by its side.
+    assert posinormal.min_lambda(t, 0, 300).lambda_min == pytest.approx(6.25 ** 299, rel=1e-12)
+    for n in (400, 700):
+        with pytest.raises(NumericalFailure, match="lambda_min overflows"):
+            posinormal.min_lambda(t, 0, n)
+        report = posinormal.is_member(t, ClassQuery(0, n, 1e150))
+        assert not report.holds and report.gap_min_eigenvalue == -np.inf
+        assert report.gap_norm == np.inf
     # The verdict and min_lambda form neither T*T nor a Gram matrix C*C, so
     # they are exact where both overflow; gap_matrix, which forms T*T, is
     # not, and it leaves the slot as it was.
@@ -1221,9 +1237,6 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
         with pytest.raises(NumericalFailure, match=re.escape("T*T overflows")):
             posinormal.gap_matrix(1e160 * np.eye(3), 0, 1, 1.0)
         assert posinormal._slot is held
-    # S^n overflows before the pencil is formed.
-    with pytest.raises(NumericalFailure, match="matrix power 700 overflows"):
-        posinormal.min_lambda(t, 0, 700)
     # A lambda_min beyond the float range: about 1e400 at n = 3.
     with pytest.raises(NumericalFailure, match="lambda_min overflows"):
         posinormal.min_lambda(np.array([[1e200, 1.0], [0.0, 1.0]]), 0, 3)
@@ -1234,8 +1247,8 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
 @pytest.mark.parametrize("k, n", [(0, 2), (1, 2)])
 def test_a_scaled_shift_is_never_feasible(shift, k, n):
     """T*^n T^k is not 0 on ker T^{k+1}, so no lambda works at any scale.
-    The pencil is formed on 2^-e T, whose parts lie in (-1, 1) at every
-    scale, so no scale of T makes the kernel Gram that decides it
+    The pencil is formed on 2^-e T, whose largest part lies in [1, 2) at
+    every scale, so no scale of T makes the kernel Gram that decides it
     overflow or underflow."""
     for j in range(-323, 308):
         assert not posinormal.min_lambda(10.0 ** j * shift, k, n).feasible, j
@@ -1246,6 +1259,29 @@ def test_nilpotency_bound_overflow_is_a_numerical_failure():
     # 1e320 is beyond the float range, and no power bound is formed
     with pytest.raises(ValidationError, match="T\\^2 is not numerically zero"):
         posinormal.nilpotency_collapse_check(1e160 * nilpotent_shift(3), 1, 1)
+
+
+def test_no_power_leaves_the_float_range_before_the_answer():
+    """S^n and M are held normalized, so neither underflows nor overflows at
+    any n: the identity keeps lambda_min = 1 and fails just below it, and a
+    T whose largest part is far above its spectral radius keeps lambda_min
+    = ||T*^n T^-1|| (k = 0, T invertible) at powers where S^n, with S =
+    T / 1024, is below the float range.  For T = c [[a, 1], [0, 0]] at
+    (0, 2), lambda_min = c a^2 (rank one: sigma |u*v|^2 for T = sigma u
+    v*); with a = 2^-600 and c = 2^1000, M is 2^-1200 in S's units and its
+    Gram matrix would underflow to 0."""
+    for n in (600, 1100, 10 ** 6):
+        assert posinormal.min_lambda(np.eye(2), 0, n).lambda_min == 1.0
+        assert posinormal.is_member(np.eye(2), ClassQuery(0, n, 1.0)).holds
+        assert not posinormal.is_member(np.eye(2), ClassQuery(0, n, 1.0 - 1e-9)).holds
+    t = np.array([[1.0, 1024.0], [0.0, 1.0]])
+    for n in (120, 300):
+        exact = np.linalg.norm(np.linalg.matrix_power(t, n).T @ np.linalg.inv(t), 2)
+        assert posinormal.min_lambda(t, 0, n).lambda_min == pytest.approx(exact, rel=1e-12)
+    t = np.array([[2.0 ** 400, 2.0 ** 1000], [0.0, 0.0]])
+    assert posinormal.min_lambda(t, 0, 2).lambda_min == pytest.approx(2.0 ** -200, rel=1e-12)
+    assert not posinormal.is_member(t, ClassQuery(0, 2, 2.0 ** -201)).holds
+    assert posinormal.is_member(t, ClassQuery(0, 2, 2.0 ** -199)).holds
 
 
 def test_a_vanishing_range_forms_no_power():
@@ -1284,34 +1320,34 @@ def test_the_held_t_is_validated_once(rng, monkeypatch):
 
 
 def test_one_power_each_for_min_lambda_and_three_verdicts(rng, monkeypatch):
-    # One slot serves every (k, n) on T: min_lambda forms T^n once per n,
+    # One slot serves every (k, n) on T: min_lambda forms S^n once per n,
     # and is_member, which reads the held pencil, forms no power.
     t = kernel_case(rng, "generic", 16)
     monkeypatch.setattr(posinormal, "_slot", None)
     powers = []
-    exact = linalg.matpow
-    monkeypatch.setattr(linalg, "matpow",
+    exact = linalg.normalized_power
+    monkeypatch.setattr(linalg, "normalized_power",
                         lambda m, p: powers.append(p) or exact(m, p))
     for k, n in ((1, 2), (3, 2), (0, 3)):
         result = posinormal.min_lambda(t, k, n)
         for lam in _lambdas(t, n, result):
             posinormal.is_member(t, ClassQuery(k, n, lam))
-    monkeypatch.setattr(linalg, "matpow", exact)
+    monkeypatch.setattr(linalg, "normalized_power", exact)
     assert powers == [2, 3]
 
 
 def test_verdicts_read_the_held_pencil(rng, monkeypatch):
     # After min_lambda(T, k, n), the three verdicts a benchmark query makes
     # at the same (T, k, n) make no numpy.linalg call.  On a fresh T a cold
-    # verdict makes the ladder's SVDs, T^n and one eigvalsh, of the Gram
-    # matrix M*M of the normal form, only: one SVD for an invertible T,
-    # and from dim 64 on, in its place, the det and the inverse of the
-    # certificate, which a nilpotent tail also pays before its SVDs; a
-    # nilpotent tail adds a rung per k and an eigvalsh of the rung's kernel
-    # Gram, and an obstructed pencil forms no M*M.  No eigh runs.
+    # verdict makes the ladder's SVDs and one eigvalsh, of the Gram matrix
+    # M*M of the normal form, only (S^n is formed by matmul): one SVD for an
+    # invertible T, and from dim 64 on, in its place, the det and the
+    # inverse of the certificate, which a nilpotent tail also pays before
+    # its SVDs; a nilpotent tail adds a rung per k and an eigvalsh of the
+    # rung's kernel Gram, and an obstructed pencil forms no M*M.  No eigh runs.
     for kind, dim in itertools.product(("generic", "graded", "nilpotent_tail"), (16, 128)):
         t = kernel_case(rng, kind, dim)
-        certificate = {"det"} if dim >= 64 else set()
+        certificate = {"det", "matrix_power"} if dim >= 64 else set()  # det, inverse
         for k, n in ((0, 1), (1, 2), (3, 3)):
             monkeypatch.setattr(posinormal, "_slot", None)
             result = posinormal.min_lambda(t, k, n)
@@ -1323,18 +1359,17 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
             _, calls = _linalg_calls(monkeypatch, lambda: posinormal.is_member(t, queries[0]))
             if kind != "nilpotent_tail":
                 r = len(t)
-                rung = {"det": [t.shape]} if certificate else {"svd": [t.shape]}
-                inverse = [t.shape] if certificate else []  # matrix_power at n = -1
-                assert calls == {**rung, "matrix_power": inverse + [t.shape],
-                                 "eigvalsh": [(r, r)]}, (kind, k, n)
+                rung = ({"det": [t.shape], "matrix_power": [t.shape]} if certificate
+                        else {"svd": [t.shape]})
+                assert calls == {**rung, "eigvalsh": [(r, r)]}, (kind, k, n)
             elif result.feasible:  # tail size at most k = 3
                 r = oracles.range_basis(t, k + 1).shape[1]
                 r0 = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
                 assert calls["eigvalsh"] == [(r0, r0)] * bool(r0) + [(r, r)], (k, n)
-                assert set(calls) == {"svd", "matrix_power", "eigvalsh"} | certificate, (k, n)
+                assert set(calls) == {"svd", "eigvalsh"} | certificate, (k, n)
                 assert 2 <= len(calls["svd"]) <= k + 1
             else:  # the obstruction is not computed until it is read
-                assert set(calls) == {"svd", "matrix_power", "eigvalsh"} | certificate, (k, n)
+                assert set(calls) == {"svd", "eigvalsh"} | certificate, (k, n)
                 assert len(calls["eigvalsh"]) == 1, (k, n)
 
 
@@ -1351,13 +1386,13 @@ def _dense_workload():
 def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
     # One pass over the benchmark's seed-1 dense-pencil pool (dim 128, its
     # grids and splits included).  After every query the slot holds data
-    # only: powers of T, rungs, and each pencil as its eigenvalues mu (a
-    # real vector) or the obstruction marker, never a callable or a
+    # only: powers of S as (P, f), rungs, and each pencil as a _Form, its
+    # mu a real vector or the obstruction marker, never a callable or a
     # witness vector.  On every obstructed pencil (a nilpotent tail) a cold
-    # verdict runs no eigh, only the failed certificate's det and inverse,
-    # the ladder's SVDs, T^n and eigvalsh; kernel_obstruction reads the
-    # same bits twice, and they are the witness of the failing verdict at
-    # the same (k, n).
+    # verdict runs no eigh, only the failed certificate's det and inverse
+    # (matrix_power at n = -1), the ladder's SVDs and eigvalsh (S^n is
+    # formed by matmul); kernel_obstruction reads the same bits twice, and
+    # they are the witness of the failing verdict at the same (k, n).
     workload, obstructed = _dense_workload(), 0
     for query in workload.dense_pool(1):
         output = workload.dense_run(query)
@@ -1365,12 +1400,14 @@ def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
             assert not callable(value), key
             if key[0] == "rung":
                 assert isinstance(value, posinormal._Rung), key
-            elif key[0] == "power":
-                assert isinstance(value, np.ndarray) and value.ndim == 2, key
+            elif key[0] == "power":  # S^n = 2^f P as (P, f)
+                p, f = value
+                assert isinstance(p, np.ndarray) and p.ndim == 2 and isinstance(f, int), key
             else:
-                assert value is posinormal._OBSTRUCTED or (
-                    isinstance(value, np.ndarray) and value.ndim == 1
-                    and value.dtype == np.float64), key
+                assert isinstance(value, posinormal._Form) and isinstance(value.f, int), key
+                assert value.mu is posinormal._OBSTRUCTED or (
+                    isinstance(value.mu, np.ndarray) and value.mu.ndim == 1
+                    and value.mu.dtype == np.float64), key
         if query.kind != "pencil" or output[0].feasible:
             continue
         obstructed += 1
@@ -1559,7 +1596,8 @@ def _traced(monkeypatch, call):
 
 def test_the_certificate_runs_one_det_and_one_inverse(rng, monkeypatch):
     # A cold min_lambda on an invertible 128 x 128 T runs no SVD: one det of
-    # 2^-e T, one inverse (matrix_power at n = -1), T^n and one eigvalsh.
+    # 2^-e T, one inverse (matrix_power at n = -1) and one eigvalsh; S^n is
+    # formed by matmul, and S^1 is S.
     # An exactly singular T stops at det = 0, and a nilpotent tail, whose
     # det is not 0, pays det and inverse before its rung SVDs, which are
     # those of the SVD path.  Below dim 64 the certificate runs nothing.
@@ -1574,13 +1612,12 @@ def test_the_certificate_runs_one_det_and_one_inverse(rng, monkeypatch):
     shape = (128, 128)
     t = kernel_case(rng, "generic", 128)
     assert cold(t, 1, 2) == [("det", shape, None), ("matrix_power", shape, -1),
-                             ("matrix_power", shape, 2), ("eigvalsh", shape, None)]
+                             ("eigvalsh", shape, None)]
     singular = oracles.ginibre(rng, 128)
     singular[:, 3] = 0.0
     calls = cold(singular, 0, 1)
     assert calls[:2] == [("det", shape, None), ("svd", shape, None)]
-    assert [call for call in calls if call[0] == "matrix_power"] == [
-        ("matrix_power", shape, 1)]
+    assert [call for call in calls if call[0] == "matrix_power"] == []
     tail = oracles.nilpotent_tail(rng, 128, 3)[0]
     calls, svd_calls = cold(tail, 3, 3), cold(tail, 3, 3, svd_path=True)
     assert calls[:2] == [("det", shape, None), ("matrix_power", shape, -1)]
