@@ -104,7 +104,8 @@ def _cmd_lambda_min(args) -> list[str]:
     lines.append(_line("lambda_min", lam))
     if lam > 0:
         upper, lower = (
-            posinormal.is_member(t, ClassQuery(args.k, args.n, lam * step), tol=args.tol)
+            posinormal.is_member(t, ClassQuery(args.k, args.n, linalg.require_finite(
+                lam * step, "certificate lambda")), tol=args.tol)
             for step in (1 + linalg.AGREE_TOL, 1 - linalg.REPORT_TOL))
         lines += [_line("certificate_holds_above", upper.holds),
                   _line("certificate_fails_below", not lower.holds)]

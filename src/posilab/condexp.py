@@ -22,7 +22,10 @@ T_c; every other Section 3 matrix (T, the Lemma 3.1 sides, the polar
 factors: alpha_b l_b r_b*, l and r in {a, c}) is held as its (B, 2, 2)
 stack of blocks, multiplied, powered and diagonalized blockwise, and
 ||(+)_b X_b|| = max_b ||X_b|| gives all norms of a check from one batched
-SVD.  Cuts stay global: an eigenvalue is 0 against the largest of any block.
+SVD.  One vanishing rule, support_mask, cuts as the ladder on T_c does:
+a value is 0 when at most DEFAULT_TOL times the largest of its kind over
+all blocks.  Each chi reads the value the matrix side cuts: the eigenvalue
+p q of (T*T)_b for Lemma 3.1, sqrt(p) sqrt(q) of |T|_b for polar.
 
 The properties (i)-(v) of E in Section 1 (check_E_properties) are measured
 on block means too; only the module identity reads the blockwise-constant
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, SUPPORT_RTOL
+from .linalg import DEFAULT_TOL
 from .posinormal import ClassQuery
 
 
@@ -199,8 +202,9 @@ def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
 
 
 def support_mask(values) -> np.ndarray:
-    """Entries counted as nonzero: |v| > SUPPORT_RTOL * max|v|."""
-    return linalg.significant(values, SUPPORT_RTOL)
+    """Entries counted as nonzero, the one vanishing rule of Section 3:
+    |v| > DEFAULT_TOL * max|v| over all blocks."""
+    return linalg.significant(values, DEFAULT_TOL)
 
 
 def _masked_ratio(num, den, mask) -> np.ndarray:
@@ -396,12 +400,12 @@ def norm_formula_check(op: WeightedConditionalOperator) -> NormFormulaReport:
 
 def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     """H_b^m for a stack of Hermitian PSD H_b: integer m by repeated product,
-    real m > 0 by a batched eigh; eigenvalues not linalg.significant at
-    DEFAULT_TOL over all blocks count as 0 (chi: rounding is not powered)."""
+    real m > 0 by a batched eigh; eigenvalues outside support_mask over all
+    blocks count as 0 (chi: rounding is not powered)."""
     if linalg.is_integer(m):
         return linalg.lapack("matrix_power", h, "Lemma 3.1 Gram", n=int(m))
     w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
-    powered = _masked_pow(w, float(m), linalg.significant(w, DEFAULT_TOL))
+    powered = _masked_pow(w, float(m), support_mask(w))
     return (v * powered[:, None, :]) @ _adjoint(v)
 
 
@@ -420,19 +424,20 @@ def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
     (T*T)^m = M_{conj(u) (E|u|^2)^{m-1} chi_S (E|w|^2)^m} E M_u
     (TT*)^m = M_{w (E|w|^2)^{m-1} chi_G (E|u|^2)^m} E M_conj(w)
 
-    with S, G the supports of E|u|^2 and E|w|^2.  Powers of the blockwise
-    expectations follow the chi convention: off the support everything is
-    0, so negative powers of vanishing blocks never occur.  A deviation is
+    with chi_S = chi_G the support of E|w|^2 E|u|^2, the eigenvalue of the
+    blocks of T*T and TT*.  Off the support everything is 0, so negative
+    powers of vanishing blocks never occur.  A deviation is
     ||lhs - closed form|| / ||lhs||, 0 when both vanish; passed: both <= DEFAULT_TOL.
     """
     if (isinstance(m, bool) or not isinstance(m, numbers.Real)
             or not np.isfinite(m) or m <= 0):
         raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
     ew2, eu2 = op.e_w2, op.e_u2
+    chi = support_mask(ew2 * eu2)
 
     def sides(side, ex, ey, gram) -> tuple:
         """(gram)^m - (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, and (gram)^m."""
-        alpha = _masked_pow(ex, float(m) - 1.0, support_mask(ex)) * ey ** float(m)
+        alpha = _masked_pow(ex, float(m) - 1.0, chi) * ey ** float(m)
         lhs = _hermitian_power(gram, m)
         return lhs - _blocks(alpha, side, side), lhs
 
@@ -463,26 +468,27 @@ class PolarReport:
 def polar_decomposition_check(op: WeightedConditionalOperator) -> PolarReport:
     """Verify the closed-form polar factors of the weighted operator.
 
-    |T| f = (E|w|^2 / E|u|^2)^{1/2} chi_S conj(u) E(u f)
-     U f  = (chi_{S and G} / (E|w|^2 E|u|^2))^{1/2} w E(u f)
+    |T| f = (E|w|^2 / E|u|^2)^{1/2} chi conj(u) E(u f)
+     U f  = (chi / (E|w|^2 E|u|^2))^{1/2} w E(u f)
 
-    Checks: U |T| reassembles T; |T| is PSD and squares to T*T; U*U is the
-    orthogonal projector onto the range of |T| (U is a partial isometry).
+    with chi the support of sqrt(E|w|^2) sqrt(E|u|^2), the eigenvalue of
+    |T|_b (so an underflowed E|w|^2 E|u|^2 still divides).  Checks: U |T|
+    reassembles T; |T| is PSD and squares to T*T; U*U is the orthogonal
+    projector onto the range of |T| (U is a partial isometry).
     |T| = (+)_b m_b c_b c_b* with m_b >= 0 is Hermitian by construction, so one
     batched eigh of its blocks, with no asymmetry test, gives both its smallest
-    eigenvalue and its range: the eigenvectors of the significant eigenvalues.
+    eigenvalue and its range: the eigenvectors of the eigenvalues in support_mask.
     Each is within DEFAULT_TOL times its scale: ||T|| for U|T| - T, ||T||^2
     for |T|^2 - T*T, max|eig| for |T|'s eigenvalues, 1 for U*U - P (no scale).
     """
     t, ew2, eu2 = _blocks(1.0, op.a, op.c), op.e_w2, op.e_u2
-    chi_s, chi_g = support_mask(eu2), support_mask(ew2)
-    modulus = _blocks(np.sqrt(_masked_ratio(ew2, eu2, chi_s)), op.c, op.c)
-    partial_iso = _blocks(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi_s & chi_g)),
-                          op.a, op.c)
+    chi = support_mask(np.sqrt(ew2) * np.sqrt(eu2))
+    modulus = _blocks(np.sqrt(_masked_ratio(ew2, eu2, chi)), op.c, op.c)
+    partial_iso = _blocks(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi)), op.a, op.c)
     factor = partial_iso @ modulus - t
     squared = modulus @ modulus - _adjoint(t) @ t
     w, vecs = linalg.lapack("eigh", linalg.symmetrize(modulus), "|T|")
-    range_basis = vecs * linalg.significant(w, DEFAULT_TOL)[:, None, :]
+    range_basis = vecs * support_mask(w)[:, None, :]
     iso = _adjoint(partial_iso) @ partial_iso - range_basis @ _adjoint(range_basis)
     t_norm, factor_residual, sq_residual, iso_residual = _norms(
         "polar residual", t, factor, squared, iso)
@@ -523,7 +529,7 @@ def thm33_check(op: WeightedConditionalOperator, lam: float) -> PosinormalCriter
     query = ClassQuery(k=0, n=1, lam=lam)
     s_prime = support_mask(op.e_u)
     supports_match = bool(np.array_equal(support_mask(op.e_u2), s_prime))
-    blockwise, margins = _blockwise(query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
+    blockwise, margins = _blockwise(query.lam * query.lam * op.e_w2 * np.abs(op.e_u) ** 2,
                                     op.e_u2 * np.abs(op.e_w) ** 2, s_prime,
                                     "Theorem 3.3")
     matrix_holds = posinormal.is_member(op.compressed, query).holds
@@ -562,7 +568,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float) -> NPowerCr
     query = ClassQuery(k=0, n=n, lam=lam)
     chi_g = support_mask(op.e_w2)
     blockwise, margins = _blockwise(
-        query.lam ** 2 * op.e_w2 * np.abs(op.e_u) ** 2,
+        query.lam * query.lam * op.e_w2 * np.abs(op.e_u) ** 2,
         (np.abs(op.e_uw) ** (2 * n)
          * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
@@ -619,13 +625,13 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int,
     # Stated criterion; the 2kn-1 exponent goes negative for k = 0, where
     # the chi convention zeroes vanishing blocks instead of dividing.
     stated, margins_a = _blockwise(
-        (query.lam ** 2 * op.e_u2 ** (2 * n - 1)
+        (query.lam * query.lam * op.e_u2 ** (2 * n - 1)
          * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g)),
         np.abs(op.e_uw) ** (2 * k + 2), every, "Theorem 3.5 stated")
 
     # Inner display of the derivation, as printed.
     proof_form, margins_b = _blockwise(
-        query.lam ** 2 * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2,
+        query.lam * query.lam * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2,
         (np.abs(op.e_uw) ** (2 * k + n - 1)
          * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
                    * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)

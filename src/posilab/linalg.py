@@ -36,15 +36,15 @@ from .errors import NumericalFailure, ValidationError
 # own (x the scale at which a side's rounding occurs).  The rounding
 # factor of posinormal's ladder cut (x ||S||, S = 2^-e T the slot's; it
 # also decides T^j = 0 for nilpotency_collapse_check) and obstruction floor
-# (x ||S||^n), and of the eigenvalue cuts of condexp's _hermitian_power and
-# polar_decomposition_check (x the largest eigenvalue).  Its inverse bounds
-# ||S||_F ||S^-1||_F in certified_inverse, which so certifies that the
-# ladder's cut keeps every singular value of S.  The absolute slack of a
-# computed value against an exact one: verify's recomputed blocks and
-# vanishing gaps.
+# (x ||S||^n), and of condexp's one vanishing rule, support_mask (x the
+# largest value of its kind over all blocks: the eigenvalues that
+# _hermitian_power powers and that span the range of |T|, and the block
+# means each chi of a closed form or printed criterion reads).  Its
+# inverse bounds ||S||_F ||S^-1||_F in certified_inverse, which so
+# certifies that the ladder's cut keeps every singular value of S.  The
+# absolute slack of a computed value against an exact one: verify's
+# recomputed blocks and vanishing gaps.
 DEFAULT_TOL = 1e-10
-# SUPPORT_RTOL: condexp's support rule |v| > SUPPORT_RTOL * max|v|.
-SUPPORT_RTOL = 1e-12
 # RESIDUAL_TOL: the largest residual of structure's input checks
 # (orthonormal, isometry, unitary; invariant x ||T||, commuting
 # x ||T|| ||S||), and the relative slack of both comparisons of
@@ -192,10 +192,10 @@ def symmetrize(h) -> np.ndarray:
 
 
 def significant(values, tol: float) -> np.ndarray:
-    """Mask of the values with |v| > tol * max|v|, none when all vanish: the
-    rank rule for the eigenvalues of a PSD matrix and condexp's support rule
-    for block means.  posinormal's range ladder cuts every rung T Q at
-    DEFAULT_TOL * ||T||, a fixed rule."""
+    """Mask of the values with |v| > tol * max|v|, none when all vanish:
+    condexp.support_mask, at DEFAULT_TOL, the one vanishing rule of the
+    Section 3 checks.  posinormal's range ladder cuts every rung S Q at
+    DEFAULT_TOL * ||S||, a fixed rule."""
     mags = np.abs(np.asarray(values))
     return mags > tol * mags.max(initial=0.0)
 
@@ -204,8 +204,8 @@ def spectrum(m) -> np.ndarray:
     """All eigenvalues with multiplicity, sorted by (real, imag).
 
     For dimensions <= 12 the eigenvalues are cross-checked against the
-    determinant: det(2^-e M), e from _exponent, against the product of the
-    2^-e lambda_i.  The scaling is exact, so neither side overflows or
+    determinant: det(2^-e M), 2^-e M from normalize, against the product
+    of the 2^-e lambda_i.  The scaling is exact, so neither side overflows or
     underflows because of the scale of M.  A disagreement beyond AGREE_TOL
     relative raises NumericalFailure.  The eigenvalues returned are M's.
     """
@@ -213,15 +213,15 @@ def spectrum(m) -> np.ndarray:
     vals = np.sort_complex(lapack("eigvals", m, "matrix"))
     n = m.shape[0]
     if n <= _DET_CHECK_MAX_DIM:
-        e = _exponent(m)
-        det = complex(lapack("det", ldexp(m, -e), "2^-e M"))
+        s, e = normalize(m)
+        det = complex(lapack("det", s, "2^-e M"))
         prod = complex(np.prod(ldexp(vals, -e)))
         # The one max(1, .) floor kept: 2^-e M has scale 1; relative needs an error model.
         scale = max(1.0, abs(det), abs(prod))
         if abs(det - prod) > AGREE_TOL * scale:
             raise NumericalFailure(
                 f"eigenvalue product {prod:.6e} disagrees with determinant "
-                f"{det:.6e} beyond relative {AGREE_TOL:.1e} (both times 2^{-e})"
+                f"{det:.6e} beyond relative {AGREE_TOL:.1e} (both of 2^-e M, e = {e})"
             )
     return vals
 
@@ -236,17 +236,11 @@ def ldexp(z, e: int) -> np.ndarray:
     return np.ldexp(_parts(z), e).view(complex)
 
 
-def _exponent(m) -> int:
-    """The binary exponent e of the largest real or imaginary part of M:
-    the parts of 2^-e M lie in (-1, 1), the largest at 1/2 or above."""
-    return math.frexp(np.abs(_parts(m)).max())[1]
-
-
 def normalize(m) -> tuple[np.ndarray, int]:
-    """(2^-g M, g), the exact scaling of M whose largest real or imaginary
-    part lies in [1, 2): M itself when g = 0 (and g = -1 for M = 0)."""
-    g = _exponent(m) - 1
-    return (m if g == 0 else ldexp(m, -g)), g
+    """(2^-e M, e), the exact scaling of M whose largest real or imaginary
+    part lies in [1, 2): M itself when e = 0 (and e = -1 for M = 0)."""
+    e = math.frexp(np.abs(_parts(m)).max())[1] - 1
+    return (m if e == 0 else ldexp(m, -e)), e
 
 
 def normalized_power(s: np.ndarray, p: int) -> tuple[np.ndarray, int]:

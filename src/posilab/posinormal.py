@@ -93,8 +93,6 @@ class ClassQuery:
             raise NumericalFailure(f"lambda overflows: {exc}") from exc
         if not np.isfinite(lam) or lam <= 0.0:
             raise ValidationError(f"lambda must be a positive real, got {self.lam!r}")
-        if not np.isfinite(lam * lam):
-            raise NumericalFailure(f"lambda^2 overflows at lambda={self.lam!r}")
         object.__setattr__(self, "lam", lam)
 
 
@@ -224,7 +222,7 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     lam = ClassQuery(k=k, n=n, lam=lam).lam
     t = linalg.require_square(t)
     tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
-    core = (lam ** 2 * linalg.require_finite(t.conj().T @ t, "T*T")
+    core = (lam * lam * linalg.require_finite(t.conj().T @ t, "T*T")
             - linalg.require_finite(tn @ tn.conj().T, "T^n T*^n"))
     return linalg.require_finite(linalg.symmetrize(tk.conj().T @ core @ tk),
                                  "gap matrix")
@@ -451,7 +449,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     lhs = linalg.operator_norm(tn.conj().T @ tm)
     base = linalg.operator_norm(t @ tm)  # ||T^{m+1}||
     rhs1 = query.lam * base
-    rhs2 = query.lam ** 2 * base
+    rhs2 = query.lam * query.lam * base
     return NormCorollaryReport(
         holds=lhs <= rhs1 + RESIDUAL_TOL * max(lhs, rhs1),
         lhs=lhs,

@@ -204,5 +204,5 @@ def tensor_check(t, s, query: ClassQuery, mu: float,
     # require_member validates each factor as a square matrix.
     posinormal.require_member(t, query, tol, "T")
     posinormal.require_member(s, ClassQuery(k=query.k, n=query.n, lam=mu), tol, "S")
-    product_query = ClassQuery(k=query.k, n=query.n, lam=query.lam * mu)
-    return posinormal.is_member(np.kron(t, s), product_query, tol=tol)
+    lam = linalg.require_finite(query.lam * mu, "lambda * mu")  # computed: not an input error
+    return posinormal.is_member(np.kron(t, s), ClassQuery(query.k, query.n, lam), tol=tol)

@@ -10,7 +10,7 @@ meaningful.
 import numpy as np
 import scipy.linalg
 
-from posilab.linalg import DEFAULT_TOL, SUPPORT_RTOL
+from posilab.linalg import DEFAULT_TOL
 
 
 def adj(m):
@@ -247,8 +247,10 @@ def _dense_direct_sum(alpha, left, right):
 
 
 def _support(values):
+    """The vanishing rule of the Section 3 checks: a value is 0 when it is
+    at most DEFAULT_TOL times the largest of its kind over all blocks."""
     mags = np.abs(values)
-    return mags > SUPPORT_RTOL * mags.max(initial=0.0)
+    return mags > DEFAULT_TOL * mags.max(initial=0.0)
 
 
 def _chi_ratio(num, den, mask):
@@ -286,9 +288,10 @@ def _dense_hermitian_power(h, m):
 def dense_lemma31(op, m):
     """The fields of condexp.lemma31_check, every side a 2B x 2B matrix."""
     t = op.compressed
+    chi = _support(op.e_w2 * op.e_u2)  # the eigenvalues of T*T and TT*
 
     def deviation(side, ex, ey, gram):
-        alpha = _chi_pow(ex, float(m) - 1.0, _support(ex)) * ey ** float(m)
+        alpha = _chi_pow(ex, float(m) - 1.0, chi) * ey ** float(m)
         lhs = _dense_hermitian_power(gram, m)
         diff = _dense_norm(lhs - _dense_direct_sum(alpha, side, side))
         return diff / _dense_norm(lhs) if diff else 0.0
@@ -303,10 +306,9 @@ def dense_polar(op):
     """The fields of condexp.polar_decomposition_check, with one eigh of
     the 2B x 2B |T| for its spectrum and range."""
     t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
-    chi_s, chi_g = _support(eu2), _support(ew2)
-    modulus = _dense_direct_sum(np.sqrt(_chi_ratio(ew2, eu2, chi_s)), op.c, op.c)
-    partial_iso = _dense_direct_sum(
-        np.sqrt(_chi_ratio(1.0, ew2 * eu2, chi_s & chi_g)), op.a, op.c)
+    chi = _support(np.sqrt(ew2) * np.sqrt(eu2))  # the eigenvalues of |T|
+    modulus = _dense_direct_sum(np.sqrt(_chi_ratio(ew2, eu2, chi)), op.c, op.c)
+    partial_iso = _dense_direct_sum(np.sqrt(_chi_ratio(1.0, ew2 * eu2, chi)), op.a, op.c)
     t_norm = _dense_norm(t)
     factor = _dense_norm(partial_iso @ modulus - t)
     squared = _dense_norm(modulus @ modulus - adj(t) @ t)

@@ -270,14 +270,12 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
 # --- exit code 2 on overflow ----------------------------------------------------
 
 def _overflow_cases(tmp_path):
-    big, steep = tmp_path / "big.json", tmp_path / "steep.json"
-    big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
     huge = tmp_path / "huge.json"  # lambda_min at (0, 3) is about 1e400
     huge.write_text(fileio.dumps_matrix(np.array([[1e200, 1.0], [0.0, 1.0]])))
     shift = tmp_path / "shift.json"  # ran T^3 = 0, so C = T and C^2 overflows
     shift.write_text(fileio.dumps_matrix(1e200 * np.eye(3, k=1)))
-    # lambda_min is 2.0000000025e154, whose square is beyond the float range
-    steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
+    edge = tmp_path / "edge.json"  # lambda_min at (0, 2) is within 1e-8 of the largest float
+    edge.write_text(fileio.dumps_matrix(np.diag([1.79769313e308, 1.0])))
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
     space, partition, _, u = fixtures.interval_example(8)
     heavy.write_text(fileio.dumps_space(space, partition, np.full(8, 1e200), u))
@@ -290,14 +288,12 @@ def _overflow_cases(tmp_path):
     identity = FIXTURES / "identity_2.json"
     return [
         ["lambda-min", huge, "--k", 0, "--n", 3],              # lambda_min
-        ["lambda-min", big, "--k", 0, "--n", 3],               # certificate's lambda^2
         ["decompose", shift, "--k", 3],                        # C^k
-        ["lambda-min", steep, "--k", 1, "--n", 2],             # certificate's lambda^2
-        ["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200],  # lambda^2
-        ["condexp", SPACE, "thm33", "--lambda", 1e200],
+        ["lambda-min", edge, "--k", 0, "--n", 2],              # lambda_min (1 + AGREE_TOL)
+        ["condexp", SPACE, "thm33", "--lambda", 1e200],        # lambda^2 E|w|^2
         ["condexp", SPACE, "thm34", "--lambda", 1e200],
         ["condexp", SPACE, "thm35", "--lambda", 1e200],
-        ["tensor", identity, identity, "--k", 0, "--n", 1,
+        ["tensor", identity, identity, "--k", 0, "--n", 1,   # lambda * mu
          "--lambda", 1e160, "--mu", 1e160],
         ["condexp", SPACE, "lemma31", "--power", 1e300],       # (T*T)^m
         ["condexp", square, "norm"],                           # blockwise norm
@@ -333,8 +329,8 @@ def test_entry_points_agree_at_extreme_scales(path, tmp_path, capsys):
     """Each Section 2 fixture T written as 2^j T: lambda-min and check
     print lambda_min 2^(j(n-1)) and the gap values 2^(2j(n-1)) times
     those of T, to the 12 printed digits, with T's verdicts and witness,
-    and exit 0.  A scale counts where (lambda 2^(j(n-1)))^2, which the
-    certificate lines form, stays within the float range."""
+    and exit 0.  A scale counts where the gap values, in units of
+    4^(j(n-1)), stay within the float range."""
     t = fileio.load_matrix(path)
     scaled = tmp_path / "scaled.json"
     for k, n in SCALED_QUERIES:
@@ -369,7 +365,11 @@ def test_an_answer_that_once_overflowed(tmp_path, capsys):
     """T = [[1e120, 1], [0, 1]] at (2, 3) and [[1e146, 1e150], [0, 1e146]]
     at (0, 2) exited 2 where T^n or M*M overflowed.  Formed on 2^-e T,
     they fail at lambda = 1 with lambda_min 1e240 and 2.0000000025e154,
-    and the tensor check rejects the second as a factor (exit 1)."""
+    and the tensor check rejects the second as a factor (exit 1).  The
+    same two at (0, 3) and (1, 2), and the identity at lambda = 1e200,
+    exited 2 where lambda^2 left the float range, which the slot never
+    forms in T's units: they print their lambda_min with both certificate
+    lines true, and holds with gap values inf."""
     big, steep = tmp_path / "big.json", tmp_path / "steep.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
     steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
@@ -386,6 +386,15 @@ def test_an_answer_that_once_overflowed(tmp_path, capsys):
                 "--lambda", 1, "--mu", 1]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "T is not a member at its query" in err, err
+    for path, (k, n), lam_min in ((big, (0, 3), "1e+240"),
+                                  (steep, (1, 2), "2.0000000025e+154")):
+        assert run(["lambda-min", path, "--k", k, "--n", n]) == 0
+        assert _report(capsys) == {
+            "query": f"k={k} n={n}", "feasible": "true", "lambda_min": lam_min,
+            "certificate_holds_above": "true", "certificate_fails_below": "true"}
+    assert run(["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200]) == 0
+    assert _report(capsys) == {"query": "k=0 n=1 lambda=1e+200", "holds": "true",
+                               "gap_min_eigenvalue": "inf", "gap_norm": "inf"}
 
 
 def _graded_draw(exponent: float, index: int) -> np.ndarray:

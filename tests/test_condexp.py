@@ -320,11 +320,12 @@ def test_normal_operator_stays_normal(scale_w, scale_u):
 
 def _section3_spaces(rng, atoms, blocks, kind):
     """random_space with u = 0 on a block ("u"), w = 0 on a block ("w"),
-    u = c_b conj(w) on every block ("conj"), or w scaled by 3e-6 and 1e-11
-    on the first two of three or more blocks ("faint"), at each scale
-    (w, u) -> (s w, u / s), s = 1 and 1e+-8.  A faint block's eigenvalues
-    lie under the cuts taken relative to the largest of all blocks, but not
-    under cuts relative to its own."""
+    u = c_b conj(w) on every block ("conj"), w scaled by 3e-6 and 1e-11
+    on the first two of three or more blocks ("faint"), or w and u both
+    scaled by 3e-6 on the first block ("faint pair"), at each
+    scale (w, u) -> (s w, u / s), s = 1 and 1e+-8.  A faint block's
+    eigenvalues lie under the cuts taken relative to the largest of all
+    blocks, but not under cuts relative to its own."""
     masses, parts, w, u = random_space(rng, atoms, blocks, kind == "u")
     if kind == "w":
         w[list(parts[-1])] = 0.0
@@ -334,6 +335,9 @@ def _section3_spaces(rng, atoms, blocks, kind):
     elif kind == "faint":
         for part, factor in zip(parts[:-1], (3e-6, 1e-11)):
             w[list(part)] *= factor
+    elif kind == "faint pair":
+        for f in (w, u):
+            f[list(parts[0])] *= 3e-6
     space = condexp.FiniteMeasureSpace(masses)
     partition = condexp.BlockPartition(parts, atoms)
     for scale in (1.0, 1e8, 1e-8):
@@ -341,7 +345,7 @@ def _section3_spaces(rng, atoms, blocks, kind):
 
 
 @pytest.mark.parametrize("atoms, blocks", SHAPES)
-@pytest.mark.parametrize("kind", [None, "u", "w", "conj", "faint"])
+@pytest.mark.parametrize("kind", [None, "u", "w", "conj", "faint", "faint pair"])
 def test_stacked_checks_match_the_dense_oracles(atoms, blocks, kind):
     """The norm, Lemma 3.1 and polar checks on the (B, 2, 2) stack give the
     dense 2B x 2B checks' verdicts, and every reported number within
@@ -469,12 +473,6 @@ def test_lemma31_holds_at_fractional_powers(m):
         assert report.passed, (op.space.atom_count, report)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_hermitian_power cuts eigenvalues at DEFAULT_TOL times the largest of "
-    "all blocks, while the closed form keeps every block above SUPPORT_RTOL: "
-    "a block whose w is 3e-6 times the others' has (T*T)_b near 1e-11 of the "
-    "largest eigenvalue, which the power drops and the closed form keeps, and "
-    "the square root lifts the gap to a deviation of 1e-6 to 5e-6"))
 def test_lemma31_holds_on_a_faint_block():
     """Lemma 3.1 at m = 0.5 with w scaled by 3e-6 on one of four blocks."""
     rng = np.random.default_rng(67)
@@ -487,6 +485,25 @@ def test_lemma31_holds_on_a_faint_block():
         report = condexp.lemma31_check(op, 0.5)
         if not report.passed:
             failures.append((draw, report.deviation_t_star_t, report.deviation_t_t_star))
+    assert failures == []
+
+
+def test_polar_holds_on_a_faint_block():
+    """The polar check with w and u both scaled by 3e-6 on one of three
+    blocks: |T|_b's eigenvalue, about 1e-11 of the others', falls under
+    the range cut, so U's closed form must drop the block too, or U*U
+    misses the projector onto the range of |T| by 1."""
+    rng = np.random.default_rng(73)
+    failures = []
+    for draw in range(40):
+        masses, parts, w, u = random_space(rng, 9, 3, vanishing=False)
+        for f in (w, u):
+            f[list(parts[0])] *= 3e-6
+        op = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                    condexp.BlockPartition(parts, 9), w, u)
+        report = condexp.polar_decomposition_check(op)
+        if not report.passed:
+            failures.append((draw, report.partial_isometry_residual))
     assert failures == []
 
 
@@ -709,6 +726,10 @@ def test_verdicts_are_covariant_under_exact_scaling():
         masses, parts, w, u = random_space(rng, atoms, blocks, vanishing)
         spaces.append((condexp.FiniteMeasureSpace(masses),
                        condexp.BlockPartition(parts, atoms), w, u))
+    masses, parts, w, u = random_space(rng, 9, 3, False)  # w and u faint on a block
+    for f in (w, u):
+        f[list(parts[0])] *= 3e-6
+    spaces.append((condexp.FiniteMeasureSpace(masses), condexp.BlockPartition(parts, 9), w, u))
     for space in spaces:
         expected = _scale_free_verdicts(*space, 0)
         for j in (-40, -20, -10, 10, 20, 40):

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "posilab").glob("*.py"))
 
 # The table's entries.  Adding one means adding its name here on purpose.
-TABLE = {"DEFAULT_TOL", "SUPPORT_RTOL", "RESIDUAL_TOL", "AGREE_TOL", "REPORT_TOL"}
+TABLE = {"DEFAULT_TOL", "RESIDUAL_TOL", "AGREE_TOL", "REPORT_TOL"}
 
 
 def _is_small_float(node) -> bool:
@@ -46,3 +46,22 @@ def test_no_small_float_literal_outside_the_table():
                   for node in ast.walk(tree)
                   if _is_small_float(node) and id(node) not in allowed]
     assert found == []
+
+
+def test_significant_is_called_only_by_support_mask_at_default_tol():
+    """Section 3 has one vanishing rule: linalg.significant, the cut
+    |v| > tol * max|v|, is called in src/posilab only by
+    condexp.support_mask, and only at DEFAULT_TOL."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> the name of the function it is in (ast.walk is breadth first)
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, ast.FunctionDef) else owner.get(node)
+            owner.update(dict.fromkeys(ast.iter_child_nodes(node), name))
+        found += [(path.stem, owner[node], [ast.unparse(a) for a in node.args],
+                   [ast.unparse(k) for k in node.keywords])
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "significant" in (
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert found == [("condexp", "support_mask", ["values", "DEFAULT_TOL"], [])]

@@ -114,7 +114,5 @@ def test_malformed_input_is_a_validation_error(call):
 
 
 def test_a_lambda_beyond_the_float_range_is_a_numerical_failure():
-    # as lambda^2 beyond it is: both name lambda
-    for lam, match in ((10 ** 400, "lambda overflows"), (1e200, "lambda\\^2 overflows")):
-        with pytest.raises(NumericalFailure, match=match):
-            ClassQuery(0, 1, lam)
+    with pytest.raises(NumericalFailure, match="lambda overflows"):
+        ClassQuery(0, 1, 10 ** 400)
