@@ -16,7 +16,6 @@ from .errors import FileFormatError, NumericalFailure, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
-    matpow,
     operator_norm,
     spectrum,
 )

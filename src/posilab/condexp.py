@@ -399,11 +399,11 @@ def norm_formula_check(op: WeightedConditionalOperator) -> NormFormulaReport:
 
 
 def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
-    """H_b^m for a stack of Hermitian PSD H_b: integer m by repeated product,
+    """H_b^m for a stack of Hermitian PSD H_b: integer m by normalized_power,
     real m > 0 by a batched eigh; eigenvalues outside support_mask over all
     blocks count as 0 (chi: rounding is not powered)."""
     if linalg.is_integer(m):
-        return linalg.lapack("matrix_power", h, "Lemma 3.1 Gram", n=int(m))
+        return linalg.ldexp(*linalg.normalized_power(h, int(m)))
     w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
     powered = _masked_pow(w, float(m), support_mask(w))
     return (v * powered[:, None, :]) @ _adjoint(v)

@@ -14,6 +14,8 @@ NumericalFailure naming it ("<what> overflows"), and so is a LAPACK
 failure (numpy's LinAlgError, such as an iteration that did not
 converge).  So callers form operands under quiet_overflow and hand them
 over unchecked; no other code guards or catches around a LAPACK call.
+Every matrix power is normalized_power's, M^p = 2^f P, read in M's units
+by ldexp or saturating_ldexp; numpy's matrix_power inverts only.
 
 Target dimensions are small: tens, up to the low hundreds.  A weighted
 conditional operator reaches these kernels only as its 2B x 2B
@@ -136,16 +138,6 @@ def lapack(name: str, operand, what: str, **options):
         raise NumericalFailure(f"{name} of {what} failed: {exc}") from exc
 
 
-@quiet_overflow
-def matpow(m, p: int) -> np.ndarray:
-    """p-th power of a square matrix; p = 0 gives the identity."""
-    m = require_square(m)
-    if not is_integer(p) or p < 0:
-        raise ValidationError(f"power must be a non-negative integer, got {p!r}")
-    return require_finite(lapack("matrix_power", m, "base of a power", n=int(p)),
-                          f"matrix power {p}")
-
-
 def operator_norm(m) -> float:
     """Largest singular value; empty blocks have norm 0.  NumericalFailure
     when m is not finite: m is a product formed inside posilab."""
@@ -232,32 +224,43 @@ def _parts(z) -> np.ndarray:
 
 
 def ldexp(z, e: int) -> np.ndarray:
-    """2^e z part by part, exact (a -0.0 kept) while no part leaves the float range."""
-    return np.ldexp(_parts(z), e).view(complex)
+    """2^e z part by part, exact (a -0.0 kept) while no part leaves the float
+    range; |e| is cut to 4096 (numpy takes int32), past which every nonzero part does."""
+    return np.ldexp(_parts(z), min(max(e, -4096), 4096)).view(complex)
 
 
 def normalize(m) -> tuple[np.ndarray, int]:
     """(2^-e M, e), the exact scaling of M whose largest real or imaginary
     part lies in [1, 2): M itself when e = 0 (and e = -1 for M = 0)."""
-    e = math.frexp(np.abs(_parts(m)).max())[1] - 1
+    e = math.frexp(np.abs(_parts(m)).max(initial=0.0))[1] - 1
     return (m if e == 0 else ldexp(m, -e)), e
 
 
-def normalized_power(s: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """(P, f) with S^p = 2^f P: numpy's matrix_power with its products, in
-    its order, normalized, so none leaves the float range; 2^f P is its S^p
-    bit for bit wherever that stays in the normal floats (P = S at p = 1)."""
+def saturating_ldexp(x: float, g: int) -> float:
+    """x 2^g, 0 or +-inf beyond the float range, without a warning."""
+    try:
+        return math.ldexp(x, g)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def normalized_power(m, p: int) -> tuple[np.ndarray, int]:
+    """(P, f) with M^p = 2^f P, M square or a stack: numpy's matrix_power
+    with its products, in its order, normalized, so none leaves the float
+    range; 2^f P is its M^p bit for bit wherever that stays in the normal
+    floats (P = M at p = 1 for a normalized M, such as the slot's S)."""
     def times(a, b):
         product, g = normalize(a[0] @ b[0])
         return product, a[1] + b[1] + g
 
+    s, e = normalize(m)
     if p == 0:
-        return np.eye(s.shape[0], dtype=complex), 0
-    if p == 3:  # numpy's short cut: (S S) S
-        return times(times((s, 0), (s, 0)), (s, 0))
+        return np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape).copy(), 0
+    if p == 3:  # numpy's short cut: (M M) M
+        return times(times((s, e), (s, e)), (s, e))
     z = result = None
     while p > 0:
-        z = (s, 0) if z is None else times(z, z)
+        z = (s, e) if z is None else times(z, z)
         p, bit = divmod(p, 2)
         if bit:
             result = z if result is None else times(result, z)

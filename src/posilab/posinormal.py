@@ -41,11 +41,13 @@ products): its own copy of T and S = 2^-e T, T normalized, on which the
 powers S^n, the rungs and one pencil per rung and (n, tol) are formed when
 first asked for (see _Slot; for invertible T, every k reads rung 0's).
 S^n and M are held normalized too, so no product leaves the float range at
-any scale or power, T and 2^j T share every verdict and witness bit for
-bit while their entries are normal floats, and only min_lambda, is_member
-and nilpotency_collapse_check convert to T's units.  On a (T, rung, n,
-tol) seen before, min_lambda, classify_grid and is_member make no LAPACK
-call, and nilpotency_collapse_check decides T^j = 0 on the held rungs.
+any scale or power, and T and 2^j T share every verdict and witness bit for
+bit while their entries are normal floats.  min_lambda, is_member,
+nilpotency_collapse_check and operator_norm_corollary_check convert the
+values they report to T's units, by one exact power of two each; only
+gap_matrix forms products in T's units.  On a (T, rung, n, tol) seen
+before, min_lambda, classify_grid and is_member make no LAPACK call, and
+nilpotency_collapse_check decides T^j = 0 on the held rungs.
 Each product has one expression, so a warm call gives the cold result bit
 for bit, and no held array is returned to a caller.  A new T replaces the
 slot before anything is formed; a product is stored into the slot's dict
@@ -70,7 +72,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, ValidationError
-from .linalg import DEFAULT_TOL, RESIDUAL_TOL
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL, saturating_ldexp
 
 
 @dataclass(frozen=True)
@@ -196,14 +198,6 @@ def _slot_for(t) -> _Slot:
     return held
 
 
-def _ldexp(x: float, g: int) -> float:
-    """x 2^g, 0 or +-inf beyond the float range: a held value in T's units."""
-    try:
-        return math.ldexp(x, g)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _held(slot: _Slot, key, form):
     """The product under key: the held one, else form(), stored into the
     slot once formed."""
@@ -217,11 +211,11 @@ def _held(slot: _Slot, key, form):
 def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     """Gap matrix T*^k (lam^2 T*T - T^n T*^n) T^k of the definition,
     symmetrized: Hermitian in exact arithmetic, and equal to its adjoint
-    bit for bit after.  It is formed here, from powers of T of its own;
-    verdicts read the pencil's normal form instead."""
+    bit for bit after.  It is formed here in T's units, from powers of T
+    of its own, not the slot's; verdicts read the pencil's normal form."""
     lam = ClassQuery(k=k, n=n, lam=lam).lam
     t = linalg.require_square(t)
-    tk, tn = linalg.matpow(t, k), linalg.matpow(t, n)
+    tk, tn = (linalg.ldexp(*linalg.normalized_power(t, p)) for p in (k, n))
     core = (lam * lam * linalg.require_finite(t.conj().T @ t, "T*T")
             - linalg.require_finite(tn @ tn.conj().T, "T^n T*^n"))
     return linalg.require_finite(linalg.symmetrize(tk.conj().T @ core @ tk),
@@ -248,10 +242,10 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
         return ClassReport(False, -np.inf, np.inf, witness)
     if not mu.size:  # T vanishes on ran T^k: the form is empty
         return ClassReport(True, 0.0, 0.0, None)
-    lam = _ldexp(query.lam, -g)
+    lam = saturating_ldexp(query.lam, -g)
     lo, gap = lam * lam - _top(mu), float(np.max(np.abs(lam * lam - mu)))
     holds = lo >= -tol * _top(mu)
-    return ClassReport(holds, _ldexp(lo, 2 * g), _ldexp(gap, 2 * g),
+    return ClassReport(holds, saturating_ldexp(lo, 2 * g), saturating_ldexp(gap, 2 * g),
                        None if holds else witness)
 
 
@@ -409,7 +403,7 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
     mu, g, obstruction = _pencil(slot, k, n, tol)
     if mu is _OBSTRUCTED:
         return LambdaResult(False, None, obstruction)
-    lam = _ldexp(math.sqrt(_top(mu)), g) if mu.size else 0.0
+    lam = saturating_ldexp(math.sqrt(_top(mu)), g) if mu.size else 0.0
     return LambdaResult(True, linalg.require_finite(lam, "lambda_min"), None)
 
 
@@ -422,11 +416,12 @@ def _order(m, k: int) -> int:
 
 @dataclass(frozen=True)
 class NormCorollaryReport:
-    """Operator-norm consequence ||T*^n T^m|| <= lam ||T^{m+1}||.
+    """Operator-norm consequence ||T*^n T^m|| <= lam ||T^{m+1}||, its
+    values in T's units (+-inf beyond the float range).
 
     ``holds`` asserts the first-power form, which follows from the vector
     inequality by taking suprema.  The squared-lambda variant is evaluated
-    and reported but never asserted.
+    and reported but never asserted: not homogeneous, it depends on scale.
     """
 
     holds: bool
@@ -436,25 +431,26 @@ class NormCorollaryReport:
     holds_squared: bool
 
 
-@linalg.quiet_overflow
 def operator_norm_corollary_check(t, k: int, n: int, lam: float,
                                   m: int) -> NormCorollaryReport:
-    """Check the operator-norm inequality, with relative slack RESIDUAL_TOL
-    (so scaling T leaves the verdicts alone), for a member at (k, n, lam)."""
+    """Check the operator-norm inequality for a member at (k, n, lam), with
+    relative slack RESIDUAL_TOL, from the slot's powers S^j = 2^f P: the
+    verdicts compare ||P_n* P_m|| with lam^i ||P_{m+1}|| in its units, lam
+    moved there by exact powers of two, so no side leaves the float range."""
     query = ClassQuery(k=k, n=n, lam=lam)
     m = _order(m, k)
     require_member(t, query, DEFAULT_TOL, "operator")
-    t = linalg.require_square(t)
-    tm, tn = linalg.matpow(t, m), linalg.matpow(t, n)
-    lhs = linalg.operator_norm(tn.conj().T @ tm)
-    base = linalg.operator_norm(t @ tm)  # ||T^{m+1}||
-    rhs1 = query.lam * base
-    rhs2 = query.lam * query.lam * base
+    slot = _slot_for(t)
+    (pm, fm), (pn, fn), (pb, fb) = (_power(slot, j) for j in (m, n, m + 1))
+    lhs, g = linalg.operator_norm(pn.conj().T @ pm), fn + fm + (n + m) * slot.e
+    (a, h), base = math.frexp(query.lam), linalg.operator_norm(pb)
+    x = fb + (m + 1) * slot.e - g  # lam^i ||T^{m+1}|| = 2^(g + x + ih) a^i base, lam = 2^h a
+    rhs1, rhs2 = (saturating_ldexp(a ** i * base, x + i * h) for i in (1, 2))
     return NormCorollaryReport(
         holds=lhs <= rhs1 + RESIDUAL_TOL * max(lhs, rhs1),
-        lhs=lhs,
-        rhs_first_power=rhs1,
-        rhs_squared=rhs2,
+        lhs=saturating_ldexp(lhs, g),
+        rhs_first_power=saturating_ldexp(a * base, g + x + h),
+        rhs_squared=saturating_ldexp(a * a * base, g + x + 2 * h),
         holds_squared=lhs <= rhs2 + RESIDUAL_TOL * max(lhs, rhs2),
     )
 
@@ -488,8 +484,8 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     if not collapsed and not min_lambda(t, k, n).feasible:
         raise ValidationError("operator is not a member at (k, n) for any lambda")
     (p, f), top = _power(slot, k), _ladder(slot, 0)[0].top
-    return NilpotencyReport(k >= n, _ldexp(linalg.operator_norm(p), f + k * slot.e),
-                            _ldexp(DEFAULT_TOL * top, slot.e), collapsed)
+    return NilpotencyReport(k >= n, saturating_ldexp(linalg.operator_norm(p), f + k * slot.e),
+                            saturating_ldexp(DEFAULT_TOL * top, slot.e), collapsed)
 
 
 def classify_grid(t, k_max: int,

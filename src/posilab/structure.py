@@ -79,7 +79,8 @@ def decompose(t, k: int, n: int) -> Decomposition:
     block_b = q_range.conj().T @ t @ q_kernel
     block_c = q_kernel.conj().T @ t @ q_kernel
     residual = linalg.operator_norm(q_kernel.conj().T @ t @ q_range)
-    nilp = 0.0 if rank == dim else linalg.operator_norm(linalg.matpow(block_c, k))
+    power, f = linalg.normalized_power(block_c, k)  # C^k = 2^f P
+    nilp = linalg.saturating_ldexp(linalg.operator_norm(power), f)
     return Decomposition(
         range_basis=q_range,
         kernel_basis=q_kernel,
@@ -87,7 +88,7 @@ def decompose(t, k: int, n: int) -> Decomposition:
         block_b=block_b,
         block_c=block_c,
         residual_lower_left=residual,
-        nilpotency_residual=nilp,
+        nilpotency_residual=linalg.require_finite(nilp, "nilpotency residual"),
         full_range=rank == dim,
     )
 

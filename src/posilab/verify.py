@@ -116,7 +116,7 @@ def _claim_not_2power(t: np.ndarray) -> tuple:
 
 
 def _claim_prop26_squared_product() -> tuple:
-    t2 = linalg.matpow(fixtures.invariant_block_matrix(), 2)
+    t2 = fixtures.invariant_block_matrix() @ fixtures.invariant_block_matrix()
     return _block("direct product gives", (t2 @ t2.conj().T)[:2, :2],
                   [[5, 10], [10, 20]])
 

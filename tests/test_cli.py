@@ -272,8 +272,13 @@ def test_bad_tolerance_exits_one_naming_it(tol, capsys):
 def _overflow_cases(tmp_path):
     huge = tmp_path / "huge.json"  # lambda_min at (0, 3) is about 1e400
     huge.write_text(fileio.dumps_matrix(np.array([[1e200, 1.0], [0.0, 1.0]])))
-    shift = tmp_path / "shift.json"  # ran T^3 = 0, so C = T and C^2 overflows
-    shift.write_text(fileio.dumps_matrix(1e200 * np.eye(3, k=1)))
+    # V (G + J_3) V* 2^600 at k = 2, G a 3x3 Gaussian head: C^2 = 0 up to
+    # rounding, about 5e-16 ||C||^2 = 5e-16 2^1200
+    rng = np.random.default_rng(0)
+    rotated, v = np.zeros((6, 6), dtype=complex), oracles.haar_unitary(rng, 6)
+    rotated[:3, :3], rotated[3:, 3:] = oracles.ginibre(rng, 3), fixtures.nilpotent_shift(3)
+    tail = tmp_path / "tail.json"
+    tail.write_text(fileio.dumps_matrix(linalg.ldexp(v @ rotated @ v.conj().T, 600)))
     edge = tmp_path / "edge.json"  # lambda_min at (0, 2) is within 1e-8 of the largest float
     edge.write_text(fileio.dumps_matrix(np.diag([1.79769313e308, 1.0])))
     heavy = tmp_path / "heavy.json"  # a valid space whose E|w|^2 overflows
@@ -288,7 +293,7 @@ def _overflow_cases(tmp_path):
     identity = FIXTURES / "identity_2.json"
     return [
         ["lambda-min", huge, "--k", 0, "--n", 3],              # lambda_min
-        ["decompose", shift, "--k", 3],                        # C^k
+        ["decompose", tail, "--k", 2],                         # C^k
         ["lambda-min", edge, "--k", 0, "--n", 2],              # lambda_min (1 + AGREE_TOL)
         ["condexp", SPACE, "thm33", "--lambda", 1e200],        # lambda^2 E|w|^2
         ["condexp", SPACE, "thm34", "--lambda", 1e200],
@@ -369,7 +374,9 @@ def test_an_answer_that_once_overflowed(tmp_path, capsys):
     same two at (0, 3) and (1, 2), and the identity at lambda = 1e200,
     exited 2 where lambda^2 left the float range, which the slot never
     forms in T's units: they print their lambda_min with both certificate
-    lines true, and holds with gap values inf."""
+    lines true, and holds with gap values inf.  decompose on 1e200 times
+    the 3x3 shift at k = 3 exited 2 where C^2 overflowed, though C^3 = C^k
+    is exactly 0: its normalized power prints residual 0."""
     big, steep = tmp_path / "big.json", tmp_path / "steep.json"
     big.write_text(fileio.dumps_matrix(np.array([[1e120, 1.0], [0.0, 1.0]])))
     steep.write_text(fileio.dumps_matrix(np.array([[1e146, 1e150], [0.0, 1e146]])))
@@ -395,6 +402,11 @@ def test_an_answer_that_once_overflowed(tmp_path, capsys):
     assert run(["check", identity, "--k", 0, "--n", 1, "--lambda", 1e200]) == 0
     assert _report(capsys) == {"query": "k=0 n=1 lambda=1e+200", "holds": "true",
                                "gap_min_eigenvalue": "inf", "gap_norm": "inf"}
+    shift = tmp_path / "shift.json"  # ran T^3 = 0, so C = T
+    shift.write_text(fileio.dumps_matrix(1e200 * np.eye(3, k=1)))
+    assert run(["decompose", shift, "--k", 3]) == 0
+    report = _report(capsys)
+    assert report["nilpotency_residual"] == "0" and report["spectrum_union_ok"] == "true"
 
 
 def _graded_draw(exponent: float, index: int) -> np.ndarray:

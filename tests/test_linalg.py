@@ -21,34 +21,40 @@ def test_as_matrix_rejects_bad_inputs():
         linalg.as_matrix([[np.inf + 1j, 0], [0, 1]])
 
 
-# --- matpow -----------------------------------------------------------------
+# --- normalized_power: the one power kernel ------------------------------------
 
 def test_matpow_zero_is_identity():
     m = np.array([[5, 1], [2, 3]], dtype=complex)
-    np.testing.assert_allclose(linalg.matpow(m, 0), np.eye(2))
+    assert np.array_equal(linalg.ldexp(*linalg.normalized_power(m, 0)), np.eye(2))
 
 
 def test_matpow_shift_cubes_to_zero():
-    np.testing.assert_allclose(linalg.matpow(nilpotent_shift(3), 3),
-                               np.zeros((3, 3)))
+    power = linalg.ldexp(*linalg.normalized_power(nilpotent_shift(3).astype(complex), 3))
+    assert np.array_equal(power, np.zeros((3, 3)))
 
 
 def test_matpow_split_range_square():
     # direct multiplication oracle
     t = split_range_matrix()
     expected = oracles.mpow(t, 2)
-    np.testing.assert_allclose(linalg.matpow(t, 2), expected)
-    np.testing.assert_allclose(expected[:2, :2], np.array([[4, 3], [0, 1]]))
-    np.testing.assert_allclose(expected[2:, 2:], np.zeros((2, 2)))
+    power = linalg.ldexp(*linalg.normalized_power(t, 2))
+    assert np.array_equal(power, np.linalg.matrix_power(t, 2))
+    assert np.array_equal(power, expected)
+    assert np.array_equal(expected[:2, :2], [[4, 3], [0, 1]])
+    assert np.array_equal(expected[2:, 2:], np.zeros((2, 2)))
 
 
 def test_normalized_power_is_matrix_power_while_that_is_in_range():
     # 2^f P is numpy's matrix_power bit for bit while that stays in the
-    # normal floats, for every p whose binary form numpy decomposes.
-    m = linalg.normalize(oracles.ginibre(np.random.default_rng(5), 6))[0]
-    for p in range(12):
-        power, f = linalg.normalized_power(m, p)
-        assert np.array_equal(linalg.ldexp(power, f), np.linalg.matrix_power(m, p)), p
+    # normal floats, for every p whose binary form numpy decomposes, on a
+    # normalized M, an unnormalized one and a (B, 2, 2) stack alike.
+    rng = np.random.default_rng(5)
+    m = linalg.normalize(oracles.ginibre(rng, 6))[0]
+    stack = np.stack([oracles.ginibre(rng, 2) * 10.0 ** j for j in (-3, 0, 5)])
+    for base in (m, 1e5 * m, 3e-7 * m, stack):
+        for p in range(12):
+            power, f = linalg.normalized_power(base, p)
+            assert np.array_equal(linalg.ldexp(power, f), np.linalg.matrix_power(base, p)), p
     # S = [[2^-10, 1], [0, 2^-10]]: S^p = 2^(-10p) [[1, 1024p], [0, 1]]
     # leaves the float range from p = 107 on; P keeps it, largest part in [1, 2).
     s = np.array([[2.0 ** -10, 1.0], [0.0, 2.0 ** -10]], dtype=complex)
@@ -59,15 +65,6 @@ def test_normalized_power_is_matrix_power_while_that_is_in_range():
         assert f + np.log2(abs(power[0, 1])) == pytest.approx(np.log2(1024.0 * p) - 10 * p)
     assert np.array_equal(linalg.normalized_power(nilpotent_shift(3).astype(complex), 5)[0],
                           np.zeros((3, 3)))
-
-
-def test_matpow_rejects():
-    with pytest.raises(ValidationError):
-        linalg.matpow(np.ones((2, 3)), 2)
-    for bad in (-1, True, 2.0):
-        with pytest.raises(ValidationError):
-            linalg.matpow(np.eye(2), bad)
-    np.testing.assert_allclose(linalg.matpow(np.eye(2), np.int64(3)), np.eye(2))
 
 
 # --- range spaces --------------------------------------------------------------

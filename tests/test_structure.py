@@ -350,7 +350,7 @@ def test_dense_range_upgrade_reads_the_ladder(rng):
     # and lambda_min is ||T*^n T^-1|| at k = 3 and at k = 0 alike.
     s = np.logspace(0.0, -4.0, 6)
     t = haar_unitary(rng, 6) @ (s[:, None] * haar_unitary(rng, 6).conj().T)
-    t3 = linalg.matpow(t, 3)
+    t3 = np.linalg.matrix_power(t, 3)
     assert np.linalg.cond(t3) > 1e10
     s3 = np.linalg.svd(t3, compute_uv=False)
     assert np.count_nonzero(s3 > linalg.DEFAULT_TOL * s3[0]) < 6

@@ -4,6 +4,9 @@ in posibench/tracing.py's LAPACK_FUNCTIONS (read with ast, without importing
 the benchmark).  lapack looks the routine up on numpy.linalg when it runs,
 where the tracer patches it, so the per-layer LAPACK counts miss no call.
 
+A second rule: numpy's matrix_power computes only certified_inverse's
+inverse (n=-1); every matrix power comes from linalg.normalized_power.
+
 A module names numpy.linalg by an attribute <numpy name>.linalg, by an
 import, or by the string "linalg" (getattr(np, "linalg")).  lapack used as
 a value, or called with a name that is not a literal, hides the routine.
@@ -108,3 +111,28 @@ def test_the_scan_passes_direct_calls():
               "    except np.linalg.LinAlgError:\n        raise\n"
               "lapack('svd', a, 'T', compute_uv=False)\nlinalg.lapack('svd', a, 'T')\n")
     assert _violations(source, {"svd"}) == []
+
+
+def _powers_not_inverses(source: str) -> list:
+    """Line numbers of lapack("matrix_power", ...) calls that do not pass
+    the literal n=-1."""
+    def exponent(call):
+        for keyword in call.keywords:
+            if keyword.arg == "n":
+                try:
+                    return ast.literal_eval(keyword.value)
+                except ValueError:  # not a literal
+                    return None
+        return None
+
+    return sorted(call.lineno for call in _lapack_calls(ast.parse(source)).values()
+                  if call.args and getattr(call.args[0], "value", None) == "matrix_power"
+                  and exponent(call) != -1)
+
+
+def test_matrix_power_only_inverts():
+    assert {path.name: lines for path in SOURCES
+            if (lines := _powers_not_inverses(path.read_text()))} == {}
+    source = ("lapack('matrix_power', a, 'T', n=-1)\nlapack('matrix_power', a, 'T', n=2)\n"
+              "linalg.lapack('matrix_power', a, 'T', n=int(p))\nlapack('matrix_power', a, 'T')\n")
+    assert _powers_not_inverses(source) == [2, 3, 4]

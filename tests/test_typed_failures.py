@@ -78,12 +78,18 @@ def test_extreme_scales_fail_only_through_the_api():
 def test_a_power_in_the_millions_fails_only_through_the_api():
     """At n = 3e6 the shift e(n - 1) from 2^-e T back to T's units, e = 997,
     is beyond the int32 that numpy's ldexp takes: the conversion saturates
-    to 0 or inf instead of raising a raw OverflowError."""
+    to 0 or inf instead of raising a raw OverflowError.  gap_matrix and
+    the integer powers of Lemma 3.1 convert T^n and (T*T)^n the same way."""
     t, n = np.array([[1e300]]), 3 * 10 ** 6
     shift = 1e300 * fixtures.nilpotent_shift(2)
+    space, partition, w, u = fixtures.interval_example(4)
     for call in (lambda: posinormal.min_lambda(t, 0, n),
                  lambda: posinormal.is_member(t, ClassQuery(0, n, 1.0)),
-                 lambda: posinormal.nilpotency_collapse_check(shift, n, n)):
+                 lambda: posinormal.nilpotency_collapse_check(shift, n, n),
+                 lambda: posinormal.gap_matrix(t, 0, n, 1.0),
+                 lambda: posinormal.gap_matrix(1 / t, 0, n, 1.0),
+                 lambda: condexp.lemma31_check(
+                     condexp.build_operator(space, partition, 1e150 * w, u), n)):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
