@@ -22,10 +22,11 @@ T_c; every other Section 3 matrix (T, the Lemma 3.1 sides, the polar
 factors: alpha_b l_b r_b*, l and r in {a, c}) is held as its (B, 2, 2)
 stack of blocks, multiplied, powered and diagonalized blockwise, and
 ||(+)_b X_b|| = max_b ||X_b|| gives all norms of a check from one batched
-SVD.  One vanishing rule, support_mask, cuts as the ladder on T_c does:
-a value is 0 when at most DEFAULT_TOL times the largest of its kind over
-all blocks.  Each chi reads the value the matrix side cuts: the eigenvalue
-p q of (T*T)_b for Lemma 3.1, sqrt(p) sqrt(q) of |T|_b for polar.
+SVD.  A value is 0 by the one zero rule, linalg.significant, which the
+ladder on T_c cuts at ||T_c||: support_mask names the scale, the largest
+value of its kind over all blocks.  Each chi reads the value the matrix
+side cuts: the eigenvalue p q of (T*T)_b for Lemma 3.1, sqrt(p) sqrt(q)
+of |T|_b for polar, and _masked writes chi once.
 
 The properties (i)-(v) of E in Section 1 (check_E_properties) are measured
 on block means too; only the module identity reads the blockwise-constant
@@ -202,23 +203,15 @@ def expand_blockwise(partition: BlockPartition, block_values) -> np.ndarray:
 
 
 def support_mask(values) -> np.ndarray:
-    """Entries counted as nonzero, the one vanishing rule of Section 3:
-    |v| > DEFAULT_TOL * max|v| over all blocks."""
-    return linalg.significant(values, DEFAULT_TOL)
+    """Entries counted as nonzero: linalg.significant at max|v| over all blocks."""
+    return linalg.significant(values, np.abs(values).max(initial=0.0))
 
 
-def _masked_ratio(num, den, mask) -> np.ndarray:
-    """num / den where mask holds, 0 elsewhere (the chi convention)."""
-    shape = np.broadcast_shapes(np.shape(num), np.shape(den), np.shape(mask))
-    out = np.zeros(shape, dtype=np.result_type(num, den, float))
-    np.divide(num, den, out=out, where=mask)
-    return out
-
-
-def _masked_pow(base, expo, mask) -> np.ndarray:
-    """base ** expo where mask holds, 0 elsewhere (the chi convention)."""
-    out = np.zeros_like(np.asarray(base, dtype=float))
-    np.power(base, expo, out=out, where=mask)
+def _masked(ufunc, a, b, mask) -> np.ndarray:
+    """ufunc(a, b) where mask holds, 0 elsewhere (the chi convention)."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(mask))
+    out = np.zeros(shape, dtype=np.result_type(a, b, float))
+    ufunc(a, b, out=out, where=mask)
     return out
 
 
@@ -330,7 +323,8 @@ class WeightedConditionalOperator:
 def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
                    w, u) -> WeightedConditionalOperator:
     """Compress f -> w E(u f) to T_c from its block means; NumericalFailure
-    when T_c or a blockwise expectation overflows."""
+    when T_c or a blockwise expectation overflows.  g/p reads as 0 exactly
+    where p = 0: a division guard, not a linalg.significant cut."""
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
@@ -338,11 +332,11 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     p = mean(np.abs(w) ** 2, "E|w|^2")
     g = mean(u * w, "E(uw)")
     live = p > 0.0  # x_b = 0 elsewhere, and g/p reads as 0
-    ratio = _masked_ratio(g, p, live)[partition.labels]
+    ratio = _masked(np.divide, g, p, live)[partition.labels]
     h = mean(np.abs(u - ratio * np.conj(w)) ** 2, "E|u - (g/p) conj(w)|^2")
     root_p = np.sqrt(p)
     a = np.stack([root_p, np.zeros_like(p)], axis=1)
-    c = np.stack([_masked_ratio(np.conj(g), root_p, live), np.sqrt(h)], axis=1)
+    c = np.stack([_masked(np.divide, np.conj(g), root_p, live), np.sqrt(h)], axis=1)
     count = partition.block_count  # T_c, scattered from its stack of blocks
     t_c = np.zeros((count, 2, count, 2), dtype=complex)
     t_c[np.arange(count), :, np.arange(count), :] = _blocks(1.0, a, c)
@@ -405,7 +399,7 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
     if linalg.is_integer(m):
         return linalg.ldexp(*linalg.normalized_power(h, int(m)))
     w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
-    powered = _masked_pow(w, float(m), support_mask(w))
+    powered = _masked(np.power, w, float(m), support_mask(w))
     return (v * powered[:, None, :]) @ _adjoint(v)
 
 
@@ -437,7 +431,7 @@ def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
 
     def sides(side, ex, ey, gram) -> tuple:
         """(gram)^m - (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, and (gram)^m."""
-        alpha = _masked_pow(ex, float(m) - 1.0, chi) * ey ** float(m)
+        alpha = _masked(np.power, ex, float(m) - 1.0, chi) * ey ** float(m)
         lhs = _hermitian_power(gram, m)
         return lhs - _blocks(alpha, side, side), lhs
 
@@ -483,8 +477,8 @@ def polar_decomposition_check(op: WeightedConditionalOperator) -> PolarReport:
     """
     t, ew2, eu2 = _blocks(1.0, op.a, op.c), op.e_w2, op.e_u2
     chi = support_mask(np.sqrt(ew2) * np.sqrt(eu2))
-    modulus = _blocks(np.sqrt(_masked_ratio(ew2, eu2, chi)), op.c, op.c)
-    partial_iso = _blocks(np.sqrt(_masked_ratio(1.0, ew2 * eu2, chi)), op.a, op.c)
+    modulus = _blocks(np.sqrt(_masked(np.divide, ew2, eu2, chi)), op.c, op.c)
+    partial_iso = _blocks(np.sqrt(_masked(np.divide, 1.0, ew2 * eu2, chi)), op.a, op.c)
     factor = partial_iso @ modulus - t
     squared = modulus @ modulus - _adjoint(t) @ t
     w, vecs = linalg.lapack("eigh", linalg.symmetrize(modulus), "|T|")
@@ -570,7 +564,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float) -> NPowerCr
     blockwise, margins = _blockwise(
         query.lam * query.lam * op.e_w2 * np.abs(op.e_u) ** 2,
         (np.abs(op.e_uw) ** (2 * n)
-         * _masked_ratio(op.e_u2, op.e_w2 ** n, chi_g).real
+         * _masked(np.divide, op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
         np.ones_like(chi_g), "Theorem 3.4")
     matrix_holds = posinormal.is_member(op.compressed, query).holds
@@ -626,15 +620,15 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int,
     # the chi convention zeroes vanishing blocks instead of dividing.
     stated, margins_a = _blockwise(
         (query.lam * query.lam * op.e_u2 ** (2 * n - 1)
-         * _masked_pow(op.e_w2, 2 * k * n - 1, chi_g)),
+         * _masked(np.power, op.e_w2, 2 * k * n - 1, chi_g)),
         np.abs(op.e_uw) ** (2 * k + 2), every, "Theorem 3.5 stated")
 
     # Inner display of the derivation, as printed.
     proof_form, margins_b = _blockwise(
         query.lam * query.lam * op.e_u2 * op.e_w2 ** (2 * k) * np.abs(op.e_u) ** 2,
         (np.abs(op.e_uw) ** (2 * k + n - 1)
-         * np.sqrt(_masked_pow(op.e_u2, 1.0, chi_s)
-                   * _masked_ratio(1.0, op.e_w2 ** (n - 1), chi_g).real)
+         * np.sqrt(_masked(np.power, op.e_u2, 1.0, chi_s)
+                   * _masked(np.divide, 1.0, op.e_w2 ** (n - 1), chi_g).real)
          * chi_g * np.abs(op.e_w) ** 2),
         every, "Theorem 3.5 proof form")
 

@@ -35,17 +35,15 @@ from .errors import NumericalFailure, ValidationError
 # DEFAULT_TOL: the caller's decision tol when none is set (is_member,
 # min_lambda, tensor_check, the CLI's --tol), and the relative slack of
 # the condexp checks and check_E_properties, which have no tol of their
-# own (x the scale at which a side's rounding occurs).  The rounding
-# factor of posinormal's ladder cut (x ||S||, S = 2^-e T the slot's; it
-# also decides T^j = 0 for nilpotency_collapse_check) and obstruction floor
-# (x ||S||^n), and of condexp's one vanishing rule, support_mask (x the
-# largest value of its kind over all blocks: the eigenvalues that
-# _hermitian_power powers and that span the range of |T|, and the block
-# means each chi of a closed form or printed criterion reads).  Its
-# inverse bounds ||S||_F ||S^-1||_F in certified_inverse, which so
-# certifies that the ladder's cut keeps every singular value of S.  The
-# absolute slack of a computed value against an exact one: verify's
-# recomputed blocks and vanishing gaps.
+# own (x the scale at which a side's rounding occurs).  The factor of the
+# one zero rule, significant(values, scale), whose callers name the scale:
+# posinormal's ladder cut (x ||S||, S = 2^-e T the slot's; it also decides
+# T^j = 0 for nilpotency_collapse_check) and condexp.support_mask (x the
+# largest value of its kind over all blocks).  And of the obstruction floor
+# (x ||S||^n, compared squared).  Its inverse bounds ||S||_F ||S^-1||_F in
+# certified_inverse, which so certifies that the ladder's cut keeps every
+# singular value of S.  The absolute slack of a computed value against an
+# exact one: verify's recomputed blocks and vanishing gaps.
 DEFAULT_TOL = 1e-10
 # RESIDUAL_TOL: the largest residual of structure's input checks
 # (orthonormal, isometry, unitary; invariant x ||T||, commuting
@@ -183,13 +181,13 @@ def symmetrize(h) -> np.ndarray:
     return (h + h.conj().swapaxes(-1, -2)) / 2.0
 
 
-def significant(values, tol: float) -> np.ndarray:
-    """Mask of the values with |v| > tol * max|v|, none when all vanish:
-    condexp.support_mask, at DEFAULT_TOL, the one vanishing rule of the
-    Section 3 checks.  posinormal's range ladder cuts every rung S Q at
-    DEFAULT_TOL * ||S||, a fixed rule."""
-    mags = np.abs(np.asarray(values))
-    return mags > tol * mags.max(initial=0.0)
+def significant(values, scale) -> np.ndarray:
+    """Mask of the values with |v| > DEFAULT_TOL * scale, the one zero rule:
+    posinormal's ladder cuts singular values at ||S||, condexp.support_mask a
+    Section 3 value at the largest of its kind.  The obstruction floor
+    (compared squared), build_operator's exact p > 0 guard and the slacks
+    x <= DEFAULT_TOL * scale on residuals are not cuts, and stay as they are."""
+    return np.abs(np.asarray(values)) > DEFAULT_TOL * scale
 
 
 def spectrum(m) -> np.ndarray:
@@ -269,10 +267,10 @@ def normalized_power(m, p: int) -> tuple[np.ndarray, int]:
 
 @quiet_overflow
 def certified_inverse(s: np.ndarray) -> np.ndarray | None:
-    """S^-1 when it certifies sigma_min(S) > DEFAULT_TOL * ||S||_2 without
-    an SVD, else None; always None below dim _INVERSE_MIN_DIM, where one
-    SVD is cheaper.  S is square and normalized, its largest part in [1,
-    2): posinormal's slot passes its 2^-e T.
+    """S^-1 when it certifies that significant(sigma(S), ||S||_2) keeps every
+    singular value, without an SVD, else None; always None below dim
+    _INVERSE_MIN_DIM, where one SVD is cheaper.  S is square and normalized,
+    its largest part in [1, 2): posinormal's slot passes its 2^-e T.
 
     det(S) = 0 is None without an inverse: an exact zero pivot of its LU,
     where inverting S would fail, or a product of pivots below the float

@@ -17,8 +17,8 @@ neither T^{k+1} nor a Gram matrix C*C is formed, and the conditioning
 that enters is that of T on ran T^k.  Q comes from a *range ladder* (see
 _Rung), as ran T^{j+1} = T ran T^j: rung 0 is the thin SVD of T
 (Q_0 = I), rung j+1 the thin SVD of T Q_{j+1}, Q_{j+1} the left singular
-vectors of rung j above the cut DEFAULT_TOL * ||T||, the scale of the
-rounding in T Q.  From dim 64 on, rung 0 first tries
+vectors of rung j that linalg.significant keeps at scale ||T||, the
+scale of the rounding in T Q.  From dim 64 on, rung 0 first tries
 linalg.certified_inverse, whose T^-1 stands in for the SVD when it
 certifies that the cut keeps every singular value.
 
@@ -156,9 +156,9 @@ _Form = namedtuple("_Form", "mu f")
 
 # Rung j of the range ladder of the slot's S, for an orthonormal basis Q of
 # ran T^j (None at rung 0, where Q = I), from the thin SVD SQ = U S+ W*:
-# wps = W+ S+^-1 over the singular values above the cut DEFAULT_TOL * top,
-# top = ||S||, w0 the right singular vectors below it, and next = U+, the
-# basis of ran T^{j+1}.  A rung with an empty w0 keeps its full rank:
+# wps = W+ S+^-1 over the singular values that linalg.significant keeps at
+# scale top = ||S||, w0 the right singular vectors it cuts, and next = U+,
+# the basis of ran T^{j+1}.  A rung with an empty w0 keeps its full rank:
 # ran T^{j+1} is ran T^j, and rung j+1 is rung j.  Readers rely on
 # SQ wps = next only, so a certified rung 0 (linalg.certified_inverse)
 # holds wps = S^-1, next = I and an empty w0.  Its top is None: top is
@@ -272,7 +272,7 @@ def _rung(s, below: _Rung | None) -> _Rung:
     c = s if q is None else s @ q
     u, sv, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
     top = float(sv.max(initial=0.0)) if below is None else below.top
-    rank = int(np.count_nonzero(sv > DEFAULT_TOL * top))
+    rank = int(np.count_nonzero(linalg.significant(sv, top)))
     w = vh.conj().T
     return _Rung(q, w[:, :rank] / sv[:rank], w[:, rank:].copy(),
                  u if rank == sv.size else u[:, :rank].copy(), top)
@@ -388,15 +388,16 @@ def min_lambda(t, k: int, n: int, tol: float = DEFAULT_TOL) -> LambdaResult:
 
     Infeasible iff D' is not negligible on the rung's numerical kernel W0:
     ||D' W0||^2, the top eigenvalue of (D' W0)*(D' W0) from eigvalsh, is
-    above tol * ||D'||^2, norm bounds of D' first, and above
-    (DEFAULT_TOL * ||S||^n)^2, the ladder's cut applied to S^n.  The
-    kernel_obstruction, computed when read, is that Gram matrix's top
-    eigenvector pulled back to x (_witness).  Otherwise lambda_min =
-    2^(e(n-1)) ||D' W+ S+^-1||_2, 0.0 when T vanishes on ran T^k or when
-    it underflows, and NumericalFailure "lambda_min overflows" beyond the
-    float range.  Both tests are relative and read S only, so scaling T by
-    c scales lambda_min by |c|^(n-1) and keeps feasibility, bit for bit at
-    c = 2^j.  The rank cut is fixed; tol decides the obstruction only.
+    above tol * ||D'||^2, norm bounds of D' first, and above the floor
+    (DEFAULT_TOL * ||S||^n)^2, the ladder's cut applied to S^n and compared
+    squared, not through linalg.significant.  The kernel_obstruction,
+    computed when read, is that Gram matrix's top eigenvector pulled back to
+    x (_witness).  Otherwise lambda_min = 2^(e(n-1)) ||D' W+ S+^-1||_2, 0.0
+    when T vanishes on ran T^k or when it underflows, and NumericalFailure
+    "lambda_min overflows" beyond the float range.  Both tests are relative
+    and read S only, so scaling T by c scales lambda_min by |c|^(n-1) and
+    keeps feasibility, bit for bit at c = 2^j.  The rank cut is fixed; tol
+    decides the obstruction only.
     """
     slot = _slot_for(t)
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n

@@ -195,15 +195,18 @@ def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:
     return posinormal.is_member(t, ClassQuery(k=0, n=n, lam=lam))
 
 
+@linalg.quiet_overflow
 def tensor_check(t, s, query: ClassQuery, mu: float,
                  tol: float = DEFAULT_TOL) -> ClassReport:
     """Membership of the Kronecker product T (x) S at lambda * mu.
 
     T must be a member at ``query`` and S at the same (k, n) with lambda
-    ``mu``; the product is then a member at lambda * mu.
+    ``mu``; the product is then a member at lambda * mu.  NumericalFailure
+    when T (x) S or lambda * mu overflows: both are computed, not inputs.
     """
     # require_member validates each factor as a square matrix.
     posinormal.require_member(t, query, tol, "T")
     posinormal.require_member(s, ClassQuery(k=query.k, n=query.n, lam=mu), tol, "S")
-    lam = linalg.require_finite(query.lam * mu, "lambda * mu")  # computed: not an input error
-    return posinormal.is_member(np.kron(t, s), ClassQuery(query.k, query.n, lam), tol=tol)
+    lam = linalg.require_finite(query.lam * mu, "lambda * mu")
+    product = linalg.require_finite(np.kron(t, s), "T (x) S")
+    return posinormal.is_member(product, ClassQuery(query.k, query.n, lam), tol=tol)

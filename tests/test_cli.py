@@ -163,6 +163,10 @@ MALFORMED_MATRICES = [
     ("huge dim_cols", json.dumps({"dim_rows": 2, "dim_cols": 10 ** 15,
                                   "entries": [[[1.0, 0.0]], [[0.0, 1.0]]]}),
      "entries[0]"),
+    # a well-formed document of a matrix that is not square
+    ("not square", json.dumps({"dim_rows": 2, "dim_cols": 3,
+                               "entries": [[[1.0, 0.0]] * 3, [[0.0, 1.0]] * 3]}),
+     "expected a square matrix"),
 ]
 
 MALFORMED_SPACES = [
@@ -291,6 +295,8 @@ def _overflow_cases(tmp_path):
     tall = tmp_path / "tall.json"  # lambda^2 E|w|^2 overflows at lambda = 1e100
     tall.write_text(fileio.dumps_space(space, partition, np.full(8, 1e100), u))
     identity = FIXTURES / "identity_2.json"
+    big = tmp_path / "big.json"  # a member at lambda = 1 whose T (x) T overflows
+    big.write_text(fileio.dumps_matrix(np.array([[1e200]])))
     return [
         ["lambda-min", huge, "--k", 0, "--n", 3],              # lambda_min
         ["decompose", tail, "--k", 2],                         # C^k
@@ -300,6 +306,7 @@ def _overflow_cases(tmp_path):
         ["condexp", SPACE, "thm35", "--lambda", 1e200],
         ["tensor", identity, identity, "--k", 0, "--n", 1,   # lambda * mu
          "--lambda", 1e160, "--mu", 1e160],
+        ["tensor", big, big, "--k", 0, "--n", 1, "--lambda", 1, "--mu", 1],  # T (x) S
         ["condexp", SPACE, "lemma31", "--power", 1e300],       # (T*T)^m
         ["condexp", square, "norm"],                           # blockwise norm
         ["condexp", square, "thm34", "--n", 3],

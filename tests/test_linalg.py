@@ -259,12 +259,15 @@ def test_a_certified_inverse_at_every_scale(exponent):
 
 
 def test_significant_is_the_one_rank_rule():
-    assert linalg.significant([3.0, 1e-9, 2e-10, 0.0], 1e-10).tolist() == [
+    assert linalg.significant([3.0, 1e-9, 2e-10, 0.0], 3.0).tolist() == [
         True, True, False, False]
     # magnitudes, in any order: the eigenvalues of a PSD matrix ascend
-    assert linalg.significant([-1e-17, 1e-3, 5.0], 1e-10).tolist() == [False, True, True]
-    assert not linalg.significant(np.zeros(3), 1e-10).any()
-    assert linalg.significant(np.array([]), 1e-10).shape == (0,)
+    assert linalg.significant([-1e-17, 1e-3, 5.0], 5.0).tolist() == [False, True, True]
+    assert not linalg.significant(np.zeros(3), 0.0).any()
+    assert linalg.significant(np.array([]), 0.0).shape == (0,)
+    # the caller names the scale: it is not read off the values
+    assert linalg.significant([1e-9], 1.0).tolist() == [True]
+    assert linalg.significant([1e-9], 100.0).tolist() == [False]
 
 
 # --- distinct values / hausdorff ---------------------------------------------

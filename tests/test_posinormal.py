@@ -1530,6 +1530,23 @@ def test_concurrent_callers_get_their_own_results(rng, monkeypatch):
     assert mismatches == []
 
 
+def test_the_ladders_rank_is_significant_at_the_scale_of_s(rng):
+    """Every rung keeps the singular values of S Q that linalg.significant
+    keeps at scale sigma_max(S), rung 0's, S = 2^-e T the slot's: here on
+    singular values on both sides of the cut, at scales far from 1."""
+    spectrum = np.array([1.0, 1e-3, 1e-9, 3e-10, 5e-11, 1e-12, 0.0, 0.0])
+    for scale in (2.0 ** -600, 1.0, 3.0 ** 400):
+        t = _graded(rng, 8, spectrum) * scale
+        s = linalg.normalize(t)[0]
+        top = np.linalg.svd(s, compute_uv=False)[0]
+        ranks = []
+        for j in range(1, 4):
+            sv = np.linalg.svd(s @ posinormal.range_basis(t, j - 1), compute_uv=False)
+            ranks.append(posinormal.range_basis(t, j).shape[1])
+            assert ranks[-1] == np.count_nonzero(linalg.significant(sv, top)), (scale, j)
+        assert ranks[0] == 4, scale  # 3e-10 is kept, 5e-11 is cut
+
+
 # --- rung 0 from a certified inverse ---------------------------------------------------
 
 def _rung_zero_cases(rng, dim):

@@ -48,10 +48,11 @@ def test_no_small_float_literal_outside_the_table():
     assert found == []
 
 
-def test_significant_is_called_only_by_support_mask_at_default_tol():
-    """Section 3 has one vanishing rule: linalg.significant, the cut
-    |v| > tol * max|v|, is called in src/posilab only by
-    condexp.support_mask, and only at DEFAULT_TOL."""
+def test_significant_is_called_only_by_the_ladder_and_support_mask():
+    """posilab has one zero rule: linalg.significant, the cut
+    |v| > DEFAULT_TOL * scale, is called in src/posilab only by the range
+    ladder's rung, at ||S||, and by condexp.support_mask, at the largest
+    value of its kind."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -64,4 +65,6 @@ def test_significant_is_called_only_by_support_mask_at_default_tol():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and "significant" in (
                       getattr(node.func, "attr", None), getattr(node.func, "id", None))]
-    assert found == [("condexp", "support_mask", ["values", "DEFAULT_TOL"], [])]
+    assert found == [("condexp", "support_mask",
+                      ["values", "np.abs(values).max(initial=0.0)"], []),
+                     ("posinormal", "_rung", ["sv", "top"], [])]
