@@ -13,17 +13,18 @@ conditional expectation operators", Oper. Matrices 5, 2011).  One
 Gram-Schmidt step writes x_b and y_b in an orthonormal basis of their span
 as a_b = (sqrt p, 0) and c_b = (conj(g) / sqrt p, sqrt h), from the block
 means p = E|w|^2, g = E(uw) and h = E|u - (g/p) conj(w)|^2 (g/p read as 0
-where p = 0).  So T is unitarily T_c (+) 0, with the 2B x 2B
-T_c = (+)_b a_b c_b* = (+)_b [[g_b, sqrt(p_b) sqrt(h_b)], [0, 0]].  h is a
+where p = 0).  So T is unitarily (+)_b a_b c_b* (+) 0, with the 2 x 2
+blocks a_b c_b* = [[g_b, sqrt(p_b) sqrt(h_b)], [0, 0]].  h is a
 mean of its own, not q - |g|^2 / p with q = E|u|^2: the root of that
 cancellation errs by about sqrt(eps q).  Norms, spectra and class
-memberships are the same for X_c (+) 0 as for X_c.  The class criteria test
-T_c; every other Section 3 matrix (T, the Lemma 3.1 sides, the polar
-factors: alpha_b l_b r_b*, l and r in {a, c}) is held as its (B, 2, 2)
-stack of blocks, multiplied, powered and diagonalized blockwise, and
-||(+)_b X_b|| = max_b ||X_b|| gives all norms of a check from one batched
-SVD.  A value is 0 by the one zero rule, linalg.significant, which the
-ladder on T_c cuts at ||T_c||: support_mask names the scale, the largest
+memberships are the same for X (+) 0 as for X.  Every Section 3 matrix (T,
+the Lemma 3.1 sides, the polar factors: alpha_b l_b r_b*, l and r in
+{a, c}) is held as its (B, 2, 2) stack of blocks, multiplied, powered and
+diagonalized blockwise, and ||(+)_b X_b|| = max_b ||X_b|| gives all norms
+of a check from one batched SVD.  The class criteria pass T's stack to
+posinormal.is_member, which reads it as the direct sum.  A value is 0 by
+the one zero rule, linalg.significant, which posinormal's ladder cuts at
+||T||, the largest block's norm: support_mask names the scale, the largest
 value of its kind over all blocks.  Each chi reads the value the matrix
 side cuts: the eigenvalue p q of (T*T)_b for Lemma 3.1, sqrt(p) sqrt(q)
 of |T|_b for polar, and _masked writes chi once.
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, adjoint
 from .posinormal import ClassQuery
 
 
@@ -298,16 +299,14 @@ def check_E_properties(space: FiniteMeasureSpace, partition: BlockPartition,
 
 @dataclass(frozen=True)
 class WeightedConditionalOperator:
-    """T: f -> w * E(u f), kept as T_c (module docstring): row b of ``a``
-    and ``c`` holds a_b and c_b, and ``compressed`` is T_c = (+)_b a_b c_b*,
-    block b in rows and columns 2b and 2b + 1.
+    """T: f -> w * E(u f), kept as its blocks (module docstring): row b of
+    ``a`` and ``c`` holds a_b and c_b, and block b is a_b c_b*.
     """
 
     space: FiniteMeasureSpace
     partition: BlockPartition
     w: np.ndarray
     u: np.ndarray
-    compressed: np.ndarray
     a: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
 
@@ -322,9 +321,9 @@ class WeightedConditionalOperator:
 @linalg.quiet_overflow
 def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
                    w, u) -> WeightedConditionalOperator:
-    """Compress f -> w E(u f) to T_c from its block means; NumericalFailure
-    when T_c or a blockwise expectation overflows.  g/p reads as 0 exactly
-    where p = 0: a division guard, not a linalg.significant cut."""
+    """Compress f -> w E(u f) to its blocks a_b c_b* from its block means;
+    NumericalFailure when a blockwise expectation overflows.  g/p reads as
+    0 exactly where p = 0: a division guard, not a linalg.significant cut."""
     _check_compatible(space, partition)
     w = as_function(w, space)
     u = as_function(u, space)
@@ -337,13 +336,9 @@ def build_operator(space: FiniteMeasureSpace, partition: BlockPartition,
     root_p = np.sqrt(p)
     a = np.stack([root_p, np.zeros_like(p)], axis=1)
     c = np.stack([_masked(np.divide, np.conj(g), root_p, live), np.sqrt(h)], axis=1)
-    count = partition.block_count  # T_c, scattered from its stack of blocks
-    t_c = np.zeros((count, 2, count, 2), dtype=complex)
-    t_c[np.arange(count), :, np.arange(count), :] = _blocks(1.0, a, c)
     return WeightedConditionalOperator(
-        space=space, partition=partition, w=w, u=u,
-        compressed=linalg.require_finite(t_c.reshape(2 * count, -1), "T = M_w E M_u"),
-        a=a, c=c, e_w2=p, e_u2=mean(np.abs(u) ** 2, "E|u|^2"),
+        space=space, partition=partition, w=w, u=u, a=a, c=c,
+        e_w2=p, e_u2=mean(np.abs(u) ** 2, "E|u|^2"),
         e_w=mean(w, "E(w)"), e_u=mean(u, "E(u)"), e_uw=g,
     )
 
@@ -353,11 +348,6 @@ def _blocks(alpha, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     and right and a scalar or B-vector alpha."""
     return (np.asarray(alpha)[..., None, None]
             * left[:, :, None] * right.conj()[:, None, :])
-
-
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    """X_b* for every block X_b of a stack."""
-    return x.conj().swapaxes(-1, -2)
 
 
 def _norms(what: str, *stacks: np.ndarray) -> list[float]:
@@ -400,7 +390,7 @@ def _hermitian_power(h: np.ndarray, m) -> np.ndarray:
         return linalg.ldexp(*linalg.normalized_power(h, int(m)))
     w, v = linalg.lapack("eigh", linalg.symmetrize(h), "Lemma 3.1 Gram")
     powered = _masked(np.power, w, float(m), support_mask(w))
-    return (v * powered[:, None, :]) @ _adjoint(v)
+    return (v * powered[:, None, :]) @ adjoint(v)
 
 
 @dataclass(frozen=True)
@@ -437,8 +427,8 @@ def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
 
     t = _blocks(1.0, op.a, op.c)
     diff1, lhs1, diff2, lhs2 = _norms("Lemma 3.1 power",
-                                      *sides(op.c, eu2, ew2, _adjoint(t) @ t),
-                                      *sides(op.a, ew2, eu2, t @ _adjoint(t)))
+                                      *sides(op.c, eu2, ew2, adjoint(t) @ t),
+                                      *sides(op.a, ew2, eu2, t @ adjoint(t)))
     dev1, dev2 = (float(np.divide(diff, lhs)) if diff else 0.0
                   for diff, lhs in ((diff1, lhs1), (diff2, lhs2)))
     return PowerIdentityReport(
@@ -480,10 +470,10 @@ def polar_decomposition_check(op: WeightedConditionalOperator) -> PolarReport:
     modulus = _blocks(np.sqrt(_masked(np.divide, ew2, eu2, chi)), op.c, op.c)
     partial_iso = _blocks(np.sqrt(_masked(np.divide, 1.0, ew2 * eu2, chi)), op.a, op.c)
     factor = partial_iso @ modulus - t
-    squared = modulus @ modulus - _adjoint(t) @ t
+    squared = modulus @ modulus - adjoint(t) @ t
     w, vecs = linalg.lapack("eigh", linalg.symmetrize(modulus), "|T|")
     range_basis = vecs * support_mask(w)[:, None, :]
-    iso = _adjoint(partial_iso) @ partial_iso - range_basis @ _adjoint(range_basis)
+    iso = adjoint(partial_iso) @ partial_iso - range_basis @ adjoint(range_basis)
     t_norm, factor_residual, sq_residual, iso_residual = _norms(
         "polar residual", t, factor, squared, iso)
     return PolarReport(
@@ -526,7 +516,7 @@ def thm33_check(op: WeightedConditionalOperator, lam: float) -> PosinormalCriter
     blockwise, margins = _blockwise(query.lam * query.lam * op.e_w2 * np.abs(op.e_u) ** 2,
                                     op.e_u2 * np.abs(op.e_w) ** 2, s_prime,
                                     "Theorem 3.3")
-    matrix_holds = posinormal.is_member(op.compressed, query).holds
+    matrix_holds = posinormal.is_member(_blocks(1.0, op.a, op.c), query).holds
     return PosinormalCriterionReport(
         lam=query.lam,
         supports_match=supports_match,
@@ -567,7 +557,7 @@ def thm34_check(op: WeightedConditionalOperator, n: int, lam: float) -> NPowerCr
          * _masked(np.divide, op.e_u2, op.e_w2 ** n, chi_g).real
          * np.abs(op.e_w) ** 2),
         np.ones_like(chi_g), "Theorem 3.4")
-    matrix_holds = posinormal.is_member(op.compressed, query).holds
+    matrix_holds = posinormal.is_member(_blocks(1.0, op.a, op.c), query).holds
     return NPowerCriterionReport(
         n=n,
         lam=query.lam,
@@ -585,7 +575,7 @@ class QuasiCriterionReport:
     ``stated_holds``: |E(uw)|^{2k+2} <= lam^2 (E|u|^2)^{2n-1} (E|w|^2)^{2kn-1}
     ``proof_form_holds``: the inequality actually displayed inside the
     source derivation, with exponent 2k+n-1 and a square-root factor
-    ``matrix_holds``: the direct gap test on the compression T_c
+    ``matrix_holds``: the direct gap test on T's stack of blocks
 
     Disagreements between the three are findings, not failures.
     """
@@ -632,7 +622,7 @@ def thm35_check(op: WeightedConditionalOperator, k: int, n: int,
          * chi_g * np.abs(op.e_w) ** 2),
         every, "Theorem 3.5 proof form")
 
-    matrix_holds = posinormal.is_member(op.compressed, query).holds
+    matrix_holds = posinormal.is_member(_blocks(1.0, op.a, op.c), query).holds
     return QuasiCriterionReport(
         k=k, n=n, lam=query.lam,
         stated_holds=stated,

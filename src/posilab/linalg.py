@@ -18,11 +18,11 @@ Every matrix power is normalized_power's, M^p = 2^f P, read in M's units
 by ldexp or saturating_ldexp; numpy's matrix_power inverts only.
 
 Target dimensions are small: tens, up to the low hundreds.  A weighted
-conditional operator reaches these kernels only as its 2B x 2B
-compression T_c, for the class tests, whatever its atom count; condexp's
-other checks never form a 2B x 2B matrix but run batched numpy calls on
-its (B, 2, 2) stack of blocks.  So robustness is preferred over speed
-throughout.
+conditional operator reaches these kernels as its (B, 2, 2) stack of
+blocks, whatever its atom count, and never as a 2B x 2B matrix: a stack
+stands for the direct sum of its blocks, and norm_bounds, operator_norm,
+adjoint and normalized_power read its last two axes.  So robustness is
+preferred over speed throughout.
 """
 
 import math
@@ -37,13 +37,13 @@ from .errors import NumericalFailure, ValidationError
 # the condexp checks and check_E_properties, which have no tol of their
 # own (x the scale at which a side's rounding occurs).  The factor of the
 # one zero rule, significant(values, scale), whose callers name the scale:
-# posinormal's ladder cut (x ||S||, S = 2^-e T the slot's; it also decides
-# T^j = 0 for nilpotency_collapse_check) and condexp.support_mask (x the
-# largest value of its kind over all blocks).  And of the obstruction floor
-# (x ||S||^n, compared squared).  Its inverse bounds ||S||_F ||S^-1||_F in
-# certified_inverse, which so certifies that the ladder's cut keeps every
-# singular value of S.  The absolute slack of a computed value against an
-# exact one: verify's recomputed blocks and vanishing gaps.
+# posinormal's ladder cut (x ||S||, S = 2^-e T the slot's, at a stack's
+# largest block; it also decides T^j = 0 for nilpotency_collapse_check) and
+# condexp.support_mask (x the largest value of its kind over all blocks).
+# And of the obstruction floor (x ||S||^n, compared squared).  Its inverse
+# bounds ||S||_F ||S^-1||_F in certified_inverse, which so certifies that the
+# ladder's cut keeps every singular value of S.  The absolute slack of a
+# computed value against an exact one: verify's recomputed blocks and vanishing gaps.
 DEFAULT_TOL = 1e-10
 # RESIDUAL_TOL: the largest residual of structure's input checks
 # (orthonormal, isometry, unitary; invariant x ||T||, commuting
@@ -137,24 +137,24 @@ def lapack(name: str, operand, what: str, **options):
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; empty blocks have norm 0.  NumericalFailure
-    when m is not finite: m is a product formed inside posilab."""
+    """Largest singular value (of the sum, for a stack); empty blocks have
+    norm 0.  NumericalFailure when m is not finite: a product of posilab."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    return float(lapack("norm", m, "operand of an operator norm", ord=2))
+    return float(lapack("norm", m, "operand of an operator norm", ord=2, axis=(-2, -1)).max())
 
 
 def norm_bounds(m) -> tuple[float, float]:
     """lo <= ||m||_2 <= hi without an SVD: the largest column norm and the
-    Frobenius norm (Golub & Van Loan, 2.3), widened by rounding so a test
-    they settle agrees with operator_norm; (0, inf) on overflow."""
+    (largest block's) Frobenius norm (Golub & Van Loan, 2.3), widened by
+    rounding so a test they settle agrees with operator_norm; (0, inf) on overflow."""
     m = np.asarray(m, dtype=complex)
     with np.errstate(over="ignore"):  # squares summed without temporaries
-        columns = (np.einsum("ij,ij->j", m.real, m.real)
-                   + np.einsum("ij,ij->j", m.imag, m.imag))
-    slack = 4.0 * m.size * np.finfo(float).eps
-    hi = float(np.sqrt(columns.sum()) * (1.0 + slack))
+        columns = (np.einsum("...ij,...ij->...j", m.real, m.real)
+                   + np.einsum("...ij,...ij->...j", m.imag, m.imag))
+    slack = 4.0 * m.shape[-2] * m.shape[-1] * np.finfo(float).eps
+    hi = float(np.sqrt(columns.sum(axis=-1).max()) * (1.0 + slack))
     if not np.isfinite(hi):
         return 0.0, float("inf")
     return float(np.sqrt(columns.max()) * (1.0 - slack)), hi
@@ -175,10 +175,15 @@ def at_most_scaled(x: float, tol: float, m) -> bool:
     return x <= tol * require_finite(s * s, "squared norm of the threshold scale")
 
 
+def adjoint(m) -> np.ndarray:
+    """M*, of every block for a stack: a view over its last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def symmetrize(h) -> np.ndarray:
     """(H + H*)/2, the Hermitian part of H, equal to its adjoint bit for bit;
-    for a stack of matrices, of each one (the adjoint is over the last two axes)."""
-    return (h + h.conj().swapaxes(-1, -2)) / 2.0
+    for a stack of matrices, of each one."""
+    return (h + adjoint(h)) / 2.0
 
 
 def significant(values, scale) -> np.ndarray:
@@ -268,21 +273,21 @@ def normalized_power(m, p: int) -> tuple[np.ndarray, int]:
 @quiet_overflow
 def certified_inverse(s: np.ndarray) -> np.ndarray | None:
     """S^-1 when it certifies that significant(sigma(S), ||S||_2) keeps every
-    singular value, without an SVD, else None; always None below dim
-    _INVERSE_MIN_DIM, where one SVD is cheaper.  S is square and normalized,
-    its largest part in [1, 2): posinormal's slot passes its 2^-e T.
+    singular value, without an SVD, else None; always None below block dim
+    _INVERSE_MIN_DIM, where one SVD is cheaper.  S is square (or a stack) and
+    normalized, its largest part in [1, 2): posinormal's slot passes 2^-e T.
 
-    det(S) = 0 is None without an inverse: an exact zero pivot of its LU,
-    where inverting S would fail, or a product of pivots below the float
-    range (singular values log-spaced over 1e9 at dim 128 are enough).
+    det(S) = 0 (of any block) is None with no inverse: an exact zero pivot
+    of its LU, where inverting S would fail, or a product of pivots below the
+    float range (singular values log-spaced over 1e9 at dim 128 are enough).
     Otherwise S^-1 is formed, and the certificate is ||S||_F ||S^-1||_F
     <= 1 / DEFAULT_TOL, each norm the upper bound of norm_bounds (inf for a
     non-finite inverse) and the product widened by dim * eps / DEFAULT_TOL,
     the relative error of a computed inverse at that conditioning.  As
     ||X||_2 <= ||X||_F, it bounds sigma_max / sigma_min of S.
     """
-    dim = s.shape[0]
-    if dim < _INVERSE_MIN_DIM or lapack("det", s, "2^-e T") == 0:
+    dim = s.shape[-1]
+    if dim < _INVERSE_MIN_DIM or (lapack("det", s, "2^-e T") == 0).any():
         return None
     inverse = lapack("matrix_power", s, "2^-e T", n=-1)
     bound = norm_bounds(s)[1] * norm_bounds(inverse)[1]

@@ -34,6 +34,8 @@ and inf: on W0, C' vanishes and D' does not, so the generalized
 eigenvalue there is -inf.
 The threshold scales with the form, so verdicts are monotone in lambda and
 covariant under T -> cT, lambda -> |c|^(n-1) lambda; for c = 2^j exactly.
+is_member and min_lambda also read a (B, d, d) stack as the direct sum of
+its blocks, batched through the same code, every cut at its largest block.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
@@ -72,7 +74,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, ValidationError
-from .linalg import DEFAULT_TOL, RESIDUAL_TOL, saturating_ldexp
+from .linalg import DEFAULT_TOL, RESIDUAL_TOL, adjoint, saturating_ldexp
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,16 @@ _Form = namedtuple("_Form", "mu f")
 
 # Rung j of the range ladder of the slot's S, for an orthonormal basis Q of
 # ran T^j (None at rung 0, where Q = I), from the thin SVD SQ = U S+ W*:
-# wps = W+ S+^-1 over the singular values that linalg.significant keeps at
-# scale top = ||S||, w0 the right singular vectors it cuts, and next = U+,
-# the basis of ran T^{j+1}.  A rung with an empty w0 keeps its full rank:
-# ran T^{j+1} is ran T^j, and rung j+1 is rung j.  Readers rely on
-# SQ wps = next only, so a certified rung 0 (linalg.certified_inverse)
-# holds wps = S^-1, next = I and an empty w0.  Its top is None: top is
-# read only below a rung with a kernel, and a certified rung has none.
-_Rung = namedtuple("_Rung", "q wps w0 next top")
+# wps = W+ S+^-1 over the kept singular values, those linalg.significant
+# keeps at scale top = ||S||, w0 the right singular vectors it cuts, and
+# next = U+, the basis of ran T^{j+1}.  A rung with an empty w0 keeps its
+# full rank, as a stack's does when each block keeps as many as below:
+# ran T^{j+1} is ran T^j, and rung j+1 is rung j.  A stack is sliced at its
+# widest block's kept, a narrower block's cut columns 0 in wps and next and
+# its kept ones 0 in w0.  Readers rely on SQ wps = next only, so a certified
+# rung 0 (linalg.certified_inverse) holds wps = S^-1, next = I and an empty
+# w0, and top None: top is read only below a rung with a kernel.
+_Rung = namedtuple("_Rung", "q wps w0 next top kept")
 
 # The mu of an obstructed pencil.
 _OBSTRUCTED = "obstructed"
@@ -182,14 +186,18 @@ def _holds(slot: _Slot | None, t) -> bool:
 
 def _slot_for(t) -> _Slot:
     """The slot when it holds T's bit pattern, else a new slot with its own
-    copy of T, its S and nothing formed, in place of the old one.  T is validated
-    unless it is the held T, which was validated when it was stored (a
-    real or list T is compared after validation made it complex)."""
+    copy of T, its S and nothing formed, in place of the old one.  T (or a
+    stack) is validated unless it is the held T, which was validated when
+    it was stored (a real or list T is compared after validation made it complex)."""
     global _slot
     held = _slot
     if _holds(held, t):
         return held
-    t = linalg.require_square(t)
+    t = linalg.as_array(t, complex, "matrix")
+    if t.ndim != 3:
+        t = linalg.require_square(t)
+    elif 0 in t.shape or t.shape[1] != t.shape[2] or not np.isfinite(t).all():
+        raise ValidationError(f"expected a stack of finite square blocks, got shape {t.shape}")
     if _holds(held, t):
         return held
     _slot = None  # release the old products before copying T
@@ -251,7 +259,7 @@ def is_member(t, query: ClassQuery, tol: float = DEFAULT_TOL) -> ClassReport:
 
 def require_member(t, query: ClassQuery, tol: float, name: str) -> None:
     """ValidationError unless ``name`` (the operator t) is a member at query."""
-    report = is_member(t, query, tol)
+    report = is_member(linalg.require_square(t), query, tol)
     if not report.holds:
         raise ValidationError(f"{name} is not a member at its query; "
                               f"gap min eigenvalue {report.gap_min_eigenvalue:.3e}")
@@ -265,17 +273,24 @@ def _rung(s, below: _Rung | None) -> _Rung:
     if below is None:
         inverse = linalg.certified_inverse(s)
         if inverse is not None:
-            dim = s.shape[0]
-            return _Rung(None, inverse, np.zeros((dim, 0), dtype=complex),
-                         np.eye(dim, dtype=complex), None)
+            dim = s.shape[-1]
+            return _Rung(None, inverse, inverse[..., :0],
+                         np.broadcast_to(np.eye(dim, dtype=complex), s.shape), None, dim)
     q = None if below is None else below.next
     c = s if q is None else s @ q
     u, sv, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
     top = float(sv.max(initial=0.0)) if below is None else below.top
-    rank = int(np.count_nonzero(linalg.significant(sv, top)))
-    w = vh.conj().T
-    return _Rung(q, w[:, :rank] / sv[:rank], w[:, rank:].copy(),
-                 u if rank == sv.size else u[:, :rank].copy(), top)
+    kept = np.count_nonzero(linalg.significant(sv, top), axis=-1)
+    least, rank = int(kept.min()), int(kept.max())
+    start = sv.shape[-1] if below is not None and np.array_equal(kept, below.kept) else least
+    w = adjoint(vh)
+    wps, w0 = w[..., :rank] / sv[..., None, :rank], w[..., start:].copy()
+    basis = u if rank == sv.shape[-1] else u[..., :rank].copy()
+    if least < rank:
+        cut = np.arange(sv.shape[-1]) >= kept[:, None, None]
+        wps, basis = (np.where(cut[..., :rank], 0.0, x) for x in (wps, basis))
+        w0 = np.where(cut[..., start:], w0, 0.0)
+    return _Rung(q, wps, w0, basis, top, kept)
 
 
 def _ladder(slot: _Slot, k: int) -> list:
@@ -284,7 +299,7 @@ def _ladder(slot: _Slot, k: int) -> list:
     for j in range(k + 1):
         below = _held(slot, ("rung", j), lambda: _rung(slot.s, below))
         rungs.append(below)
-        if not below.w0.shape[1]:
+        if not below.w0.shape[-1]:
             break
     return rungs
 
@@ -292,7 +307,7 @@ def _ladder(slot: _Slot, k: int) -> list:
 def range_basis(t, k: int) -> np.ndarray:
     """Orthonormal basis of ran T^k, a copy of the held ladder's: the
     identity at k = 0, else the ``next`` basis of the last rung up to k - 1."""
-    slot = _slot_for(t)
+    slot = _slot_for(linalg.require_square(t))
     ClassQuery(k=k, n=1, lam=1.0)  # validates k
     if k == 0:
         return np.eye(slot.s.shape[0], dtype=complex)
@@ -324,7 +339,7 @@ def _top(mu) -> float:
 
 def _d_prime(rung: _Rung, p) -> np.ndarray:
     """D' = P* Q on ``rung`` (Q = I at rung 0), S^n = 2^f P."""
-    return p.conj().T if rung.q is None else p.conj().T @ rung.q
+    return adjoint(p) if rung.q is None else adjoint(p) @ rung.q
 
 
 @linalg.quiet_overflow
@@ -335,16 +350,19 @@ def _form_pencil(n: int, tol: float, rung: _Rung, power) -> _Form:
     normalized M has ||M*M|| >= 1: no Gram matrix underflows into a verdict."""
     p, f = power
     dq = _d_prime(rung, p)
-    if rung.w0.shape[1]:
+    if rung.w0.shape[-1]:
         dw = dq @ rung.w0
-        top = float(linalg.lapack("eigvalsh", dw.conj().T @ dw, "(D'W0)*(D'W0)")[-1])
+        top = float(linalg.lapack("eigvalsh", adjoint(dw) @ dw, "(D'W0)*(D'W0)")[..., -1].max())
         rounding = (DEFAULT_TOL * np.exp2(n * np.log2(rung.top) - f)) ** 2
         if top > rounding and not linalg.at_most_scaled(top, tol, dq):
             return _Form(_OBSTRUCTED, 0)  # M*M is not formed
-    if not rung.wps.shape[1]:  # T vanishes on ran T^k: the form is empty
+    if not rung.wps.shape[-1]:  # T vanishes on ran T^k: the form is empty
         return _Form(np.zeros(0), 0)
     m, g = linalg.normalize(dq @ rung.wps)
-    return _Form(linalg.lapack("eigvalsh", m.conj().T @ m, "M*M"), f + g)
+    mu = linalg.lapack("eigvalsh", adjoint(m) @ m, "M*M")
+    if np.ndim(rung.kept):  # a stack: drop each narrower block's smallest mu, its 0 columns
+        mu = np.sort(mu[np.arange(mu.shape[-1]) >= mu.shape[-1] - rung.kept[:, None]])
+    return _Form(mu, f + g)
 
 
 @linalg.quiet_overflow
@@ -353,12 +371,19 @@ def _witness(rungs: list, p, k: int, obstructed: bool) -> np.ndarray:
     the top eigenvector of the Gram matrix (D'B)*(D'B) that formed the
     pencil on the last rung, B = W0 for an obstruction and W+ S+^-1 for
     the normal form, D'B normalized, pulled back from B's coordinates to
-    x.  D' is formed again on read, so nothing N x r is held."""
+    x.  D' is formed again on read, so nothing N x r is held.  A stack's x
+    is its top block's, pulled back through its rungs and embedded in the sum."""
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
     dw = linalg.normalize(_d_prime(rung, p) @ basis)[0]
-    v = linalg.lapack("eigh", dw.conj().T @ dw, "(D'B)*(D'B)")[1][:, -1]
-    return _pull_back(rungs, k, basis @ v)
+    values, vectors = linalg.lapack("eigh", adjoint(dw) @ dw, "(D'B)*(D'B)")
+    if p.ndim == 2:
+        return _pull_back(rungs, k, basis @ vectors[:, -1])
+    b = int(np.argmax(values[:, -1]))
+    x = np.zeros(p.shape[:2], dtype=complex)
+    x[b] = _pull_back([_Rung(*(f[b] if isinstance(f, np.ndarray) else f for f in r))
+                       for r in rungs], k, basis[b] @ vectors[b, :, -1])
+    return x.reshape(-1)
 
 
 def _power(slot: _Slot, n: int):
@@ -373,7 +398,7 @@ def _pencil(slot: _Slot, k: int, n: int, tol: float):
     of a failing verdict at k, computed when called.  S^n is not formed
     when ran T^k = {0}."""
     rungs = _ladder(slot, k)
-    if not rungs[-1].wps.shape[0]:  # Q has no columns
+    if not rungs[-1].wps.shape[-2]:  # Q has no columns
         return np.zeros(0), 0, None
     power = _power(slot, n)
     mu, f = _held(slot, ("pencil", len(rungs) - 1, n, tol),
@@ -477,7 +502,7 @@ def nilpotency_collapse_check(t, k: int, n: int) -> NilpotencyReport:
     """Check that T^{k+1} = 0 plus membership forces T^k = 0 (for k >= n);
     T^j = 0 iff the ladder's basis of ran T^j is empty, at any scale of T.
     ||T^k|| is reported as ||S^k|| 2^(ke), from the held S^k."""
-    slot = _slot_for(t)
+    slot = _slot_for(linalg.require_square(t))
     ClassQuery(k=k, n=n, lam=1.0)  # validates k, n
     if range_basis(t, k + 1).shape[1]:
         raise ValidationError(f"T^{k + 1} is not numerically zero")

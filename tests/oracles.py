@@ -7,6 +7,8 @@ instead of projector algebra), so agreement between the two is
 meaningful.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
@@ -246,6 +248,14 @@ def _dense_direct_sum(alpha, left, right):
     return out
 
 
+def compression(op):
+    """T_c = (+)_b a_b c_b*, the dense 2B x 2B matrix of a weighted
+    conditional operator's blocks, block b in rows and columns 2b and
+    2b + 1: T is unitarily T_c (+) 0.  posilab holds only the (B, 2, 2)
+    stack; this is the dense oracle for the verdicts it reads off it."""
+    return _dense_direct_sum(1.0, op.a, op.c)
+
+
 def _support(values):
     """The vanishing rule of the Section 3 checks: a value is 0 when it is
     at most DEFAULT_TOL times the largest of its kind over all blocks."""
@@ -268,7 +278,7 @@ def _dense_norm(m):
 def dense_norm_formula(op):
     """The fields of condexp.norm_formula_check, ||T|| from an SVD of the
     2B x 2B T_c."""
-    matrix_norm = _dense_norm(op.compressed)
+    matrix_norm = _dense_norm(compression(op))
     blockwise = float(np.sqrt(np.max(op.e_w2 * op.e_u2)))
     dev = abs(matrix_norm - blockwise)
     return {"matrix_norm": matrix_norm, "blockwise_norm": blockwise,
@@ -287,7 +297,7 @@ def _dense_hermitian_power(h, m):
 
 def dense_lemma31(op, m):
     """The fields of condexp.lemma31_check, every side a 2B x 2B matrix."""
-    t = op.compressed
+    t = compression(op)
     chi = _support(op.e_w2 * op.e_u2)  # the eigenvalues of T*T and TT*
 
     def deviation(side, ex, ey, gram):
@@ -305,7 +315,7 @@ def dense_lemma31(op, m):
 def dense_polar(op):
     """The fields of condexp.polar_decomposition_check, with one eigh of
     the 2B x 2B |T| for its spectrum and range."""
-    t, ew2, eu2 = op.compressed, op.e_w2, op.e_u2
+    t, ew2, eu2 = compression(op), op.e_w2, op.e_u2
     chi = _support(np.sqrt(ew2) * np.sqrt(eu2))  # the eigenvalues of |T|
     modulus = _dense_direct_sum(np.sqrt(_chi_ratio(ew2, eu2, chi)), op.c, op.c)
     partial_iso = _dense_direct_sum(np.sqrt(_chi_ratio(1.0, ew2 * eu2, chi)), op.a, op.c)
@@ -425,3 +435,55 @@ def partition_defect(blocks, atom_count):
             seen.add(i)
     missing = sorted(set(range(atom_count)) - seen)
     return f"partition does not cover atoms {missing}" if missing else None
+
+
+def _exact_product(a, b):
+    """A B for matrices as lists of rows of ints or Fractions, exactly."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _exact_power(t, p):
+    """T^p by repeated squaring, exactly (the identity at p = 0)."""
+    out = [[int(i == j) for j in range(len(t))] for i in range(len(t))]
+    while p:
+        if p & 1:
+            out = _exact_product(out, t)
+        t, p = _exact_product(t, t), p >> 1
+    return out
+
+
+def _exact_kernel(m):
+    """A basis of ker M, as columns of one matrix (a list of rows), by
+    Gauss-Jordan elimination in fractions; None when the kernel is {0}."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    width, pivots = len(rows[0]), []
+    for col in range(width):
+        pick = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pick] = rows[pick], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    free = [col for col in range(width) if col not in pivots]
+    if not free:
+        return None
+    basis = [[Fraction(int(col == f)) for f in free] for col in range(width)]
+    for i, col in enumerate(pivots):
+        basis[col] = [-rows[i][f] for f in free]
+    return basis
+
+
+def census_verdict(t, k, n):
+    """(feasible, lambda_min == 0) at (k, n) for a real integer matrix T,
+    exact: the pencil on ran T^k is obstructed iff T*^n does not vanish on
+    ran T^k meet ker T, which is T^k ker T^{k+1}, and lambda_min = 0 iff
+    T*^n T^k = 0 (then T is a member at every lambda)."""
+    t = [[int(x) for x in row] for row in np.asarray(t).real]
+    d = _exact_product(_exact_power([list(col) for col in zip(*t)], n), _exact_power(t, k))
+    kernel = _exact_kernel(_exact_power(t, k + 1))
+    feasible = kernel is None or not any(map(any, _exact_product(d, kernel)))
+    return feasible, not any(map(any, d))

@@ -1,6 +1,7 @@
 """condexp against the loop-based oracles of tests/oracles.py."""
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 
 from posilab import condexp, fixtures, linalg, posinormal
 from posilab.errors import NumericalFailure, ValidationError
+from posilab.posinormal import ClassQuery
 
 import oracles
 
@@ -211,7 +213,7 @@ def assembled(op):
     """Q T_c Q*, Q the oracle's block embedding: the operator in the
     orthonormal atom basis."""
     q = oracles.block_embedding(op.space.masses, op.partition.blocks, op.w, op.u)
-    return q @ op.compressed @ q.conj().T
+    return q @ oracles.compression(op) @ q.conj().T
 
 
 @pytest.mark.parametrize("atoms, blocks", SHAPES)
@@ -251,8 +253,9 @@ def test_operator_applies_w_E_u():
 @pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])
 @pytest.mark.parametrize("vanishing", [None, "u", "w"])
 def test_compression_reproduces_the_operator(scale_w, scale_u, vanishing):
-    """Q T_c Q* is T to 1e-12 relative, T_c is 2B x 2B and the oracle's Q
-    is orthonormal, for N = 1..40 and one block, singletons, 2B >= N and a
+    """Q T_c Q* is T to 1e-12 relative, T_c = oracles.compression(op) from
+    the B x 2 rows a_b and c_b that op holds, and the oracle's Q is
+    orthonormal, for N = 1..40 and one block, singletons, 2B >= N and a
     random B.  A one-atom block leaves no room for its second column of Q,
     and there T_c holds rounding only."""
     rng = np.random.default_rng(41)
@@ -267,14 +270,13 @@ def test_compression_reproduces_the_operator(scale_w, scale_u, vanishing):
                                         condexp.BlockPartition(parts, atoms), w, u)
             expected = oracles.weighted_operator_matrix_oracle(masses, parts, w, u)
             norm = np.linalg.norm(expected, 2)
-            q = oracles.block_embedding(masses, parts, w, u)
-            assert (np.linalg.norm(q @ op.compressed @ q.conj().T - expected, 2)
-                    <= 1e-12 * norm)
-            assert op.compressed.shape == (2 * blocks, 2 * blocks)
+            q, t_c = oracles.block_embedding(masses, parts, w, u), oracles.compression(op)
+            assert op.a.shape == op.c.shape == (blocks, 2)
+            assert np.linalg.norm(q @ t_c @ q.conj().T - expected, 2) <= 1e-12 * norm
             dead = np.linalg.norm(q, axis=0) == 0.0
             assert np.count_nonzero(dead) == sum(len(part) == 1 for part in parts)
-            assert max(np.abs(op.compressed[dead]).max(initial=0.0),
-                       np.abs(op.compressed[:, dead]).max(initial=0.0)) <= 1e-12 * norm
+            assert max(np.abs(t_c[dead]).max(initial=0.0),
+                       np.abs(t_c[:, dead]).max(initial=0.0)) <= 1e-12 * norm
             q = q[:, ~dead]
             np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-13)
             assert (abs(condexp.norm_formula_check(op).matrix_norm - norm)
@@ -296,9 +298,9 @@ def test_normal_operator_stays_normal(scale_w, scale_u):
             for part in parts:
                 u[list(part)] = crandn(rng, 1) * np.conj(w[list(part)])
             w, u = w * scale_w, u * scale_u
-            t = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
-                                       condexp.BlockPartition(parts, atoms),
-                                       w, u).compressed
+            t = oracles.compression(condexp.build_operator(
+                condexp.FiniteMeasureSpace(masses), condexp.BlockPartition(parts, atoms),
+                w, u))
             norm = np.linalg.norm(t, 2)
             assert (np.linalg.norm(t.conj().T @ t - t @ t.conj().T, 2)
                     <= 1e-14 * norm ** 2), (atoms, blocks)
@@ -357,7 +359,7 @@ def test_stacked_checks_match_the_dense_oracles(atoms, blocks, kind):
                      (condexp.polar_decomposition_check(op), oracles.dense_polar(op))]
             pairs += [(condexp.lemma31_check(op, m), oracles.dense_lemma31(op, m))
                       for m in (1, 2, 3, 0.5, 1.5)]
-            t_norm = np.linalg.norm(op.compressed, 2)
+            t_norm = np.linalg.norm(oracles.compression(op), 2)
             for report, dense in pairs:
                 ours = dataclasses.asdict(report)
                 assert ours.keys() == dense.keys()
@@ -434,6 +436,99 @@ def test_interval_example_at_4096_atoms_stays_compressed():
     assert all(r.passed for r in reports[:3]), reports[:3]
 
 
+def _class_family(seed, count):
+    """count seeded spaces of 1-16 blocks, a sixth each generic, with u = 0
+    on a block, with w = 0 on a block, with w and u faint (x 3e-6) on a
+    block, with u = c_b conj(w) on every block (Cauchy-Schwarz equality) and
+    with E(uw) = 0 on a block."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        blocks = int(rng.integers(1, 17))
+        atoms = blocks + int(rng.integers(0, 3 * blocks + 1))
+        masses, parts, w, u = random_space(rng, atoms, blocks, i % 6 == 1)
+        part = list(parts[int(rng.integers(blocks))])
+        if i % 6 == 2:
+            w[part] = 0.0
+        elif i % 6 == 3:
+            w[part] *= 3e-6
+            u[part] *= 3e-6
+        elif i % 6 == 4:
+            for each in parts:
+                u[list(each)] = crandn(rng, 1) * np.conj(w[list(each)])
+        elif i % 6 == 5:  # u - (E(uw) / E|w|^2) conj(w) on the block
+            m, wb = masses[part], w[part]
+            u[part] -= np.sum(m * u[part] * wb) / np.sum(m * np.abs(wb) ** 2) * np.conj(wb)
+        yield condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                     condexp.BlockPartition(parts, atoms), w, u)
+
+
+def _stack(op):
+    """T's (B, 2, 2) stack of blocks a_b c_b*, formed here."""
+    return np.einsum("bi,bj->bij", op.a, op.c.conj())
+
+
+LAMBDAS_AROUND_1 = (0.5, 2.0, 8.0)
+
+
+def test_class_verdicts_on_the_stack_are_those_of_dense_T_c():
+    """On 240 spaces, k = 0-3 and n = 1-3, min_lambda and is_member read
+    the direct sum off T's stack of blocks as they read the dense T_c:
+    the same feasibility, lambda_min within 1e-12 relative and the same
+    verdict at lambda = 0.5, 2 and 8.  Every certificate of the stack,
+    embedded in the direct sum, has x* G x < 0 for T_c's gap G, read as
+    lam^2 ||T_c^(k+1) x||^2 < ||T_c*^n T_c^k x||^2: a failing verdict's
+    witness at its lambda, and a kernel obstruction at ||T_c||^(n-1), the
+    scale of the class's lambda; at lambda = 8, T_c x ~ eps ||T_c|| outweighs
+    T_c*^n x on a faint T."""
+    def verdicts(t):
+        """min_lambda and the three is_member reports at each (k, n), in
+        one run per operator so that each reads its slot warm."""
+        return {(k, n): (posinormal.min_lambda(t, k, n),
+                         [posinormal.is_member(t, ClassQuery(k, n, lam))
+                          for lam in LAMBDAS_AROUND_1])
+                for k, n in itertools.product(range(4), (1, 2, 3))}
+
+    for op in _class_family(83, 240):
+        dense = oracles.compression(op)
+        norm, ours, theirs = np.linalg.norm(dense, 2), verdicts(_stack(op)), verdicts(dense)
+        for (k, n), (result, reports) in ours.items():
+            other, others = theirs[k, n]
+            assert result.feasible == other.feasible, (op.partition.blocks, k, n)
+            assert [r.holds for r in reports] == [r.holds for r in others], (k, n)
+            if result.feasible:
+                a, b = result.lambda_min, other.lambda_min
+                assert abs(a - b) <= 1e-12 * max(a, b), (k, n, a, b)
+                certificates = [(lam, r.witness) for lam, r in zip(LAMBDAS_AROUND_1, reports)
+                                if not r.holds]
+            else:  # at the scale of the class's lambda
+                certificates = [(norm ** (n - 1), result.kernel_obstruction)]
+            for lam, x in certificates:  # x* G x, its two terms each to a few ulps
+                y = oracles.mpow(dense, k) @ x
+                assert (lam * np.linalg.norm(dense @ y)) ** 2 < np.linalg.norm(
+                    oracles.adj(oracles.mpow(dense, n)) @ y) ** 2, (k, n, lam)
+
+
+def test_the_class_checks_hand_lapack_only_2x2_blocks(monkeypatch):
+    """thm33, thm34 and thm35 on a space of 64 blocks: every LAPACK operand
+    is a stack of blocks at most 2 x 2, none the 128 x 128 T_c."""
+    rng = np.random.default_rng(89)
+    masses, parts, w, u = random_space(rng, 256, 64, vanishing=True)
+    op = condexp.build_operator(condexp.FiniteMeasureSpace(masses),
+                                condexp.BlockPartition(parts, 256), w, u)
+    shapes, lapack = [], linalg.lapack
+
+    def recorded(name, operand, what, **options):
+        shapes.append(np.shape(operand))
+        return lapack(name, operand, what, **options)
+    monkeypatch.setattr(linalg, "lapack", recorded)
+    monkeypatch.setattr(posinormal, "_slot", None)
+    condexp.thm33_check(op, 2.0)
+    condexp.thm34_check(op, 2, 2.0)
+    condexp.thm35_check(op, 1, 2, 2.0)
+    assert (64, 2, 2) in shapes
+    assert all(max(shape[-2:]) <= 2 for shape in shapes), shapes
+
+
 @pytest.mark.parametrize("scale_w, scale_u", [(1.0, 1.0), (1e8, 1e-8), (1e-8, 1e8)])
 @pytest.mark.parametrize("kind", [None, "u", "w", "conj"])
 def test_polar_modulus_is_psd_by_construction(scale_w, scale_u, kind):
@@ -454,7 +549,7 @@ def test_polar_modulus_is_psd_by_construction(scale_w, scale_u, kind):
                                           w * scale_w, u * scale_u))
     for op in ops:
         lowest = condexp.polar_decomposition_check(op).modulus_min_eigenvalue
-        t_norm = np.linalg.norm(op.compressed, 2)
+        t_norm = np.linalg.norm(oracles.compression(op), 2)
         assert -lowest <= 1e-13 * max(1.0, t_norm), (op.space.atom_count, lowest)
 
 

@@ -122,3 +122,47 @@ def test_malformed_input_is_a_validation_error(call):
 def test_a_lambda_beyond_the_float_range_is_a_numerical_failure():
     with pytest.raises(NumericalFailure, match="lambda overflows"):
         ClassQuery(0, 1, 10 ** 400)
+
+
+# Entry points that take a matrix only, each with a T of the caller's.
+MATRIX_ONLY = {
+    "range_basis": lambda t: posinormal.range_basis(t, 1),
+    "classify_grid": lambda t: posinormal.classify_grid(t, 1, 1),
+    "nilpotency": lambda t: posinormal.nilpotency_collapse_check(t, 1, 1),
+    "corollary": lambda t: posinormal.operator_norm_corollary_check(t, 0, 1, 2.0, 0),
+    "gap_matrix": lambda t: posinormal.gap_matrix(t, 0, 1, 1.0),
+    "require_member": lambda t: posinormal.require_member(t, ClassQuery(0, 1, 2.0), 1e-10, "T"),
+    "decompose": lambda t: structure.decompose(t, 1, 1),
+    "union_gap": lambda t: structure.spectrum_union_gap(structure.decompose(np.eye(2), 0, 1), t),
+    "restrict": lambda t: structure.restrict_to_invariant(t, np.eye(2)[:, :1], 0, 1, 2.0),
+    "isometry": lambda t: structure.isometry_product_check(t, np.eye(2), 0, 1, 2.0),
+    "unitary": lambda t: structure.unitary_conjugate_check(t, np.eye(2), 0, 1, 2.0),
+    "dense_range": lambda t: structure.dense_range_upgrade(t, 0, 1, 2.0),
+    "tensor": lambda t: structure.tensor_check(t, np.eye(2), ClassQuery(0, 1, 2.0), 1.0),
+    "tensor_s": lambda t: structure.tensor_check(np.eye(2), t, ClassQuery(0, 1, 2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", MATRIX_ONLY.values(), ids=MATRIX_ONLY.keys())
+def test_a_stack_is_a_matrix_error_outside_the_class_tests(call):
+    """is_member and min_lambda read a (B, d, d) stack as its direct sum;
+    every other entry point rejects it as a 3-D array, also when the slot
+    already holds that stack."""
+    stack = np.stack([np.eye(2), np.diag([2.0, 0.5]), np.eye(2, k=1)]).astype(complex)
+    assert posinormal.is_member(stack, ClassQuery(0, 1, 2.0)).holds is False
+    with pytest.raises(ValidationError, match=r"expected a 2-D matrix, got ndim=3"):
+        call(stack)
+
+
+@pytest.mark.parametrize("stack, named", [
+    (np.zeros((3, 2, 3)), r"\(3, 2, 3\)"),
+    (np.zeros((0, 2, 2)), r"\(0, 2, 2\)"),
+    (np.zeros((2, 0, 0)), r"\(2, 0, 0\)"),
+    (np.stack([np.eye(2), np.full((2, 2), np.nan)]), r"\(2, 2, 2\)"),
+    (np.stack([np.eye(2), np.full((2, 2), np.inf)]), r"\(2, 2, 2\)"),
+], ids=["not square", "no blocks", "empty blocks", "nan", "inf"])
+def test_a_defective_stack_is_a_validation_error_naming_its_shape(stack, named):
+    for call in (lambda: posinormal.min_lambda(stack, 0, 1),
+                 lambda: posinormal.is_member(stack, ClassQuery(0, 1, 1.0))):
+        with pytest.raises(ValidationError, match=named):
+            call()
