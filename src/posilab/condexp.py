@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, posinormal
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 from .linalg import DEFAULT_TOL, adjoint
 from .posinormal import ClassQuery
 
@@ -413,15 +413,19 @@ def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
     powers of vanishing blocks never occur.  A deviation is
     ||lhs - closed form|| / ||lhs||, 0 when both vanish; passed: both <= DEFAULT_TOL.
     """
-    if (isinstance(m, bool) or not isinstance(m, numbers.Real)
-            or not np.isfinite(m) or m <= 0):
+    real = isinstance(m, numbers.Real) and not isinstance(m, bool)
+    try:
+        power = float(m) if real else np.nan
+    except OverflowError as exc:  # an int or Fraction beyond the float range
+        raise NumericalFailure(f"power m overflows: {exc}") from exc
+    if not np.isfinite(power) or power <= 0:
         raise ValidationError(f"power m must be a finite real > 0, got {m!r}")
     ew2, eu2 = op.e_w2, op.e_u2
     chi = support_mask(ew2 * eu2)
 
     def sides(side, ex, ey, gram) -> tuple:
         """(gram)^m - (+)_b (ex)^{m-1} chi (ey)^m side_b side_b*, and (gram)^m."""
-        alpha = _masked(np.power, ex, float(m) - 1.0, chi) * ey ** float(m)
+        alpha = _masked(np.power, ex, power - 1.0, chi) * ey ** power
         lhs = _hermitian_power(gram, m)
         return lhs - _blocks(alpha, side, side), lhs
 
@@ -432,7 +436,7 @@ def lemma31_check(op: WeightedConditionalOperator, m) -> PowerIdentityReport:
     dev1, dev2 = (float(np.divide(diff, lhs)) if diff else 0.0
                   for diff, lhs in ((diff1, lhs1), (diff2, lhs2)))
     return PowerIdentityReport(
-        power=float(m),
+        power=power,
         deviation_t_star_t=dev1,
         deviation_t_t_star=dev2,
         passed=max(dev1, dev2) <= DEFAULT_TOL,

@@ -21,8 +21,11 @@ Target dimensions are small: tens, up to the low hundreds.  A weighted
 conditional operator reaches these kernels as its (B, 2, 2) stack of
 blocks, whatever its atom count, and never as a 2B x 2B matrix: a stack
 stands for the direct sum of its blocks, and norm_bounds, operator_norm,
-adjoint and normalized_power read its last two axes.  So robustness is
-preferred over speed throughout.
+adjoint and normalized_power read its last two axes.  posinormal reads a
+matrix as its one-block stack, (1, d, d), so matrices and direct sums take
+one path through these kernels; numpy's LAPACK calls and matmul give a
+one-block stack the bits of its matrix.  So robustness is preferred over
+speed throughout.
 """
 
 import math

@@ -34,8 +34,9 @@ and inf: on W0, C' vanishes and D' does not, so the generalized
 eigenvalue there is -inf.
 The threshold scales with the form, so verdicts are monotone in lambda and
 covariant under T -> cT, lambda -> |c|^(n-1) lambda; for c = 2^j exactly.
-is_member and min_lambda also read a (B, d, d) stack as the direct sum of
-its blocks, batched through the same code, every cut at its largest block.
+is_member and min_lambda read a (B, d, d) stack as the direct sum of its
+blocks, and the slot holds a matrix as its one-block stack: one code path
+for both, every cut at the largest block.
 
 The module holds one slot, keyed on the bit pattern of T alone (so -0.0
 and 0.0 differ, and a caller that changes its T in place gets fresh
@@ -145,28 +146,28 @@ class LambdaResult:
         return None if self._obstruction is None else self._obstruction()
 
 
-# The slot: its own copy of T, the key; (S, e) = linalg.normalize(T); and
-# the products of S that do not depend on lambda, by key: ("power", n) for
-# S^n = 2^f P as (P, f) (linalg.normalized_power), ("rung", j) for rung j
-# of the range ladder and ("pencil", j, n, tol) for the pencil on rung j,
-# which every k >= j whose ladder ends at rung j reads, as a _Form.
+# The slot: its own copy of T, the key; (S, e) = linalg.normalize(T), S a
+# (B, d, d) stack; and the products of S that do not depend on lambda, by
+# key: ("power", n) for S^n = 2^f P as (P, f) (linalg.normalized_power),
+# ("rung", j) for rung j of the range ladder and ("pencil", j, n, tol) for
+# the pencil on rung j, read by every k >= j whose ladder ends there, as a _Form.
 _Slot = namedtuple("_Slot", "t s e held")
 
 # A held pencil: its mu, _OBSTRUCTED or the eigenvalues, ascending, of
 # (2^-f M)*(2^-f M), 2^-f M normalized, so lambda_min(S)^2 = 4^f max mu.
 _Form = namedtuple("_Form", "mu f")
 
-# Rung j of the range ladder of the slot's S, for an orthonormal basis Q of
-# ran T^j (None at rung 0, where Q = I), from the thin SVD SQ = U S+ W*:
-# wps = W+ S+^-1 over the kept singular values, those linalg.significant
-# keeps at scale top = ||S||, w0 the right singular vectors it cuts, and
-# next = U+, the basis of ran T^{j+1}.  A rung with an empty w0 keeps its
-# full rank, as a stack's does when each block keeps as many as below:
-# ran T^{j+1} is ran T^j, and rung j+1 is rung j.  A stack is sliced at its
-# widest block's kept, a narrower block's cut columns 0 in wps and next and
-# its kept ones 0 in w0.  Readers rely on SQ wps = next only, so a certified
-# rung 0 (linalg.certified_inverse) holds wps = S^-1, next = I and an empty
-# w0, and top None: top is read only below a rung with a kernel.
+# Rung j of the range ladder of the slot's S, stacked over its blocks, for
+# an orthonormal basis Q of ran T^j (None at rung 0, where Q = I), from the
+# thin SVD SQ = U S+ W*: wps = W+ S+^-1 over the kept singular values, those
+# linalg.significant keeps at scale top = ||S||, w0 the right singular
+# vectors it cuts, next = U+, the basis of ran T^{j+1}, and kept, each
+# block's count, a tuple of ints.  w0 is empty when every block keeps as
+# many as below: ran T^{j+1} is ran T^j, and rung j+1 is rung j.  Arrays are
+# sliced at the largest count, a narrower block's cut columns 0 in wps and
+# next and its kept ones 0 in w0.  Readers rely on SQ wps = next only, so a
+# certified rung 0 (linalg.certified_inverse) holds wps = S^-1, next = I, an
+# empty w0, full counts and top None: top is read only below a rung with a kernel.
 _Rung = namedtuple("_Rung", "q wps w0 next top kept")
 
 # The mu of an obstructed pencil.
@@ -202,7 +203,7 @@ def _slot_for(t) -> _Slot:
         return held
     _slot = None  # release the old products before copying T
     t = np.array(t, order="C")
-    _slot = held = _Slot(t, *linalg.normalize(t), {})
+    _slot = held = _Slot(t, *linalg.normalize(t.reshape(-1, *t.shape[-2:])), {})
     return held
 
 
@@ -224,9 +225,9 @@ def gap_matrix(t, k: int, n: int, lam: float) -> np.ndarray:
     lam = ClassQuery(k=k, n=n, lam=lam).lam
     t = linalg.require_square(t)
     tk, tn = (linalg.ldexp(*linalg.normalized_power(t, p)) for p in (k, n))
-    core = (lam * lam * linalg.require_finite(t.conj().T @ t, "T*T")
-            - linalg.require_finite(tn @ tn.conj().T, "T^n T*^n"))
-    return linalg.require_finite(linalg.symmetrize(tk.conj().T @ core @ tk),
+    core = (lam * lam * linalg.require_finite(adjoint(t) @ t, "T*T")
+            - linalg.require_finite(tn @ adjoint(tn), "T^n T*^n"))
+    return linalg.require_finite(linalg.symmetrize(adjoint(tk) @ core @ tk),
                                  "gap matrix")
 
 
@@ -273,28 +274,27 @@ def _rung(s, below: _Rung | None) -> _Rung:
     if below is None:
         inverse = linalg.certified_inverse(s)
         if inverse is not None:
-            dim = s.shape[-1]
-            return _Rung(None, inverse, inverse[..., :0],
-                         np.broadcast_to(np.eye(dim, dtype=complex), s.shape), None, dim)
+            eye = np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape)
+            return _Rung(None, inverse, inverse[..., :0], eye, None, (s.shape[-1],) * len(s))
     q = None if below is None else below.next
     c = s if q is None else s @ q
     u, sv, vh = linalg.lapack("svd", c, "T on ran T^j", full_matrices=False)
     top = float(sv.max(initial=0.0)) if below is None else below.top
-    kept = np.count_nonzero(linalg.significant(sv, top), axis=-1)
-    least, rank = int(kept.min()), int(kept.max())
-    start = sv.shape[-1] if below is not None and np.array_equal(kept, below.kept) else least
+    kept = tuple(np.count_nonzero(linalg.significant(sv, top), axis=-1).tolist())
+    least, rank = min(kept), max(kept)
+    start = sv.shape[-1] if below is not None and kept == below.kept else least
     w = adjoint(vh)
     wps, w0 = w[..., :rank] / sv[..., None, :rank], w[..., start:].copy()
     basis = u if rank == sv.shape[-1] else u[..., :rank].copy()
     if least < rank:
-        cut = np.arange(sv.shape[-1]) >= kept[:, None, None]
+        cut = np.arange(sv.shape[-1]) >= np.array(kept)[:, None, None]
         wps, basis = (np.where(cut[..., :rank], 0.0, x) for x in (wps, basis))
         w0 = np.where(cut[..., start:], w0, 0.0)
     return _Rung(q, wps, w0, basis, top, kept)
 
 
 def _ladder(slot: _Slot, k: int) -> list:
-    """Rungs 0..k; a rung of full rank ends it and is rung k."""
+    """Rungs 0..k; a rung with an empty w0 (full rank) ends it and is rung k."""
     rungs, below = [], None
     for j in range(k + 1):
         below = _held(slot, ("rung", j), lambda: _rung(slot.s, below))
@@ -310,23 +310,24 @@ def range_basis(t, k: int) -> np.ndarray:
     slot = _slot_for(linalg.require_square(t))
     ClassQuery(k=k, n=1, lam=1.0)  # validates k
     if k == 0:
-        return np.eye(slot.s.shape[0], dtype=complex)
-    return _ladder(slot, k - 1)[-1].next.copy()
+        return np.eye(slot.s.shape[-1], dtype=complex)
+    return _ladder(slot, k - 1)[-1].next[0].copy()
 
 
-def _pull_back(rungs: list, k: int, z) -> np.ndarray:
-    """Unit x with T^k x parallel to Q z, Q the basis of ran T^k at the
-    last rung and z in its coordinates, with the phase that makes its
-    largest entry real and positive.  A ladder that ended at a full rung
-    j < k first takes z back through T on the invariant ran T^j, k - j
-    times (U+* Q maps Q's coordinates to those of U+)."""
+def _pull_back(rungs: list, b: int, k: int, z) -> np.ndarray:
+    """Unit x in block b with T^k x parallel to Q z, Q block b's basis of
+    ran T^k at the last rung and z in its coordinates, with the phase that
+    makes its largest entry real and positive.  A ladder that ended at a
+    full rung j < k first takes z back through T on the invariant ran T^j,
+    k - j times (U+* Q maps Q's coordinates to those of U+).  z is
+    normalized after every step, exactly, so no k leaves the float range."""
     last = rungs[-1]
     if len(rungs) <= k:
-        to_u = last.next.conj().T if last.q is None else last.next.conj().T @ last.q
+        to_u = adjoint(last.next[b]) if last.q is None else adjoint(last.next[b]) @ last.q[b]
         for _ in range(k + 1 - len(rungs)):
-            z = last.wps @ (to_u @ z)
+            z = linalg.normalize(last.wps[b] @ (to_u @ z))[0]
     for below in reversed(rungs[:-1]):  # T^k x = Q z, up to scale
-        z = below.wps @ z
+        z = linalg.normalize(below.wps[b] @ z)[0]
     top = z[np.argmax(np.abs(z))]
     x = z * (abs(top) / (top * linalg.lapack("norm", z, "certificate"))) + 0.0  # no -0.0
     return linalg.require_finite(x, "certificate")
@@ -360,9 +361,9 @@ def _form_pencil(n: int, tol: float, rung: _Rung, power) -> _Form:
         return _Form(np.zeros(0), 0)
     m, g = linalg.normalize(dq @ rung.wps)
     mu = linalg.lapack("eigvalsh", adjoint(m) @ m, "M*M")
-    if np.ndim(rung.kept):  # a stack: drop each narrower block's smallest mu, its 0 columns
-        mu = np.sort(mu[np.arange(mu.shape[-1]) >= mu.shape[-1] - rung.kept[:, None]])
-    return _Form(mu, f + g)
+    if min(rung.kept) < mu.shape[-1]:  # drop each narrower block's smallest mu, its 0 columns
+        mu = mu[np.arange(mu.shape[-1]) >= mu.shape[-1] - np.array(rung.kept)[:, None]]
+    return _Form(np.sort(mu, axis=None), f + g)
 
 
 @linalg.quiet_overflow
@@ -371,18 +372,15 @@ def _witness(rungs: list, p, k: int, obstructed: bool) -> np.ndarray:
     the top eigenvector of the Gram matrix (D'B)*(D'B) that formed the
     pencil on the last rung, B = W0 for an obstruction and W+ S+^-1 for
     the normal form, D'B normalized, pulled back from B's coordinates to
-    x.  D' is formed again on read, so nothing N x r is held.  A stack's x
-    is its top block's, pulled back through its rungs and embedded in the sum."""
+    x.  D' is formed again on read, so nothing N x r is held.  x is the top
+    block's, pulled back through its rungs and embedded in the direct sum."""
     rung = rungs[-1]
     basis = rung.w0 if obstructed else rung.wps
     dw = linalg.normalize(_d_prime(rung, p) @ basis)[0]
     values, vectors = linalg.lapack("eigh", adjoint(dw) @ dw, "(D'B)*(D'B)")
-    if p.ndim == 2:
-        return _pull_back(rungs, k, basis @ vectors[:, -1])
     b = int(np.argmax(values[:, -1]))
     x = np.zeros(p.shape[:2], dtype=complex)
-    x[b] = _pull_back([_Rung(*(f[b] if isinstance(f, np.ndarray) else f for f in r))
-                       for r in rungs], k, basis[b] @ vectors[b, :, -1])
+    x[b] = _pull_back(rungs, b, k, basis[b] @ vectors[b, :, -1])
     return x.reshape(-1)
 
 
@@ -468,7 +466,7 @@ def operator_norm_corollary_check(t, k: int, n: int, lam: float,
     require_member(t, query, DEFAULT_TOL, "operator")
     slot = _slot_for(t)
     (pm, fm), (pn, fn), (pb, fb) = (_power(slot, j) for j in (m, n, m + 1))
-    lhs, g = linalg.operator_norm(pn.conj().T @ pm), fn + fm + (n + m) * slot.e
+    lhs, g = linalg.operator_norm(adjoint(pn) @ pm), fn + fm + (n + m) * slot.e
     (a, h), base = math.frexp(query.lam), linalg.operator_norm(pb)
     x = fb + (m + 1) * slot.e - g  # lam^i ||T^{m+1}|| = 2^(g + x + ih) a^i base, lam = 2^h a
     rhs1, rhs2 = (saturating_ldexp(a ** i * base, x + i * h) for i in (1, 2))

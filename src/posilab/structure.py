@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, posinormal
 from .errors import ValidationError
-from .linalg import DEFAULT_TOL, REPORT_TOL, RESIDUAL_TOL
+from .linalg import DEFAULT_TOL, REPORT_TOL, RESIDUAL_TOL, adjoint
 from .posinormal import ClassQuery, ClassReport
 
 
@@ -53,7 +53,7 @@ class Decomposition:
             np.zeros((dim_k, self.block_a.shape[1]), dtype=complex),
             self.block_c,
         ])
-        return q @ np.vstack([upper, lower]) @ q.conj().T
+        return q @ np.vstack([upper, lower]) @ adjoint(q)
 
 
 def decompose(t, k: int, n: int) -> Decomposition:
@@ -75,10 +75,10 @@ def decompose(t, k: int, n: int) -> Decomposition:
     rank, dim = q_range.shape[1], t.shape[0]
     q_kernel = (linalg.lapack("qr", q_range, "range basis", mode="complete")[0][:, rank:]
                 if rank < dim else np.zeros((dim, 0), dtype=complex))
-    block_a = q_range.conj().T @ t @ q_range
-    block_b = q_range.conj().T @ t @ q_kernel
-    block_c = q_kernel.conj().T @ t @ q_kernel
-    residual = linalg.operator_norm(q_kernel.conj().T @ t @ q_range)
+    block_a = adjoint(q_range) @ t @ q_range
+    block_b = adjoint(q_range) @ t @ q_kernel
+    block_c = adjoint(q_kernel) @ t @ q_kernel
+    residual = linalg.operator_norm(adjoint(q_kernel) @ t @ q_range)
     power, f = linalg.normalized_power(block_c, k)  # C^k = 2^f P
     nilp = linalg.saturating_ldexp(linalg.operator_norm(power), f)
     return Decomposition(
@@ -115,7 +115,7 @@ def spectrum_union_gap(decomp: Decomposition,
 
 def _require_isometry(x: np.ndarray, message: str) -> None:
     """ValidationError ``message``.format(r) unless r = ||X*X - I|| <= RESIDUAL_TOL."""
-    residual = linalg.operator_norm(x.conj().T @ x - np.eye(x.shape[1]))
+    residual = linalg.operator_norm(adjoint(x) @ x - np.eye(x.shape[1]))
     if residual > RESIDUAL_TOL:
         raise ValidationError(message.format(residual))
 
@@ -136,7 +136,7 @@ def restrict_to_invariant(t, basis, k: int, n: int,
         raise ValidationError(
             f"subspace basis shape {m.shape} incompatible with operator {t.shape}")
     _require_isometry(m, "subspace basis not orthonormal: residual {:.3e}")
-    compressed = m.conj().T @ t @ m
+    compressed = adjoint(m) @ t @ m
     residual = linalg.operator_norm(t @ m - m @ compressed)
     if residual > RESIDUAL_TOL * linalg.operator_norm(t):
         raise ValidationError(f"subspace is not invariant under T: residual {residual:.3e}")
@@ -171,7 +171,7 @@ def unitary_conjugate_check(t, u, k: int, n: int, lam: float) -> ClassReport:
     if t.shape != u.shape:
         raise ValidationError(f"shape mismatch: T {t.shape} vs U {u.shape}")
     _require_isometry(u, "U is not unitary: ||U*U - I|| = {:.3e}")
-    return posinormal.is_member(u.conj().T @ t @ u, ClassQuery(k=k, n=n, lam=lam))
+    return posinormal.is_member(adjoint(u) @ t @ u, ClassQuery(k=k, n=n, lam=lam))
 
 
 def dense_range_upgrade(t, k: int, n: int, lam: float) -> ClassReport:

@@ -34,6 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, condexp, fileio, fixtures, linalg, posinormal, structure
+from .errors import ValidationError
 from .linalg import AGREE_TOL, DEFAULT_TOL, REPORT_TOL
 from .posinormal import ClassQuery
 
@@ -117,7 +118,7 @@ def _claim_not_2power(t: np.ndarray) -> tuple:
 
 def _claim_prop26_squared_product() -> tuple:
     t2 = fixtures.invariant_block_matrix() @ fixtures.invariant_block_matrix()
-    return _block("direct product gives", (t2 @ t2.conj().T)[:2, :2],
+    return _block("direct product gives", (t2 @ linalg.adjoint(t2))[:2, :2],
                   [[5, 10], [10, 20]])
 
 
@@ -548,7 +549,10 @@ def run_claim_suite(seed: int = DEFAULT_SEED) -> RunReport:
 
     The output is identical for identical seeds except for the wall-clock
     timings.  Claims are sorted by id so evaluation order never shows.
+    ValidationError unless the seed is a non-negative integer.
     """
+    if not linalg.is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rows = _claims(seed)
     ids = [row[0] for row in rows]
     if len(set(ids)) != len(ids):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from posilab import cli, condexp, fileio, fixtures, linalg, posinormal, verify
-from posilab.errors import NumericalFailure
+from posilab.errors import NumericalFailure, ValidationError
 
 import oracles
 
@@ -66,7 +66,7 @@ def test_failing_check_prints_its_witness_from_one_eigh(capsys, monkeypatch):
                 "--k", 0, "--n", 2, "--lambda", 1.0]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "holds: false" in lines and "gap_min_eigenvalue: -3" in lines
-    assert lines[-1].startswith("witness: [") and shapes == [(2, 2)]
+    assert lines[-1].startswith("witness: [") and shapes == [(1, 2, 2)]
     x = _printed_witness(lines)
     gap = oracles.gap_oracle(np.diag([2.0, 1.0]), 0, 2, 1.0)
     assert np.vdot(x, gap @ x).real < 0
@@ -77,7 +77,7 @@ def test_failing_check_prints_its_witness_from_one_eigh(capsys, monkeypatch):
                 "--k", 0, "--n", 2, "--lambda", 1.0]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "holds: false" in lines and "gap_min_eigenvalue: -inf" in lines
-    assert lines[-1] == "witness: [1+0j, 0+0j, 0+0j]" and shapes == [(1, 1)]
+    assert lines[-1] == "witness: [1+0j, 0+0j, 0+0j]" and shapes == [(1, 1, 1)]
 
 
 # Two eigenvalues 3e-7 apart are one value at REPORT_TOL, the clustering of
@@ -552,6 +552,30 @@ def test_importing_cli_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "0\n"
+
+
+@pytest.mark.parametrize("seed", [-1, -2])
+def test_a_negative_seed_is_an_input_error(seed, capsys):
+    # A seed is a non-negative integer: numpy rejects a negative one, and
+    # -1 would get past it only because every claim seeds at seed + 1 or more.
+    assert run(["paper-verify", "--seed", seed]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: seed must be a non-negative integer, got {seed}\n"
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        verify.run_claim_suite(2.0)
+
+
+def test_check_prints_a_witness_at_large_k(tmp_path, capsys):
+    # An invertible T reads every k on rung 0, and its witness at k takes z
+    # back through T k times, growing up to 2x a step; z stays normalized,
+    # so check prints it at a k where 2^k is beyond the float range.
+    path = tmp_path / "t.json"
+    path.write_text(fileio.dumps_matrix(np.array([[1.0, 0.3], [0.0, 0.5]])))
+    assert run(["check", path, "--k", 2000, "--n", 2, "--lambda", 0.3]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "holds: false" in lines
+    x = _printed_witness(lines)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-5 and abs(x[1]) > abs(x[0]) > 0.5
 
 
 def test_reused_parser_prints_what_a_fresh_one_prints(tmp_path, capsys):

@@ -951,7 +951,7 @@ def test_classify_grid_forms_each_power_once(rng, monkeypatch):
             assert 3 <= len(svds) <= 4
             assert not all(result.feasible for result in grid.values())
         else:
-            assert svds == ([] if dim >= 64 else [t.shape])
+            assert svds == ([] if dim >= 64 else [(1, *t.shape)])
         assert {key: _bits(result) for key, result in grid.items()} == expected
 
 
@@ -974,7 +974,7 @@ def test_one_ladder_serves_every_k_and_the_grid(rng, monkeypatch):
             if kind == "nilpotent_tail":
                 assert 2 <= len(svds) <= 4
             else:
-                assert svds == ([] if dim >= 64 else [t.shape])
+                assert svds == ([] if dim >= 64 else [(1, *t.shape)])
             ladder = len(svds)
             norms = _count_calls(monkeypatch, linalg, "operator_norm")
             for (k, n), result in zip(pairs, results):
@@ -1027,7 +1027,7 @@ def test_kernel_test_settled_by_bounds_without_svd(rng, monkeypatch):
                  else singular_normal(rng, dim))
             for k, n in ((0, 1), (1, 2), (2, 1), (3, 3)):
                 rung = posinormal._ladder(posinormal._slot_for(t), k)[-1]
-                if rung.w0.shape[1] == 0:
+                if rung.w0.shape[-1] == 0:
                     continue  # T has no kernel on ran T^k
                 calls = _count_calls(monkeypatch, linalg, "operator_norm")
                 result = posinormal.min_lambda(t, k, n)
@@ -1066,7 +1066,7 @@ def test_kernel_test_svd_fallback_between_bounds(rng, monkeypatch):
             result = posinormal.min_lambda(t, 0, 1, tol=tol)
             monkeypatch.undo()
             assert result.feasible == expect == oracles.kernel_feasible(t, 0, 1, tol)
-            assert calls == [b.shape]  # exactly one SVD, of D' = T*
+            assert calls == [(1, *b.shape)]  # exactly one SVD, of D' = T*
             if not expect:
                 assert abs(result.kernel_obstruction[0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -1114,9 +1114,9 @@ def _check_verdicts_at(rng, monkeypatch, dim, kinds=("generic",)):
             if result.feasible:
                 r = oracles.range_basis(t, k + 1).shape[1]
             else:
-                r = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
+                r = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[-1]
                 assert np.array_equal(x, result.kernel_obstruction)
-            assert calls == {"eigh": [(r, r)], "norm": [(dim,)]}
+            assert calls == {"eigh": [(1, r, r)], "norm": [(dim,)]}
             _check_witness(t, k, n, lam, report, result.feasible)
 
 
@@ -1131,6 +1131,22 @@ def test_witness_at_dimension_128(rng, monkeypatch):
     # The oracle comparison above stops at dim 32; the benchmark's operators
     # have dim 128, where eigenvalues crowd.
     _check_verdicts_at(rng, monkeypatch, 128, ("generic", "graded", "nilpotent_tail"))
+
+
+def test_a_witness_at_large_k_stays_in_range():
+    # An invertible T ends its ladder at rung 0, so the witness at k takes z
+    # back through T on ran T^0 k times, and S^-1 grows z by up to 2 a step
+    # here.  z is normalized after each step, exactly, so the witness stays
+    # a finite unit vector at every k: the power iteration has converged by
+    # k = 1100, and k = 2000, where 2^k is beyond the float range, reads the same x.
+    t = np.array([[1.0, 0.3], [0.0, 0.5]])
+    witnesses = []
+    for k in (1100, 2000):
+        lam = posinormal.min_lambda(t, k, 2).lambda_min / 2
+        x = posinormal.is_member(t, ClassQuery(k, 2, lam)).witness
+        assert np.isfinite(x).all() and np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        witnesses.append(x)
+    np.testing.assert_allclose(witnesses[1], witnesses[0], rtol=0, atol=1e-12)
 
 
 # --- the slot of lambda-independent products -----------------------------------------
@@ -1222,7 +1238,7 @@ def test_overflow_leaves_nothing_held(rng, monkeypatch):
     exact = np.linalg.eigvalsh
 
     def failing(a, *args, **kwargs):
-        if a.shape == t.shape:  # M*M; rung 0 has no kernel
+        if a.shape == (1, *t.shape):  # M*M; rung 0 has no kernel
             raise np.linalg.LinAlgError("did not converge")
         return exact(a, *args, **kwargs)
 
@@ -1394,13 +1410,14 @@ def test_verdicts_read_the_held_pencil(rng, monkeypatch):
             _, calls = _linalg_calls(monkeypatch, lambda: posinormal.is_member(t, queries[0]))
             if kind != "nilpotent_tail":
                 r = len(t)
-                rung = ({"det": [t.shape], "matrix_power": [t.shape]} if certificate
-                        else {"svd": [t.shape]})
-                assert calls == {**rung, "eigvalsh": [(r, r)]}, (kind, k, n)
+                shape = (1, *t.shape)
+                rung = ({"det": [shape], "matrix_power": [shape]} if certificate
+                        else {"svd": [shape]})
+                assert calls == {**rung, "eigvalsh": [(1, r, r)]}, (kind, k, n)
             elif result.feasible:  # tail size at most k = 3
                 r = oracles.range_basis(t, k + 1).shape[1]
-                r0 = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[1]
-                assert calls["eigvalsh"] == [(r0, r0)] * bool(r0) + [(r, r)], (k, n)
+                r0 = posinormal._ladder(posinormal._slot_for(t), k)[-1].w0.shape[-1]
+                assert calls["eigvalsh"] == [(1, r0, r0)] * bool(r0) + [(1, r, r)], (k, n)
                 assert set(calls) == {"svd", "eigvalsh"} | certificate, (k, n)
                 assert 2 <= len(calls["svd"]) <= k + 1
             else:  # the obstruction is not computed until it is read
@@ -1433,11 +1450,13 @@ def test_the_slot_holds_data_and_certificates_come_on_read(monkeypatch):
         output = workload.dense_run(query)
         for key, value in posinormal._slot.held.items():
             assert not callable(value), key
-            if key[0] == "rung":
+            if key[0] == "rung":  # kept: each block's count, as ints
                 assert isinstance(value, posinormal._Rung), key
+                assert type(value.kept) is tuple and len(value.kept) == 1, key
+                assert all(type(count) is int for count in value.kept), key
             elif key[0] == "power":  # S^n = 2^f P as (P, f)
                 p, f = value
-                assert isinstance(p, np.ndarray) and p.ndim == 2 and isinstance(f, int), key
+                assert isinstance(p, np.ndarray) and p.ndim == 3 and isinstance(f, int), key
             else:
                 assert isinstance(value, posinormal._Form) and isinstance(value.f, int), key
                 assert value.mu is posinormal._OBSTRUCTED or (
@@ -1661,7 +1680,7 @@ def test_the_certificate_runs_one_det_and_one_inverse(rng, monkeypatch):
         monkeypatch.setattr(posinormal, "_slot", None)
         return _traced(monkeypatch, call)[1]
 
-    shape = (128, 128)
+    shape = (1, 128, 128)
     t = kernel_case(rng, "generic", 128)
     assert cold(t, 1, 2) == [("det", shape, None), ("matrix_power", shape, -1),
                              ("eigvalsh", shape, None)]

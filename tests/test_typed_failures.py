@@ -124,6 +124,14 @@ def test_a_lambda_beyond_the_float_range_is_a_numerical_failure():
         ClassQuery(0, 1, 10 ** 400)
 
 
+def test_a_power_m_beyond_the_float_range_is_a_numerical_failure():
+    # Lemma 3.1's m converts to a float as ClassQuery's lambda does: an int
+    # beyond the float range is an overflow, not numpy's raw TypeError.
+    op = condexp.build_operator(*fixtures.interval_example(4))
+    with pytest.raises(NumericalFailure, match="power m overflows"):
+        condexp.lemma31_check(op, 10 ** 400)
+
+
 # Entry points that take a matrix only, each with a T of the caller's.
 MATRIX_ONLY = {
     "range_basis": lambda t: posinormal.range_basis(t, 1),
